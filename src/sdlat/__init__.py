@@ -28,6 +28,7 @@ from .errors import (
     BadParameter,
     ChainCapExceeded,
     CycleError,
+    InconsistentLabels,
     LatticeError,
     MissingLabel,
     NoBoundsError,

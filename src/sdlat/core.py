@@ -5,13 +5,16 @@ The order relation is stored as per-element bitmasks: bit ``j`` of
 are indexed along a linear extension (sorted by height, then name), so the
 least element of any down-closed candidate set is always its lowest set
 bit and the greatest element of an up-closed set is its highest set bit.
+In a lattice that makes join(x, y) the lowest set bit of ``up[x] & up[y]``
+and meet(x, y) the highest set bit of ``down[x] & down[y]``, so no n^2 join
+or meet table is built; the lattice axioms are checked on pairs of upper
+covers only (the cover-pair lemma in ``Poset._cover_pairs_have_joins``).
 All public entry points speak element *names*; indices stay internal.
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
 from collections import deque
 from typing import Callable, Iterable, Optional
 
@@ -44,21 +47,37 @@ class Poset:
     """A finite partially ordered set on distinct, non-empty names."""
 
     def __init__(self, names: tuple[str, ...], down: list[int], covers: tuple[tuple[int, int], ...]):
+        """Wrap order data indexed along a linear extension.
+
+        ``down`` must be the down-set masks generated by ``covers``, and
+        every cover (lo, hi) must have lo < hi as indices.
+        """
         self.n = len(names)
         self.names = names
         self.index = {s: i for i, s in enumerate(names)}
         self.down = down
-        self.up = self._transpose(down, self.n)
         self.covers = covers
         self._ucov: list[list[int]] = [[] for _ in range(self.n)]
         self._dcov: list[list[int]] = [[] for _ in range(self.n)]
         for lo, hi in covers:
             self._ucov[lo].append(hi)
             self._dcov[hi].append(lo)
+        self.up = self._union_above([1 << i for i in range(self.n)])
         self.heights = [0] * self.n
         for i in range(self.n):
             for lo in self._dcov[i]:
                 self.heights[i] = max(self.heights[i], self.heights[lo] + 1)
+
+    def _union_above(self, seeds: list[int]) -> list[int]:
+        """out[u] is the union of seeds[v] over all v >= u, one mask op per cover."""
+        out = list(seeds)
+        ucov = self._ucov
+        for u in range(self.n - 1, -1, -1):
+            acc = out[u]
+            for c in ucov[u]:
+                acc |= out[c]
+            out[u] = acc
+        return out
 
     @staticmethod
     def _transpose(down: list[int], n: int) -> list[int]:
@@ -177,6 +196,25 @@ class Poset:
                 raise ValueError("relation is not transitive")
         return poset
 
+    @classmethod
+    def _from_down_masks(cls, names: list[str], down: list[int]) -> "Poset":
+        """Build a poset from transitive down-set masks over ``names``.
+
+        ``names`` must list a linear extension of the order, and bit j of
+        ``down[i]`` means names[j] <= names[i].  The lower covers of i are
+        found by taking the highest remaining element below i and dropping
+        its down-set, one mask op per cover; the result is what
+        ``from_covers`` builds from those covers.
+        """
+        covers = []
+        for i, mask in enumerate(down):
+            rest = mask & ~(1 << i)
+            while rest:
+                j = rest.bit_length() - 1
+                covers.append((names[j], names[i]))
+                rest &= ~down[j]
+        return cls.from_covers(names, covers)
+
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -243,7 +281,43 @@ class Poset:
         return self.lattice_failure() is None
 
     def lattice_failure(self) -> Optional[tuple[str, str, str]]:
-        """Return (kind, a, b) for the first pair without a unique bound, else None."""
+        """Return (kind, a, b) for the first pair without a unique bound, else None.
+
+        A bounded poset passes when every pair of upper covers of a common
+        element has a join (see ``_cover_pairs_have_joins``); only a poset
+        that fails that check pays for the ordered two-sided scan, which
+        names the first failing pair.
+        """
+        if (
+            len(self.minimal_elements()) == 1
+            and len(self.maximal_elements()) == 1
+            and self._cover_pairs_have_joins()
+        ):
+            return None
+        return self._two_sided_scan()
+
+    def _cover_pairs_have_joins(self) -> bool:
+        """True when every two upper covers a, b of a common element have a join.
+
+        In a finite poset with a least element this makes every pair have a
+        join (and hence a meet, the join of its lower bounds), so it is a
+        lattice.  Proof by downward induction on a common lower bound u of
+        a and b: take u < a1 <= a and u < b1 <= b with a1, b1 covering u and
+        w = a1 v b1; by induction v = a v w exists, and then a v b = v v b.
+        The cost is the sum over elements of C(updegree, 2) mask tests.
+        """
+        up = self.up
+        for covers in self._ucov:
+            for k, a in enumerate(covers):
+                upa = up[a]
+                for b in covers[k + 1 :]:
+                    common = upa & up[b]
+                    if not common or common & ~up[_lsb(common)]:
+                        return False
+        return True
+
+    def _two_sided_scan(self) -> Optional[tuple[str, str, str]]:
+        """The first pair, in index order, with no unique join or meet."""
         up, down = self.up, self.down
         for i in range(self.n):
             for j in range(i + 1, self.n):
@@ -263,11 +337,17 @@ class Poset:
 
 
 class Lattice(Poset):
-    """A finite lattice with precomputed join and meet tables.
+    """A finite lattice whose joins and meets are read off the order masks.
 
-    Construction validates the lattice axioms: every pair of elements must
-    have a unique least upper bound and greatest lower bound, and there must
-    be a unique bottom and top.
+    Because elements are indexed along a linear extension, the join of x
+    and y is the lowest set bit of ``up[x] & up[y]`` and the meet is the
+    highest set bit of ``down[x] & down[y]``; no join or meet table is
+    stored.  Construction validates the lattice axioms: there must be a
+    unique bottom and top, and every two upper covers of a common element
+    must have a join, which by the cover-pair lemma (see
+    ``Poset._cover_pairs_have_joins``) gives every pair a unique join and
+    meet.  Derived data (kappa tables, labels, derived orders) is kept in
+    the per-lattice ``memo`` dict, keyed by a short name of what it holds.
     """
 
     def __init__(self, names, down, covers):
@@ -282,7 +362,10 @@ class Lattice(Poset):
             raise NoBoundsError(f"no unique maximum: {[self.names[i] for i in maxs]}")
         self._bot = mins[0]
         self._top = maxs[0]
-        self._fill_tables()
+        if not self._cover_pairs_have_joins():
+            kind, a, b = self._two_sided_scan()
+            raise NotALattice(f"elements {a!r} and {b!r} have no unique {kind}")
+        self.memo: dict = {}
 
     @classmethod
     def build_from_covers(cls, names: Iterable[str], covers: Iterable[tuple[str, str]]) -> "Lattice":
@@ -294,61 +377,30 @@ class Lattice(Poset):
         base = Poset.from_covers(names, covers)
         return cls(base.names, base.down, base.covers)
 
-    def _fill_tables(self) -> None:
-        n = self.n
-        up, down = self.up, self.down
-        full = (1 << n) - 1
-        not_up = [full ^ m for m in up]
-        not_down = [full ^ m for m in down]
-        jt = array("i", [0] * (n * n))
-        mt = array("i", [0] * (n * n))
-        names = self.names
-        for x in range(n):
-            row = x * n
-            upx = up[x]
-            downx = down[x]
-            for y in range(x, n):
-                common = upx & up[y]
-                z = _lsb(common)
-                if common & not_up[z]:
-                    raise NotALattice(
-                        f"elements {names[x]!r} and {names[y]!r} have no unique join"
-                    )
-                jt[row + y] = z
-                jt[y * n + x] = z
-                common = downx & down[y]
-                z = _msb(common)
-                if common & not_down[z]:
-                    raise NotALattice(
-                        f"elements {names[x]!r} and {names[y]!r} have no unique meet"
-                    )
-                mt[row + y] = z
-                mt[y * n + x] = z
-        self._join = jt
-        self._meet = mt
-
     # -- index-level operations (internal fast path) ------------------------
 
     def _join_idx(self, x: int, y: int) -> int:
-        return self._join[x * self.n + y]
+        return _lsb(self.up[x] & self.up[y])
 
     def _meet_idx(self, x: int, y: int) -> int:
-        return self._meet[x * self.n + y]
+        return _msb(self.down[x] & self.down[y])
 
     def _leq_idx(self, x: int, y: int) -> bool:
         return bool(self.down[y] >> x & 1)
 
     def _join_set_idx(self, ids: Iterable[int]) -> int:
-        acc = self._bot
+        up = self.up
+        acc = up[self._bot]
         for i in ids:
-            acc = self._join[acc * self.n + i]
-        return acc
+            acc &= up[i]
+        return _lsb(acc)
 
     def _meet_set_idx(self, ids: Iterable[int]) -> int:
-        acc = self._top
+        down = self.down
+        acc = down[self._top]
         for i in ids:
-            acc = self._meet[acc * self.n + i]
-        return acc
+            acc &= down[i]
+        return _msb(acc)
 
     # -- name-level operations ----------------------------------------------
 
@@ -361,10 +413,10 @@ class Lattice(Poset):
         return self.names[self._top]
 
     def join(self, a: str, b: str) -> str:
-        return self.names[self._join[self.index[a] * self.n + self.index[b]]]
+        return self.names[self._join_idx(self.index[a], self.index[b])]
 
     def meet(self, a: str, b: str) -> str:
-        return self.names[self._meet[self.index[a] * self.n + self.index[b]]]
+        return self.names[self._meet_idx(self.index[a], self.index[b])]
 
     def join_set(self, elems: Iterable[str]) -> str:
         """Join of a possibly empty set; the empty join is the bottom."""
@@ -409,34 +461,87 @@ class Lattice(Poset):
 
     # -- semidistributivity --------------------------------------------------
 
+    def _kappa_indices(self) -> Optional[tuple[dict[int, int], dict[int, int]]]:
+        """kappa and kappa_d on element indices, or None if the lattice is not SD.
+
+        Freese-Jezek-Nation, *Free Lattices* (1995), Thm 2.56: a finite
+        lattice is meet-semidistributive iff kappa(j) exists for every
+        completely join-irreducible j, and dually join-semidistributive iff
+        kappa_d(m) exists for every completely meet-irreducible m.  The
+        candidates for kappa(j) = max{y : j ^ y = j_*} are exactly
+        ``up[j_*] & ~up[j]``, and those for kappa_d(m) are
+        ``down[m^*] & ~down[m]``, so the whole check is one mask test per
+        irreducible.  Memoized.
+        """
+        memo = self.memo
+        if "kappa_indices" not in memo:
+            memo["kappa_indices"] = self._find_kappa_maps()
+        return memo["kappa_indices"]
+
+    def _find_kappa_maps(self) -> Optional[tuple[dict[int, int], dict[int, int]]]:
+        up, down = self.up, self.down
+        kappa: dict[int, int] = {}
+        for j in range(self.n):
+            if len(self._dcov[j]) == 1:
+                cand = up[self._dcov[j][0]] & ~up[j]
+                top = _msb(cand)
+                if cand & ~down[top]:
+                    return None
+                kappa[j] = top
+        kappa_d: dict[int, int] = {}
+        for m in range(self.n):
+            if len(self._ucov[m]) == 1:
+                cand = down[self._ucov[m][0]] & ~down[m]
+                bot = _lsb(cand)
+                if cand & ~up[bot]:
+                    return None
+                kappa_d[m] = bot
+        return kappa, kappa_d
+
     def is_semidistributive(self) -> bool:
-        """Check both halves of semidistributivity.
+        """Check both halves of semidistributivity through the kappa maps.
 
         Join half: whenever x v y = x v z, also x v (y ^ z) = x v y, and the
-        dual statement for meets.  Per fixed x, it suffices to fold the meet
-        over each fiber {y : x v y = v} and confirm x v (fold) = v; the
-        pairwise and full-subset forms follow by monotonicity.
+        dual statement for meets; see ``_kappa_indices`` for the test.
         """
-        return self.semidistributivity_witness() is None
+        return self._kappa_indices() is not None
 
     def semidistributivity_witness(self) -> Optional[tuple[str, str, str, str]]:
-        """None if semidistributive, else a witness ('join'|'meet', x, y, z)."""
+        """None if semidistributive, else a witness ('join'|'meet', x, y, z).
+
+        Only a lattice that fails the kappa test pays for the fiber-fold
+        search in ``_fiber_fold_witness``.
+        """
+        if self.is_semidistributive():
+            return None
+        return self._fiber_fold_witness()
+
+    def _fiber_fold_witness(self) -> Optional[tuple[str, str, str, str]]:
+        """The first SD failure found by folding meets over join fibers.
+
+        Per fixed x, it suffices to fold the meet over each fiber
+        {y : x v y = v} and confirm x v (fold) = v; the pairwise and
+        full-subset forms follow by monotonicity.  When a fold fails, the
+        fiber is searched for the first failing pair.  O(n^2) joins.
+        """
         n = self.n
-        for kind, prim, sec in (("join", self._join, self._meet), ("meet", self._meet, self._join)):
+        for kind, prim, sec in (
+            ("join", self._join_idx, self._meet_idx),
+            ("meet", self._meet_idx, self._join_idx),
+        ):
             for x in range(n):
-                row = x * n
+                row = [prim(x, y) for y in range(n)]
                 fold: dict[int, int] = {}
                 for y in range(n):
-                    v = prim[row + y]
+                    v = row[y]
                     m = fold.get(v)
-                    fold[v] = y if m is None else sec[m * n + y]
+                    fold[v] = y if m is None else sec(m, y)
                 for v, m in fold.items():
-                    if prim[row + m] != v:
-                        fiber = [y for y in range(n) if prim[row + y] == v]
+                    if row[m] != v:
+                        fiber = [y for y in range(n) if row[y] == v]
                         for y, z in itertools.combinations(fiber, 2):
-                            if prim[row + sec[y * n + z]] != v:
+                            if prim(x, sec(y, z)) != v:
                                 return (kind, self.names[x], self.names[y], self.names[z])
-                        raise AssertionError("fiber fold failed without a pairwise witness")
         return None
 
 
@@ -445,7 +550,7 @@ class IntervalView:
 
     Intervals of a lattice are closed under join and meet and their cover
     relations agree with the ambient ones, so all queries delegate to the
-    parent tables restricted to the member set.
+    parent lattice restricted to the member set.
     """
 
     def __init__(self, parent: Lattice, lo: str, hi: str):

@@ -13,24 +13,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import IntervalView, Lattice, Poset
-from .errors import NotComparable
+from .core import IntervalView, Lattice, Poset, _bits, _lsb, _msb
+from .errors import InconsistentLabels, NotComparable
 from .irreducibles import (
+    _above,
+    _kappa_bar_idx,
+    _labels_between,
+    _sorted_names,
     cover_labeling,
-    irreducible_table,
-    j_label_interval,
-    kappa_bar_map,
 )
 
 
 def pop_down(lattice: Lattice, x: str) -> str:
     """Meet of x with everything x covers; fixes the bottom element."""
-    return lattice.meet(x, lattice.meet_set(lattice.lower_covers(x)))
+    return lattice.names[_pop_down_idx(lattice, lattice.index[x])]
 
 
 def pop_up(lattice: Lattice, x: str) -> str:
     """Join of x with everything covering x; fixes the top element."""
-    return lattice.join(x, lattice.join_set(lattice.upper_covers(x)))
+    return lattice.names[_pop_up_idx(lattice, lattice.index[x])]
+
+
+def _pop_down_idx(lattice: Lattice, x: int) -> int:
+    down = lattice.down
+    acc = down[x]
+    for u in lattice._dcov[x]:
+        acc &= down[u]
+    return _msb(acc)
+
+
+def _pop_up_idx(lattice: Lattice, x: int) -> int:
+    up = lattice.up
+    acc = up[x]
+    for v in lattice._ucov[x]:
+        acc &= up[v]
+    return _lsb(acc)
 
 
 def atom_labels(lattice: Lattice, lo: str, hi: str) -> tuple[str, ...]:
@@ -87,63 +104,65 @@ class CoreData:
 
 
 def core_data(lattice: Lattice, x: str) -> CoreData:
-    """All core data for x, cross-checked against the closed formulas."""
-    table = irreducible_table(lattice)
-    kbar = kappa_bar_map(lattice)[x]
-    pd = pop_down(lattice, x)
-    pu = pop_up(lattice, x)
-    core_dn = lattice.interval(pd, x)
-    core_up_view = lattice.interval(kbar, pop_up(lattice, kbar))
-    lab_down = j_label_interval(lattice, pd, x)
-    lab_up = j_label_interval(lattice, kbar, core_up_view.hi)
-    w_set = tuple(
-        sorted(
-            j
-            for j in table.cji
-            if lattice.leq(j, x) and lattice.leq(kbar, table.kappa[j])
-        )
-    )
-    assert w_set == tuple(sorted(set(lab_down) & set(lab_up))), (
-        f"W({x}) disagrees with lab_up & lab_down"
-    )
-    assert atom_labels(lattice, core_dn.lo, core_dn.hi) == atom_labels(
-        lattice, core_up_view.lo, core_up_view.hi
-    ), f"cores of {x} have different atom sets"
+    """All core data for x, from the label masks.
+
+    lab_down(x) labels [pop_down(x), x], lab_up(x) labels the upper core
+    [kappa_bar(x), pop_up(kappa_bar(x))], and W(x) is {j in cji : j <= x and
+    kappa(j) >= kappa_bar(x)}, which equals lab_down(x) & lab_up(x).
+    """
+    names = lattice.names
+    i = lattice.index[x]
+    k = _kappa_bar_idx(lattice)[i]
+    pd = _pop_down_idx(lattice, i)
+    pk = _pop_up_idx(lattice, k)
     return CoreData(
         element=x,
-        pop_down=pd,
-        pop_up=pu,
-        core_down=core_dn,
-        core_up=core_up_view,
-        lab_down=lab_down,
-        lab_up=lab_up,
-        w_set=w_set,
+        pop_down=names[pd],
+        pop_up=names[_pop_up_idx(lattice, i)],
+        core_down=lattice.interval(names[pd], x),
+        core_up=lattice.interval(names[k], names[pk]),
+        lab_down=_sorted_names(lattice, _labels_between(lattice, pd, i)),
+        lab_up=_sorted_names(lattice, _labels_between(lattice, k, pk)),
+        w_set=_sorted_names(lattice, lattice.down[i] & _above(lattice)[k]),
     )
+
+
+def _lab_down_masks(lattice: Lattice) -> list[int]:
+    masks = lattice.memo.get("lab_down_masks")
+    if masks is None:
+        masks = [_labels_between(lattice, _pop_down_idx(lattice, x), x) for x in range(lattice.n)]
+        lattice.memo["lab_down_masks"] = masks
+    return masks
+
+
+def _lab_up_masks(lattice: Lattice) -> list[int]:
+    masks = lattice.memo.get("lab_up_masks")
+    if masks is None:
+        masks = [
+            _labels_between(lattice, k, _pop_up_idx(lattice, k))
+            for k in _kappa_bar_idx(lattice)
+        ]
+        lattice.memo["lab_up_masks"] = masks
+    return masks
+
+
+def _label_sets(lattice: Lattice, key: str, masks: list[int]) -> dict[str, frozenset[str]]:
+    sets = lattice.memo.get(key)
+    if sets is None:
+        names = lattice.names
+        sets = {names[x]: frozenset(names[j] for j in _bits(m)) for x, m in enumerate(masks)}
+        lattice.memo[key] = sets
+    return sets
 
 
 def lab_down_map(lattice: Lattice) -> dict[str, frozenset[str]]:
     """Lower core label set of every element, memoized."""
-    cached = getattr(lattice, "_lab_down_map", None)
-    if cached is None:
-        cached = {
-            x: frozenset(j_label_interval(lattice, pop_down(lattice, x), x))
-            for x in lattice.names
-        }
-        lattice._lab_down_map = cached
-    return cached
+    return _label_sets(lattice, "lab_down_map", _lab_down_masks(lattice))
 
 
 def lab_up_map(lattice: Lattice) -> dict[str, frozenset[str]]:
     """Upper core label set of every element, memoized."""
-    cached = getattr(lattice, "_lab_up_map", None)
-    if cached is None:
-        kbar = kappa_bar_map(lattice)
-        cached = {
-            x: frozenset(j_label_interval(lattice, kbar[x], pop_up(lattice, kbar[x])))
-            for x in lattice.names
-        }
-        lattice._lab_up_map = cached
-    return cached
+    return _label_sets(lattice, "lab_up_map", _lab_up_masks(lattice))
 
 
 def w_map(lattice: Lattice) -> dict[str, frozenset[str]]:
@@ -189,33 +208,65 @@ class DerivedPoset:
 
 
 def kappa_order(lattice: Lattice) -> DerivedPoset:
-    """x below y when x <= y in L and kappa_bar(y) <= kappa_bar(x)."""
-    kbar = kappa_bar_map(lattice)
+    """x below y when x <= y in L and kappa_bar(y) <= kappa_bar(x); memoized.
 
-    def rel(a: str, b: str) -> bool:
-        return lattice.leq(a, b) and lattice.leq(kbar[b], kbar[a])
+    With reach[z] = {x : kappa_bar(x) >= z}, the down-set of y in this order
+    is down[y] & reach[kappa_bar(y)].  It is contained in the order of L,
+    so the lattice's indexing is a linear extension of it.
+    """
+    order = lattice.memo.get("kappaOrder")
+    if order is None:
+        kbar = _kappa_bar_idx(lattice)
+        seeds = [0] * lattice.n
+        for x, k in enumerate(kbar):
+            seeds[k] |= 1 << x
+        reach = lattice._union_above(seeds)
+        down = [mask & reach[kbar[y]] for y, mask in enumerate(lattice.down)]
+        poset = Poset._from_down_masks(list(lattice.names), down)
+        order = lattice.memo["kappaOrder"] = DerivedPoset("kappaOrder", poset, lattice)
+    return order
 
-    return DerivedPoset("kappaOrder", Poset.from_leq(lattice.names, rel), lattice)
 
+def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
+    """Inclusion order of the label masks, memoized under ``kind``.
 
-def _label_order(lattice: Lattice, kind: str, labels: dict[str, frozenset[str]]) -> DerivedPoset:
-    values = list(labels.values())
-    assert len(set(values)) == len(values), f"{kind}: label sets do not separate elements"
-
-    def rel(a: str, b: str) -> bool:
-        return labels[a] <= labels[b]
-
-    return DerivedPoset(kind, Poset.from_leq(lattice.names, rel), lattice)
+    With having[j] the set of elements whose label set contains j, the
+    down-set of x is what remains after removing having[j] for every label
+    j missing from x's set: one mask op per missing label.  Listing
+    elements by label-set size gives a linear extension of inclusion.
+    """
+    order = lattice.memo.get(kind)
+    if order is not None:
+        return order
+    if len(set(masks)) != len(masks):
+        raise InconsistentLabels(f"{kind}: label sets do not separate elements")
+    ranked = sorted(range(lattice.n), key=lambda x: masks[x].bit_count())
+    full = (1 << lattice.n) - 1
+    every = 0
+    having: dict[int, int] = {}
+    for p, x in enumerate(ranked):
+        every |= masks[x]
+        for j in _bits(masks[x]):
+            having[j] = having.get(j, 0) | 1 << p
+    down = []
+    for x in ranked:
+        acc = full
+        for j in _bits(every & ~masks[x]):
+            acc &= ~having[j]
+        down.append(acc)
+    poset = Poset._from_down_masks([lattice.names[x] for x in ranked], down)
+    order = lattice.memo[kind] = DerivedPoset(kind, poset, lattice)
+    return order
 
 
 def clo_down(lattice: Lattice) -> DerivedPoset:
     """Lower core label order: compare lab_down sets by inclusion."""
-    return _label_order(lattice, "cloDown", lab_down_map(lattice))
+    return _label_order(lattice, "cloDown", _lab_down_masks(lattice))
 
 
 def clo_up(lattice: Lattice) -> DerivedPoset:
     """Upper core label order: compare lab_up sets by inclusion."""
-    return _label_order(lattice, "cloUp", lab_up_map(lattice))
+    return _label_order(lattice, "cloUp", _lab_up_masks(lattice))
 
 
 @dataclass(frozen=True)
@@ -244,9 +295,10 @@ def orders_coincide_report(lattice: Lattice) -> OrdersReport:
     down = lab_down_map(lattice)
     up = lab_up_map(lattice)
     w = w_map(lattice)
-    rel_kappa = kappa_order(lattice).relation_pairs()
-    rel_down = clo_down(lattice).relation_pairs()
-    rel_up = clo_up(lattice).relation_pairs()
+    # two orders on one set are equal exactly when their covers are
+    rel_kappa = kappa_order(lattice).covers_named()
+    rel_down = clo_down(lattice).covers_named()
+    rel_up = clo_up(lattice).covers_named()
 
     def first_diff(left, right):
         for x in sorted(lattice.names):
@@ -257,7 +309,7 @@ def orders_coincide_report(lattice: Lattice) -> OrdersReport:
     wit_kd = first_diff(w, down)
     wit_ku = first_diff(w, up)
     wit_ud = first_diff(up, down)
-    report = OrdersReport(
+    return OrdersReport(
         kappa_equals_clo_down=rel_kappa == rel_down,
         kappa_equals_clo_up=rel_kappa == rel_up,
         clo_up_equals_clo_down=rel_up == rel_down,
@@ -265,7 +317,3 @@ def orders_coincide_report(lattice: Lattice) -> OrdersReport:
         witness_kappa_clo_up=wit_ku,
         witness_clo_up_clo_down=wit_ud,
     )
-    assert report.kappa_equals_clo_down == (wit_kd is None)
-    assert report.kappa_equals_clo_up == (wit_ku is None)
-    assert report.clo_up_equals_clo_down == (wit_ud is None)
-    return report

@@ -33,6 +33,11 @@ class NoUniqueMax(LatticeError):
     """A candidate set expected to have a unique extremum does not."""
 
 
+class InconsistentLabels(LatticeError):
+    """Label data that theory makes consistent is not: label sets fail to
+    separate elements, or a label transfer misses the interval's cji."""
+
+
 class NotACover(LatticeError):
     """The given pair is not a cover relation."""
 

@@ -4,17 +4,25 @@ An element j is completely join-irreducible (cji) when it covers exactly one
 element j_*; dually m is completely meet-irreducible (cmi) with unique upper
 cover m^*.  The kappa map sends j to the unique largest y with j ^ y = j_*,
 and its inverse kappa_d sends m to the unique smallest y with m v y = m^*.
-Both extrema exist precisely because the lattice is semidistributive; the
-code scans the full candidate set and verifies uniqueness instead of
-trusting that theorem, so corrupted input fails loudly.
+Both extrema exist precisely when the lattice is semidistributive
+(Freese-Jezek-Nation, Thm 2.56), so one mask test per irreducible both
+checks semidistributivity and yields the kappa table; see
+``Lattice._kappa_indices``.
+
+Cover labels come from masks too.  With above[u] = {j : kappa(j) >= u},
+the j-label of a cover u < v is the single bit of ``down[v] & above[u]``
+and its m-label is kappa of that j-label; kappa_bar and the label sets of
+intervals are read off the same masks.  A mask that is not a single bit
+raises NoUniqueMax.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Lattice, _lsb, _msb
+from .core import Lattice, _bits, _lsb
 from .errors import (
+    InconsistentLabels,
     NoUniqueMax,
     NotACover,
     NotComparable,
@@ -36,66 +44,62 @@ class IrreducibleTable:
 
 def irreducible_table(lattice: Lattice) -> IrreducibleTable:
     """Compute (and memoize on the lattice) the irreducible/kappa table."""
-    cached = getattr(lattice, "_irreducible_table", None)
-    if cached is not None:
-        return cached
-    witness = lattice.semidistributivity_witness()
-    if witness is not None:
+    table = lattice.memo.get("irreducible_table")
+    if table is not None:
+        return table
+    maps = lattice._kappa_indices()
+    if maps is None:
+        witness = lattice.semidistributivity_witness()
         raise NotSemidistributive(f"lattice is not semidistributive, witness {witness}")
-
-    n = lattice.n
+    kappa, kappa_d = maps
     names = lattice.names
-    full = (1 << n) - 1
-    cji_ids = [i for i in range(n) if len(lattice._dcov[i]) == 1]
-    cmi_ids = [i for i in range(n) if len(lattice._ucov[i]) == 1]
-
-    jstar = {names[j]: names[lattice._dcov[j][0]] for j in cji_ids}
-    mstar = {names[m]: names[lattice._ucov[m][0]] for m in cmi_ids}
-
-    kappa: dict[str, str] = {}
-    for j in cji_ids:
-        low = lattice._dcov[j][0]
-        cand = 0
-        for y in range(n):
-            if lattice._meet_idx(j, y) == low:
-                cand |= 1 << y
-        top = _msb(cand)
-        if cand & (full ^ lattice.down[top]):
-            raise NoUniqueMax(
-                f"candidate set for kappa({names[j]!r}) has no unique maximum"
-            )
-        kappa[names[j]] = names[top]
-
-    kappa_d: dict[str, str] = {}
-    for m in cmi_ids:
-        high = lattice._ucov[m][0]
-        cand = 0
-        for y in range(n):
-            if lattice._join_idx(m, y) == high:
-                cand |= 1 << y
-        bot = _lsb(cand)
-        if cand & (full ^ lattice.up[bot]):
-            raise NoUniqueMax(
-                f"candidate set for kappa_d({names[m]!r}) has no unique minimum"
-            )
-        kappa_d[names[m]] = names[bot]
-
-    # On a semidistributive lattice the two maps are inverse bijections.
-    assert set(kappa.values()) == set(mstar), "kappa does not land in cmi"
-    assert set(kappa_d.values()) == set(jstar), "kappa_d does not land in cji"
-    for j, m in kappa.items():
-        assert kappa_d[m] == j, f"kappa_d(kappa({j})) != {j}"
-
+    jstar = {names[j]: names[lattice._dcov[j][0]] for j in kappa}
+    mstar = {names[m]: names[lattice._ucov[m][0]] for m in kappa_d}
     table = IrreducibleTable(
         cji=tuple(sorted(jstar)),
         cmi=tuple(sorted(mstar)),
         jstar=jstar,
         mstar=mstar,
-        kappa=kappa,
-        kappa_d=kappa_d,
+        kappa={names[j]: names[k] for j, k in kappa.items()},
+        kappa_d={names[m]: names[k] for m, k in kappa_d.items()},
     )
-    lattice._irreducible_table = table
+    lattice.memo["irreducible_table"] = table
     return table
+
+
+def _kappa(lattice: Lattice) -> dict[int, int]:
+    """kappa on indices; raises NotSemidistributive as irreducible_table does."""
+    irreducible_table(lattice)
+    return lattice._kappa_indices()[0]
+
+
+def _above(lattice: Lattice) -> list[int]:
+    """above[u] is the mask of the cji j with kappa(j) >= u, memoized."""
+    above = lattice.memo.get("above")
+    if above is None:
+        seeds = [0] * lattice.n
+        for j, k in _kappa(lattice).items():
+            seeds[k] |= 1 << j
+        above = lattice.memo["above"] = lattice._union_above(seeds)
+    return above
+
+
+def _labels_between(lattice: Lattice, lo: int, hi: int) -> int:
+    """Mask of the cji labels of covers inside [lo, hi]: j <= hi and kappa(j) >= lo."""
+    return lattice.down[hi] & _above(lattice)[lo]
+
+
+def _sorted_names(lattice: Lattice, mask: int) -> tuple[str, ...]:
+    return tuple(sorted(lattice.names[i] for i in _bits(mask)))
+
+
+def _j_label_idx(lattice: Lattice, u: int, v: int) -> int:
+    """The j-label of the cover u < v: the one label inside [u, v]."""
+    mask = _labels_between(lattice, u, v)
+    if mask.bit_count() != 1:
+        names = lattice.names
+        raise NoUniqueMax(f"cover ({names[u]!r}, {names[v]!r}) has no unique minimal join label")
+    return mask.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -107,55 +111,37 @@ class CoverLabeling:
 
 
 def j_label_cover(lattice: Lattice, lower: str, upper: str) -> str:
-    """The unique minimum of {y : y v lower = upper}; always lands in cji."""
+    """The unique minimum of {y : y v lower = upper}; always lands in cji.
+
+    It is the only cji j with j <= upper and kappa(j) >= lower.
+    """
     if not lattice.is_cover(lower, upper):
         raise NotACover(f"({lower!r}, {upper!r}) is not a cover relation")
-    table = irreducible_table(lattice)
-    u = lattice.index[lower]
-    v = lattice.index[upper]
-    cand = 0
-    for y in range(lattice.n):
-        if lattice._join_idx(u, y) == v:
-            cand |= 1 << y
-    j = _lsb(cand)
-    if cand & (((1 << lattice.n) - 1) ^ lattice.up[j]):
-        raise NoUniqueMax(f"cover ({lower!r}, {upper!r}) has no unique minimal join label")
-    name = lattice.names[j]
-    assert name in table.jstar and lattice.leq(table.jstar[name], lower)
-    return name
+    j = _j_label_idx(lattice, lattice.index[lower], lattice.index[upper])
+    return lattice.names[j]
 
 
 def m_label_cover(lattice: Lattice, lower: str, upper: str) -> str:
-    """The unique maximum of {y : y ^ upper = lower}; always lands in cmi."""
-    if not lattice.is_cover(lower, upper):
-        raise NotACover(f"({lower!r}, {upper!r}) is not a cover relation")
-    table = irreducible_table(lattice)
-    u = lattice.index[lower]
-    v = lattice.index[upper]
-    cand = 0
-    for y in range(lattice.n):
-        if lattice._meet_idx(v, y) == u:
-            cand |= 1 << y
-    m = _msb(cand)
-    if cand & (((1 << lattice.n) - 1) ^ lattice.down[m]):
-        raise NoUniqueMax(f"cover ({lower!r}, {upper!r}) has no unique maximal meet label")
-    name = lattice.names[m]
-    assert name in table.mstar
-    return name
+    """The unique maximum of {y : y ^ upper = lower}: kappa of the j-label."""
+    j = j_label_cover(lattice, lower, upper)
+    return irreducible_table(lattice).kappa[j]
 
 
 def cover_labeling(lattice: Lattice) -> CoverLabeling:
     """Labels for all covers at once, memoized on the lattice."""
-    cached = getattr(lattice, "_cover_labeling", None)
-    if cached is not None:
-        return cached
+    labeling = lattice.memo.get("cover_labeling")
+    if labeling is not None:
+        return labeling
+    names, index = lattice.names, lattice.index
+    kappa = _kappa(lattice)
     jlabel = {}
     mlabel = {}
     for lo, hi in lattice.covers_named():
-        jlabel[(lo, hi)] = j_label_cover(lattice, lo, hi)
-        mlabel[(lo, hi)] = m_label_cover(lattice, lo, hi)
+        j = _j_label_idx(lattice, index[lo], index[hi])
+        jlabel[(lo, hi)] = names[j]
+        mlabel[(lo, hi)] = names[kappa[j]]
     labeling = CoverLabeling(jlabel=jlabel, mlabel=mlabel)
-    lattice._cover_labeling = labeling
+    lattice.memo["cover_labeling"] = labeling
     return labeling
 
 
@@ -167,14 +153,7 @@ def j_label_interval(lattice: Lattice, lo: str, hi: str) -> tuple[str, ...]:
     """
     if not lattice.leq(lo, hi):
         raise NotComparable(f"{lo!r} is not below {hi!r}")
-    table = irreducible_table(lattice)
-    return tuple(
-        sorted(
-            j
-            for j in table.cji
-            if lattice.leq(j, hi) and lattice.leq(lo, table.kappa[j])
-        )
-    )
+    return _sorted_names(lattice, _labels_between(lattice, lattice.index[lo], lattice.index[hi]))
 
 
 def interval_cji_transfer(lattice: Lattice, lo: str, hi: str) -> dict[str, str]:
@@ -187,9 +166,27 @@ def interval_cji_transfer(lattice: Lattice, lo: str, hi: str) -> dict[str, str]:
     mapping = {j: lattice.join(lo, j) for j in labels}
     sub = lattice.interval(lo, hi).as_lattice()
     sub_cji = set(irreducible_table(sub).cji)
-    assert len(set(mapping.values())) == len(mapping), "transfer is not injective"
-    assert set(mapping.values()) == sub_cji, "transfer does not hit cji of the interval"
+    if len(set(mapping.values())) != len(mapping):
+        raise InconsistentLabels(f"transfer to [{lo!r}, {hi!r}] is not injective")
+    if set(mapping.values()) != sub_cji:
+        raise InconsistentLabels(f"transfer does not hit cji of [{lo!r}, {hi!r}]")
     return mapping
+
+
+def _kappa_bar_idx(lattice: Lattice) -> list[int]:
+    """kappa_bar on indices: the meet of kappa(j) over the labels j below x."""
+    kbar = lattice.memo.get("kappa_bar_idx")
+    if kbar is None:
+        kappa = _kappa(lattice)
+        down, dcov = lattice.down, lattice._dcov
+        kbar = []
+        for x in range(lattice.n):
+            acc = down[lattice._top]
+            for u in dcov[x]:
+                acc &= down[kappa[_j_label_idx(lattice, u, x)]]
+            kbar.append(acc.bit_length() - 1)
+        lattice.memo["kappa_bar_idx"] = kbar
+    return kbar
 
 
 def kappa_bar_map(lattice: Lattice) -> dict[str, str]:
@@ -198,31 +195,31 @@ def kappa_bar_map(lattice: Lattice) -> dict[str, str]:
     kappa_bar(x) is the meet of kappa over the canonical joinands of x, the
     joinands being the labels of the covers below x.
     """
-    cached = getattr(lattice, "_kappa_bar_map", None)
-    if cached is not None:
-        return cached
-    table = irreducible_table(lattice)
-    jlabel = cover_labeling(lattice).jlabel
-    out: dict[str, str] = {}
-    for x in lattice.names:
-        joinands = [jlabel[(u, x)] for u in lattice.lower_covers(x)]
-        out[x] = lattice.meet_set(table.kappa[j] for j in joinands)
-    lattice._kappa_bar_map = out
+    out = lattice.memo.get("kappa_bar_map")
+    if out is None:
+        names = lattice.names
+        out = {names[x]: names[k] for x, k in enumerate(_kappa_bar_idx(lattice))}
+        lattice.memo["kappa_bar_map"] = out
     return out
 
 
 def kappa_bar_d_map(lattice: Lattice) -> dict[str, str]:
-    """The extended kappa_d map on every element (inverse of kappa_bar), memoized."""
-    cached = getattr(lattice, "_kappa_bar_d_map", None)
-    if cached is not None:
-        return cached
-    table = irreducible_table(lattice)
-    mlabel = cover_labeling(lattice).mlabel
-    out: dict[str, str] = {}
-    for x in lattice.names:
-        meetands = [mlabel[(x, v)] for v in lattice.upper_covers(x)]
-        out[x] = lattice.join_set(table.kappa_d[m] for m in meetands)
-    lattice._kappa_bar_d_map = out
+    """The extended kappa_d map on every element (inverse of kappa_bar), memoized.
+
+    kappa_bar_d(x) is the join of kappa_d over the canonical meetands of x;
+    the meetand of a cover x < v is kappa(j) for its j-label, so this is the
+    join of the j-labels of the covers above x.
+    """
+    out = lattice.memo.get("kappa_bar_d_map")
+    if out is None:
+        names, up, ucov = lattice.names, lattice.up, lattice._ucov
+        out = {}
+        for x in range(lattice.n):
+            acc = up[lattice._bot]
+            for v in ucov[x]:
+                acc &= up[_j_label_idx(lattice, x, v)]
+            out[names[x]] = names[_lsb(acc)]
+        lattice.memo["kappa_bar_d_map"] = out
     return out
 
 

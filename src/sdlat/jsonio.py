@@ -170,11 +170,17 @@ def emit_dot(
         poset = getattr(obj, "poset", obj)
     lines = [f"digraph {graph_name} {{"]
     for name in sorted(poset.names):
-        lines.append(f'  "{name}";')
+        lines.append(f"  {_dot_quote(name)};")
     for lo, hi in sorted(poset.covers_named(), key=lambda c: (c[1], c[0])):
+        edge = f"  {_dot_quote(hi)} -> {_dot_quote(lo)}"
         if labels and (lo, hi) in labels:
-            lines.append(f'  "{hi}" -> "{lo}" [label="{labels[(lo, hi)]}"];')
+            lines.append(f"{edge} [label={_dot_quote(labels[(lo, hi)])}];")
         else:
-            lines.append(f'  "{hi}" -> "{lo}";')
+            lines.append(f"{edge};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_quote(text: str) -> str:
+    """A DOT quoted string: backslash and double quote are escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

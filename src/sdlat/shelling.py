@@ -211,23 +211,31 @@ def is_extremal(lattice: Lattice) -> bool:
 
 
 def _chains_of_full_length(lattice: Lattice):
-    """Maximal chains from bottom to top realizing the lattice height."""
-    heights = lattice.heights
-    want = heights[lattice._top]
+    """Maximal chains from bottom to top realizing the lattice height.
 
-    def walk(node: int, path: tuple[int, ...]):
-        if node == lattice._top:
-            yield path
-            return
-        for nxt in lattice._ucov[node]:
-            if heights[nxt] == heights[node] + 1:
-                yield from walk(nxt, path + (nxt,))
-
-    # Only steps that increase height by exactly one can reach full length.
-    if want == 0:
-        yield (lattice._bot,)
+    Depth-first with an explicit stack, so tall lattices do not hit the
+    recursion limit.  Only steps that increase height by exactly one can
+    reach full length.
+    """
+    heights, top, ucov = lattice.heights, lattice._top, lattice._ucov
+    path = [lattice._bot]
+    if path[0] == top:
+        yield tuple(path)
         return
-    yield from walk(lattice._bot, (lattice._bot,))
+    pending = [iter(ucov[path[0]])]
+    while pending:
+        for nxt in pending[-1]:
+            if heights[nxt] != heights[path[-1]] + 1:
+                continue
+            if nxt == top:
+                yield (*path, nxt)
+                continue
+            path.append(nxt)
+            pending.append(iter(ucov[nxt]))
+            break
+        else:
+            pending.pop()
+            path.pop()
 
 
 def find_el_order(

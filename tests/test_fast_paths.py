@@ -1,0 +1,299 @@
+"""Mask-based fast paths against the scans they replaced.
+
+Each oracle here is the direct definition (or the old quadratic scan):
+lattice checks against the ordered two-sided scan, the kappa test of
+semidistributivity against the fiber fold, cover labels and kappa against
+scans over every element, and the derived orders against ``Poset.from_leq``
+on the defining relation.  Inputs: fixed families, the random SD pool,
+non-semidistributive lattices, and Hypothesis-drawn posets, most of which
+are not lattices.
+"""
+
+import ast
+import itertools
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sdlat as S
+from sdlat import Lattice, NotALattice, NotSemidistributive, Poset
+from sdlat.cores import lab_down_map, lab_up_map, w_map
+
+from conftest import sd_exponential_oracle
+
+SRC = Path(S.__file__).resolve().parent
+
+
+def _n5():
+    return Lattice.build_from_covers(
+        ["0", "a", "b", "c", "1"],
+        [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")],
+    )
+
+
+FAMILIES = [("tamari", n) for n in range(3, 8)] + [("boolean", n) for n in range(2, 6)]
+FAMILIES += [("fig1", None), ("fig4", None)]
+
+
+def _random_pool():
+    rng = random.Random(711)
+    return [S.random_sd_lattice(rng=rng) for _ in range(40)]
+
+
+# -- oracles ------------------------------------------------------------------
+
+
+def _unique_extremum(lat, cand, lowest):
+    if lowest:
+        found = [y for y in cand if all(lat.leq(y, z) for z in cand)]
+    else:
+        found = [y for y in cand if all(lat.leq(z, y) for z in cand)]
+    assert len(found) == 1, (cand, found)
+    return found[0]
+
+
+def kappa_scan(lat):
+    """kappa(j) = max{y : j ^ y = j_*}, kappa_d(m) = min{y : m v y = m^*}."""
+    kappa, kappa_d = {}, {}
+    for x in lat.names:
+        if len(lat.lower_covers(x)) == 1:
+            (below,) = lat.lower_covers(x)
+            kappa[x] = _unique_extremum(lat, [y for y in lat.names if lat.meet(x, y) == below], False)
+        if len(lat.upper_covers(x)) == 1:
+            (above,) = lat.upper_covers(x)
+            kappa_d[x] = _unique_extremum(lat, [y for y in lat.names if lat.join(x, y) == above], True)
+    return kappa, kappa_d
+
+
+def label_scan(lat):
+    """Per-cover scans: j-label min{y : y v u = v}, m-label max{y : y ^ v = u}."""
+    jlabel, mlabel = {}, {}
+    for u, v in lat.covers_named():
+        jlabel[(u, v)] = _unique_extremum(lat, [y for y in lat.names if lat.join(u, y) == v], True)
+        mlabel[(u, v)] = _unique_extremum(lat, [y for y in lat.names if lat.meet(v, y) == u], False)
+    return jlabel, mlabel
+
+
+def derived_orders_oracle(lat):
+    """The three derived orders built with from_leq from their definitions."""
+    kappa, _ = kappa_scan(lat)
+    jlabel, _ = label_scan(lat)
+    kbar = {
+        x: lat.meet_set(kappa[jlabel[(u, x)]] for u in lat.lower_covers(x)) for x in lat.names
+    }
+
+    def labels(lo, hi):
+        view = lat.interval(lo, hi)
+        return frozenset(jlabel[c] for c in lat.covers_named() if c[0] in view and c[1] in view)
+
+    def pop_up(x):
+        return lat.join(x, lat.join_set(lat.upper_covers(x)))
+
+    lab_down = {x: labels(lat.meet(x, lat.meet_set(lat.lower_covers(x))), x) for x in lat.names}
+    lab_up = {x: labels(kbar[x], pop_up(kbar[x])) for x in lat.names}
+    orders = {
+        "kappaOrder": Poset.from_leq(
+            lat.names, lambda a, b: lat.leq(a, b) and lat.leq(kbar[b], kbar[a])
+        ),
+        "cloDown": Poset.from_leq(lat.names, lambda a, b: lab_down[a] <= lab_down[b]),
+        "cloUp": Poset.from_leq(lat.names, lambda a, b: lab_up[a] <= lab_up[b]),
+    }
+    return kbar, lab_down, lab_up, orders
+
+
+# -- comparisons ----------------------------------------------------------------
+
+
+def check_poset(poset):
+    """lattice_failure must equal the ordered two-sided scan."""
+    assert poset.lattice_failure() == poset._two_sided_scan()
+
+
+def check_sd(lat):
+    fold = lat._fiber_fold_witness()
+    assert lat.is_semidistributive() == (fold is None)
+    assert lat.semidistributivity_witness() == fold
+    if fold is not None:
+        with pytest.raises(NotSemidistributive, match="witness"):
+            S.irreducible_table(lat)
+
+
+def check_sd_lattice(lat):
+    table = S.irreducible_table(lat)
+    kappa, kappa_d = kappa_scan(lat)
+    assert table.kappa == kappa and table.kappa_d == kappa_d
+    assert sorted(table.kappa.values()) == sorted(table.cmi)
+    assert all(table.kappa_d[m] == j for j, m in table.kappa.items())
+
+    jlabel, mlabel = label_scan(lat)
+    labeling = S.cover_labeling(lat)
+    assert labeling.jlabel == jlabel and labeling.mlabel == mlabel
+    for (u, v), j in jlabel.items():
+        assert S.j_label_cover(lat, u, v) == j
+        assert S.m_label_cover(lat, u, v) == mlabel[(u, v)]
+
+    for x in lat.names:
+        rep = S.cjr(lat, x)
+        assert lat.join_set(rep.joinands) == x
+        assert not any(lat.lt(a, b) for a, b in itertools.permutations(rep.joinands, 2))
+        assert lat.meet_set(S.cmr(lat, x).joinands) == x
+        data = S.core_data(lat, x)
+        assert set(data.w_set) == set(data.lab_down) & set(data.lab_up)
+        assert S.cores.atom_labels(lat, data.core_down.lo, data.core_down.hi) == S.cores.atom_labels(
+            lat, data.core_up.lo, data.core_up.hi
+        )
+    kbar, lab_down, lab_up, oracle = derived_orders_oracle(lat)
+    assert S.irreducibles.kappa_bar_map(lat) == kbar
+    assert lab_down_map(lat) == lab_down and lab_up_map(lat) == lab_up
+    for fast in (S.kappa_order(lat), S.clo_down(lat), S.clo_up(lat)):
+        slow = oracle[fast.kind]
+        assert fast.poset.names == slow.names
+        assert fast.poset.down == slow.down
+        assert fast.covers_named() == slow.covers_named()
+        assert fast.lattice_failure() == slow._two_sided_scan()
+    report = S.orders_coincide_report(lat)
+    relations = {kind: order.relation_pairs() for kind, order in oracle.items()}
+    for flag, witness, left, right in (
+        (report.kappa_equals_clo_down, report.witness_kappa_clo_down, "kappaOrder", "cloDown"),
+        (report.kappa_equals_clo_up, report.witness_kappa_clo_up, "kappaOrder", "cloUp"),
+        (report.clo_up_equals_clo_down, report.witness_clo_up_clo_down, "cloUp", "cloDown"),
+    ):
+        assert flag == (relations[left] == relations[right]) == (witness is None)
+    w = w_map(lat)
+    assert all(lat.join_set(w[x]) == x for x in lat.names)
+
+
+def check_drawn_poset(poset):
+    check_poset(poset)
+    failure = poset._two_sided_scan()
+    names, covers = poset.names, poset.covers_named()
+    if len(poset.minimal_elements()) != 1 or len(poset.maximal_elements()) != 1:
+        return
+    if failure is not None:
+        kind, a, b = failure
+        with pytest.raises(NotALattice) as info:
+            Lattice.build_from_covers(names, covers)
+        assert str(info.value) == f"elements {a!r} and {b!r} have no unique {kind}"
+        return "not a lattice"
+    lat = Lattice.build_from_covers(names, covers)
+    check_sd(lat)
+    assert lat.is_semidistributive() == sd_exponential_oracle(lat)
+    if lat.is_semidistributive():
+        check_sd_lattice(lat)
+    return "lattice"
+
+
+def ranked_poset(pick):
+    """A ranked poset on up to 9 elements drawn through pick(lo, hi).
+
+    It is usually bounded and often not a lattice, much like the
+    candidates random_sd_lattice draws and rejects.
+    """
+    k = pick(0, 7)
+    mids = [f"e{i}" for i in range(k)]
+    ranks = sorted(pick(1, 3) for _ in range(k))
+    names = (["bot"] if pick(0, 4) or k == 0 else []) + mids
+    names += ["top"] if pick(0, 4) else []
+    down = {a: {a} for a in names}
+    for i, j in itertools.product(range(k), repeat=2):
+        if ranks[i] < ranks[j] and pick(0, 1):
+            down[mids[j]] |= down[mids[i]]
+    if "bot" in names:
+        for a in names:
+            down[a].add("bot")
+    if "top" in names:
+        down["top"] = set(names)
+    return Poset.from_leq(names, lambda a, b: a in down[b])
+
+
+@st.composite
+def posets(draw):
+    return ranked_poset(lambda lo, hi: draw(st.integers(lo, hi)))
+
+
+# -- tests --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family,n", FAMILIES)
+def test_families_match_oracles(family, n):
+    lat = S.generate(family, n)
+    check_poset(lat)
+    check_sd(lat)
+    check_sd_lattice(lat)
+
+
+def test_random_pool_matches_oracles():
+    for lat in _random_pool():
+        check_poset(lat)
+        check_sd(lat)
+        check_sd_lattice(lat)
+        check_sd(lat.dual())
+
+
+def test_clo_up_outside_the_lattice_order():
+    # cloUp need not be contained in the order of L, so L's indexing is not
+    # always a linear extension of it (two random_sd_lattice draws)
+    cases = [
+        "bot<e0 bot<e1 bot<e2 e0<e4 e0<e5 e1<e3 e1<e4 e2<e3 e2<e5 e3<e6 e4<e8 e5<e7 e6<top e7<top e8<top",
+        "bot<e0 bot<e1 bot<e2 e0<e4 e1<e3 e1<e6 e2<e3 e2<e5 e3<e7 e4<e5 e4<e6 e5<top e6<top e7<top",
+    ]
+    for text in cases:
+        covers = [tuple(pair.split("<")) for pair in text.split()]
+        lat = Lattice.build_from_covers(sorted({x for c in covers for x in c}), covers)
+        check_sd_lattice(lat)
+        assert any(lat.index[a] > lat.index[b] for a, b in S.clo_up(lat).relation_pairs())
+
+
+def test_derived_orders_that_are_not_lattices():
+    seen = 0
+    for lat in [S.generate("fig1"), S.generate("fig4")] + _random_pool():
+        for order in (S.kappa_order(lat), S.clo_down(lat), S.clo_up(lat)):
+            check_poset(order.poset)
+            seen += not order.is_lattice()
+    assert seen >= 2
+
+
+def test_m3_and_n5():
+    # M3 is not semidistributive; N5 is, though it is not modular
+    m3, n5 = S.generate("m3"), _n5()
+    for lat in (m3, n5):
+        check_poset(lat)
+        check_sd(lat)
+        assert lat.is_semidistributive() == sd_exponential_oracle(lat)
+    assert not m3.is_semidistributive()
+    check_sd_lattice(n5)
+
+
+def test_join_meet_read_off_masks():
+    for lat in [S.generate("fig4"), _n5(), S.generate("m3")] + _random_pool()[:10]:
+        for a, b in itertools.product(lat.names, repeat=2):
+            ups = [z for z in lat.names if lat.leq(a, z) and lat.leq(b, z)]
+            downs = [z for z in lat.names if lat.leq(z, a) and lat.leq(z, b)]
+            assert lat.join(a, b) == _unique_extremum(lat, ups, True)
+            assert lat.meet(a, b) == _unique_extremum(lat, downs, False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(posets())
+def test_drawn_posets_match_oracles(poset):
+    check_drawn_poset(poset)
+
+
+def test_rejected_candidates_match_oracles():
+    rng = random.Random(3)
+    rejected = 0
+    for _ in range(1500):
+        poset = ranked_poset(rng.randint)
+        rejected += check_drawn_poset(poset) == "not a lattice"
+    assert rejected >= 100
+
+
+@pytest.mark.parametrize("module", ["core.py", "irreducibles.py", "cores.py"])
+def test_no_assert_statements(module):
+    # python -O strips asserts, so validation in these modules must raise
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{module} has assert statements on lines {lines}"

@@ -77,6 +77,18 @@ def test_dot_output(fig1):
     assert emit_dot(single) == 'digraph lattice {\n  "x";\n}\n'
 
 
+def test_dot_escapes_quote_and_backslash():
+    lat = S.Lattice.build_from_covers(['a"b', "c\\d"], [('a"b', "c\\d")])
+    text = emit_dot(lat, labels={('a"b', "c\\d"): 'l"\\'})
+    assert text == (
+        "digraph lattice {\n"
+        '  "a\\"b";\n'
+        '  "c\\\\d";\n'
+        '  "c\\\\d" -> "a\\"b" [label="l\\"\\\\"];\n'
+        "}\n"
+    )
+
+
 def test_dot_derived_matches_clo_up(fig1):
     derived = S.clo_up(fig1)
     labeling = S.label_clo_up(fig1)

@@ -125,6 +125,11 @@ def test_extremal_golden(fig1, fig4):
     assert not S.is_extremal(fig4)
 
 
+def test_extremal_tall_chain():
+    # one chain of 1200 covers, deeper than the default recursion limit
+    assert S.is_extremal(S.generate("chain", 1200))
+
+
 def test_boolean3_extremal_pinned():
     # Longest chain has length 3 = |cji| = |cmi| and any such chain meets all
     # three atoms as labels, so the cube is extremal; cross-checked by brute
