@@ -69,6 +69,7 @@ from .sequences import (
     CloLabeling,
     KdCheck,
     KdSequence,
+    count_kd_exceptional,
     enumerate_kd_exceptional,
     is_kd_exceptional,
     label_clo_up,

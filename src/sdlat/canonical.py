@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Lattice, _bits
-from .errors import NotJoinIrreducible, SizeLimitExceeded
+from .errors import NotJoinIrreducible, NoUniqueMax, SizeLimitExceeded
 from .irreducibles import cover_labeling, irreducible_table, kappa_bar_map
 
 
@@ -117,7 +117,8 @@ def cjr_oracle(lattice: Lattice, x: str, size_cap: int = 12) -> Optional[Canonic
         if not ctx.is_antichain(mask):
             continue
         if all(ok[a] for a in _bits(mask)):
-            assert found is None, "two distinct canonical join representations"
+            if found is not None:
+                raise NoUniqueMax(f"two distinct canonical join representations of {x!r}")
             found = mask
     if found is None:
         return None

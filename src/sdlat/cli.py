@@ -175,6 +175,9 @@ def _cmd_orders(args) -> int:
 
 def _cmd_nuclear(args) -> int:
     lattice = _load_lattice(args.file)
+    for x in (args.lo, args.hi):
+        if x not in lattice.index:
+            raise LatticeError(f"unknown element {x!r}")
     nuclear = is_nuclear(lattice, args.lo, args.hi)
     conuclear = is_conuclear(lattice, args.lo, args.hi)
     lines = [

@@ -31,7 +31,7 @@ def pop_down(lattice: Lattice, x: str) -> str:
 
 def pop_up(lattice: Lattice, x: str) -> str:
     """Join of x with everything covering x; fixes the top element."""
-    return lattice.names[_pop_up_idx(lattice, lattice.index[x])]
+    return lattice.names[_pop_up_idx(lattice, lattice.index[x], lattice._top)]
 
 
 def _pop_down_idx(lattice: Lattice, x: int) -> int:
@@ -42,11 +42,13 @@ def _pop_down_idx(lattice: Lattice, x: int) -> int:
     return _msb(acc)
 
 
-def _pop_up_idx(lattice: Lattice, x: int) -> int:
-    up = lattice.up
+def _pop_up_idx(lattice: Lattice, x: int, b: int) -> int:
+    """pop_up of x inside an interval [., b]: x joined with its upper covers <= b."""
+    up, down_b = lattice.up, lattice.down[b]
     acc = up[x]
     for v in lattice._ucov[x]:
-        acc &= up[v]
+        if down_b >> v & 1:
+            acc &= up[v]
     return _lsb(acc)
 
 
@@ -114,11 +116,11 @@ def core_data(lattice: Lattice, x: str) -> CoreData:
     i = lattice.index[x]
     k = _kappa_bar_idx(lattice)[i]
     pd = _pop_down_idx(lattice, i)
-    pk = _pop_up_idx(lattice, k)
+    pk = _pop_up_idx(lattice, k, lattice._top)
     return CoreData(
         element=x,
         pop_down=names[pd],
-        pop_up=names[_pop_up_idx(lattice, i)],
+        pop_up=names[_pop_up_idx(lattice, i, lattice._top)],
         core_down=lattice.interval(names[pd], x),
         core_up=lattice.interval(names[k], names[pk]),
         lab_down=_sorted_names(lattice, _labels_between(lattice, pd, i)),
@@ -139,7 +141,7 @@ def _lab_up_masks(lattice: Lattice) -> list[int]:
     masks = lattice.memo.get("lab_up_masks")
     if masks is None:
         masks = [
-            _labels_between(lattice, k, _pop_up_idx(lattice, k))
+            _labels_between(lattice, k, _pop_up_idx(lattice, k, lattice._top))
             for k in _kappa_bar_idx(lattice)
         ]
         lattice.memo["lab_up_masks"] = masks

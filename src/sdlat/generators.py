@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 from .core import Lattice, Poset
-from .errors import BadParameter, LatticeError
+from .errors import BadParameter, InconsistentLabels, LatticeError
 from .irreducibles import irreducible_table, j_label_cover
 from .shelling import LabeledPoset
 
@@ -71,10 +71,11 @@ def fig4() -> Lattice:
 def _validated_labeling(lattice: Lattice, labels: dict) -> LabeledPoset:
     for (lo, hi), lbl in labels.items():
         recomputed = j_label_cover(lattice, lo, hi)
-        assert recomputed == lbl, (
-            f"stored label {lbl!r} for cover ({lo!r}, {hi!r}) "
-            f"disagrees with computed {recomputed!r}"
-        )
+        if recomputed != lbl:
+            raise InconsistentLabels(
+                f"stored label {lbl!r} for cover ({lo!r}, {hi!r}) "
+                f"disagrees with computed {recomputed!r}"
+            )
     table = irreducible_table(lattice)
     inherited = frozenset(
         (a, b) for a in table.cji for b in table.cji if a != b and lattice.leq(a, b)

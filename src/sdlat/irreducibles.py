@@ -177,16 +177,29 @@ def _kappa_bar_idx(lattice: Lattice) -> list[int]:
     """kappa_bar on indices: the meet of kappa(j) over the labels j below x."""
     kbar = lattice.memo.get("kappa_bar_idx")
     if kbar is None:
-        kappa = _kappa(lattice)
-        down, dcov = lattice.down, lattice._dcov
-        kbar = []
-        for x in range(lattice.n):
-            acc = down[lattice._top]
-            for u in dcov[x]:
-                acc &= down[kappa[_j_label_idx(lattice, u, x)]]
-            kbar.append(acc.bit_length() - 1)
-        lattice.memo["kappa_bar_idx"] = kbar
+        kbar = lattice.memo["kappa_bar_idx"] = list(
+            _kappa_bar_within(lattice, lattice._bot, lattice._top).values()
+        )
     return kbar
+
+
+def _kappa_bar_within(lattice: Lattice, a: int, b: int) -> dict[int, int]:
+    """kappa_bar of each x in [a, b], taken in the interval [a, b], by index.
+
+    It is b ^ the meet of kappa(j) over the labels j of the covers below x
+    inside [a, b]: the interval's kappa of its cji a v j is b ^ kappa(j)
+    (see ``sequences``), and the empty meet is b.
+    """
+    kappa = _kappa(lattice)
+    up_a, down = lattice.up[a], lattice.down
+    out = {}
+    for x in _bits(up_a & down[b]):
+        acc = down[b]
+        for u in lattice._dcov[x]:
+            if up_a >> u & 1:
+                acc &= down[kappa[_j_label_idx(lattice, u, x)]]
+        out[x] = acc.bit_length() - 1
+    return out
 
 
 def kappa_bar_map(lattice: Lattice) -> dict[str, str]:

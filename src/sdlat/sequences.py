@@ -5,6 +5,35 @@ kappa_d-exceptional when every j_i with i > 1 labels a cover inside
 [j_1, pop_up(j_1)] and the tuple (j_k v j_1, ..., j_2 v j_1) is again
 kappa_d-exceptional inside that interval.  Sequences act from the right;
 they are stored rightmost-first internally and displayed leftmost-first.
+
+The recursion never rebuilds an interval as a lattice.  An interval of an
+interval of L is an interval of L, so every step is a node (a, b), a pair
+of element indices of L, and everything is kept in L's label coordinates:
+
+* The labels of (a, b) are the mask ``down[b] & above[a]``: the cji j of
+  L with j <= b and kappa(j) >= a, each labelling a cover inside [a, b].
+* Labels transfer by j -> a v j, a bijection onto the cji of [a, b]
+  (``interval_cji_transfer`` checks it on a rebuilt interval): if u < v
+  inside [a, b] has L-label j, then a v j lies in [a, b], joins u to v,
+  and lies below every y in [a, b] with u v y = v, so it is the label of
+  u < v in [a, b].  A sequence of interval cji is therefore named by the
+  L-labels it maps back to, at every depth, and needs no renaming.
+* pop_up inside [a, b] joins x with its upper covers that lie <= b,
+  because the covers of an interval are the covers of L inside it.  The
+  child of (a, b) for label j is (a v j, pop_up_[a,b](a v j)).
+* kappa of the interval cji a v j is b ^ kappa(j): its lower cover u in
+  [a, b] gives a cover u < a v j with L-label j, the y with
+  y ^ (a v j) = u are exactly the interval [u, kappa(j)] of L, and the
+  largest of them below b is b ^ kappa(j).
+* kappa_bar of x inside [a, b] is the meet of kappa over the labels of
+  its lower covers inside [a, b], hence b ^ (the meet in L of kappa(j)
+  over their L-labels j); the empty meet gives b.
+* Labels only shrink along a path: a grows and b falls, so above[a] and
+  down[b] both shrink.
+
+Each public call keeps its own memo of nodes, dropped when it returns.
+``IntervalView.as_lattice`` and ``interval_cji_transfer`` rebuild intervals
+from scratch and serve as test oracles for this module.
 """
 
 from __future__ import annotations
@@ -12,14 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Lattice
-from .cores import DerivedPoset, clo_up, lab_up_map, pop_up
-from .errors import NoBoundsError, NotJoinIrreducible, RecursionMismatch
-from .irreducibles import (
-    irreducible_table,
-    j_label_interval,
-    kappa_bar_map,
-)
+from .core import Lattice, _bits, _lsb
+from .cores import DerivedPoset, _pop_up_idx, clo_up, lab_up_map
+from .errors import InconsistentLabels, NotJoinIrreducible, RecursionMismatch
+from .irreducibles import _j_label_idx, _kappa_bar_within, _labels_between, irreducible_table
+
+Node = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -49,41 +76,55 @@ class KdCheck:
         return self.ok
 
 
+def _child(lattice: Lattice, a: int, b: int, j: int) -> Node:
+    """The node (a v j, pop_up_[a,b](a v j)) reached from (a, b) by label j."""
+    x = _lsb(lattice.up[a] & lattice.up[j])
+    return (x, _pop_up_idx(lattice, x, b))
+
+
+def _children(lattice: Lattice, memo: dict, node: Node) -> dict[int, Node]:
+    """Label index -> child node of ``node``, in label index order, memoized."""
+    kids = memo.get(node)
+    if kids is None:
+        a, b = node
+        kids = memo[node] = {j: _child(lattice, a, b, j) for j in _bits(_labels_between(lattice, a, b))}
+    return kids
+
+
+def _root(lattice: Lattice) -> Node:
+    irreducible_table(lattice)  # raises NotSemidistributive
+    return (lattice._bot, lattice._top)
+
+
 def is_kd_exceptional(lattice: Lattice, entries: Sequence[str]) -> KdCheck:
-    """Verify the recursive conditions; empty and singleton sequences pass."""
+    """Verify the recursive conditions; empty and singleton sequences pass.
+
+    Walks one path of the interval DAG with one mask test per entry.  On a
+    failure the reported depth is the shallowest one at which some later
+    entry is not a label of the interval, as in the definition.
+    """
     table = irreducible_table(lattice)
     entries = tuple(entries)
     for e in entries:
         if e not in table.jstar:
             raise NotJoinIrreducible(f"{e!r} is not completely join-irreducible")
-    right_first = list(reversed(entries))
-    positions = list(range(len(entries) - 1, -1, -1))
-    result = _check(lattice, right_first, positions, 0)
-    if result.ok:
-        return result
-    return KdCheck(
-        ok=False,
-        condition=result.condition,
-        position=result.position,
-        entry=entries[result.position],
-        depth=result.depth,
-    )
-
-
-def _check(lattice: Lattice, seq: list[str], positions: list[int], depth: int) -> KdCheck:
-    if len(seq) <= 1:
-        return KdCheck(ok=True)
-    j1 = seq[0]
-    hi = pop_up(lattice, j1)
-    allowed = set(j_label_interval(lattice, j1, hi))
-    for k in range(1, len(seq)):
-        if seq[k] not in allowed:
-            return KdCheck(ok=False, condition=1, position=positions[k], depth=depth)
-    sub = lattice.interval(j1, hi).as_lattice()
-    sub_cji = set(irreducible_table(sub).cji)
-    mapped = [lattice.join(j1, e) for e in seq[1:]]
-    assert all(m in sub_cji for m in mapped), "transfer left cji of the interval"
-    return _check(sub, mapped, positions[1:], depth + 1)
+    seq = [lattice.index[e] for e in reversed(entries)]
+    node = _root(lattice)
+    masks = []
+    for d in range(len(seq) - 1):
+        node = _child(lattice, *node, seq[d])
+        masks.append(_labels_between(lattice, *node))
+        if masks[-1] >> seq[d + 1] & 1:
+            continue
+        # entries up to d passed at their own depth, so at every earlier one
+        for depth, mask in enumerate(masks):
+            for k in range(d + 1, len(seq)):
+                if not mask >> seq[k] & 1:
+                    position = len(seq) - 1 - k
+                    return KdCheck(
+                        ok=False, condition=1, position=position, entry=entries[position], depth=depth
+                    )
+    return KdCheck(ok=True)
 
 
 def enumerate_kd_exceptional(
@@ -93,41 +134,56 @@ def enumerate_kd_exceptional(
 ) -> list[KdSequence]:
     """Enumerate all (or all maximal) sequences, sorted by display entries.
 
-    Maximal means not extendable by another entry on the left.  With
-    ``mark_right_extendable`` each result also records whether one more
-    entry could be appended on the right instead.
+    Maximal means not extendable by another entry on the left: the path
+    ends at a one-element interval.  With ``mark_right_extendable`` each
+    result also records whether one more entry j0 could be appended on the
+    right instead, that is, whether the sequence is a path from some child
+    (j0, pop_up(j0)) of the root; those walks run alongside the listing.
     """
-    everything = {tuple(reversed(rf)): is_max for rf, is_max in _enumerate(lattice)}
-    everything.pop((), None)
-    chosen = sorted(e for e, is_max in everything.items() if is_max or not maximal_only)
-    cji = irreducible_table(lattice).cji
+    names = lattice.names
+    memo: dict = {}
+    root = _root(lattice)
+    alive = tuple(_children(lattice, memo, root).values()) if mark_right_extendable else ()
     out = []
-    for entries in chosen:
-        flag = None
-        if mark_right_extendable:
-            flag = any(
-                bool(is_kd_exceptional(lattice, entries + (j0,))) for j0 in cji
-            )
-        out.append(KdSequence(entries=entries, right_extendable=flag))
+    stack = [(root, (), alive)]
+    while stack:
+        node, prefix, alive = stack.pop()
+        kids = _children(lattice, memo, node)
+        if prefix and (not kids or not maximal_only):
+            flag = bool(alive) if mark_right_extendable else None
+            out.append(KdSequence(entries=tuple(names[j] for j in reversed(prefix)), right_extendable=flag))
+        for j, child in kids.items():
+            moved = tuple(walk[j] for walk in (_children(lattice, memo, c) for c in alive) if j in walk)
+            stack.append((child, prefix + (j,), moved))
+    out.sort(key=lambda s: s.entries)
     return out
 
 
-def _enumerate(lattice: Lattice) -> list[tuple[list[str], bool]]:
-    """All sequences in rightmost-first order, flagged maximal or not.
+def count_kd_exceptional(lattice: Lattice, maximal_only: bool = False) -> int:
+    """Number of non-empty (or maximal) sequences, without listing them.
 
-    The empty sequence is included and is maximal exactly when the lattice
-    has no join-irreducibles (a single point).
+    Sums path counts over the memoized interval DAG: a node counts itself
+    (when every path counts, or when it is a one-element interval) plus
+    the counts of its children.
     """
-    table = irreducible_table(lattice)
-    out: list[tuple[list[str], bool]] = [([], not table.cji)]
-    for j1 in table.cji:
-        hi = pop_up(lattice, j1)
-        labels = j_label_interval(lattice, j1, hi)
-        sub = lattice.interval(j1, hi).as_lattice()
-        back = {lattice.join(j1, j): j for j in labels}
-        for inner, inner_max in _enumerate(sub):
-            out.append(([j1] + [back[e] for e in inner], inner_max))
-    return out
+    memo: dict = {}
+    root = _root(lattice)
+    counts: dict[Node, int] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in counts:
+            stack.pop()
+            continue
+        kids = _children(lattice, memo, node).values()
+        pending = [c for c in kids if c not in counts]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        own = 1 if not kids or not maximal_only else 0
+        counts[node] = own + sum(counts[c] for c in kids)
+    return sum(counts[c] for c in _children(lattice, memo, root).values())
 
 
 @dataclass(frozen=True)
@@ -194,41 +250,98 @@ def label_clo_up(lattice: Lattice) -> CloLabeling:
 
 
 def _recursive_labels(lattice: Lattice) -> dict[tuple[frozenset, frozenset], str]:
-    """Cover labels keyed by (lab_up(lower), lab_up(upper)) in cji names."""
-    table = irreducible_table(lattice)
-    if not table.cji:
-        return {}
-    derived = clo_up(lattice)
-    try:
-        top = derived.poset.top_name()
-    except NoBoundsError as exc:
+    """Cover labels keyed by (lab_up(lower), lab_up(upper)) in cji names.
+
+    The recursion runs depth first on nodes (a, b) of L, visiting children
+    in the name order of the coatoms that lead to them, so errors surface
+    in the order of the rebuilt recursion; a node reached twice is
+    computed once.
+    """
+    names = lattice.names
+    root = _root(lattice)
+    done: dict[Node, dict[tuple[int, int], int]] = {}
+    stack = [(root, {}, _node_steps(lattice, root))]
+    while stack:
+        node, out, steps = stack[-1]
+        step = next(steps, None)
+        if step is None:
+            stack.pop()
+            done[node] = out
+            if stack:
+                _merge(lattice, stack[-1], out)
+        else:
+            key, lbl, child = step
+            out[key] = lbl
+            if child in done:
+                _merge(lattice, stack[-1], done[child])
+            else:
+                stack.append((child, {}, _node_steps(lattice, child)))
+    return {
+        (_name_set(names, lo), _name_set(names, hi)): names[lbl]
+        for (lo, hi), lbl in done[root].items()
+    }
+
+
+def _name_set(names, mask: int) -> frozenset:
+    return frozenset(names[j] for j in _bits(mask))
+
+
+def _merge(lattice: Lattice, frame, labels: dict) -> None:
+    """Add a child's labels to the frame's; a conflict names both as cji of [a, b]."""
+    (a, _), out, _ = frame
+    for key, lbl in labels.items():
+        if out.get(key, lbl) != lbl:
+            name = [lattice.names[lattice._join_idx(a, j)] for j in (out[key], lbl)]
+            raise RecursionMismatch(f"conflicting labels {name[0]!r} and {name[1]!r} for one cover")
+        out[key] = lbl
+
+
+def _node_steps(lattice: Lattice, node: Node):
+    """Yield (key, label, child) for each coatom of the top of cloUp([a, b]).
+
+    The upper core label order of [a, b] compares the masks lab_up(x) =
+    labels of [k, pop_up(k)] with k = kappa_bar(x) inside [a, b].  Its top
+    is the element holding the union of all masks, and the coatoms of the
+    top are the elements whose masks are maximal among the rest.  The key
+    of the cover u < top is (lab_up(u), lab_up(top)), its label is the
+    L-label j with a v j = kappa_bar(u), and the recursion continues at
+    the child of (a, b) for j.
+    """
+    a, b = node
+    if a == b:
+        return
+    names, up = lattice.names, lattice.up
+    kbar = _kappa_bar_within(lattice, a, b)
+    members = list(kbar)
+    lab_up = {x: _labels_between(lattice, k, _pop_up_idx(lattice, k, b)) for x, k in kbar.items()}
+    if len(set(lab_up.values())) != len(members):
+        raise InconsistentLabels("cloUp: label sets do not separate elements")
+    full = 0
+    for mask in lab_up.values():
+        full |= mask
+    tops = [x for x in members if lab_up[x] == full]
+    if not tops:
+        maxs = sorted(names[x] for x in _maximal(members, lab_up))
         raise RecursionMismatch(
-            f"derived order has no unique top element ({exc}); "
+            f"derived order has no unique top element (no unique maximum: {maxs}); "
             "the lattice is not a nuclear interval"
-        ) from None
-    up_sets = lab_up_map(lattice)
-    kbar = kappa_bar_map(lattice)
-    full = up_sets[top]
-    out: dict[tuple[frozenset, frozenset], str] = {}
-    for u in derived.poset.lower_covers(top):
-        j = kbar[u]
-        if j not in table.jstar:
+        )
+    (top,) = tops
+    for u in sorted(_maximal([x for x in members if x != top], lab_up), key=names.__getitem__):
+        k = kbar[u]
+        lower = [v for v in lattice._dcov[k] if up[a] >> v & 1]
+        if len(lower) != 1:
             raise RecursionMismatch(
-                f"kappa_bar({u!r}) = {j!r} is not completely join-irreducible"
+                f"kappa_bar({names[u]!r}) = {names[k]!r} is not completely join-irreducible"
             )
-        out[(up_sets[u], full)] = j
-        hi = pop_up(lattice, j)
-        back = {lattice.join(j, lbl): lbl for lbl in j_label_interval(lattice, j, hi)}
-        sub = lattice.interval(j, hi).as_lattice()
-        for (set_lo, set_hi), lbl in _recursive_labels(sub).items():
-            key = (
-                frozenset(back[a] for a in set_lo),
-                frozenset(back[a] for a in set_hi),
-            )
-            mapped = back[lbl]
-            if key in out and out[key] != mapped:
-                raise RecursionMismatch(
-                    f"conflicting labels {out[key]!r} and {mapped!r} for one cover"
-                )
-            out[key] = mapped
-    return out
+        j = _j_label_idx(lattice, lower[0], k)
+        yield (lab_up[u], full), j, _child(lattice, a, b, j)
+
+
+def _maximal(members: list[int], masks: dict[int, int]) -> list[int]:
+    """Members whose (distinct) masks are not strictly inside another's."""
+    kept: list[int] = []
+    for x in sorted(members, key=lambda x: -masks[x].bit_count()):
+        if not any(masks[x] & ~masks[y] == 0 for y in kept):
+            kept.append(x)
+    return kept

@@ -29,6 +29,10 @@ def test_labeled_variants_validate():
     for lp in (lp1, lp4):
         for (lo, hi), lbl in lp.labels.items():
             assert S.j_label_cover(lp.poset, lo, hi) == lbl
+    # a wrong stored label raises, also under python -O
+    wrong = {**S.generators._FIG1_LABELS, ("j3", "j4"): "j3"}
+    with pytest.raises(S.InconsistentLabels, match="stored label 'j3'"):
+        S.generators._validated_labeling(S.generators.fig1(), wrong)
 
 
 def test_chain_sizes():

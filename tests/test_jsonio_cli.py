@@ -140,6 +140,10 @@ def test_cli_cjr_cores_nuclear(tmp_path, capsys):
     assert cli_main(["nuclear", fig1, "--lo", "j3", "--hi", "top"]) == 1
     capsys.readouterr()
     assert cli_main(["nuclear", fig1, "--lo", "m1", "--hi", "j1"]) == 2
+    capsys.readouterr()
+    assert cli_main(["nuclear", fig1, "--lo", "bot", "--hi", "nosuch"]) == 2
+    assert capsys.readouterr().err == "error: unknown element 'nosuch'\n"
+    assert cli_main(["nuclear", fig1, "--lo", "nosuch", "--hi", "top"]) == 2
 
 
 def test_cli_seq(tmp_path, capsys):
