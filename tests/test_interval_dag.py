@@ -180,11 +180,6 @@ def check_label_clo_up(lat, oracle, monkeypatch):
     return expected[0]
 
 
-def _pool(seed, count, **kwargs):
-    rng = random.Random(seed)
-    return [S.random_sd_lattice(rng=rng, **kwargs) for _ in range(count)]
-
-
 # -- tests --------------------------------------------------------------------
 
 
@@ -211,12 +206,14 @@ def test_small_pool_matches_rebuild_recursion(small_sd_lattices, monkeypatch):
 
 
 def test_random_pool_labels_and_errors(monkeypatch):
+    rng = random.Random(1)
     outcomes = []
-    for lat in _pool(1, 110, max_mid=7):
-        oracle = RebuildOracle()
-        check_labels(lat, oracle)
-        outcomes.append(check_label_clo_up(lat, oracle, monkeypatch))
-        check_sequences(lat, oracle)
+    for lat in [S.random_sd_lattice(rng=rng, max_mid=7) for _ in range(110)]:
+        for each in (lat, lat.dual()):
+            oracle = RebuildOracle()
+            check_labels(each, oracle)
+            outcomes.append(check_label_clo_up(each, oracle, monkeypatch))
+            check_sequences(each, oracle)
     # both branches are exercised: some labelings exist, many fail
     assert outcomes.count("ok") >= 10
     assert outcomes.count(RecursionMismatch) >= 10
