@@ -8,6 +8,7 @@ order found), 2 input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -289,7 +290,9 @@ def _cmd_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="sdlat", description="Analyze finite semidistributive lattices."
     )

@@ -6,11 +6,59 @@ order) than the label of the cover above it, and chain words are compared
 in reflected lexicographic order, i.e. ordinary lexicographic order read
 from the top cover downwards.  ``flip=True`` switches both conventions to
 the classical increasing/left-to-right form.
+
+Write a chain's *key* for the rank word it is compared by: the ranks read
+from the top cover down, or from the bottom cover up under ``flip``.  In
+both conventions a chain is increasing exactly when its key is strictly
+increasing.
+
+Verifier.  ``is_el_labeling`` enumerates no chains on the way to a yes.
+Without ``flip`` it fixes each lower end lo and walks [lo, top] upwards in
+index order (a linear extension); with ``flip`` it fixes each upper end hi
+and walks [bot, hi] downwards.  Either way the key of a chain from the fixed
+end to a node v starts with the rank of the cover at v, so a chain that
+reaches v by a cover of rank r from u has the key (r,) + (its key at u).
+Each node carries, over the chains from the fixed end to it:
+
+* the number of increasing chains, keyed by their first key entry: such a
+  chain extended by a cover of rank r stays increasing when r is below
+  that entry;
+* the number of maximal chains;
+* the least key, the least of (r,) + (least key at u) over the covers
+  entering v.  Prepending is right because keys that start with the same r
+  compare as their tails do.  Appending r to the least key at u would be
+  wrong on an ungraded poset: a key sorts before its own extensions, so the
+  least key at u, say (1,), may give (1, 5) while another chain's (1, 0)
+  gives the smaller (1, 0, 5).
+
+[lo, hi] is EL when it has exactly one increasing chain and its least key
+is strictly increasing, for then the least chain is the increasing one.
+The work is a sum over the fixed ends of the covers each walk meets, each
+times the height.  Only the name-least failing interval is handed to the
+chain enumerator, which builds the witness; ``ChainCapExceeded`` is raised
+when that interval has more than ``chain_cap`` chains, which is where
+enumerating every interval in name order would have raised.
+
+Search.  ``find_el_order`` places labels depth-first in the order of
+``itertools.permutations(sorted(alphabet))``.  A placed prefix fixes every
+comparison but those between two unplaced labels, as an unplaced label
+ranks after every placed one.  A prefix is dropped as soon as
+
+* it places a label before one that ``label_leq`` requires to come
+  earlier, or
+* an interval whose maximal chains all have length 2 fails EL with at most
+  one of its labels unplaced; that label ranks last among them in every
+  completion, so the verdict is final.
+
+Both fail every order that extends the prefix, so the search meets the
+same orders that pass, in the same sequence, as a loop over all
+permutations.  A complete candidate is verified by the dynamic program.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -85,7 +133,7 @@ class ELReport:
         return self.ok
 
 
-def _maximal_chains(poset: Poset, lo: int, hi: int, cap: int) -> list[tuple[int, ...]]:
+def _maximal_chains(poset: Poset, lo: int, hi: int) -> list[tuple[int, ...]]:
     """All maximal chains from lo to hi inside the interval, as index tuples."""
     within = poset.down[hi]
     chains: list[tuple[int, ...]] = []
@@ -94,13 +142,101 @@ def _maximal_chains(poset: Poset, lo: int, hi: int, cap: int) -> list[tuple[int,
         node, path = stack.pop()
         if node == hi:
             chains.append(path)
-            if len(chains) > cap:
-                raise ChainCapExceeded(f"interval has more than {cap} maximal chains")
             continue
         for nxt in sorted(poset._ucov[node], reverse=True):
             if within >> nxt & 1:
                 stack.append((nxt, path + (nxt,)))
     return chains
+
+
+# (reach, steps): reach[e] is the set the walk from the fixed end e spans,
+# steps[v] the covers the walk enters v by, as (neighbour, label).
+_Walk = tuple[list[int], list[list[tuple[int, str]]]]
+
+
+def _walk(lp: LabeledPoset, flip: bool) -> _Walk:
+    """Upwards from each lower end, or with ``flip`` downwards from each upper end."""
+    p, labels = lp.poset, lp.labels
+    names = p.names
+    if flip:
+        return p.down, [[(u, labels[(names[v], names[u])]) for u in p._ucov[v]] for v in range(p.n)]
+    return p.up, [[(u, labels[(names[u], names[v])]) for u in p._dcov[v]] for v in range(p.n)]
+
+
+def _first_failing(
+    lp: LabeledPoset, walk: _Walk, rank: dict[str, int], flip: bool, chain_cap: int
+) -> Optional[tuple[int, int]]:
+    """The name-least interval that is not EL under ``rank``, or None.
+
+    Raises ChainCapExceeded instead when that interval has more than
+    ``chain_cap`` maximal chains, as enumerating its chains would.
+    """
+    reach, steps = walk
+    names = lp.poset.names
+    ranked = [[(u, rank[label]) for u, label in s] for s in steps]
+    worst = None  # (name pair, index pair, maximal chains)
+    for root in range(len(names)):
+        nodes = list(_bits(reach[root]))
+        if flip:
+            nodes.reverse()
+        chains = {root: 1}
+        rising = {root: {math.inf: 1}}  # increasing chains by the first key entry
+        least = {root: ()}
+        for v in nodes[1:]:
+            total, counts, key = 0, {}, None
+            for u, r in ranked[v]:
+                if u not in chains:
+                    continue
+                total += chains[u]
+                for first, c in rising[u].items():
+                    if r < first:
+                        counts[r] = counts.get(r, 0) + c
+                word = (r, *least[u])
+                if key is None or word < key:
+                    key = word
+            chains[v], rising[v], least[v] = total, counts, key
+            if total <= chain_cap and sum(counts.values()) == 1 and all(
+                a < b for a, b in zip(key, key[1:])
+            ):
+                continue
+            pair = (v, root) if flip else (root, v)
+            named = (names[pair[0]], names[pair[1]])
+            if worst is None or named < worst[0]:
+                worst = (named, pair, total)
+    if worst is None:
+        return None
+    if worst[2] > chain_cap:
+        raise ChainCapExceeded(f"interval has more than {chain_cap} maximal chains")
+    return worst[1]
+
+
+def _witness(lp: LabeledPoset, rank: dict[str, int], flip: bool, lo: int, hi: int) -> ELWitness:
+    """Enumerate the maximal chains of the failing interval [lo, hi] to show why."""
+    p = lp.poset
+    names = p.names
+    scored = []
+    for chain in _maximal_chains(p, lo, hi):
+        word = tuple(lp.labels[(names[a], names[b])] for a, b in zip(chain, chain[1:]))
+        ranks = tuple(rank[w] for w in word)
+        key = ranks if flip else ranks[::-1]
+        scored.append((key, all(a < b for a, b in zip(key, key[1:])), chain, word))
+    interval = (names[lo], names[hi])
+    increasing = [s for s in scored if s[1]]
+    if len(increasing) != 1:
+        shown = increasing[:2] if increasing else sorted(scored)[:2]
+        return ELWitness(
+            interval=interval,
+            kind="two-increasing" if increasing else "zero-increasing",
+            chains=tuple(tuple(names[i] for i in s[2]) for s in shown),
+            words=tuple(s[3] for s in shown),
+        )
+    inc, best = increasing[0], min(scored)
+    return ELWitness(
+        interval=interval,
+        kind="not-lex-least",
+        chains=(tuple(names[i] for i in inc[2]), tuple(names[i] for i in best[2])),
+        words=(inc[3], best[3]),
+    )
 
 
 def is_el_labeling(
@@ -113,67 +249,17 @@ def is_el_labeling(
 
     The witness, if any, belongs to the lexicographically least failing
     interval (by name pair).  ``flip`` selects the classical convention.
+    Raises ChainCapExceeded when an interval with more than ``chain_cap``
+    maximal chains comes before every failing one.
     """
     order = tuple(order)
     if sorted(order) != sorted(lp.alphabet):
         raise ValueError("order must be a permutation of the label alphabet")
     rank = {lbl: k for k, lbl in enumerate(order)}
-    p = lp.poset
-    label_of = {
-        (p.index[a], p.index[b]): lp.labels[(a, b)] for a, b in lp.labels
-    }
-
-    def word_of(chain: tuple[int, ...]) -> tuple[str, ...]:
-        return tuple(label_of[(chain[k], chain[k + 1])] for k in range(len(chain) - 1))
-
-    def is_increasing(ranks: tuple[int, ...]) -> bool:
-        if flip:
-            return all(ranks[k] < ranks[k + 1] for k in range(len(ranks) - 1))
-        return all(ranks[k] > ranks[k + 1] for k in range(len(ranks) - 1))
-
-    def key_of(ranks: tuple[int, ...]) -> tuple[int, ...]:
-        return ranks if flip else tuple(reversed(ranks))
-
-    names = p.names
-    for lo_name, hi_name in sorted(
-        (names[i], names[j]) for i in range(p.n) for j in _bits(p.up[i] & ~(1 << i))
-    ):
-        lo, hi = p.index[lo_name], p.index[hi_name]
-        chains = _maximal_chains(p, lo, hi, chain_cap)
-        scored = []
-        for chain in chains:
-            word = word_of(chain)
-            ranks = tuple(rank[w] for w in word)
-            scored.append((key_of(ranks), is_increasing(ranks), chain, word))
-        increasing = [s for s in scored if s[1]]
-        if len(increasing) != 1:
-            kind = "zero-increasing" if not increasing else "two-increasing"
-            shown = increasing[:2] if increasing else sorted(scored)[:2]
-            return ELReport(
-                ok=False,
-                witness=ELWitness(
-                    interval=(lo_name, hi_name),
-                    kind=kind,
-                    chains=tuple(tuple(names[i] for i in s[2]) for s in shown),
-                    words=tuple(s[3] for s in shown),
-                ),
-            )
-        best = min(scored)
-        inc = increasing[0]
-        if best[0] < inc[0]:
-            return ELReport(
-                ok=False,
-                witness=ELWitness(
-                    interval=(lo_name, hi_name),
-                    kind="not-lex-least",
-                    chains=(
-                        tuple(names[i] for i in inc[2]),
-                        tuple(names[i] for i in best[2]),
-                    ),
-                    words=(inc[3], best[3]),
-                ),
-            )
-    return ELReport(ok=True)
+    failing = _first_failing(lp, _walk(lp, flip), rank, flip, chain_cap)
+    if failing is None:
+        return ELReport(ok=True)
+    return ELReport(ok=False, witness=_witness(lp, rank, flip, *failing))
 
 
 def lattice_j_labeling(lattice: Lattice) -> LabeledPoset:
@@ -238,31 +324,119 @@ def _chains_of_full_length(lattice: Lattice):
             path.pop()
 
 
+def _length_two_keys(lp: LabeledPoset, flip: bool) -> list[list[tuple[str, str]]]:
+    """For each interval whose maximal chains all have length 2, their keys as labels.
+
+    [lo, hi] is such an interval when every element strictly inside it
+    covers lo: those elements form an antichain, so hi covers each of them.
+    The chain lo < m < hi with labels (x, y) has the key (y, x), or (x, y)
+    under ``flip``; either way it is increasing when the key's first label
+    ranks below its second.
+    """
+    p, labels = lp.poset, lp.labels
+    names, ucov = p.names, p._ucov
+    out = []
+    for lo in range(p.n):
+        covers = tops = 0
+        for m in ucov[lo]:
+            covers |= 1 << m
+            for hi in ucov[m]:
+                tops |= 1 << hi
+        for hi in _bits(tops):
+            inside = p.up[lo] & p.down[hi] & ~(1 << lo | 1 << hi)
+            if inside & ~covers:
+                continue
+            keys = []
+            for m in _bits(inside):
+                x, y = labels[(names[lo], names[m])], labels[(names[m], names[hi])]
+                keys.append((x, y) if flip else (y, x))
+            out.append(keys)
+    return out
+
+
+def _length_two_passes(keys: list[tuple[str, str]], rank: dict[str, int], last: int) -> bool:
+    """EL for a length-2 interval; a label missing from ``rank`` ranks ``last``."""
+    ranked = [(rank.get(x, last), rank.get(y, last)) for x, y in keys]
+    least = min(ranked)
+    return least[0] < least[1] and sum(a < b for a, b in ranked) == 1
+
+
 def find_el_order(
     lp: LabeledPoset,
     size_cap: int = 9,
     flip: bool = False,
 ) -> Optional[tuple[str, ...]]:
-    """Exhaustively search total label orders for one certifying EL-ness.
+    """The first total label order, in permutation order, certifying EL-ness.
 
-    When the labels carry an inherited lattice order, only orders refining
-    its reverse are tried (a necessary condition for labelings by lattice
-    elements).  Every candidate is verified with is_el_labeling before being
-    returned, and None means the whole search space was exhausted.
+    Orders are tried as ``itertools.permutations(sorted(alphabet))`` lists
+    them, pruned as the module docstring says; pruning drops only orders
+    that fail, and every order returned has been verified.  When the labels
+    carry an inherited order ``label_leq``, only orders refining its reverse
+    are searched.  That is a restriction of the search, not a necessary
+    condition for EL: a labeling may have certifying orders outside it.
+    None means the space searched, restricted or not, holds no certifying
+    order.
     """
     alphabet = sorted(lp.alphabet)
     if len(alphabet) > size_cap:
         raise SizeLimitExceeded(
             f"alphabet of size {len(alphabet)} exceeds the search cap {size_cap}"
         )
-    constraints = []
-    if lp.label_leq:
-        constraints = [(a, b) for a, b in lp.label_leq if a in alphabet and b in alphabet]
-    for perm in itertools.permutations(alphabet):
-        pos = {lbl: k for k, lbl in enumerate(perm)}
-        # a < b inherited forces b to come earlier than a in the total order
-        if any(pos[b] > pos[a] for a, b in constraints):
-            continue
-        if is_el_labeling(lp, perm, flip=flip):
-            return perm
+    # a < b inherited forces b to come earlier than a in the total order
+    earlier: dict[str, set[str]] = {}
+    for a, b in lp.label_leq or ():
+        if a != b and a in alphabet and b in alphabet:
+            earlier.setdefault(a, set()).add(b)
+    watched: dict[str, list[tuple[set[str], list[tuple[str, str]]]]] = {}
+    for keys in _length_two_keys(lp, flip):
+        used = {label for key in keys for label in key}
+        if len(used) == 1 and not _length_two_passes(keys, {}, 0):
+            return None
+        for label in used:
+            watched.setdefault(label, []).append((used, keys))
+
+    # A label's rank is the position of its last copy, as in is_el_labeling;
+    # until then it ranks after every label already ranked.
+    m = len(alphabet)
+    copies = Counter(alphabet)
+    rank: dict[str, int] = {}
+    prefix: list[int] = []
+    taken = [False] * m
+
+    def place(i: int) -> bool:
+        label = alphabet[i]
+        if copies[label] == 1:
+            if any(b not in rank for b in earlier.get(label, ())):
+                return False
+            rank[label] = len(prefix)
+            for used, keys in watched.get(label, ()):
+                if sum(x not in rank for x in used) == 1 and not _length_two_passes(keys, rank, m):
+                    del rank[label]
+                    return False
+        copies[label] -= 1
+        taken[i] = True
+        prefix.append(i)
+        return True
+
+    def unplace() -> None:
+        i = prefix.pop()
+        taken[i] = False
+        label = alphabet[i]
+        if not copies[label]:
+            del rank[label]
+        copies[label] += 1
+
+    walk = _walk(lp, flip)
+    pending = [iter(range(m))]
+    while pending:
+        if len(prefix) == m and _first_failing(lp, walk, rank, flip, 10**6) is None:
+            return tuple(alphabet[i] for i in prefix)
+        for i in pending[-1]:
+            if not taken[i] and place(i):
+                pending.append(iter(range(m)))
+                break
+        else:
+            pending.pop()
+            if prefix:
+                unplace()
     return None

@@ -4,7 +4,7 @@ import pytest
 
 import sdlat as S
 from sdlat import CycleError, NotTransitiveReduction, SchemaError
-from sdlat.cli import cli_main
+from sdlat.cli import build_parser, cli_main
 from sdlat.jsonio import (
     emit_dot,
     emit_json,
@@ -177,6 +177,34 @@ def test_cli_el(tmp_path, capsys):
 
     plain = _write(tmp_path, "fig1.json", S.generate("fig1"))
     assert cli_main(["el", plain, "--search"]) == 2
+
+
+def test_cli_calls_share_one_parser(tmp_path, capsys):
+    # The parser is built once per process; no argument may carry over
+    # from one call to the next.
+    assert build_parser() is build_parser()
+    pp = _write(tmp_path, "pp.json", S.generate("preprojA2"))
+    fig1 = _write(tmp_path, "fig1.json", S.generate("fig1"))
+
+    assert cli_main(["el", pp, "--search", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"order": ["P1", "S2", "P2", "S1"]}
+    assert cli_main(["el", pp, "--order", "S1,P2,S2,P1"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("EL-labeling: no\nwitness interval")
+
+    assert cli_main(["seq", fig1, "--maximal", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["maximalOnly"] is True
+    assert cli_main(["seq", fig1, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["maximalOnly"] is False
+    assert all(s["rightExtendable"] is None for s in payload["sequences"])
+
+    assert cli_main(["--version"]) == 0
+    assert capsys.readouterr().out == f"sdlat {S.__version__}\n"
+    assert cli_main(["el", pp]) == 2  # neither --order nor --search
+    assert "one of the arguments --order --search is required" in capsys.readouterr().err
+    assert cli_main(["seq", fig1]) == 0
+    assert capsys.readouterr().out.endswith(f"count: {payload['count']}\n")
 
 
 def test_cli_gen_round_trip(tmp_path, capsys):

@@ -1,11 +1,106 @@
+import functools
 import itertools
+import random
 
 import pytest
 
 import sdlat as S
-from sdlat import ChainCapExceeded, LabeledPoset, MissingLabel, Poset, SizeLimitExceeded
+from sdlat import (
+    ChainCapExceeded,
+    ELReport,
+    ELWitness,
+    LabeledPoset,
+    MissingLabel,
+    Poset,
+    SizeLimitExceeded,
+)
 
 from conftest import sd_family_lattices
+
+
+def el_by_chains(lp, order, flip=False, chain_cap=10**6):
+    """Reference EL check that enumerates every maximal chain of every interval.
+
+    Intervals are taken in name order; the first one with more than
+    ``chain_cap`` chains raises, the first failing one gives the witness.
+    """
+    rank = {label: k for k, label in enumerate(order)}
+    p = lp.poset
+    pos = p.index
+
+    @functools.cache
+    def chains(lo, hi):
+        # in lexicographic order of element indices
+        if lo == hi:
+            return [(lo,)]
+        out = []
+        for nxt in sorted(p.upper_covers(lo), key=pos.__getitem__):
+            if p.leq(nxt, hi):
+                out += [(lo, *rest) for rest in chains(nxt, hi)]
+        return out
+
+    for lo, hi in sorted((a, b) for a in p.names for b in p.names if a != b and p.leq(a, b)):
+        found = chains(lo, hi)
+        if len(found) > chain_cap:
+            raise ChainCapExceeded(f"interval has more than {chain_cap} maximal chains")
+        scored = []
+        for chain in found:
+            word = tuple(lp.labels[step] for step in zip(chain, chain[1:]))
+            ranks = [rank[label] for label in word]
+            key = tuple(ranks if flip else ranks[::-1])
+            increasing = all(a < b for a, b in zip(key, key[1:]))
+            scored.append((key, increasing, tuple(pos[x] for x in chain), chain, word))
+        rising = [s for s in scored if s[1]]
+        if len(rising) != 1:
+            shown = rising[:2] if rising else sorted(scored)[:2]
+            kind = "two-increasing" if rising else "zero-increasing"
+        elif min(scored)[0] < rising[0][0]:
+            shown, kind = [rising[0], min(scored)], "not-lex-least"
+        else:
+            continue
+        witness = ELWitness(
+            interval=(lo, hi),
+            kind=kind,
+            chains=tuple(s[3] for s in shown),
+            words=tuple(s[4] for s in shown),
+        )
+        return ELReport(ok=False, witness=witness)
+    return ELReport(ok=True)
+
+
+def search_by_permutations(lp, flip=False):
+    """Reference search: every permutation of the sorted alphabet, in order."""
+    alphabet = sorted(lp.alphabet)
+    constraints = [(a, b) for a, b in lp.label_leq or () if a in alphabet and b in alphabet]
+    for perm in itertools.permutations(alphabet):
+        pos = {label: k for k, label in enumerate(perm)}
+        if any(pos[b] > pos[a] for a, b in constraints):
+            continue
+        if S.is_el_labeling(lp, perm, flip=flip):
+            return perm
+    return None
+
+
+def _unconstrained(lp):
+    return LabeledPoset(poset=lp.poset, labels=lp.labels, alphabet=lp.alphabet)
+
+
+@pytest.fixture(scope="module")
+def labelings(small_sd_lattices):
+    """j-labelings and clo-up labelings of the families and the random pool with duals."""
+    lattices = [S.generate("fig1"), S.generate("fig4")]
+    lattices += [S.generate("boolean", n) for n in range(2, 6)]
+    lattices += [S.generate("tamari", n) for n in (3, 4)]
+    lattices += [S.generate("chain", n) for n in range(0, 5)]
+    lattices += [lat for pool in small_sd_lattices for lat in (pool, pool.dual())]
+    out = [S.generate("preprojA2"), S.generate("fig1-labeled"), S.generate("fig4-labeled")]
+    for lat in lattices:
+        out.append(S.lattice_j_labeling(lat))
+        try:
+            out.append(S.label_clo_up(lat).to_labeled_poset())
+        except S.LatticeError:
+            pass  # the recursive labeling does not apply to this lattice
+    return out
 
 
 def _diamond_poset():
@@ -189,3 +284,144 @@ def test_find_el_order_verified(fig1):
     order = S.find_el_order(lp)
     assert order is not None
     assert S.is_el_labeling(lp, order)
+
+
+def _orders(alphabet, rng):
+    alphabet = sorted(alphabet)
+    if len(alphabet) <= 6:
+        return list(itertools.permutations(alphabet))
+    return [tuple(rng.sample(alphabet, len(alphabet))) for _ in range(20)]
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except ChainCapExceeded as exc:
+        return str(exc)
+
+
+def _pentagon_under_chain():
+    # not graded: bot < b < t has length 2, bot < a < c < t length 3
+    return Poset.from_covers(
+        ["bot", "a", "b", "c", "t", "top"],
+        [("bot", "a"), ("a", "c"), ("c", "t"), ("bot", "b"), ("b", "t"), ("t", "top")],
+    )
+
+
+def test_dp_verifier_matches_chain_enumeration(labelings):
+    rng = random.Random(0)
+    for lp in labelings:
+        for order in _orders(lp.alphabet, rng):
+            for flip in (False, True):
+                assert S.is_el_labeling(lp, order, flip=flip) == el_by_chains(lp, order, flip=flip)
+
+
+def test_dp_verifier_matches_on_larger_alphabets():
+    rng = random.Random(1)
+    for lp in (
+        S.lattice_j_labeling(S.generate("tamari", 5)),
+        S.label_clo_up(S.generate("tamari", 5)).to_labeled_poset(),
+        S.lattice_j_labeling(S.generate("chain", 8)),
+    ):
+        assert len(lp.alphabet) > 6
+        orders = _orders(lp.alphabet, rng) + [S.find_el_order(lp, size_cap=len(lp.alphabet))]
+        for order in orders:
+            for flip in (False, True):
+                assert S.is_el_labeling(lp, order, flip=flip) == el_by_chains(lp, order, flip=flip)
+
+
+def test_dp_verifier_matches_on_ungraded_poset():
+    # Every labeling by four letters, so every pattern of ranks occurs, and
+    # least keys of different lengths meet at t and are extended past it.
+    poset = _pentagon_under_chain()
+    covers = poset.covers_named()
+    kinds = set()
+    for letters in itertools.product("wxyz", repeat=len(covers)):
+        lp = LabeledPoset(poset=poset, labels=dict(zip(covers, letters)), alphabet=tuple("wxyz"))
+        for flip in (False, True):
+            report = S.is_el_labeling(lp, "wxyz", flip=flip)
+            assert report == el_by_chains(lp, "wxyz", flip=flip)
+            kinds.add(report.witness.kind if report.witness else "ok")
+    assert kinds == {"ok", "zero-increasing", "two-increasing", "not-lex-least"}
+
+
+def test_chain_cap_raises_as_enumeration_does(labelings):
+    raised = passed = 0
+    for lp in labelings:
+        for flip in (False, True):
+            for cap in (1, 2, 6):
+                got = _outcome(S.is_el_labeling, lp, sorted(lp.alphabet), flip=flip, chain_cap=cap)
+                assert got == _outcome(el_by_chains, lp, sorted(lp.alphabet), flip=flip, chain_cap=cap)
+                raised += isinstance(got, str)
+                passed += not isinstance(got, str)
+    assert raised and passed
+
+
+def test_pruned_search_matches_permutation_loop(labelings):
+    answers = set()
+    for lp in labelings:
+        if len(lp.alphabet) > 6:
+            continue
+        for candidate in (lp, _unconstrained(lp)):
+            for flip in (False, True):
+                order = S.find_el_order(candidate, flip=flip)
+                assert order == search_by_permutations(candidate, flip=flip)
+                answers.add((candidate.label_leq is not None, order is not None))
+    assert answers == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_pruned_search_matches_on_arbitrary_labels():
+    # Every labeling of the diamond by three letters, and random labelings
+    # of an ungraded poset and of the cube.  One alphabet repeats a letter:
+    # an order is a permutation of the alphabet as a list, and a letter
+    # ranks at its last copy.
+    rng = random.Random(2)
+    diamond = _diamond_poset()
+    cases = [(diamond, letters) for letters in itertools.product("xyz", repeat=4)]
+    for poset in (_pentagon_under_chain(), S.generate("boolean", 3)):
+        cases += [(poset, rng.choices("wxyz", k=len(poset.covers))) for _ in range(30)]
+    found = 0
+    for poset, letters in cases:
+        labels = dict(zip(poset.covers_named(), letters))
+        for alphabet in (tuple("wxyz"), tuple("wxxyz")):
+            for label_leq in (None, frozenset({("x", "y")}), frozenset({("y", "x"), ("z", "w")})):
+                lp = LabeledPoset(poset=poset, labels=labels, alphabet=alphabet, label_leq=label_leq)
+                for flip in (False, True):
+                    order = S.find_el_order(lp, flip=flip)
+                    assert order == search_by_permutations(lp, flip=flip)
+                    found += order is not None
+    assert found
+
+
+def test_label_leq_restricts_the_search():
+    # Draw 50 of random_sd_lattice(rng=random.Random(5), max_mid=8), built
+    # here from its covers.  The inherited order on the labels is not a
+    # necessary condition for EL: no order refining its reverse certifies
+    # the clo-up labeling, but another order does.
+    lattice = S.Lattice.build_from_covers(
+        ["bot"] + [f"e{k}" for k in range(7)] + ["top"],
+        [
+            ("bot", "e0"), ("bot", "e1"), ("bot", "e2"), ("e0", "e4"), ("e0", "e5"),
+            ("e1", "e3"), ("e1", "e4"), ("e2", "e3"), ("e2", "e5"), ("e3", "top"),
+            ("e4", "top"), ("e5", "e6"), ("e6", "top"),
+        ],
+    )
+    lp = S.label_clo_up(lattice).to_labeled_poset()
+    assert lp.label_leq
+    assert S.find_el_order(lp) is None
+    order = S.find_el_order(_unconstrained(lp))
+    assert order == ("e0", "e1", "e6", "e2")
+    assert el_by_chains(lp, order).ok
+
+
+@pytest.mark.parametrize("n, labels", [(5, 10), (6, 15)])
+def test_tamari_clo_up_el_order(n, labels):
+    # The paper's first theorem: for a representation-directed algebra some
+    # order on bricks makes the kappa_d labeling of the upper core label
+    # order EL.  tamari(n) is the torsion-class lattice of linearly oriented
+    # A_(n-1).
+    lp = S.label_clo_up(S.generate("tamari", n)).to_labeled_poset()
+    assert len(lp.alphabet) == labels
+    order = S.find_el_order(lp, size_cap=len(lp.alphabet))
+    assert order is not None
+    assert el_by_chains(lp, order).ok
