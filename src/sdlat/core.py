@@ -43,6 +43,22 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _cover_pairs(down: list[int]) -> list[tuple[int, int]]:
+    """The covers (j, i) of transitive down-set masks indexed along a linear extension.
+
+    The lower covers of i are found by taking the highest remaining element
+    below i and dropping its down-set, one mask op per cover.
+    """
+    covers = []
+    for i, mask in enumerate(down):
+        rest = mask & ~(1 << i)
+        while rest:
+            j = rest.bit_length() - 1
+            covers.append((j, i))
+            rest &= ~down[j]
+    return covers
+
+
 class Poset:
     """A finite partially ordered set on distinct, non-empty names."""
 
@@ -201,19 +217,10 @@ class Poset:
         """Build a poset from transitive down-set masks over ``names``.
 
         ``names`` must list a linear extension of the order, and bit j of
-        ``down[i]`` means names[j] <= names[i].  The lower covers of i are
-        found by taking the highest remaining element below i and dropping
-        its down-set, one mask op per cover; the result is what
-        ``from_covers`` builds from those covers.
+        ``down[i]`` means names[j] <= names[i].  The covers come from
+        ``_cover_pairs``; the result is what ``from_covers`` builds from them.
         """
-        covers = []
-        for i, mask in enumerate(down):
-            rest = mask & ~(1 << i)
-            while rest:
-                j = rest.bit_length() - 1
-                covers.append((names[j], names[i]))
-                rest &= ~down[j]
-        return cls.from_covers(names, covers)
+        return cls.from_covers(names, [(names[j], names[i]) for j, i in _cover_pairs(down)])
 
     # -- queries -----------------------------------------------------------
 

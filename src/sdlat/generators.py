@@ -11,7 +11,7 @@ import random
 from functools import lru_cache
 from typing import Optional, Union
 
-from .core import Lattice, Poset
+from .core import Lattice, _cover_pairs
 from .errors import BadParameter, InconsistentLabels, LatticeError
 from .irreducibles import irreducible_table, j_label_cover
 from .shelling import LabeledPoset
@@ -218,46 +218,54 @@ def random_sd_lattice(
 ) -> Lattice:
     """A random finite semidistributive lattice.
 
-    Random ranked cover proposals between a forced bottom and top are
-    filtered through the lattice and semidistributivity checks until one
-    passes.  Deterministic for a fixed seed.
+    Each attempt draws k middle elements e0..e(k-1) with sorted ranks in
+    1..3 and an edge density, and proposes each edge ej -> ei from a lower
+    to a higher rank with that probability, between a forced bottom and
+    top.  The candidate is tested on bitmasks: indexed bot, e0..e(k-1), top
+    (a linear extension, since edges rise in rank), ``down[i]`` is closed by
+    OR-ing in ``down[j]`` for each picked edge in draw order, and the covers
+    come from the msb walk of ``_cover_pairs``.  ``Lattice`` on those masks
+    checks the bounds and the cover-pair lemma, and ``is_semidistributive``
+    the kappa test; only an accepted candidate is rebuilt through
+    ``Lattice.build_from_covers``, which validates the Hasse diagram and
+    indexes it canonically.
+
+    The random calls are fixed: ``randint`` for the wanted size, then per
+    attempt ``randint`` for k (only in the second half of ``max_tries``),
+    k ``randint`` ranks, ``choice`` of the density and one ``random()`` per
+    lower-rank pair in j order.  So a seed gives the same lattices, and
+    leaves ``rng`` in the same state, as the predicate-built loop kept in
+    the tests.  Raises BadParameter for ``max_mid < 0`` or
+    ``max_tries < 1`` before any draw, and when the tries run out.
     """
+    if max_mid < 0:
+        raise BadParameter(f"max_mid must be >= 0, got {max_mid}")
+    if max_tries < 1:
+        raise BadParameter(f"max_tries must be >= 1, got {max_tries}")
     rng = rng if rng is not None else random.Random(seed)
     want = rng.randint(0, max_mid)
     for attempt in range(max_tries):
         # keep the drawn size for a while so large lattices are not starved
         k = want if attempt < max_tries // 2 else rng.randint(0, max_mid)
-        mids = [f"e{i}" for i in range(k)]
         ranks = sorted(rng.randint(1, 3) for _ in range(k))
         density = rng.choice((0.3, 0.5, 0.7))
-        upsets: dict[str, set[str]] = {m: {m, "top"} for m in mids}
-        upsets["bot"] = set(mids) | {"bot", "top"}
-        upsets["top"] = {"top"}
+        down = [1]
         for i in range(k):
-            below = [mids[j] for j in range(i) if ranks[j] < ranks[i]]
-            picked = [b for b in below if rng.random() < density]
-            for b in picked:
-                upsets[b].add(mids[i])
-        # close upward through the picked mid-to-mid edges
-        changed = True
-        while changed:
-            changed = False
-            for a in mids:
-                grown = set(upsets[a])
-                for b in list(grown):
-                    grown |= upsets[b]
-                if grown != upsets[a]:
-                    upsets[a] = grown
-                    changed = True
-        names = ["bot"] + mids + ["top"]
+            mask = 1 | 1 << (i + 1)
+            for j in range(i):
+                if ranks[j] < ranks[i] and rng.random() < density:
+                    mask |= down[j + 1]
+            down.append(mask)
+        down.append((1 << (k + 2)) - 1)
+        names = ("bot", *(f"e{i}" for i in range(k)), "top")
+        covers = _cover_pairs(down)
         try:
-            poset = Poset.from_leq(names, lambda a, b: b in upsets[a])
-            lattice = Lattice.build_from_covers(poset.names, poset.covers_named())
+            candidate = Lattice(names, down, tuple(covers))
         except LatticeError:
             continue
-        if lattice.is_semidistributive():
-            return lattice
-    raise RuntimeError("random_sd_lattice failed to find a lattice; widen max_tries")
+        if candidate.is_semidistributive():
+            return Lattice.build_from_covers(names, [(names[j], names[i]) for j, i in covers])
+    raise BadParameter("random_sd_lattice failed to find a lattice; widen max_tries")
 
 
 _PLAIN = {

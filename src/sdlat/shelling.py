@@ -84,10 +84,12 @@ class LabeledPoset:
     def __post_init__(self):
         self.poset.bottom_name()
         self.poset.top_name()
-        missing = [c for c in self.poset.covers_named() if c not in self.labels]
+        covers = self.poset.covers_named()
+        missing = [c for c in covers if c not in self.labels]
         if missing:
             raise MissingLabel(f"covers without labels: {missing[:4]}")
-        extra = [c for c in self.labels if c not in set(self.poset.covers_named())]
+        cover_set = set(covers)
+        extra = [c for c in self.labels if c not in cover_set]
         if extra:
             raise MissingLabel(f"labels on non-covers: {extra[:4]}")
         if not self.alphabet:

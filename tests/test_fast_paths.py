@@ -297,3 +297,18 @@ def test_no_assert_statements(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{module} has assert statements on lines {lines}"
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_no_from_leq_calls(module):
+    # Poset.from_leq is an O(n^2) predicate builder kept for tests as an
+    # oracle; library paths build orders from masks or covers
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "from_leq"
+    ]
+    assert lines == [], f"{module} calls from_leq on lines {lines}"

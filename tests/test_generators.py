@@ -3,7 +3,7 @@ import random
 import pytest
 
 import sdlat as S
-from sdlat import BadParameter
+from sdlat import BadParameter, Lattice, Poset
 from sdlat.generators import catalan
 
 
@@ -99,3 +99,120 @@ def test_random_sd_lattice_stream():
         assert lat.is_semidistributive()
         sizes.add(len(lat))
     assert len(sizes) >= 4
+
+
+def random_sd_lattice_oracle(seed=None, max_mid=6, rng=None, max_tries=20000):
+    """The predicate-built rejection loop that ``random_sd_lattice`` replaced.
+
+    Each candidate's up-sets are closed by a fixpoint loop and built through
+    ``Poset.from_leq`` and ``Lattice.build_from_covers`` before the SD test.
+    It makes the same random calls in the same order.
+    """
+    rng = rng if rng is not None else random.Random(seed)
+    want = rng.randint(0, max_mid)
+    for attempt in range(max_tries):
+        k = want if attempt < max_tries // 2 else rng.randint(0, max_mid)
+        mids = [f"e{i}" for i in range(k)]
+        ranks = sorted(rng.randint(1, 3) for _ in range(k))
+        density = rng.choice((0.3, 0.5, 0.7))
+        upsets = {m: {m, "top"} for m in mids}
+        upsets["bot"] = set(mids) | {"bot", "top"}
+        upsets["top"] = {"top"}
+        for i in range(k):
+            below = [mids[j] for j in range(i) if ranks[j] < ranks[i]]
+            picked = [b for b in below if rng.random() < density]
+            for b in picked:
+                upsets[b].add(mids[i])
+        changed = True
+        while changed:
+            changed = False
+            for a in mids:
+                grown = set(upsets[a])
+                for b in list(grown):
+                    grown |= upsets[b]
+                if grown != upsets[a]:
+                    upsets[a] = grown
+                    changed = True
+        names = ["bot"] + mids + ["top"]
+        try:
+            poset = Poset.from_leq(names, lambda a, b: b in upsets[a])
+            lattice = Lattice.build_from_covers(poset.names, poset.covers_named())
+        except S.LatticeError:
+            continue
+        if lattice.is_semidistributive():
+            return lattice
+    raise RuntimeError("random_sd_lattice failed to find a lattice; widen max_tries")
+
+
+def _assert_same_draws(make_rng, draws, **kwargs):
+    fast_rng, slow_rng = make_rng(), make_rng()
+    for draw in range(draws):
+        fast = S.random_sd_lattice(rng=fast_rng, **kwargs)
+        slow = random_sd_lattice_oracle(rng=slow_rng, **kwargs)
+        assert fast.names == slow.names, draw
+        assert fast.covers_named() == slow.covers_named(), draw
+        assert fast_rng.getstate() == slow_rng.getstate(), draw
+
+
+@pytest.mark.parametrize("max_mid", range(10))
+def test_random_sd_lattice_matches_oracle(max_mid):
+    draws = 12 if max_mid < 8 else 3
+    for seed in (0, 7, 23):
+        _assert_same_draws(lambda: random.Random(seed * 10 + max_mid), draws, max_mid=max_mid)
+
+
+def test_random_sd_lattice_matches_oracle_on_pools():
+    # the el-search benchmark pool and the draw-50 regression stream of
+    # test_shelling.test_label_leq_restricts_the_search
+    _assert_same_draws(lambda: random.Random(1), 64, max_mid=8)
+    _assert_same_draws(lambda: random.Random(5), 50, max_mid=8)
+
+
+def test_random_sd_lattice_matches_oracle_after_size_redraw():
+    # max_tries small enough that attempts past the half redraw k
+    for seed in range(20):
+        _assert_same_draws(lambda: random.Random(seed), 4, max_mid=9, max_tries=40)
+
+
+def test_random_sd_lattice_builds_only_the_accepted_candidate(monkeypatch):
+    built = []
+    from_covers = Poset.from_covers.__func__
+
+    def no_from_leq(cls, names, leq):
+        raise AssertionError("random_sd_lattice called Poset.from_leq")
+
+    def counting(cls, names, covers):
+        built.append(names)
+        return from_covers(cls, names, covers)
+
+    monkeypatch.setattr(Poset, "from_leq", classmethod(no_from_leq))
+    monkeypatch.setattr(Poset, "from_covers", classmethod(counting))
+    rng = random.Random(2)
+    for _ in range(20):
+        del built[:]
+        lattice = S.random_sd_lattice(rng=rng, max_mid=8)
+        assert len(built) == 1
+        assert sorted(built[0]) == sorted(lattice.names)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_mid": -1}, "max_mid must be >= 0, got -1"),
+        ({"max_tries": 0}, "max_tries must be >= 1, got 0"),
+    ],
+)
+def test_random_sd_lattice_bad_parameters(kwargs, message):
+    rng = random.Random(4)
+    state = rng.getstate()
+    with pytest.raises(BadParameter, match=message):
+        S.random_sd_lattice(rng=rng, **kwargs)
+    assert rng.getstate() == state
+
+
+def test_random_sd_lattice_out_of_tries():
+    # the one attempt seed 0 allows at max_mid=9 is rejected, by both loops
+    with pytest.raises(BadParameter, match="failed to find a lattice; widen max_tries"):
+        S.random_sd_lattice(seed=0, max_mid=9, max_tries=1)
+    with pytest.raises(RuntimeError, match="failed to find a lattice; widen max_tries"):
+        random_sd_lattice_oracle(seed=0, max_mid=9, max_tries=1)

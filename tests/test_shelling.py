@@ -184,6 +184,30 @@ def test_missing_label_rejected():
         LabeledPoset(poset=_diamond_poset(), labels={("bot", "a"): "x"})
 
 
+def test_label_validation_reads_the_covers_once(monkeypatch):
+    lp = S.lattice_j_labeling(S.generate("boolean", 4))
+    calls = []
+    covers_named = Poset.covers_named
+
+    def counting(poset):
+        calls.append(poset)
+        return covers_named(poset)
+
+    monkeypatch.setattr(Poset, "covers_named", counting)
+    LabeledPoset(poset=lp.poset, labels=lp.labels, alphabet=lp.alphabet)
+    assert len(calls) == 1
+    missing = dict(lp.labels)
+    del missing[("a", "ab")]
+    with pytest.raises(MissingLabel, match=r"covers without labels: \[\('a', 'ab'\)\]"):
+        LabeledPoset(poset=lp.poset, labels=missing)
+    extra = {**lp.labels, ("a", "abc"): "b", ("0", "ab"): "a"}
+    with pytest.raises(
+        MissingLabel, match=r"labels on non-covers: \[\('a', 'abc'\), \('0', 'ab'\)\]"
+    ):
+        LabeledPoset(poset=lp.poset, labels=extra)
+    assert len(calls) == 3
+
+
 def test_chain_cap():
     lp = S.lattice_j_labeling(S.generate("boolean", 3))
     with pytest.raises(ChainCapExceeded):
