@@ -48,7 +48,6 @@ from .irreducibles import (
     CoverLabeling,
     IrreducibleTable,
     cover_labeling,
-    interval_cji_transfer,
     irreducible_table,
     j_label_cover,
     j_label_interval,

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .core import Lattice, _bits
 from .errors import NotJoinIrreducible, NoUniqueMax, SizeLimitExceeded
-from .irreducibles import cover_labeling, irreducible_table, kappa_bar_map
+from .irreducibles import cover_labeling, irreducible_table
 
 
 @dataclass(frozen=True)
@@ -126,18 +126,6 @@ def cjr_oracle(lattice: Lattice, x: str, size_cap: int = 12) -> Optional[Canonic
     return CanonicalRep(element=x, joinands=joinands)
 
 
-def irredundant_representations(lattice: Lattice, x: str, size_cap: int = 12) -> list[tuple[str, ...]]:
-    """All irredundant join representations of x, as sorted name tuples."""
-    ctx = _oracle_context(lattice, size_cap)
-    xi = lattice.index[x]
-    jm = ctx.join_of_mask
-    out = []
-    for mask in ctx.groups[xi]:
-        if all(jm[mask & ~(1 << a)] != xi for a in _bits(mask)):
-            out.append(tuple(sorted(lattice.names[a] for a in _bits(mask))))
-    return out
-
-
 @dataclass(frozen=True)
 class FlagComplex:
     """The canonical join complex, stored as its 1-skeleton.
@@ -192,11 +180,3 @@ def canonical_join_complex(lattice: Lattice) -> FlagComplex:
         if joins_canonically(lattice, (a, b)):
             edges.add(frozenset((a, b)))
     return FlagComplex(vertices=table.cji, edges=frozenset(edges))
-
-
-def cmr_matches_kappa_bar(lattice: Lattice, x: str) -> bool:
-    """Check CMR(kappa_bar(x)) = kappa(CJR(x)), the inverse-bijection identity."""
-    table = irreducible_table(lattice)
-    image = kappa_bar_map(lattice)[x]
-    expected = sorted(table.kappa[j] for j in cjr(lattice, x).joinands)
-    return list(cmr(lattice, image).joinands) == expected

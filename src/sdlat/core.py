@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import (
     CycleError,
@@ -24,6 +24,7 @@ from .errors import (
     NotALattice,
     NotComparable,
     NotTransitiveReduction,
+    SchemaError,
     SizeLimitExceeded,
 )
 
@@ -66,7 +67,8 @@ class Poset:
         """Wrap order data indexed along a linear extension.
 
         ``down`` must be the down-set masks generated by ``covers``, and
-        every cover (lo, hi) must have lo < hi as indices.
+        every cover (lo, hi) must have lo < hi as indices.  Raises
+        NotTransitiveReduction if any cover is implied by others.
         """
         self.n = len(names)
         self.names = names
@@ -79,6 +81,7 @@ class Poset:
             self._ucov[lo].append(hi)
             self._dcov[hi].append(lo)
         self.up = self._union_above([1 << i for i in range(self.n)])
+        self._check_reduction()
         self.heights = [0] * self.n
         for i in range(self.n):
             for lo in self._dcov[i]:
@@ -95,33 +98,26 @@ class Poset:
             out[u] = acc
         return out
 
-    @staticmethod
-    def _transpose(down: list[int], n: int) -> list[int]:
-        up = [0] * n
-        for i, mask in enumerate(down):
-            for j in _bits(mask):
-                up[j] |= 1 << i
-        return up
-
     # -- construction ------------------------------------------------------
 
     @classmethod
     def from_covers(cls, names: Iterable[str], covers: Iterable[tuple[str, str]]) -> "Poset":
-        """Build a poset from an exact transitive reduction given by name pairs.
+        """Build an instance of ``cls`` from an exact transitive reduction given by name pairs.
 
-        Raises CycleError if the cover digraph is cyclic and
-        NotTransitiveReduction if any listed cover is implied by others.
+        Raises SchemaError for repeated, empty or unknown names, CycleError
+        if the cover digraph is cyclic and NotTransitiveReduction if any
+        listed cover is implied by others.
         """
         names = list(names)
         if len(set(names)) != len(names):
-            raise ValueError("element names must be unique")
+            raise SchemaError("element names must be unique")
         if any((not isinstance(s, str)) or not s for s in names):
-            raise ValueError("element names must be non-empty strings")
+            raise SchemaError("element names must be non-empty strings")
         raw_index = {s: i for i, s in enumerate(names)}
         raw_covers = []
         for lo, hi in covers:
             if lo not in raw_index or hi not in raw_index:
-                raise ValueError(f"cover ({lo!r}, {hi!r}) mentions an unknown element")
+                raise SchemaError(f"cover ({lo!r}, {hi!r}) mentions an unknown element")
             if lo == hi:
                 raise CycleError(f"cover ({lo!r}, {hi!r}) is a self-loop")
             raw_covers.append((raw_index[lo], raw_index[hi]))
@@ -142,9 +138,7 @@ class Poset:
             for lo in dcov[i]:
                 down[i] |= down[lo]
 
-        poset = cls(sorted_names, down, tuple(cover_idx))
-        poset._check_reduction()
-        return poset
+        return cls(sorted_names, down, tuple(cover_idx))
 
     @staticmethod
     def _toposort(n: int, covers: list[tuple[int, int]], names: list[str]) -> list[int]:
@@ -173,44 +167,12 @@ class Poset:
 
     def _check_reduction(self) -> None:
         for lo, hi in self.covers:
-            between = self.up[lo] & self.down[hi] & ~(1 << lo) & ~(1 << hi)
-            if between:
-                w = self.names[_lsb(between)]
+            between = self.up[lo] & self.down[hi]  # lo, hi and anything strictly between
+            if between.bit_count() > 2:
+                w = self.names[_lsb(between & ~(1 << lo | 1 << hi))]
                 raise NotTransitiveReduction(
                     f"cover ({self.names[lo]!r}, {self.names[hi]!r}) is implied via {w!r}"
                 )
-
-    @classmethod
-    def from_leq(cls, names: Iterable[str], leq: Callable[[str, str], bool]) -> "Poset":
-        """Build a poset from a reflexive/antisymmetric/transitive predicate on names."""
-        names = list(names)
-        n = len(names)
-        down = [0] * n
-        for i, a in enumerate(names):
-            for j, b in enumerate(names):
-                if leq(b, a):
-                    down[i] |= 1 << j
-        for i in range(n):
-            if not down[i] >> i & 1:
-                raise ValueError(f"relation is not reflexive at {names[i]!r}")
-        up = cls._transpose(down, n)
-        covers = []
-        for i in range(n):
-            strict = down[i] & ~(1 << i)
-            for j in _bits(strict):
-                if down[j] >> i & 1:
-                    raise ValueError(
-                        f"relation is not antisymmetric on {names[i]!r}, {names[j]!r}"
-                    )
-                if not (up[j] & strict & ~(1 << j)):
-                    covers.append((names[j], names[i]))
-        poset = cls.from_covers(names, covers)
-        for i, a in enumerate(names):
-            if poset.down[poset.index[a]] != sum(
-                1 << poset.index[names[j]] for j in _bits(down[i])
-            ):
-                raise ValueError("relation is not transitive")
-        return poset
 
     @classmethod
     def _from_down_masks(cls, names: list[str], down: list[int]) -> "Poset":
@@ -280,9 +242,6 @@ class Poset:
         if len(maxs) != 1:
             raise NoBoundsError(f"no unique maximum: {list(maxs)}")
         return maxs[0]
-
-    def dual_poset(self) -> "Poset":
-        return Poset.from_covers(self.names, [(self.names[b], self.names[a]) for a, b in self.covers])
 
     def is_lattice_poset(self) -> bool:
         return self.lattice_failure() is None
@@ -381,8 +340,7 @@ class Lattice(Poset):
         The covers must be exactly the transitive reduction of the intended
         order; redundant edges are rejected rather than silently dropped.
         """
-        base = Poset.from_covers(names, covers)
-        return cls(base.names, base.down, base.covers)
+        return cls.from_covers(names, covers)
 
     # -- index-level operations (internal fast path) ------------------------
 
@@ -446,25 +404,6 @@ class Lattice(Poset):
         return Lattice.build_from_covers(
             self.names, [(self.names[b], self.names[a]) for a, b in self.covers]
         )
-
-    def restrict(self, members: Iterable[str]) -> "Lattice":
-        """Sublattice on a subset of elements closed under join and meet.
-
-        Covers are recomputed as the transitive reduction of the restricted
-        order, so the result is a valid standalone lattice.
-        """
-        members = sorted(set(members), key=lambda s: self.index[s])
-        mask = 0
-        for s in members:
-            mask |= 1 << self.index[s]
-        covers = []
-        for s in members:
-            i = self.index[s]
-            below = self.down[i] & mask & ~(1 << i)
-            for j in _bits(below):
-                if not (self.up[j] & self.down[i] & mask & ~(1 << i) & ~(1 << j)):
-                    covers.append((self.names[j], s))
-        return Lattice.build_from_covers(members, covers)
 
     # -- semidistributivity --------------------------------------------------
 
@@ -624,21 +563,14 @@ class IntervalView:
             sorted(self.parent.names[j] for j in self.parent._dcov[i] if self.mask >> j & 1)
         )
 
-    def as_lattice(self) -> Lattice:
-        """Rebuild the interval as a standalone lattice with the same names."""
-        return self.parent.restrict(self.members)
-
 
 def posets_isomorphic(p, q, size_cap: int = 14) -> Optional[dict[str, str]]:
     """Search for an order isomorphism between two small posets.
 
-    Accepts Lattice, Poset, or any object with a ``poset`` attribute (such as
-    a derived order).  Returns a name-to-name mapping, or None if the posets
-    are not isomorphic.  Exhaustive backtracking with degree/height pruning;
+    Accepts any Poset, such as a Lattice or a derived order.  Returns a
+    name-to-name mapping, or None if the posets are not isomorphic.  Exhaustive backtracking with degree/height pruning;
     refuses inputs larger than ``size_cap`` elements.
     """
-    p = getattr(p, "poset", p)
-    q = getattr(q, "poset", q)
     if len(p) != len(q):
         return None
     if len(p) > size_cap:

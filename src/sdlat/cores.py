@@ -174,39 +174,25 @@ def w_map(lattice: Lattice) -> dict[str, frozenset[str]]:
     return {x: down[x] & up[x] for x in lattice.names}
 
 
-class DerivedPoset:
-    """A partial order derived from a lattice (kappa order or core label order)."""
+class DerivedPoset(Poset):
+    """A partial order derived from a lattice: the kappa order or a core label order.
 
-    def __init__(self, kind: str, poset: Poset, source: Lattice):
-        self.kind = kind
-        self.poset = poset
-        self.source = source
+    It is a plain Poset on the lattice's names, tagged with the memo key it
+    was built under as ``kind``, so it compares ``==`` by relation with any
+    Poset.
+    """
 
-    @property
-    def elements(self) -> tuple[str, ...]:
-        return tuple(sorted(self.poset.names))
-
-    def leq(self, a: str, b: str) -> bool:
-        return self.poset.leq(a, b)
-
-    def covers_named(self) -> tuple[tuple[str, str], ...]:
-        return self.poset.covers_named()
-
-    def relation_pairs(self) -> frozenset[tuple[str, str]]:
-        return self.poset.relation_pairs()
+    kind: str
 
     def is_lattice(self) -> bool:
-        return self.poset.is_lattice_poset()
+        return self.is_lattice_poset()
 
-    def lattice_failure(self) -> Optional[tuple[str, str, str]]:
-        return self.poset.lattice_failure()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DerivedPoset):
-            return NotImplemented
-        return self.poset == other.poset
-
-    __hash__ = None
+def _derived(lattice: Lattice, kind: str, names: list[str], down: list[int]) -> DerivedPoset:
+    """Build, tag and memoize the derived order with down-set masks ``down`` over ``names``."""
+    order = lattice.memo[kind] = DerivedPoset._from_down_masks(names, down)
+    order.kind = kind
+    return order
 
 
 def kappa_order(lattice: Lattice) -> DerivedPoset:
@@ -224,8 +210,7 @@ def kappa_order(lattice: Lattice) -> DerivedPoset:
             seeds[k] |= 1 << x
         reach = lattice._union_above(seeds)
         down = [mask & reach[kbar[y]] for y, mask in enumerate(lattice.down)]
-        poset = Poset._from_down_masks(list(lattice.names), down)
-        order = lattice.memo["kappaOrder"] = DerivedPoset("kappaOrder", poset, lattice)
+        order = _derived(lattice, "kappaOrder", list(lattice.names), down)
     return order
 
 
@@ -256,9 +241,7 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
         for j in _bits(every & ~masks[x]):
             acc &= ~having[j]
         down.append(acc)
-    poset = Poset._from_down_masks([lattice.names[x] for x in ranked], down)
-    order = lattice.memo[kind] = DerivedPoset(kind, poset, lattice)
-    return order
+    return _derived(lattice, kind, [lattice.names[x] for x in ranked], down)
 
 
 def clo_down(lattice: Lattice) -> DerivedPoset:

@@ -63,8 +63,11 @@ class ChainCapExceeded(LatticeError):
 
 
 class SchemaError(LatticeError):
-    """A lattice document does not conform to the JSON schema."""
+    """A lattice document does not conform to the JSON schema, or the names
+    given for a poset are repeated, empty, or missing from its covers."""
 
 
 class BadParameter(LatticeError):
-    """A generator was called with an out-of-range or unknown parameter."""
+    """A function was called with an out-of-range or unknown parameter, such
+    as a generator size or a label order that is not a permutation of the
+    alphabet."""

@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 from .core import Lattice, _cover_pairs
 from .errors import BadParameter, InconsistentLabels, LatticeError
-from .irreducibles import irreducible_table, j_label_cover
+from .irreducibles import _inherited_label_leq, irreducible_table, j_label_cover
 from .shelling import LabeledPoset
 
 _FIG1_COVERS = [
@@ -76,12 +76,11 @@ def _validated_labeling(lattice: Lattice, labels: dict) -> LabeledPoset:
                 f"stored label {lbl!r} for cover ({lo!r}, {hi!r}) "
                 f"disagrees with computed {recomputed!r}"
             )
-    table = irreducible_table(lattice)
-    inherited = frozenset(
-        (a, b) for a in table.cji for b in table.cji if a != b and lattice.leq(a, b)
-    )
     return LabeledPoset(
-        poset=lattice, labels=dict(labels), alphabet=table.cji, label_leq=inherited
+        poset=lattice,
+        labels=dict(labels),
+        alphabet=irreducible_table(lattice).cji,
+        label_leq=_inherited_label_leq(lattice),
     )
 
 

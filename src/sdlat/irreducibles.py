@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .core import Lattice, _bits, _lsb
 from .errors import (
-    InconsistentLabels,
     NoUniqueMax,
     NotACover,
     NotComparable,
@@ -156,21 +155,16 @@ def j_label_interval(lattice: Lattice, lo: str, hi: str) -> tuple[str, ...]:
     return _sorted_names(lattice, _labels_between(lattice, lattice.index[lo], lattice.index[hi]))
 
 
-def interval_cji_transfer(lattice: Lattice, lo: str, hi: str) -> dict[str, str]:
-    """Bijection j -> lo v j from the interval's labels onto cji([lo, hi]).
+def _inherited_label_leq(lattice: Lattice) -> frozenset[tuple[str, str]]:
+    """The strict pairs (a, b) of cji names with a < b in the lattice.
 
-    The image is verified against the completely join-irreducible elements of
-    the interval sublattice recomputed from scratch.
+    This is the order cji labels inherit as lattice elements, read off the
+    down-set masks; it raises NotSemidistributive as irreducible_table does.
     """
-    labels = j_label_interval(lattice, lo, hi)
-    mapping = {j: lattice.join(lo, j) for j in labels}
-    sub = lattice.interval(lo, hi).as_lattice()
-    sub_cji = set(irreducible_table(sub).cji)
-    if len(set(mapping.values())) != len(mapping):
-        raise InconsistentLabels(f"transfer to [{lo!r}, {hi!r}] is not injective")
-    if set(mapping.values()) != sub_cji:
-        raise InconsistentLabels(f"transfer does not hit cji of [{lo!r}, {hi!r}]")
-    return mapping
+    cji = _kappa(lattice)
+    mask = sum(1 << j for j in cji)
+    names, down = lattice.names, lattice.down
+    return frozenset((names[a], names[b]) for b in cji for a in _bits(down[b] & mask & ~(1 << b)))
 
 
 def _kappa_bar_idx(lattice: Lattice) -> list[int]:

@@ -167,7 +167,7 @@ def emit_dot(
             labels = obj.labels
         poset = obj.poset
     else:
-        poset = getattr(obj, "poset", obj)
+        poset = obj
     lines = [f"digraph {graph_name} {{"]
     for name in sorted(poset.names):
         lines.append(f"  {_dot_quote(name)};")

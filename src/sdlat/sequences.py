@@ -13,7 +13,7 @@ of element indices of L, and everything is kept in L's label coordinates:
 * The labels of (a, b) are the mask ``down[b] & above[a]``: the cji j of
   L with j <= b and kappa(j) >= a, each labelling a cover inside [a, b].
 * Labels transfer by j -> a v j, a bijection onto the cji of [a, b]
-  (``interval_cji_transfer`` checks it on a rebuilt interval): if u < v
+  (a test oracle checks it on rebuilt intervals): if u < v
   inside [a, b] has L-label j, then a v j lies in [a, b], joins u to v,
   and lies below every y in [a, b] with u v y = v, so it is the label of
   u < v in [a, b].  A sequence of interval cji is therefore named by the
@@ -32,8 +32,8 @@ of element indices of L, and everything is kept in L's label coordinates:
   down[b] both shrink.
 
 Each public call keeps its own memo of nodes, dropped when it returns.
-``IntervalView.as_lattice`` and ``interval_cji_transfer`` rebuild intervals
-from scratch and serve as test oracles for this module.
+The test oracles for this module rebuild intervals from scratch and live
+with the tests, not in the library.
 """
 
 from __future__ import annotations
@@ -44,7 +44,13 @@ from typing import Optional, Sequence
 from .core import Lattice, _bits, _lsb
 from .cores import DerivedPoset, _pop_up_idx, clo_up, lab_up_map
 from .errors import InconsistentLabels, NotJoinIrreducible, RecursionMismatch
-from .irreducibles import _j_label_idx, _kappa_bar_within, _labels_between, irreducible_table
+from .irreducibles import (
+    _inherited_label_leq,
+    _j_label_idx,
+    _kappa_bar_within,
+    _labels_between,
+    irreducible_table,
+)
 
 Node = tuple[int, int]
 
@@ -203,7 +209,7 @@ class CloLabeling:
 
         alphabet = tuple(sorted(set(self.labels.values())))
         return LabeledPoset(
-            poset=self.poset.poset,
+            poset=self.poset,
             labels=dict(self.labels),
             alphabet=alphabet,
             label_leq=self.label_leq,
@@ -242,11 +248,7 @@ def label_clo_up(lattice: Lattice) -> CloLabeling:
         missing = sorted(covers - set(labels))
         raise RecursionMismatch(f"covers left unlabeled: {missing[:4]}")
 
-    table = irreducible_table(lattice)
-    inherited = frozenset(
-        (a, b) for a in table.cji for b in table.cji if a != b and lattice.leq(a, b)
-    )
-    return CloLabeling(poset=derived, labels=labels, label_leq=inherited)
+    return CloLabeling(poset=derived, labels=labels, label_leq=_inherited_label_leq(lattice))
 
 
 def _recursive_labels(lattice: Lattice) -> dict[tuple[frozenset, frozenset], str]:

@@ -59,12 +59,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import Lattice, Poset, _bits
-from .errors import ChainCapExceeded, MissingLabel, SizeLimitExceeded
-from .irreducibles import cover_labeling, irreducible_table
+from .errors import BadParameter, ChainCapExceeded, MissingLabel, SizeLimitExceeded
+from .irreducibles import _inherited_label_leq, cover_labeling, irreducible_table
 
 
 @dataclass(frozen=True)
@@ -96,24 +96,6 @@ class LabeledPoset:
             object.__setattr__(self, "alphabet", tuple(sorted(set(self.labels.values()))))
         if set(self.labels.values()) - set(self.alphabet):
             raise MissingLabel("some cover label is outside the alphabet")
-
-    def interval_restriction(self, lo: str, hi: str) -> "LabeledPoset":
-        """The labeled subposet on [lo, hi]; covers and labels restrict."""
-        p = self.poset
-        members = [
-            s for s in p.names if p.leq(lo, s) and p.leq(s, hi)
-        ]
-        member_set = set(members)
-        covers = [
-            (a, b) for a, b in p.covers_named() if a in member_set and b in member_set
-        ]
-        sub = Poset.from_covers(members, covers)
-        return LabeledPoset(
-            poset=sub,
-            labels={c: self.labels[c] for c in covers},
-            alphabet=self.alphabet,
-            label_leq=self.label_leq,
-        )
 
 
 @dataclass(frozen=True)
@@ -251,12 +233,13 @@ def is_el_labeling(
 
     The witness, if any, belongs to the lexicographically least failing
     interval (by name pair).  ``flip`` selects the classical convention.
-    Raises ChainCapExceeded when an interval with more than ``chain_cap``
+    Raises BadParameter when ``order`` is not a permutation of the alphabet,
+    and ChainCapExceeded when an interval with more than ``chain_cap``
     maximal chains comes before every failing one.
     """
     order = tuple(order)
     if sorted(order) != sorted(lp.alphabet):
-        raise ValueError("order must be a permutation of the label alphabet")
+        raise BadParameter("order must be a permutation of the label alphabet")
     rank = {lbl: k for k, lbl in enumerate(order)}
     failing = _first_failing(lp, _walk(lp, flip), rank, flip, chain_cap)
     if failing is None:
@@ -266,16 +249,11 @@ def is_el_labeling(
 
 def lattice_j_labeling(lattice: Lattice) -> LabeledPoset:
     """The lattice labeled by its own cover j-labels, with the inherited order."""
-    table = irreducible_table(lattice)
-    labels = dict(cover_labeling(lattice).jlabel)
-    inherited = frozenset(
-        (a, b) for a in table.cji for b in table.cji if a != b and lattice.leq(a, b)
-    )
     return LabeledPoset(
         poset=lattice,
-        labels=labels,
-        alphabet=table.cji,
-        label_leq=inherited,
+        labels=dict(cover_labeling(lattice).jlabel),
+        alphabet=irreducible_table(lattice).cji,
+        label_leq=_inherited_label_leq(lattice),
     )
 
 

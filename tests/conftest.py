@@ -100,7 +100,7 @@ def four_condition_flags(lattice, group):
     found = S.cjr_oracle(lattice, x)
     oracle_confirms = found is not None and found.joinands == group
 
-    from sdlat.canonical import irredundant_representations
+    from oracles import irredundant_representations
 
     irredundant = irredundant_representations(lattice, x)
     is_irredundant = group in set(irredundant)

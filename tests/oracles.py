@@ -1,0 +1,125 @@
+"""Slow reference implementations that only the tests call.
+
+Each builds from a definition, or rebuilds from scratch, what the library
+reads off masks or off intervals of the parent lattice:
+
+* ``from_leq``: a poset from an order predicate, by a scan over all pairs;
+* ``restrict`` and ``as_lattice``: a sublattice or interval rebuilt as a
+  standalone lattice, and ``interval_cji_transfer`` checked against it;
+* ``interval_restriction``: a labeled poset cut down to an interval;
+* ``irredundant_representations`` and ``cmr_matches_kappa_bar``: join
+  representations by enumeration, and the kappa_bar identity on CJR/CMR.
+"""
+
+from sdlat import InconsistentLabels, LabeledPoset, Lattice, Poset, cjr, cmr, irreducible_table
+from sdlat import j_label_interval
+from sdlat.canonical import _oracle_context
+from sdlat.core import _bits
+from sdlat.irreducibles import kappa_bar_map
+
+
+def _transpose(down, n):
+    up = [0] * n
+    for i, mask in enumerate(down):
+        for j in _bits(mask):
+            up[j] |= 1 << i
+    return up
+
+
+def from_leq(names, leq):
+    """Build a poset from a reflexive/antisymmetric/transitive predicate on names."""
+    names = list(names)
+    n = len(names)
+    down = [0] * n
+    for i, a in enumerate(names):
+        for j, b in enumerate(names):
+            if leq(b, a):
+                down[i] |= 1 << j
+    for i in range(n):
+        if not down[i] >> i & 1:
+            raise ValueError(f"relation is not reflexive at {names[i]!r}")
+    up = _transpose(down, n)
+    covers = []
+    for i in range(n):
+        strict = down[i] & ~(1 << i)
+        for j in _bits(strict):
+            if down[j] >> i & 1:
+                raise ValueError(f"relation is not antisymmetric on {names[i]!r}, {names[j]!r}")
+            if not (up[j] & strict & ~(1 << j)):
+                covers.append((names[j], names[i]))
+    poset = Poset.from_covers(names, covers)
+    for i, a in enumerate(names):
+        if poset.down[poset.index[a]] != sum(1 << poset.index[names[j]] for j in _bits(down[i])):
+            raise ValueError("relation is not transitive")
+    return poset
+
+
+def restrict(lattice, members):
+    """Sublattice on a subset closed under join and meet.
+
+    Covers are recomputed as the transitive reduction of the restricted
+    order, so the result is a valid standalone lattice.
+    """
+    members = sorted(set(members), key=lambda s: lattice.index[s])
+    mask = sum(1 << lattice.index[s] for s in members)
+    covers = []
+    for s in members:
+        i = lattice.index[s]
+        for j in _bits(lattice.down[i] & mask & ~(1 << i)):
+            if not (lattice.up[j] & lattice.down[i] & mask & ~(1 << i) & ~(1 << j)):
+                covers.append((lattice.names[j], s))
+    return Lattice.build_from_covers(members, covers)
+
+
+def as_lattice(view):
+    """Rebuild an IntervalView as a standalone lattice with the same names."""
+    return restrict(view.parent, view.members)
+
+
+def interval_cji_transfer(lattice, lo, hi):
+    """Bijection j -> lo v j from the interval's labels onto cji([lo, hi]).
+
+    The image is verified against the completely join-irreducible elements of
+    the interval sublattice recomputed from scratch.
+    """
+    mapping = {j: lattice.join(lo, j) for j in j_label_interval(lattice, lo, hi)}
+    sub_cji = set(irreducible_table(as_lattice(lattice.interval(lo, hi))).cji)
+    if len(set(mapping.values())) != len(mapping):
+        raise InconsistentLabels(f"transfer to [{lo!r}, {hi!r}] is not injective")
+    if set(mapping.values()) != sub_cji:
+        raise InconsistentLabels(f"transfer does not hit cji of [{lo!r}, {hi!r}]")
+    return mapping
+
+
+def interval_restriction(lp, lo, hi):
+    """The labeled subposet of ``lp`` on [lo, hi]; covers and labels restrict."""
+    p = lp.poset
+    members = [s for s in p.names if p.leq(lo, s) and p.leq(s, hi)]
+    member_set = set(members)
+    covers = [(a, b) for a, b in p.covers_named() if a in member_set and b in member_set]
+    return LabeledPoset(
+        poset=Poset.from_covers(members, covers),
+        labels={c: lp.labels[c] for c in covers},
+        alphabet=lp.alphabet,
+        label_leq=lp.label_leq,
+    )
+
+
+def irredundant_representations(lattice, x, size_cap=12):
+    """All irredundant join representations of x, as sorted name tuples."""
+    ctx = _oracle_context(lattice, size_cap)
+    xi = lattice.index[x]
+    jm = ctx.join_of_mask
+    return [
+        tuple(sorted(lattice.names[a] for a in _bits(mask)))
+        for mask in ctx.groups[xi]
+        if all(jm[mask & ~(1 << a)] != xi for a in _bits(mask))
+    ]
+
+
+def cmr_matches_kappa_bar(lattice, x):
+    """Check CMR(kappa_bar(x)) = kappa(CJR(x)), the inverse-bijection identity."""
+    table = irreducible_table(lattice)
+    image = kappa_bar_map(lattice)[x]
+    expected = sorted(table.kappa[j] for j in cjr(lattice, x).joinands)
+    return list(cmr(lattice, image).joinands) == expected

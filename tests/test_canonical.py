@@ -92,7 +92,7 @@ def test_complex_chain_and_diamond():
 
 
 def test_kappa_bar_sends_cjr_to_cmr(fig1, small_sd_lattices):
-    from sdlat.canonical import cmr_matches_kappa_bar
+    from oracles import cmr_matches_kappa_bar
 
     for lat in [fig1] + small_sd_lattices[:25]:
         for x in lat.names:

@@ -11,10 +11,13 @@ from sdlat import (
     NotALattice,
     NotComparable,
     NotTransitiveReduction,
+    Poset,
+    SchemaError,
     SizeLimitExceeded,
 )
 
 from conftest import sd_exponential_oracle, sd_family_lattices, transitive_reduction_from_order
+from oracles import as_lattice
 
 
 def test_fig1_builds(fig1):
@@ -44,6 +47,27 @@ def test_redundant_cover_rejected():
         Lattice.build_from_covers(["0", "a", "1"], [("0", "a"), ("a", "1"), ("0", "1")])
 
 
+def test_redundant_cover_reported_before_missing_bounds():
+    # two maximal elements, b and c, and the cover 0 < b is implied via a
+    with pytest.raises(NotTransitiveReduction, match="implied via 'a'"):
+        Lattice.build_from_covers(["0", "a", "b", "c"], [("0", "a"), ("a", "b"), ("0", "b"), ("0", "c")])
+
+
+def test_build_runs_poset_init_once(monkeypatch):
+    calls = []
+    init = Poset.__init__
+
+    def counting(self, names, down, covers):
+        calls.append(names)
+        init(self, names, down, covers)
+
+    monkeypatch.setattr(Poset, "__init__", counting)
+    for lat in (S.generate("fig1"), S.generate("tamari", 3), S.generate("chain", 0)):
+        del calls[:]
+        again = Lattice.build_from_covers(lat.names, lat.covers_named())
+        assert calls == [again.names] and again == lat
+
+
 def test_non_lattice_rejected():
     covers = [("bot", "a"), ("bot", "b"), ("a", "x"), ("b", "x"), ("a", "y"), ("b", "y"), ("x", "top"), ("y", "top")]
     with pytest.raises(NotALattice):
@@ -56,8 +80,10 @@ def test_missing_bounds_rejected():
 
 
 def test_duplicate_names_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         Lattice.build_from_covers(["a", "a"], [])
+    with pytest.raises(SchemaError):
+        Lattice.build_from_covers(["a", ""], [])
 
 
 def test_leq_golden(fig1):
@@ -103,7 +129,7 @@ def test_interval_is_sublattice(fig1):
         assert view.meet(a, b) in view
         assert view.join(a, b) == fig1.join(a, b)
         assert view.meet(a, b) == fig1.meet(a, b)
-    sub = view.as_lattice()
+    sub = as_lattice(view)
     for a, b in itertools.product(view.members, repeat=2):
         assert sub.join(a, b) == fig1.join(a, b)
         assert sub.meet(a, b) == fig1.meet(a, b)

@@ -3,10 +3,10 @@
 Each oracle here is the direct definition (or the old quadratic scan):
 lattice checks against the ordered two-sided scan, the kappa test of
 semidistributivity against the fiber fold, cover labels and kappa against
-scans over every element, and the derived orders against ``Poset.from_leq``
-on the defining relation.  Inputs: fixed families, the random SD pool,
-non-semidistributive lattices, and Hypothesis-drawn posets, most of which
-are not lattices.
+scans over every element, and the derived orders against ``from_leq`` (in
+``tests/oracles.py``) on the defining relation.  Inputs: fixed families,
+the random SD pool, non-semidistributive lattices, and Hypothesis-drawn
+posets, most of which are not lattices.
 """
 
 import ast
@@ -19,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdlat as S
-from sdlat import Lattice, NotALattice, NotSemidistributive, Poset
+from sdlat import Lattice, NotALattice, NotSemidistributive
 from sdlat.cores import lab_down_map, lab_up_map, w_map
 
 from conftest import sd_exponential_oracle
+from oracles import from_leq
 
 SRC = Path(S.__file__).resolve().parent
 
@@ -95,11 +96,11 @@ def derived_orders_oracle(lat):
     lab_down = {x: labels(lat.meet(x, lat.meet_set(lat.lower_covers(x))), x) for x in lat.names}
     lab_up = {x: labels(kbar[x], pop_up(kbar[x])) for x in lat.names}
     orders = {
-        "kappaOrder": Poset.from_leq(
+        "kappaOrder": from_leq(
             lat.names, lambda a, b: lat.leq(a, b) and lat.leq(kbar[b], kbar[a])
         ),
-        "cloDown": Poset.from_leq(lat.names, lambda a, b: lab_down[a] <= lab_down[b]),
-        "cloUp": Poset.from_leq(lat.names, lambda a, b: lab_up[a] <= lab_up[b]),
+        "cloDown": from_leq(lat.names, lambda a, b: lab_down[a] <= lab_down[b]),
+        "cloUp": from_leq(lat.names, lambda a, b: lab_up[a] <= lab_up[b]),
     }
     return kbar, lab_down, lab_up, orders
 
@@ -150,8 +151,8 @@ def check_sd_lattice(lat):
     assert lab_down_map(lat) == lab_down and lab_up_map(lat) == lab_up
     for fast in (S.kappa_order(lat), S.clo_down(lat), S.clo_up(lat)):
         slow = oracle[fast.kind]
-        assert fast.poset.names == slow.names
-        assert fast.poset.down == slow.down
+        assert fast.names == slow.names
+        assert fast.down == slow.down
         assert fast.covers_named() == slow.covers_named()
         assert fast.lattice_failure() == slow._two_sided_scan()
     report = S.orders_coincide_report(lat)
@@ -206,7 +207,7 @@ def ranked_poset(pick):
             down[a].add("bot")
     if "top" in names:
         down["top"] = set(names)
-    return Poset.from_leq(names, lambda a, b: a in down[b])
+    return from_leq(names, lambda a, b: a in down[b])
 
 
 @st.composite
@@ -251,7 +252,7 @@ def test_derived_orders_that_are_not_lattices():
     seen = 0
     for lat in [S.generate("fig1"), S.generate("fig4")] + _random_pool():
         for order in (S.kappa_order(lat), S.clo_down(lat), S.clo_up(lat)):
-            check_poset(order.poset)
+            check_poset(order)
             seen += not order.is_lattice()
     assert seen >= 2
 
@@ -301,7 +302,7 @@ def test_no_assert_statements(module):
 
 @pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
 def test_no_from_leq_calls(module):
-    # Poset.from_leq is an O(n^2) predicate builder kept for tests as an
+    # from_leq is an O(n^2) predicate builder kept in tests/oracles.py as an
     # oracle; library paths build orders from masks or covers
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     lines = [

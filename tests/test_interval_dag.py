@@ -1,7 +1,7 @@
 """The interval DAG of ``sdlat.sequences`` against the rebuild recursion.
 
 The oracles below are the recursion the DAG replaced: every interval
-[j, pop_up(j)] is rebuilt with ``IntervalView.as_lattice`` and recursed into
+[j, pop_up(j)] is rebuilt with ``oracles.as_lattice`` and recursed into
 on its own, with names mapped back through ``j -> lo v j``.  Enumeration,
 verification (including the failing entry and depth), right-extendability
 and the recursive clo-up labels, errors included, must agree on fixed
@@ -20,6 +20,7 @@ from sdlat import NoBoundsError, RecursionMismatch
 from sdlat.cores import clo_up, lab_up_map, pop_up
 
 from conftest import sd_family_lattices
+from oracles import as_lattice
 
 FAMILIES = [("tamari", n) for n in range(3, 7)] + [("boolean", n) for n in range(2, 6)]
 FAMILIES += [("fig1", None), ("fig4", None)] + [("chain", n) for n in range(2, 7)]
@@ -44,7 +45,7 @@ class RebuildOracle:
         if key not in self._subs:
             hi = pop_up(lat, lo)
             back = {lat.join(lo, j): j for j in S.j_label_interval(lat, lo, hi)}
-            self._subs[key] = (lat, lat.interval(lo, hi).as_lattice(), back)
+            self._subs[key] = (lat, as_lattice(lat.interval(lo, hi)), back)
         return self._subs[key][1:]
 
     def enumerate(self, lat):
@@ -89,7 +90,7 @@ class RebuildOracle:
             return {}
         derived = clo_up(lat)
         try:
-            top = derived.poset.top_name()
+            top = derived.top_name()
         except NoBoundsError as exc:
             raise RecursionMismatch(
                 f"derived order has no unique top element ({exc}); "
@@ -99,7 +100,7 @@ class RebuildOracle:
         kbar = S.irreducibles.kappa_bar_map(lat)
         full = up_sets[top]
         out = {}
-        for u in derived.poset.lower_covers(top):
+        for u in derived.lower_covers(top):
             j = kbar[u]
             if j not in table.jstar:
                 raise RecursionMismatch(f"kappa_bar({u!r}) = {j!r} is not completely join-irreducible")

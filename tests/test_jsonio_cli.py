@@ -226,6 +226,24 @@ def test_cli_dot(tmp_path, capsys):
     assert '"mod" -> "add(S2)" [label="P1"];' in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "doc, args, message",
+    [
+        ({"elements": ["a", "a"], "covers": []}, ["check"], "element names must be unique"),
+        ({"elements": ["a", "b"], "covers": [["a", "c"]]}, ["check"], "cover ('a', 'c') mentions an unknown element"),
+        (None, ["el", "--order", "P1,P1"], "order must be a permutation of the label alphabet"),
+    ],
+)
+def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, doc, args, message):
+    path = tmp_path / "doc.json"
+    if doc is None:
+        path.write_text(emit_json(to_document(S.generate("preprojA2"))), encoding="utf-8")
+    else:
+        path.write_text(json.dumps({"schemaVersion": "1", **doc}), encoding="utf-8")
+    assert cli_main([args[0], str(path), *args[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cli_input_errors(tmp_path, capsys):
     assert cli_main(["check", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"

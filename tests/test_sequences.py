@@ -149,7 +149,7 @@ def test_label_clo_up_fig1(fig1):
 def test_label_clo_up_top_covers_are_kappa_bar(fig1, fig4):
     for lat in (fig1, fig4):
         labeling = S.label_clo_up(lat)
-        top = labeling.poset.poset.top_name()
+        top = labeling.poset.top_name()
         for (lo, hi), lbl in labeling.labels.items():
             if hi == top:
                 assert lbl == S.kappa_bar(lat, lo)
@@ -178,7 +178,7 @@ def test_label_clo_up_needs_nuclear_top():
 def test_maximal_count_matches_clo_up_chains_fig1(fig1):
     # On the running example the maximal sequences biject with the maximal
     # chains of the upper core label order.
-    poset = S.clo_up(fig1).poset
+    poset = S.clo_up(fig1)
     top, bot = poset.top_name(), poset.bottom_name()
 
     def chains(frm):

@@ -6,6 +6,7 @@ import pytest
 
 import sdlat as S
 from sdlat import (
+    BadParameter,
     ChainCapExceeded,
     ELReport,
     ELWitness,
@@ -16,6 +17,7 @@ from sdlat import (
 )
 
 from conftest import sd_family_lattices
+from oracles import interval_restriction
 
 
 def el_by_chains(lp, order, flip=False, chain_cap=10**6):
@@ -175,7 +177,7 @@ def test_good_diamond_passes_both_conventions():
 
 
 def test_order_must_be_permutation(preproj):
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParameter):
         S.is_el_labeling(preproj, ("P1", "S2"))
 
 
@@ -224,7 +226,7 @@ def test_el_is_interval_local(fig1, preproj):
         names = lp.poset.names
         for lo, hi in itertools.product(names, repeat=2):
             if lp.poset.leq(lo, hi):
-                sub = lp.interval_restriction(lo, hi)
+                sub = interval_restriction(lp, lo, hi)
                 assert S.is_el_labeling(sub, order)
 
 
