@@ -63,8 +63,8 @@ class ChainCapExceeded(LatticeError):
 
 
 class SchemaError(LatticeError):
-    """A lattice document does not conform to the JSON schema, or the names
-    given for a poset are repeated, empty, or missing from its covers."""
+    """A lattice document does not conform to the JSON schema, or a poset's
+    names are repeated or empty, or one of its covers names no element."""
 
 
 class BadParameter(LatticeError):
