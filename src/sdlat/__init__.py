@@ -5,7 +5,6 @@ from .canonical import (
     FlagComplex,
     canonical_join_complex,
     cjr,
-    cjr_oracle,
     cmr,
     joins_canonically,
 )

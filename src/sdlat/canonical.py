@@ -3,9 +3,10 @@
 The canonical join representation of x is the unique antichain A with
 join x that refines every join representation of x (A refines B when each
 a in A sits below some b in B).  In a finite semidistributive lattice the
-canonical joinands are exactly the labels of the covers below x, which is
-the fast path used here; ``cjr_oracle`` implements the raw refinement
-definition by exhaustive enumeration and serves as the independent check.
+canonical joinands are exactly the j-labels of the covers below x and the
+canonical meetands the m-labels of the covers above x, so both are read
+off the label masks.  The raw refinement definition, by exhaustive
+enumeration, is the independent check and lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Lattice, _bits
-from .errors import NotJoinIrreducible, NoUniqueMax, SizeLimitExceeded
-from .irreducibles import cover_labeling, irreducible_table
+from .core import Lattice
+from .errors import BadParameter, NotJoinIrreducible, SizeLimitExceeded
+from .irreducibles import _j_label_idx, _kappa, irreducible_table
 
 
 @dataclass(frozen=True)
@@ -34,15 +35,17 @@ class CanonicalRep:
 
 def cjr(lattice: Lattice, x: str) -> CanonicalRep:
     """Canonical join representation from the labels of the covers below x."""
-    jlabel = cover_labeling(lattice).jlabel
-    joinands = sorted(jlabel[(u, x)] for u in lattice.lower_covers(x))
+    i = lattice.index[x]
+    _kappa(lattice)  # raises NotSemidistributive even when x is the bottom
+    joinands = sorted(lattice.names[_j_label_idx(lattice, u, i)] for u in lattice._dcov[i])
     return CanonicalRep(element=x, joinands=tuple(joinands))
 
 
 def cmr(lattice: Lattice, x: str) -> CanonicalRep:
     """Canonical meet representation from the labels of the covers above x."""
-    mlabel = cover_labeling(lattice).mlabel
-    meetands = sorted(mlabel[(x, v)] for v in lattice.upper_covers(x))
+    i = lattice.index[x]
+    kappa = _kappa(lattice)
+    meetands = sorted(lattice.names[kappa[_j_label_idx(lattice, i, v)]] for v in lattice._ucov[i])
     return CanonicalRep(element=x, joinands=tuple(meetands), kind="meet")
 
 
@@ -56,74 +59,9 @@ def joins_canonically(lattice: Lattice, elems) -> bool:
     for a in elems:
         if a not in table.jstar:
             raise NotJoinIrreducible(f"{a!r} is not completely join-irreducible")
-    for a, b in itertools.permutations(elems, 2):
-        if not lattice.leq(a, table.kappa[b]):
-            return False
-    return True
-
-
-class _OracleContext:
-    """Joins of all element subsets of a small lattice, grouped by value."""
-
-    def __init__(self, lattice: Lattice):
-        n = lattice.n
-        join = lattice._join_idx
-        jm = [0] * (1 << n)
-        jm[0] = lattice._bot
-        for mask in range(1, 1 << n):
-            low = (mask & -mask).bit_length() - 1
-            jm[mask] = join(jm[mask & (mask - 1)], low)
-        groups: dict[int, list[int]] = {i: [] for i in range(n)}
-        for mask, v in enumerate(jm):
-            groups[v].append(mask)
-        self.join_of_mask = jm
-        self.groups = groups
-        strict_up = [lattice.up[i] & ~(1 << i) for i in range(n)]
-        self.strict_up = strict_up
-
-    def is_antichain(self, mask: int) -> bool:
-        for i in _bits(mask):
-            if self.strict_up[i] & mask:
-                return False
-        return True
-
-
-def _oracle_context(lattice: Lattice, size_cap: int) -> _OracleContext:
-    if lattice.n > size_cap:
-        raise SizeLimitExceeded(
-            f"cjr_oracle enumerates 2^{lattice.n} subsets; cap is {size_cap} elements"
-        )
-    ctx = lattice.memo.get("oracle_context")
-    if ctx is None:
-        ctx = lattice.memo["oracle_context"] = _OracleContext(lattice)
-    return ctx
-
-
-def cjr_oracle(lattice: Lattice, x: str, size_cap: int = 12) -> Optional[CanonicalRep]:
-    """Literal canonical-join-representation search; no semidistributivity needed.
-
-    Enumerates every antichain with join x and returns the one refining every
-    join representation of x, or None when no such antichain exists (so the
-    element has no canonical join representation).  Exponential in |L|.
-    """
-    ctx = _oracle_context(lattice, size_cap)
-    xi = lattice.index[x]
-    reps = ctx.groups[xi]
-    n = lattice.n
-    # ok[a]: every representation of x contains something above a.
-    ok = [all(lattice.up[a] & mask for mask in reps) for a in range(n)]
-    found = None
-    for mask in reps:
-        if not ctx.is_antichain(mask):
-            continue
-        if all(ok[a] for a in _bits(mask)):
-            if found is not None:
-                raise NoUniqueMax(f"two distinct canonical join representations of {x!r}")
-            found = mask
-    if found is None:
-        return None
-    joinands = tuple(sorted(lattice.names[a] for a in _bits(found)))
-    return CanonicalRep(element=x, joinands=joinands)
+    kappa, down = _kappa(lattice), lattice.down
+    ids = [lattice.index[a] for a in elems]
+    return all(down[kappa[b]] >> a & 1 for a, b in itertools.permutations(ids, 2))
 
 
 @dataclass(frozen=True)
@@ -148,13 +86,15 @@ class FlagComplex:
 
     def faces(self, max_size: Optional[int] = None, cap: int = 100000) -> list[tuple[str, ...]]:
         """Enumerate faces (cliques) by size, smallest first; bounded by ``cap``."""
+        if max_size is not None and max_size < 0:
+            raise BadParameter(f"max_size must be non-negative, got {max_size}")
         adj = {v: set() for v in self.vertices}
         for e in self.edges:
             a, b = sorted(e)
             adj[a].add(b)
             adj[b].add(a)
         out: list[tuple[str, ...]] = [()]
-        frontier = [(v,) for v in self.vertices]
+        frontier = [(v,) for v in self.vertices] if max_size != 0 else []
         while frontier:
             out.extend(frontier)
             if len(out) > cap:
@@ -175,8 +115,10 @@ class FlagComplex:
 def canonical_join_complex(lattice: Lattice) -> FlagComplex:
     """Vertices are cji(L); edges are the pairs joining canonically."""
     table = irreducible_table(lattice)
-    edges = set()
-    for a, b in itertools.combinations(table.cji, 2):
-        if joins_canonically(lattice, (a, b)):
-            edges.add(frozenset((a, b)))
-    return FlagComplex(vertices=table.cji, edges=frozenset(edges))
+    names, index, down, kappa = lattice.names, lattice.index, lattice.down, _kappa(lattice)
+    edges = frozenset(
+        frozenset((names[a], names[b]))
+        for a, b in itertools.combinations([index[j] for j in table.cji], 2)
+        if down[kappa[b]] >> a & 1 and down[kappa[a]] >> b & 1
+    )
+    return FlagComplex(vertices=table.cji, edges=edges)

@@ -44,6 +44,31 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _name_list(names) -> str:
+    """Names for an error message: all of them up to six, else the first six and the count."""
+    names = list(names)
+    if len(names) <= 6:
+        return str(names)
+    return f"{str(names[:6])[:-1]}, ...] ({len(names)} in all)"
+
+
+def memoized(fn):
+    """Cache ``fn(lattice)`` in ``lattice.memo``, keyed by the function ``fn``.
+
+    The name, qualified name and docstring are copied by hand and no
+    ``__wrapped__`` is set, so the result stands in for ``fn`` everywhere.
+    """
+
+    def cached(lattice):
+        memo = lattice.memo
+        if fn not in memo:
+            memo[fn] = fn(lattice)
+        return memo[fn]
+
+    cached.__name__, cached.__qualname__, cached.__doc__ = fn.__name__, fn.__qualname__, fn.__doc__
+    return cached
+
+
 def _cover_pairs(down: list[int]) -> list[tuple[int, int]]:
     """The covers (j, i) of transitive down-set masks indexed along a linear extension.
 
@@ -234,13 +259,13 @@ class Poset:
     def bottom_name(self) -> str:
         mins = self.minimal_elements()
         if len(mins) != 1:
-            raise NoBoundsError(f"no unique minimum: {list(mins)}")
+            raise NoBoundsError(f"no unique minimum: {_name_list(mins)}")
         return mins[0]
 
     def top_name(self) -> str:
         maxs = self.maximal_elements()
         if len(maxs) != 1:
-            raise NoBoundsError(f"no unique maximum: {list(maxs)}")
+            raise NoBoundsError(f"no unique maximum: {_name_list(maxs)}")
         return maxs[0]
 
     def is_lattice_poset(self) -> bool:
@@ -312,8 +337,9 @@ class Lattice(Poset):
     unique bottom and top, and every two upper covers of a common element
     must have a join, which by the cover-pair lemma (see
     ``Poset._cover_pairs_have_joins``) gives every pair a unique join and
-    meet.  Derived data (kappa tables, labels, derived orders) is kept in
-    the per-lattice ``memo`` dict, keyed by a short name of what it holds.
+    meet.  Derived data (kappa tables, labels, derived orders) is cached
+    by ``memoized`` in the per-lattice ``memo`` dict, keyed by the function
+    that computed it.
     """
 
     def __init__(self, names, down, covers):
@@ -323,9 +349,9 @@ class Lattice(Poset):
         if self.n == 0:
             raise NoBoundsError("empty lattice")
         if len(mins) != 1:
-            raise NoBoundsError(f"no unique minimum: {[self.names[i] for i in mins]}")
+            raise NoBoundsError(f"no unique minimum: {_name_list(self.names[i] for i in mins)}")
         if len(maxs) != 1:
-            raise NoBoundsError(f"no unique maximum: {[self.names[i] for i in maxs]}")
+            raise NoBoundsError(f"no unique maximum: {_name_list(self.names[i] for i in maxs)}")
         self._bot = mins[0]
         self._top = maxs[0]
         if not self._cover_pairs_have_joins():
@@ -394,9 +420,15 @@ class Lattice(Poset):
     def is_cover(self, a: str, b: str) -> bool:
         return self.index[b] in self._ucov[self.index[a]]
 
-    def interval(self, lo: str, hi: str) -> "IntervalView":
-        if not self.leq(lo, hi):
+    def _ends(self, lo: str, hi: str) -> tuple[int, int]:
+        """The indices of lo and hi; raises NotComparable unless lo <= hi."""
+        b, a = self.index[hi], self.index[lo]
+        if not self.down[b] >> a & 1:
             raise NotComparable(f"{lo!r} is not below {hi!r}")
+        return a, b
+
+    def interval(self, lo: str, hi: str) -> "IntervalView":
+        self._ends(lo, hi)
         return IntervalView(self, lo, hi)
 
     def dual(self) -> "Lattice":
@@ -407,6 +439,7 @@ class Lattice(Poset):
 
     # -- semidistributivity --------------------------------------------------
 
+    @memoized
     def _kappa_indices(self) -> Optional[tuple[dict[int, int], dict[int, int]]]:
         """kappa and kappa_d on element indices, or None if the lattice is not SD.
 
@@ -417,14 +450,8 @@ class Lattice(Poset):
         candidates for kappa(j) = max{y : j ^ y = j_*} are exactly
         ``up[j_*] & ~up[j]``, and those for kappa_d(m) are
         ``down[m^*] & ~down[m]``, so the whole check is one mask test per
-        irreducible.  Memoized.
+        irreducible.
         """
-        memo = self.memo
-        if "kappa_indices" not in memo:
-            memo["kappa_indices"] = self._find_kappa_maps()
-        return memo["kappa_indices"]
-
-    def _find_kappa_maps(self) -> Optional[tuple[dict[int, int], dict[int, int]]]:
         up, down = self.up, self.down
         kappa: dict[int, int] = {}
         for j in range(self.n):
@@ -492,20 +519,18 @@ class Lattice(Poset):
 
 
 class IntervalView:
-    """The interval [lo, hi] of a lattice, viewed as a sublattice.
+    """The interval [lo, hi] of a lattice, held as its two ends.
 
-    Intervals of a lattice are closed under join and meet and their cover
-    relations agree with the ambient ones, so all queries delegate to the
-    parent lattice restricted to the member set.
+    An interval is closed under join and meet and its covers are the
+    parent's covers between its members, so every query on it is a query
+    on the parent; the view only names the ends and the member mask.
     """
 
     def __init__(self, parent: Lattice, lo: str, hi: str):
         self.parent = parent
         self.lo = lo
         self.hi = hi
-        self._lo = parent.index[lo]
-        self._hi = parent.index[hi]
-        self.mask = parent.up[self._lo] & parent.down[self._hi]
+        self.mask = parent.up[parent.index[lo]] & parent.down[parent.index[hi]]
 
     @property
     def members(self) -> tuple[str, ...]:
@@ -517,51 +542,6 @@ class IntervalView:
 
     def __len__(self) -> int:
         return self.mask.bit_count()
-
-    def _require(self, *names: str) -> None:
-        for s in names:
-            if s not in self:
-                raise NotComparable(f"{s!r} is not in the interval [{self.lo!r}, {self.hi!r}]")
-
-    def leq(self, a: str, b: str) -> bool:
-        self._require(a, b)
-        return self.parent.leq(a, b)
-
-    def join(self, a: str, b: str) -> str:
-        self._require(a, b)
-        return self.parent.join(a, b)
-
-    def meet(self, a: str, b: str) -> str:
-        self._require(a, b)
-        return self.parent.meet(a, b)
-
-    def join_set(self, elems: Iterable[str]) -> str:
-        acc = self.lo
-        for a in elems:
-            self._require(a)
-            acc = self.parent.join(acc, a)
-        return acc
-
-    def meet_set(self, elems: Iterable[str]) -> str:
-        acc = self.hi
-        for a in elems:
-            self._require(a)
-            acc = self.parent.meet(acc, a)
-        return acc
-
-    def upper_covers(self, a: str) -> tuple[str, ...]:
-        self._require(a)
-        i = self.parent.index[a]
-        return tuple(
-            sorted(self.parent.names[j] for j in self.parent._ucov[i] if self.mask >> j & 1)
-        )
-
-    def lower_covers(self, a: str) -> tuple[str, ...]:
-        self._require(a)
-        i = self.parent.index[a]
-        return tuple(
-            sorted(self.parent.names[j] for j in self.parent._dcov[i] if self.mask >> j & 1)
-        )
 
 
 def posets_isomorphic(p, q, size_cap: int = 14) -> Optional[dict[str, str]]:

@@ -13,20 +13,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import IntervalView, Lattice, Poset, _bits, _lsb, _msb
-from .errors import InconsistentLabels, NotComparable
+from .core import IntervalView, Lattice, Poset, _bits, _lsb, _msb, memoized
+from .errors import InconsistentLabels
 from .irreducibles import (
     _above,
+    _j_label_idx,
+    _kappa,
     _kappa_bar_idx,
     _labels_between,
     _sorted_names,
-    cover_labeling,
 )
 
 
 def pop_down(lattice: Lattice, x: str) -> str:
     """Meet of x with everything x covers; fixes the bottom element."""
-    return lattice.names[_pop_down_idx(lattice, lattice.index[x])]
+    return lattice.names[_pop_down_idx(lattice, lattice.index[x], lattice._bot)]
 
 
 def pop_up(lattice: Lattice, x: str) -> str:
@@ -34,11 +35,13 @@ def pop_up(lattice: Lattice, x: str) -> str:
     return lattice.names[_pop_up_idx(lattice, lattice.index[x], lattice._top)]
 
 
-def _pop_down_idx(lattice: Lattice, x: int) -> int:
-    down = lattice.down
+def _pop_down_idx(lattice: Lattice, x: int, a: int) -> int:
+    """pop_down of x inside an interval [a, .]: x met with its lower covers >= a."""
+    down, up_a = lattice.down, lattice.up[a]
     acc = down[x]
     for u in lattice._dcov[x]:
-        acc &= down[u]
+        if up_a >> u & 1:
+            acc &= down[u]
     return _msb(acc)
 
 
@@ -54,20 +57,18 @@ def _pop_up_idx(lattice: Lattice, x: int, b: int) -> int:
 
 def atom_labels(lattice: Lattice, lo: str, hi: str) -> tuple[str, ...]:
     """Labels j of the covers lo < z inside [lo, hi] (the interval's atoms)."""
-    if not lattice.leq(lo, hi):
-        raise NotComparable(f"{lo!r} is not below {hi!r}")
-    jlabel = cover_labeling(lattice).jlabel
-    view = lattice.interval(lo, hi)
-    return tuple(sorted(jlabel[(lo, z)] for z in view.upper_covers(lo)))
+    a, b = lattice._ends(lo, hi)
+    _kappa(lattice)  # raises NotSemidistributive even when [lo, hi] has no atoms
+    atoms = [z for z in lattice._ucov[a] if lattice.down[b] >> z & 1]
+    return _sorted_names(lattice, sum(1 << _j_label_idx(lattice, a, z) for z in atoms))
 
 
 def coatom_labels(lattice: Lattice, lo: str, hi: str) -> tuple[str, ...]:
     """Labels kappa(j) of the covers z < hi inside [lo, hi] (the coatoms)."""
-    if not lattice.leq(lo, hi):
-        raise NotComparable(f"{lo!r} is not below {hi!r}")
-    mlabel = cover_labeling(lattice).mlabel
-    view = lattice.interval(lo, hi)
-    return tuple(sorted(mlabel[(z, hi)] for z in view.lower_covers(hi)))
+    a, b = lattice._ends(lo, hi)
+    kappa = _kappa(lattice)
+    coatoms = [z for z in lattice._dcov[b] if lattice.up[a] >> z & 1]
+    return _sorted_names(lattice, sum(1 << kappa[_j_label_idx(lattice, z, b)] for z in coatoms))
 
 
 def is_nuclear(lattice: Lattice, lo: str, hi: str) -> bool:
@@ -77,18 +78,14 @@ def is_nuclear(lattice: Lattice, lo: str, hi: str) -> bool:
     nuclear.  The reachability clause of the definition holds automatically
     in a finite lattice and is not re-checked.
     """
-    if not lattice.leq(lo, hi):
-        raise NotComparable(f"{lo!r} is not below {hi!r}")
-    view = lattice.interval(lo, hi)
-    return view.meet_set(view.lower_covers(hi)) == lo
+    a, b = lattice._ends(lo, hi)
+    return _pop_down_idx(lattice, b, a) == a
 
 
 def is_conuclear(lattice: Lattice, lo: str, hi: str) -> bool:
     """True when hi is the join of the atoms of [lo, hi]; dual to is_nuclear."""
-    if not lattice.leq(lo, hi):
-        raise NotComparable(f"{lo!r} is not below {hi!r}")
-    view = lattice.interval(lo, hi)
-    return view.join_set(view.upper_covers(lo)) == hi
+    a, b = lattice._ends(lo, hi)
+    return _pop_up_idx(lattice, a, b) == b
 
 
 @dataclass(frozen=True)
@@ -115,7 +112,7 @@ def core_data(lattice: Lattice, x: str) -> CoreData:
     names = lattice.names
     i = lattice.index[x]
     k = _kappa_bar_idx(lattice)[i]
-    pd = _pop_down_idx(lattice, i)
+    pd = _pop_down_idx(lattice, i, lattice._bot)
     pk = _pop_up_idx(lattice, k, lattice._top)
     return CoreData(
         element=x,
@@ -129,42 +126,33 @@ def core_data(lattice: Lattice, x: str) -> CoreData:
     )
 
 
+@memoized
 def _lab_down_masks(lattice: Lattice) -> list[int]:
-    masks = lattice.memo.get("lab_down_masks")
-    if masks is None:
-        masks = [_labels_between(lattice, _pop_down_idx(lattice, x), x) for x in range(lattice.n)]
-        lattice.memo["lab_down_masks"] = masks
-    return masks
+    bot = lattice._bot
+    return [_labels_between(lattice, _pop_down_idx(lattice, x, bot), x) for x in range(lattice.n)]
 
 
+@memoized
 def _lab_up_masks(lattice: Lattice) -> list[int]:
-    masks = lattice.memo.get("lab_up_masks")
-    if masks is None:
-        masks = [
-            _labels_between(lattice, k, _pop_up_idx(lattice, k, lattice._top))
-            for k in _kappa_bar_idx(lattice)
-        ]
-        lattice.memo["lab_up_masks"] = masks
-    return masks
+    top = lattice._top
+    return [_labels_between(lattice, k, _pop_up_idx(lattice, k, top)) for k in _kappa_bar_idx(lattice)]
 
 
-def _label_sets(lattice: Lattice, key: str, masks: list[int]) -> dict[str, frozenset[str]]:
-    sets = lattice.memo.get(key)
-    if sets is None:
-        names = lattice.names
-        sets = {names[x]: frozenset(names[j] for j in _bits(m)) for x, m in enumerate(masks)}
-        lattice.memo[key] = sets
-    return sets
+def _label_sets(lattice: Lattice, masks: list[int]) -> dict[str, frozenset[str]]:
+    names = lattice.names
+    return {names[x]: frozenset(names[j] for j in _bits(m)) for x, m in enumerate(masks)}
 
 
+@memoized
 def lab_down_map(lattice: Lattice) -> dict[str, frozenset[str]]:
     """Lower core label set of every element, memoized."""
-    return _label_sets(lattice, "lab_down_map", _lab_down_masks(lattice))
+    return _label_sets(lattice, _lab_down_masks(lattice))
 
 
+@memoized
 def lab_up_map(lattice: Lattice) -> dict[str, frozenset[str]]:
     """Upper core label set of every element, memoized."""
-    return _label_sets(lattice, "lab_up_map", _lab_up_masks(lattice))
+    return _label_sets(lattice, _lab_up_masks(lattice))
 
 
 def w_map(lattice: Lattice) -> dict[str, frozenset[str]]:
@@ -177,9 +165,9 @@ def w_map(lattice: Lattice) -> dict[str, frozenset[str]]:
 class DerivedPoset(Poset):
     """A partial order derived from a lattice: the kappa order or a core label order.
 
-    It is a plain Poset on the lattice's names, tagged with the memo key it
-    was built under as ``kind``, so it compares ``==`` by relation with any
-    Poset.
+    It is a plain Poset on the lattice's names, tagged with which order it
+    is as ``kind`` (kappaOrder, cloUp or cloDown), so it compares ``==`` by
+    relation with any Poset.
     """
 
     kind: str
@@ -188,13 +176,14 @@ class DerivedPoset(Poset):
         return self.is_lattice_poset()
 
 
-def _derived(lattice: Lattice, kind: str, names: list[str], down: list[int]) -> DerivedPoset:
-    """Build, tag and memoize the derived order with down-set masks ``down`` over ``names``."""
-    order = lattice.memo[kind] = DerivedPoset._from_down_masks(names, down)
+def _derived(kind: str, names: list[str], down: list[int]) -> DerivedPoset:
+    """Build and tag the derived order with down-set masks ``down`` over ``names``."""
+    order = DerivedPoset._from_down_masks(names, down)
     order.kind = kind
     return order
 
 
+@memoized
 def kappa_order(lattice: Lattice) -> DerivedPoset:
     """x below y when x <= y in L and kappa_bar(y) <= kappa_bar(x); memoized.
 
@@ -202,29 +191,23 @@ def kappa_order(lattice: Lattice) -> DerivedPoset:
     is down[y] & reach[kappa_bar(y)].  It is contained in the order of L,
     so the lattice's indexing is a linear extension of it.
     """
-    order = lattice.memo.get("kappaOrder")
-    if order is None:
-        kbar = _kappa_bar_idx(lattice)
-        seeds = [0] * lattice.n
-        for x, k in enumerate(kbar):
-            seeds[k] |= 1 << x
-        reach = lattice._union_above(seeds)
-        down = [mask & reach[kbar[y]] for y, mask in enumerate(lattice.down)]
-        order = _derived(lattice, "kappaOrder", list(lattice.names), down)
-    return order
+    kbar = _kappa_bar_idx(lattice)
+    seeds = [0] * lattice.n
+    for x, k in enumerate(kbar):
+        seeds[k] |= 1 << x
+    reach = lattice._union_above(seeds)
+    down = [mask & reach[kbar[y]] for y, mask in enumerate(lattice.down)]
+    return _derived("kappaOrder", list(lattice.names), down)
 
 
 def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
-    """Inclusion order of the label masks, memoized under ``kind``.
+    """Inclusion order of the label masks, tagged ``kind``.
 
     With having[j] the set of elements whose label set contains j, the
     down-set of x is what remains after removing having[j] for every label
     j missing from x's set: one mask op per missing label.  Listing
     elements by label-set size gives a linear extension of inclusion.
     """
-    order = lattice.memo.get(kind)
-    if order is not None:
-        return order
     if len(set(masks)) != len(masks):
         raise InconsistentLabels(f"{kind}: label sets do not separate elements")
     ranked = sorted(range(lattice.n), key=lambda x: masks[x].bit_count())
@@ -241,14 +224,16 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
         for j in _bits(every & ~masks[x]):
             acc &= ~having[j]
         down.append(acc)
-    return _derived(lattice, kind, [lattice.names[x] for x in ranked], down)
+    return _derived(kind, [lattice.names[x] for x in ranked], down)
 
 
+@memoized
 def clo_down(lattice: Lattice) -> DerivedPoset:
     """Lower core label order: compare lab_down sets by inclusion."""
     return _label_order(lattice, "cloDown", _lab_down_masks(lattice))
 
 
+@memoized
 def clo_up(lattice: Lattice) -> DerivedPoset:
     """Upper core label order: compare lab_up sets by inclusion."""
     return _label_order(lattice, "cloUp", _lab_up_masks(lattice))

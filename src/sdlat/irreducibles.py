@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Lattice, _bits, _lsb
+from .core import Lattice, _bits, _lsb, memoized
 from .errors import (
     NoUniqueMax,
     NotACover,
-    NotComparable,
     NotSemidistributive,
 )
 
@@ -41,11 +40,9 @@ class IrreducibleTable:
     kappa_d: dict[str, str]
 
 
+@memoized
 def irreducible_table(lattice: Lattice) -> IrreducibleTable:
     """Compute (and memoize on the lattice) the irreducible/kappa table."""
-    table = lattice.memo.get("irreducible_table")
-    if table is not None:
-        return table
     maps = lattice._kappa_indices()
     if maps is None:
         witness = lattice.semidistributivity_witness()
@@ -54,7 +51,7 @@ def irreducible_table(lattice: Lattice) -> IrreducibleTable:
     names = lattice.names
     jstar = {names[j]: names[lattice._dcov[j][0]] for j in kappa}
     mstar = {names[m]: names[lattice._ucov[m][0]] for m in kappa_d}
-    table = IrreducibleTable(
+    return IrreducibleTable(
         cji=tuple(sorted(jstar)),
         cmi=tuple(sorted(mstar)),
         jstar=jstar,
@@ -62,25 +59,22 @@ def irreducible_table(lattice: Lattice) -> IrreducibleTable:
         kappa={names[j]: names[k] for j, k in kappa.items()},
         kappa_d={names[m]: names[k] for m, k in kappa_d.items()},
     )
-    lattice.memo["irreducible_table"] = table
-    return table
 
 
+@memoized
 def _kappa(lattice: Lattice) -> dict[int, int]:
     """kappa on indices; raises NotSemidistributive as irreducible_table does."""
     irreducible_table(lattice)
     return lattice._kappa_indices()[0]
 
 
+@memoized
 def _above(lattice: Lattice) -> list[int]:
     """above[u] is the mask of the cji j with kappa(j) >= u, memoized."""
-    above = lattice.memo.get("above")
-    if above is None:
-        seeds = [0] * lattice.n
-        for j, k in _kappa(lattice).items():
-            seeds[k] |= 1 << j
-        above = lattice.memo["above"] = lattice._union_above(seeds)
-    return above
+    seeds = [0] * lattice.n
+    for j, k in _kappa(lattice).items():
+        seeds[k] |= 1 << j
+    return lattice._union_above(seeds)
 
 
 def _labels_between(lattice: Lattice, lo: int, hi: int) -> int:
@@ -126,11 +120,9 @@ def m_label_cover(lattice: Lattice, lower: str, upper: str) -> str:
     return irreducible_table(lattice).kappa[j]
 
 
+@memoized
 def cover_labeling(lattice: Lattice) -> CoverLabeling:
     """Labels for all covers at once, memoized on the lattice."""
-    labeling = lattice.memo.get("cover_labeling")
-    if labeling is not None:
-        return labeling
     names, index = lattice.names, lattice.index
     kappa = _kappa(lattice)
     jlabel = {}
@@ -139,9 +131,7 @@ def cover_labeling(lattice: Lattice) -> CoverLabeling:
         j = _j_label_idx(lattice, index[lo], index[hi])
         jlabel[(lo, hi)] = names[j]
         mlabel[(lo, hi)] = names[kappa[j]]
-    labeling = CoverLabeling(jlabel=jlabel, mlabel=mlabel)
-    lattice.memo["cover_labeling"] = labeling
-    return labeling
+    return CoverLabeling(jlabel=jlabel, mlabel=mlabel)
 
 
 def j_label_interval(lattice: Lattice, lo: str, hi: str) -> tuple[str, ...]:
@@ -150,9 +140,7 @@ def j_label_interval(lattice: Lattice, lo: str, hi: str) -> tuple[str, ...]:
     Computed by the closed formula {j in cji : j <= hi and kappa(j) >= lo}
     rather than by enumerating the covers of the interval.
     """
-    if not lattice.leq(lo, hi):
-        raise NotComparable(f"{lo!r} is not below {hi!r}")
-    return _sorted_names(lattice, _labels_between(lattice, lattice.index[lo], lattice.index[hi]))
+    return _sorted_names(lattice, _labels_between(lattice, *lattice._ends(lo, hi)))
 
 
 def _inherited_label_leq(lattice: Lattice) -> frozenset[tuple[str, str]]:
@@ -167,14 +155,10 @@ def _inherited_label_leq(lattice: Lattice) -> frozenset[tuple[str, str]]:
     return frozenset((names[a], names[b]) for b in cji for a in _bits(down[b] & mask & ~(1 << b)))
 
 
+@memoized
 def _kappa_bar_idx(lattice: Lattice) -> list[int]:
     """kappa_bar on indices: the meet of kappa(j) over the labels j below x."""
-    kbar = lattice.memo.get("kappa_bar_idx")
-    if kbar is None:
-        kbar = lattice.memo["kappa_bar_idx"] = list(
-            _kappa_bar_within(lattice, lattice._bot, lattice._top).values()
-        )
-    return kbar
+    return list(_kappa_bar_within(lattice, lattice._bot, lattice._top).values())
 
 
 def _kappa_bar_within(lattice: Lattice, a: int, b: int) -> dict[int, int]:
@@ -196,20 +180,18 @@ def _kappa_bar_within(lattice: Lattice, a: int, b: int) -> dict[int, int]:
     return out
 
 
+@memoized
 def kappa_bar_map(lattice: Lattice) -> dict[str, str]:
     """The extended kappa map on every element, memoized.
 
     kappa_bar(x) is the meet of kappa over the canonical joinands of x, the
     joinands being the labels of the covers below x.
     """
-    out = lattice.memo.get("kappa_bar_map")
-    if out is None:
-        names = lattice.names
-        out = {names[x]: names[k] for x, k in enumerate(_kappa_bar_idx(lattice))}
-        lattice.memo["kappa_bar_map"] = out
-    return out
+    names = lattice.names
+    return {names[x]: names[k] for x, k in enumerate(_kappa_bar_idx(lattice))}
 
 
+@memoized
 def kappa_bar_d_map(lattice: Lattice) -> dict[str, str]:
     """The extended kappa_d map on every element (inverse of kappa_bar), memoized.
 
@@ -217,16 +199,13 @@ def kappa_bar_d_map(lattice: Lattice) -> dict[str, str]:
     the meetand of a cover x < v is kappa(j) for its j-label, so this is the
     join of the j-labels of the covers above x.
     """
-    out = lattice.memo.get("kappa_bar_d_map")
-    if out is None:
-        names, up, ucov = lattice.names, lattice.up, lattice._ucov
-        out = {}
-        for x in range(lattice.n):
-            acc = up[lattice._bot]
-            for v in ucov[x]:
-                acc &= up[_j_label_idx(lattice, x, v)]
-            out[names[x]] = names[_lsb(acc)]
-        lattice.memo["kappa_bar_d_map"] = out
+    names, up, ucov = lattice.names, lattice.up, lattice._ucov
+    out = {}
+    for x in range(lattice.n):
+        acc = up[lattice._bot]
+        for v in ucov[x]:
+            acc &= up[_j_label_idx(lattice, x, v)]
+        out[names[x]] = names[_lsb(acc)]
     return out
 
 

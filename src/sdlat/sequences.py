@@ -41,8 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Lattice, _bits, _lsb
-from .cores import DerivedPoset, _pop_up_idx, clo_up, lab_up_map
+from .core import Lattice, _bits, _lsb, _name_list
+from .cores import DerivedPoset, _lab_up_masks, _pop_up_idx, clo_up
 from .errors import InconsistentLabels, NotJoinIrreducible, RecursionMismatch
 from .irreducibles import (
     _inherited_label_leq,
@@ -226,15 +226,15 @@ def label_clo_up(lattice: Lattice) -> CloLabeling:
     known to succeed example-by-example.
     """
     derived = clo_up(lattice)
-    up_sets = lab_up_map(lattice)
-    by_set = {v: k for k, v in up_sets.items()}
+    names = lattice.names
+    by_mask = {mask: names[x] for x, mask in enumerate(_lab_up_masks(lattice))}
     keyed = _recursive_labels(lattice)
 
     covers = set(derived.covers_named())
     labels: dict[tuple[str, str], str] = {}
-    for (set_lo, set_hi), lbl in keyed.items():
-        lo = by_set.get(set_lo)
-        hi = by_set.get(set_hi)
+    for (mask_lo, mask_hi), lbl in keyed.items():
+        lo = by_mask.get(mask_lo)
+        hi = by_mask.get(mask_hi)
         if lo is None or hi is None:
             raise RecursionMismatch(
                 "recursive label set does not match any element of the derived order"
@@ -243,7 +243,7 @@ def label_clo_up(lattice: Lattice) -> CloLabeling:
             raise RecursionMismatch(
                 f"recursion labeled ({lo!r}, {hi!r}), which is not a cover of the derived order"
             )
-        labels[(lo, hi)] = lbl
+        labels[(lo, hi)] = names[lbl]
     if len(labels) != len(covers):
         missing = sorted(covers - set(labels))
         raise RecursionMismatch(f"covers left unlabeled: {missing[:4]}")
@@ -251,15 +251,14 @@ def label_clo_up(lattice: Lattice) -> CloLabeling:
     return CloLabeling(poset=derived, labels=labels, label_leq=_inherited_label_leq(lattice))
 
 
-def _recursive_labels(lattice: Lattice) -> dict[tuple[frozenset, frozenset], str]:
-    """Cover labels keyed by (lab_up(lower), lab_up(upper)) in cji names.
+def _recursive_labels(lattice: Lattice) -> dict[tuple[int, int], int]:
+    """Cover label indices keyed by the (lab_up(lower), lab_up(upper)) masks.
 
     The recursion runs depth first on nodes (a, b) of L, visiting children
     in the name order of the coatoms that lead to them, so errors surface
     in the order of the rebuilt recursion; a node reached twice is
     computed once.
     """
-    names = lattice.names
     root = _root(lattice)
     done: dict[Node, dict[tuple[int, int], int]] = {}
     stack = [(root, {}, _node_steps(lattice, root))]
@@ -278,14 +277,7 @@ def _recursive_labels(lattice: Lattice) -> dict[tuple[frozenset, frozenset], str
                 _merge(lattice, stack[-1], done[child])
             else:
                 stack.append((child, {}, _node_steps(lattice, child)))
-    return {
-        (_name_set(names, lo), _name_set(names, hi)): names[lbl]
-        for (lo, hi), lbl in done[root].items()
-    }
-
-
-def _name_set(names, mask: int) -> frozenset:
-    return frozenset(names[j] for j in _bits(mask))
+    return done[root]
 
 
 def _merge(lattice: Lattice, frame, labels: dict) -> None:
@@ -323,7 +315,7 @@ def _node_steps(lattice: Lattice, node: Node):
         full |= mask
     tops = [x for x in members if lab_up[x] == full]
     if not tops:
-        maxs = sorted(names[x] for x in _maximal(members, lab_up))
+        maxs = _name_list(sorted(names[x] for x in _maximal(members, lab_up)))
         raise RecursionMismatch(
             f"derived order has no unique top element (no unique maximum: {maxs}); "
             "the lattice is not a nuclear interval"

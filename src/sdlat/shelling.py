@@ -64,7 +64,7 @@ from typing import Iterable, Optional
 
 from .core import Lattice, Poset, _bits
 from .errors import BadParameter, ChainCapExceeded, MissingLabel, SizeLimitExceeded
-from .irreducibles import _inherited_label_leq, cover_labeling, irreducible_table
+from .irreducibles import _inherited_label_leq, _j_label_idx, cover_labeling, irreducible_table
 
 
 @dataclass(frozen=True)
@@ -264,14 +264,9 @@ def is_extremal(lattice: Lattice) -> bool:
     length = lattice.heights[lattice._top]
     if length != len(table.cji) or length != len(table.cmi):
         return False
-    jlabel = cover_labeling(lattice).jlabel
-    target = set(table.cji)
+    target = {lattice.index[j] for j in table.cji}
     for chain in _chains_of_full_length(lattice):
-        labels = {
-            jlabel[(lattice.names[chain[k]], lattice.names[chain[k + 1]])]
-            for k in range(len(chain) - 1)
-        }
-        if labels == target:
+        if {_j_label_idx(lattice, u, v) for u, v in zip(chain, chain[1:])} == target:
             return True
     return False
 

@@ -97,10 +97,10 @@ def four_condition_flags(lattice, group):
     cover_labels = {S.j_label_cover(lattice, u, x) for u in lattice.lower_covers(x)}
     labels_covers = antichain and all(j in cover_labels for j in group)
 
-    found = S.cjr_oracle(lattice, x)
-    oracle_confirms = found is not None and found.joinands == group
+    from oracles import cjr_oracle, irredundant_representations
 
-    from oracles import irredundant_representations
+    found = cjr_oracle(lattice, x)
+    oracle_confirms = found is not None and found.joinands == group
 
     irredundant = irredundant_representations(lattice, x)
     is_irredundant = group in set(irredundant)

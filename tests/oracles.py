@@ -7,13 +7,13 @@ reads off masks or off intervals of the parent lattice:
 * ``restrict`` and ``as_lattice``: a sublattice or interval rebuilt as a
   standalone lattice, and ``interval_cji_transfer`` checked against it;
 * ``interval_restriction``: a labeled poset cut down to an interval;
-* ``irredundant_representations`` and ``cmr_matches_kappa_bar``: join
-  representations by enumeration, and the kappa_bar identity on CJR/CMR.
+* ``cjr_oracle`` and ``irredundant_representations``: canonical and
+  irredundant join representations by enumerating element subsets, and
+  ``cmr_matches_kappa_bar``: the kappa_bar identity on CJR/CMR.
 """
 
 from sdlat import InconsistentLabels, LabeledPoset, Lattice, Poset, cjr, cmr, irreducible_table
-from sdlat import j_label_interval
-from sdlat.canonical import _oracle_context
+from sdlat import CanonicalRep, NoUniqueMax, SizeLimitExceeded, j_label_interval
 from sdlat.core import _bits
 from sdlat.irreducibles import kappa_bar_map
 
@@ -103,6 +103,69 @@ def interval_restriction(lp, lo, hi):
         alphabet=lp.alphabet,
         label_leq=lp.label_leq,
     )
+
+
+class _OracleContext:
+    """Joins of all element subsets of a small lattice, grouped by value."""
+
+    def __init__(self, lattice):
+        n = lattice.n
+        join = lattice._join_idx
+        jm = [0] * (1 << n)
+        jm[0] = lattice._bot
+        for mask in range(1, 1 << n):
+            low = (mask & -mask).bit_length() - 1
+            jm[mask] = join(jm[mask & (mask - 1)], low)
+        groups: dict[int, list[int]] = {i: [] for i in range(n)}
+        for mask, v in enumerate(jm):
+            groups[v].append(mask)
+        self.join_of_mask = jm
+        self.groups = groups
+        strict_up = [lattice.up[i] & ~(1 << i) for i in range(n)]
+        self.strict_up = strict_up
+
+    def is_antichain(self, mask: int) -> bool:
+        for i in _bits(mask):
+            if self.strict_up[i] & mask:
+                return False
+        return True
+
+
+def _oracle_context(lattice, size_cap):
+    if lattice.n > size_cap:
+        raise SizeLimitExceeded(
+            f"cjr_oracle enumerates 2^{lattice.n} subsets; cap is {size_cap} elements"
+        )
+    if _OracleContext not in lattice.memo:
+        lattice.memo[_OracleContext] = _OracleContext(lattice)
+    return lattice.memo[_OracleContext]
+
+
+def cjr_oracle(lattice, x, size_cap=12):
+    """Literal canonical-join-representation search; no semidistributivity needed.
+
+    Enumerates every antichain with join x and returns the one refining every
+    join representation of x, or None when no such antichain exists (so the
+    element has no canonical join representation).  Exponential in |L|.
+    """
+    ctx = _oracle_context(lattice, size_cap)
+    xi = lattice.index[x]
+    reps = ctx.groups[xi]
+    n = lattice.n
+    # ok[a]: every representation of x contains something above a.
+    ok = [all(lattice.up[a] & mask for mask in reps) for a in range(n)]
+    found = None
+    for mask in reps:
+        if not ctx.is_antichain(mask):
+            continue
+        if all(ok[a] for a in _bits(mask)):
+            if found is not None:
+                raise NoUniqueMax(f"two distinct canonical join representations of {x!r}")
+            found = mask
+    if found is None:
+        return None
+    joinands = tuple(sorted(lattice.names[a] for a in _bits(found)))
+    return CanonicalRep(element=x, joinands=joinands)
 
 
 def irredundant_representations(lattice, x, size_cap=12):

@@ -12,6 +12,7 @@ import time
 import sdlat as S
 
 from conftest import four_condition_flags, sd_family_lattices
+from oracles import cjr_oracle
 
 RANDOM_SEED = 20260810
 RANDOM_COUNT = 500
@@ -132,7 +133,7 @@ def test_criterion_6():
             if table.kappa_d[table.kappa[j]] != j:
                 violations += 1
         for x in lat.names:
-            oracle = S.cjr_oracle(lat, x)
+            oracle = cjr_oracle(lat, x)
             if oracle is None or oracle.joinands != S.cjr(lat, x).joinands:
                 violations += 1
             if S.pop_down(lat, x) != lat.meet(x, S.kappa_bar(lat, x)):

@@ -4,9 +4,10 @@ import random
 import pytest
 
 import sdlat as S
-from sdlat import NotJoinIrreducible, SizeLimitExceeded
+from sdlat import BadParameter, NotJoinIrreducible, SizeLimitExceeded
 
 from conftest import four_condition_flags, sd_family_lattices
+from oracles import cjr_oracle
 
 
 def test_cjr_golden(fig1):
@@ -26,15 +27,15 @@ def test_joins_canonically_golden(fig1):
 
 
 def test_oracle_golden(fig1):
-    assert S.cjr_oracle(fig1, "m1").joinands == ("j2", "j3")
-    assert S.cjr_oracle(fig1, "bot").joinands == ()
-    assert S.cjr_oracle(S.generate("m3"), "1") is None
+    assert cjr_oracle(fig1, "m1").joinands == ("j2", "j3")
+    assert cjr_oracle(fig1, "bot").joinands == ()
+    assert cjr_oracle(S.generate("m3"), "1") is None
 
 
 def test_oracle_matches_fast_path(fig1, small_sd_lattices):
     for lat in sd_family_lattices() + small_sd_lattices[:30]:
         for x in lat.names:
-            found = S.cjr_oracle(lat, x)
+            found = cjr_oracle(lat, x)
             assert found is not None
             assert found.joinands == S.cjr(lat, x).joinands
 
@@ -42,7 +43,7 @@ def test_oracle_matches_fast_path(fig1, small_sd_lattices):
 def test_oracle_size_cap():
     big = S.generate("tamari", 4)
     with pytest.raises(SizeLimitExceeded):
-        S.cjr_oracle(big, big.top)
+        cjr_oracle(big, big.top)
 
 
 def test_four_conditions_equivalent(fig1, small_sd_lattices):
@@ -82,6 +83,15 @@ def test_complex_golden(fig1):
     faces = complex_.faces()
     assert ("j1", "j2", "j3") in faces
     assert ("j4",) in faces
+
+
+def test_faces_max_size(fig1):
+    complex_ = S.canonical_join_complex(fig1)
+    assert complex_.faces(max_size=0) == [()]
+    assert complex_.faces(max_size=1) == [(), ("j1",), ("j2",), ("j3",), ("j4",)]
+    assert len(complex_.faces(max_size=2)) == 1 + 4 + 3
+    with pytest.raises(BadParameter):
+        complex_.faces(max_size=-1)
 
 
 def test_complex_chain_and_diamond():

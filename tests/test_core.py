@@ -125,14 +125,25 @@ def test_interval_golden(fig1):
 def test_interval_is_sublattice(fig1):
     view = fig1.interval("j4", "top")
     for a, b in itertools.product(view.members, repeat=2):
-        assert view.join(a, b) in view
-        assert view.meet(a, b) in view
-        assert view.join(a, b) == fig1.join(a, b)
-        assert view.meet(a, b) == fig1.meet(a, b)
+        assert fig1.join(a, b) in view
+        assert fig1.meet(a, b) in view
     sub = as_lattice(view)
     for a, b in itertools.product(view.members, repeat=2):
         assert sub.join(a, b) == fig1.join(a, b)
         assert sub.meet(a, b) == fig1.meet(a, b)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [("irreducibles", n) for n in ("irreducible_table", "cover_labeling", "kappa_bar_map", "kappa_bar_d_map")]
+    + [("cores", n) for n in ("lab_down_map", "lab_up_map", "kappa_order", "clo_up", "clo_down")],
+)
+def test_memoized_functions(fig1, module, name):
+    fn = getattr(getattr(S, module), name)
+    # a wrapper's __wrapped__ would mark it as left installed by perfbench's tracer
+    assert fn.__name__ == name and fn.__doc__ and not hasattr(fn, "__wrapped__")
+    assert fn(fig1) is fn(fig1)
+    assert fn(fig1) is not fn(S.generate("fig1"))
 
 
 def test_dual_involution(fig1):

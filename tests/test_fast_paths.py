@@ -313,3 +313,25 @@ def test_no_from_leq_calls(module):
         and node.func.attr == "from_leq"
     ]
     assert lines == [], f"{module} calls from_leq on lines {lines}"
+
+
+def _memo_owners(tree):
+    """memoized itself and Lattice.__init__, which creates the memo dict."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "memoized":
+            yield node
+        if isinstance(node, ast.ClassDef) and node.name == "Lattice":
+            yield from (f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_memo_only_through_memoized(module):
+    # one memo mechanism per lattice: everything else caches with @memoized
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    allowed = {id(node) for owner in _memo_owners(tree) for node in ast.walk(owner)}
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "memo" and id(node) not in allowed
+    ]
+    assert lines == [], f"{module} reads .memo outside memoized on lines {lines}"

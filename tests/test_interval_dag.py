@@ -115,6 +115,16 @@ class RebuildOracle:
         return out
 
 
+def mask_keyed_labels(oracle, lat):
+    """The oracle's labels in the library's form: lab_up masks to a label index."""
+    index = lat.index
+
+    def mask(names):
+        return sum(1 << index[a] for a in names)
+
+    return {(mask(lo), mask(hi)): index[lbl] for (lo, hi), lbl in oracle.recursive_labels(lat).items()}
+
+
 def _outcome(fn, *args):
     """fn's result, or the type and message of what it raised."""
     try:
@@ -161,7 +171,7 @@ def check_verifier(lat, oracle, limit=400):
 def check_labels(lat, oracle):
     """Same labels in the same order, or the same error type and message."""
     got = _outcome(S.sequences._recursive_labels, lat)
-    expected = _outcome(oracle.recursive_labels, lat)
+    expected = _outcome(mask_keyed_labels, oracle, lat)
     if got[0] == "ok" and expected[0] == "ok":
         assert list(got[1].items()) == list(expected[1].items())
     else:
@@ -171,7 +181,7 @@ def check_labels(lat, oracle):
 def check_label_clo_up(lat, oracle, monkeypatch):
     got = _outcome(S.label_clo_up, lat)
     with monkeypatch.context() as patch:
-        patch.setattr(S.sequences, "_recursive_labels", oracle.recursive_labels)
+        patch.setattr(S.sequences, "_recursive_labels", lambda each: mask_keyed_labels(oracle, each))
         expected = _outcome(S.label_clo_up, lat)
     if got[0] == "ok" and expected[0] == "ok":
         assert list(got[1].labels.items()) == list(expected[1].labels.items())

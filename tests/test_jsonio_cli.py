@@ -244,6 +244,29 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, doc, args, messag
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "doc, args",
+    [
+        ({"elements": [f"m{i}" for i in range(300)] + ["top"], "covers": [[f"m{i}", "top"] for i in range(300)]},
+         ["check"]),
+        ({"elements": ["bot"] + [f"m{i}" for i in range(300)], "covers": [["bot", f"m{i}"] for i in range(300)],
+          "labels": {f"bot->m{i}": "a" for i in range(300)}}, ["el", "--search"]),
+        (None, ["orders", "--which", "cloUp", "--dot", "--labels"]),
+    ],
+)
+def test_cli_long_name_lists_are_cut(tmp_path, capsys, doc, args):
+    # 300 minima, 300 maxima, and chain(300), whose cloUp has 300 maximal elements
+    path = tmp_path / "doc.json"
+    if doc is None:
+        path.write_text(emit_json(to_document(S.generate("chain", 300))), encoding="utf-8")
+    else:
+        path.write_text(json.dumps({"schemaVersion": "1", **doc}), encoding="utf-8")
+    assert cli_main([args[0], str(path), *args[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 300 and "(300 in all)" in err
+
+
 def test_cli_input_errors(tmp_path, capsys):
     assert cli_main(["check", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
