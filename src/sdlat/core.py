@@ -7,8 +7,8 @@ least element of any down-closed candidate set is always its lowest set
 bit and the greatest element of an up-closed set is its highest set bit.
 In a lattice that makes join(x, y) the lowest set bit of ``up[x] & up[y]``
 and meet(x, y) the highest set bit of ``down[x] & down[y]``, so no n^2 join
-or meet table is built; the lattice axioms are checked on pairs of upper
-covers only (the cover-pair lemma in ``Poset._cover_pairs_have_joins``).
+or meet table is built; the lattice axioms are checked on pairs of lower
+covers only (the cover-pair lemma in ``Poset._cover_pairs_have_meets``).
 All public entry points speak element *names*; indices stay internal.
 """
 
@@ -89,28 +89,31 @@ class Poset:
     """A finite partially ordered set on distinct, non-empty names."""
 
     def __init__(self, names: tuple[str, ...], down: list[int], covers: tuple[tuple[int, int], ...]):
-        """Wrap order data indexed along a linear extension.
+        """Wrap trusted order data indexed along a linear extension.
 
-        ``down`` must be the down-set masks generated by ``covers``, and
-        every cover (lo, hi) must have lo < hi as indices.  Raises
-        NotTransitiveReduction if any cover is implied by others.
+        ``covers`` must be an exact transitive reduction, each cover (lo, hi)
+        with lo < hi as indices and listed after every cover into lo (as
+        when sorted by either end), and ``down`` the down-set masks they
+        generate.  Nothing is re-checked here: ``from_covers`` validates
+        untrusted covers, and the msb walk of ``_cover_pairs``, which gives
+        the covers of the derived orders and of the ``random_sd_lattice``
+        candidates, yields an exact reduction by construction.
         """
-        self.n = len(names)
+        self.n = n = len(names)
         self.names = names
         self.index = {s: i for i, s in enumerate(names)}
         self.down = down
         self.covers = covers
-        self._ucov: list[list[int]] = [[] for _ in range(self.n)]
-        self._dcov: list[list[int]] = [[] for _ in range(self.n)]
+        ucov: list[list[int]] = [[] for _ in range(n)]
+        dcov: list[list[int]] = [[] for _ in range(n)]
+        heights = [0] * n
         for lo, hi in covers:
-            self._ucov[lo].append(hi)
-            self._dcov[hi].append(lo)
-        self.up = self._union_above([1 << i for i in range(self.n)])
-        self._check_reduction()
-        self.heights = [0] * self.n
-        for i in range(self.n):
-            for lo in self._dcov[i]:
-                self.heights[i] = max(self.heights[i], self.heights[lo] + 1)
+            ucov[lo].append(hi)
+            dcov[hi].append(lo)
+            if heights[hi] <= heights[lo]:
+                heights[hi] = heights[lo] + 1
+        self._ucov, self._dcov, self.heights = ucov, dcov, heights
+        self.up = self._union_above([1 << i for i in range(n)])
 
     def _union_above(self, seeds: list[int]) -> list[int]:
         """out[u] is the union of seeds[v] over all v >= u, one mask op per cover."""
@@ -129,9 +132,10 @@ class Poset:
     def from_covers(cls, names: Iterable[str], covers: Iterable[tuple[str, str]]) -> "Poset":
         """Build an instance of ``cls`` from an exact transitive reduction given by name pairs.
 
-        Raises SchemaError for repeated, empty or unknown names, CycleError
-        if the cover digraph is cyclic and NotTransitiveReduction if any
-        listed cover is implied by others.
+        This is the one entry point for untrusted covers.  Raises
+        SchemaError for repeated, empty or unknown names, CycleError if the
+        cover digraph is cyclic and NotTransitiveReduction if any listed
+        cover is implied by others.  Elements are indexed by (height, name).
         """
         names = list(names)
         if len(set(names)) != len(names):
@@ -159,10 +163,19 @@ class Poset:
         dcov: list[list[int]] = [[] for _ in range(n)]
         for lo, hi in cover_idx:
             dcov[hi].append(lo)
+        implied = False
         for i in range(n):
-            for lo in dcov[i]:
-                down[i] |= down[lo]
-
+            # lower covers from the highest index down: one is implied by
+            # another exactly when it lies below a higher one, that is, when
+            # it is already in the union of their down-sets
+            acc = down[i]
+            for lo in reversed(dcov[i]):
+                if acc >> lo & 1:
+                    implied = True
+                acc |= down[lo]
+            down[i] = acc
+        if implied:
+            cls._check_reduction(sorted_names, down, cover_idx)
         return cls(sorted_names, down, tuple(cover_idx))
 
     @staticmethod
@@ -190,24 +203,45 @@ class Poset:
             raise CycleError(f"cover digraph has a cycle through {stuck[:6]}")
         return sorted(range(n), key=lambda i: (height[i], names[i]))
 
-    def _check_reduction(self) -> None:
-        for lo, hi in self.covers:
-            between = self.up[lo] & self.down[hi]  # lo, hi and anything strictly between
-            if between.bit_count() > 2:
-                w = self.names[_lsb(between & ~(1 << lo | 1 << hi))]
-                raise NotTransitiveReduction(
-                    f"cover ({self.names[lo]!r}, {self.names[hi]!r}) is implied via {w!r}"
-                )
+    @staticmethod
+    def _check_reduction(names: tuple[str, ...], down: list[int], covers: list[tuple[int, int]]) -> None:
+        """Raise NotTransitiveReduction for the first cover with an element strictly between.
+
+        The message names the lowest-indexed such element.  ``from_covers``
+        calls this only after its own test has found an implied cover.
+        """
+        for lo, hi in covers:
+            for w in _bits(down[hi] & ~(1 << lo | 1 << hi)):
+                if down[w] >> lo & 1:
+                    raise NotTransitiveReduction(
+                        f"cover ({names[lo]!r}, {names[hi]!r}) is implied via {names[w]!r}"
+                    )
 
     @classmethod
-    def _from_down_masks(cls, names: list[str], down: list[int]) -> "Poset":
-        """Build a poset from transitive down-set masks over ``names``.
+    def _from_cover_pairs(cls, names: list[str], covers: list[tuple[int, int]]) -> "Poset":
+        """Build an instance of ``cls`` from trusted index covers over ``names``.
 
-        ``names`` must list a linear extension of the order, and bit j of
-        ``down[i]`` means names[j] <= names[i].  The covers come from
-        ``_cover_pairs``; the result is what ``from_covers`` builds from them.
+        ``names`` must list a linear extension, and ``covers`` must be the
+        exact transitive reduction as index pairs (lo, hi), in ascending
+        order of either end, as ``_cover_pairs`` gives it.  Nothing is
+        checked: the heights are taken along the given extension, the
+        elements re-indexed by (height, name) as ``from_covers`` indexes
+        them, and ``down`` propagated over the re-indexed covers.
         """
-        return cls.from_covers(names, [(names[j], names[i]) for j, i in _cover_pairs(down)])
+        n = len(names)
+        heights = [0] * n
+        for lo, hi in covers:
+            if heights[hi] <= heights[lo]:
+                heights[hi] = heights[lo] + 1
+        order = sorted(range(n), key=lambda i: (heights[i], names[i]))
+        rank = [0] * n
+        for new, old in enumerate(order):
+            rank[old] = new
+        cover_idx = sorted((rank[lo], rank[hi]) for lo, hi in covers)
+        down = [1 << i for i in range(n)]
+        for lo, hi in cover_idx:
+            down[hi] |= down[lo]
+        return cls(tuple(names[i] for i in order), down, tuple(cover_idx))
 
     # -- queries -----------------------------------------------------------
 
@@ -274,38 +308,73 @@ class Poset:
     def lattice_failure(self) -> Optional[tuple[str, str, str]]:
         """Return (kind, a, b) for the first pair without a unique bound, else None.
 
-        A bounded poset passes when every pair of upper covers of a common
-        element has a join (see ``_cover_pairs_have_joins``); only a poset
+        A bounded poset passes when every pair of lower covers of a common
+        element has a meet (see ``_cover_pairs_have_meets``); only a poset
         that fails that check pays for the ordered two-sided scan, which
         names the first failing pair.
         """
         if (
             len(self.minimal_elements()) == 1
             and len(self.maximal_elements()) == 1
-            and self._cover_pairs_have_joins()
+            and self._cover_pairs_have_meets()
         ):
             return None
         return self._two_sided_scan()
 
-    def _cover_pairs_have_joins(self) -> bool:
-        """True when every two upper covers a, b of a common element have a join.
+    def _cover_pairs_have_meets(self) -> bool:
+        """True when every two lower covers a, b of a common element have a meet.
 
-        In a finite poset with a least element this makes every pair have a
-        join (and hence a meet, the join of its lower bounds), so it is a
-        lattice.  Proof by downward induction on a common lower bound u of
-        a and b: take u < a1 <= a and u < b1 <= b with a1, b1 covering u and
-        w = a1 v b1; by induction v = a v w exists, and then a v b = v v b.
-        The cost is the sum over elements of C(updegree, 2) mask tests.
+        In a finite poset with a greatest element this makes every pair have
+        a meet (and hence a join, the meet of its upper bounds), so it is a
+        lattice.  Proof by upward induction on a common upper bound u of a
+        and b: take a <= a1 < u and b <= b1 < u with u covering a1 and b1,
+        and w = a1 ^ b1; by induction m = a ^ w exists, and then
+        a ^ b = m ^ b.  The cost is the sum over elements of C(downdegree, 2)
+        mask tests, on down-sets, which are short for elements low in the
+        index order.
         """
-        up = self.up
-        for covers in self._ucov:
+        down = self.down
+        for covers in self._dcov:
             for k, a in enumerate(covers):
-                upa = up[a]
+                down_a = down[a]
                 for b in covers[k + 1 :]:
-                    common = upa & up[b]
-                    if not common or common & ~up[_lsb(common)]:
+                    # common is a down-set, so it has a greatest element
+                    # exactly when the down-set of its highest index is all of it
+                    common = down_a & down[b]
+                    if not common or down[common.bit_length() - 1] != common:
                         return False
         return True
+
+    def _kappa_maps(self) -> Optional[tuple[dict[int, int], dict[int, int]]]:
+        """kappa and kappa_d on element indices of a lattice, or None if it is not SD.
+
+        Freese-Jezek-Nation, *Free Lattices* (1995), Thm 2.56: a finite
+        lattice is meet-semidistributive iff kappa(j) exists for every
+        completely join-irreducible j, and dually join-semidistributive iff
+        kappa_d(m) exists for every completely meet-irreducible m.  The
+        candidates for kappa(j) = max{y : j ^ y = j_*} are exactly
+        ``up[j_*] & ~up[j]``, and those for kappa_d(m) are
+        ``down[m^*] & ~down[m]``, so the whole check is one mask test per
+        irreducible.
+        """
+        up, down = self.up, self.down
+        kappa: dict[int, int] = {}
+        for j in range(self.n):
+            if len(self._dcov[j]) == 1:
+                cand = up[self._dcov[j][0]] & ~up[j]
+                top = _msb(cand)
+                if cand & ~down[top]:
+                    return None
+                kappa[j] = top
+        kappa_d: dict[int, int] = {}
+        for m in range(self.n):
+            if len(self._ucov[m]) == 1:
+                cand = down[self._ucov[m][0]] & ~down[m]
+                bot = _lsb(cand)
+                if cand & ~up[bot]:
+                    return None
+                kappa_d[m] = bot
+        return kappa, kappa_d
 
     def _two_sided_scan(self) -> Optional[tuple[str, str, str]]:
         """The first pair, in index order, with no unique join or meet."""
@@ -334,9 +403,9 @@ class Lattice(Poset):
     and y is the lowest set bit of ``up[x] & up[y]`` and the meet is the
     highest set bit of ``down[x] & down[y]``; no join or meet table is
     stored.  Construction validates the lattice axioms: there must be a
-    unique bottom and top, and every two upper covers of a common element
-    must have a join, which by the cover-pair lemma (see
-    ``Poset._cover_pairs_have_joins``) gives every pair a unique join and
+    unique bottom and top, and every two lower covers of a common element
+    must have a meet, which by the cover-pair lemma (see
+    ``Poset._cover_pairs_have_meets``) gives every pair a unique join and
     meet.  Derived data (kappa tables, labels, derived orders) is cached
     by ``memoized`` in the per-lattice ``memo`` dict, keyed by the function
     that computed it.
@@ -354,7 +423,7 @@ class Lattice(Poset):
             raise NoBoundsError(f"no unique maximum: {_name_list(self.names[i] for i in maxs)}")
         self._bot = mins[0]
         self._top = maxs[0]
-        if not self._cover_pairs_have_joins():
+        if not self._cover_pairs_have_meets():
             kind, a, b = self._two_sided_scan()
             raise NotALattice(f"elements {a!r} and {b!r} have no unique {kind}")
         self.memo: dict = {}
@@ -441,41 +510,14 @@ class Lattice(Poset):
 
     @memoized
     def _kappa_indices(self) -> Optional[tuple[dict[int, int], dict[int, int]]]:
-        """kappa and kappa_d on element indices, or None if the lattice is not SD.
-
-        Freese-Jezek-Nation, *Free Lattices* (1995), Thm 2.56: a finite
-        lattice is meet-semidistributive iff kappa(j) exists for every
-        completely join-irreducible j, and dually join-semidistributive iff
-        kappa_d(m) exists for every completely meet-irreducible m.  The
-        candidates for kappa(j) = max{y : j ^ y = j_*} are exactly
-        ``up[j_*] & ~up[j]``, and those for kappa_d(m) are
-        ``down[m^*] & ~down[m]``, so the whole check is one mask test per
-        irreducible.
-        """
-        up, down = self.up, self.down
-        kappa: dict[int, int] = {}
-        for j in range(self.n):
-            if len(self._dcov[j]) == 1:
-                cand = up[self._dcov[j][0]] & ~up[j]
-                top = _msb(cand)
-                if cand & ~down[top]:
-                    return None
-                kappa[j] = top
-        kappa_d: dict[int, int] = {}
-        for m in range(self.n):
-            if len(self._ucov[m]) == 1:
-                cand = down[self._ucov[m][0]] & ~down[m]
-                bot = _lsb(cand)
-                if cand & ~up[bot]:
-                    return None
-                kappa_d[m] = bot
-        return kappa, kappa_d
+        """``Poset._kappa_maps`` of this lattice, memoized."""
+        return self._kappa_maps()
 
     def is_semidistributive(self) -> bool:
         """Check both halves of semidistributivity through the kappa maps.
 
         Join half: whenever x v y = x v z, also x v (y ^ z) = x v y, and the
-        dual statement for meets; see ``_kappa_indices`` for the test.
+        dual statement for meets; see ``Poset._kappa_maps`` for the test.
         """
         return self._kappa_indices() is not None
 

@@ -6,14 +6,25 @@ The lower core of x is [pop_down(x), x]; the upper core is the interval
 (lab_down, lab_up) intersect in W(x), and comparison of these sets induces
 three partial orders on the lattice: the two core label orders and the
 kappa order x <= y iff x <= y and kappa_bar(y) <= kappa_bar(x).
+
+Each derived order is computed on masks: the down-sets of the kappa order
+and the up-sets of the label inclusion orders, whose msb walk
+(``core._cover_pairs``) gives index covers that are an exact reduction by
+construction.  So ``Poset._from_cover_pairs`` builds it without the name
+checks, toposort and reduction check of ``Poset.from_covers``, and indexes
+it by (height, name) exactly as ``from_covers`` would; that order is the
+derived order's ``names``, which ``to_document`` exposes.  Names appear only
+at the boundary: in ``covers_named``, the label-set maps and the witnesses
+of ``orders_coincide_report``.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import IntervalView, Lattice, Poset, _bits, _lsb, _msb, memoized
+from .core import IntervalView, Lattice, Poset, _bits, _cover_pairs, _lsb, _msb, memoized
 from .errors import InconsistentLabels
 from .irreducibles import (
     _above,
@@ -176,9 +187,9 @@ class DerivedPoset(Poset):
         return self.is_lattice_poset()
 
 
-def _derived(kind: str, names: list[str], down: list[int]) -> DerivedPoset:
-    """Build and tag the derived order with down-set masks ``down`` over ``names``."""
-    order = DerivedPoset._from_down_masks(names, down)
+def _derived(kind: str, names: list[str], covers: list[tuple[int, int]]) -> DerivedPoset:
+    """Build and tag the derived order with index covers ``covers`` over ``names``."""
+    order = DerivedPoset._from_cover_pairs(names, covers)
     order.kind = kind
     return order
 
@@ -189,42 +200,50 @@ def kappa_order(lattice: Lattice) -> DerivedPoset:
 
     With reach[z] = {x : kappa_bar(x) >= z}, the down-set of y in this order
     is down[y] & reach[kappa_bar(y)].  It is contained in the order of L,
-    so the lattice's indexing is a linear extension of it.
+    so the lattice's indexing is a linear extension of it, and the msb walk
+    of ``_cover_pairs`` reads the covers off those down-sets.
     """
     kbar = _kappa_bar_idx(lattice)
     seeds = [0] * lattice.n
     for x, k in enumerate(kbar):
         seeds[k] |= 1 << x
     reach = lattice._union_above(seeds)
-    down = [mask & reach[kbar[y]] for y, mask in enumerate(lattice.down)]
-    return _derived("kappaOrder", list(lattice.names), down)
+    covers = _cover_pairs([mask & reach[kbar[y]] for y, mask in enumerate(lattice.down)])
+    del reach  # n masks of n bits, freed before the build allocates its own
+    return _derived("kappaOrder", lattice.names, covers)
 
 
 def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
     """Inclusion order of the label masks, tagged ``kind``.
 
     With having[j] the set of elements whose label set contains j, the
-    down-set of x is what remains after removing having[j] for every label
-    j missing from x's set: one mask op per missing label.  Listing
-    elements by label-set size gives a linear extension of inclusion.
+    up-set of x is the intersection of having[j] over the labels j of x:
+    one mask op per label x has, and an element has few labels next to
+    those it misses.  Listed by decreasing label-set size, the elements are
+    a linear extension of reverse inclusion, so the msb walk of
+    ``_cover_pairs`` over those up-sets gives the covers, reversed; listed
+    by increasing size, they are a linear extension of inclusion.
     """
     if len(set(masks)) != len(masks):
         raise InconsistentLabels(f"{kind}: label sets do not separate elements")
-    ranked = sorted(range(lattice.n), key=lambda x: masks[x].bit_count())
-    full = (1 << lattice.n) - 1
-    every = 0
-    having: dict[int, int] = {}
-    for p, x in enumerate(ranked):
-        every |= masks[x]
+    n = lattice.n
+    ranked = sorted(range(n), key=lambda x: -masks[x].bit_count())
+    # having[j] written as binary digits: bit r is set when ranked[r] has j
+    rows: defaultdict[int, bytearray] = defaultdict(lambda: bytearray(b"0" * n))
+    for r, x in enumerate(ranked):
         for j in _bits(masks[x]):
-            having[j] = having.get(j, 0) | 1 << p
-    down = []
+            rows[j][n - 1 - r] = ord("1")
+    having = {j: int(row, 2) for j, row in rows.items()}
+    full = (1 << n) - 1
+    up = []
     for x in ranked:
         acc = full
-        for j in _bits(every & ~masks[x]):
-            acc &= ~having[j]
-        down.append(acc)
-    return _derived(kind, [lattice.names[x] for x in ranked], down)
+        for j in _bits(masks[x]):
+            acc &= having[j]
+        up.append(acc)
+    covers = [(n - 1 - lo, n - 1 - hi) for hi, lo in reversed(_cover_pairs(up))]
+    del up  # n masks of n bits, freed before the build allocates its own
+    return _derived(kind, [lattice.names[x] for x in reversed(ranked)], covers)
 
 
 @memoized
@@ -258,32 +277,34 @@ class OrdersReport:
 def orders_coincide_report(lattice: Lattice) -> OrdersReport:
     """Compare the three derived orders as relation sets.
 
-    A flag is false exactly when some element separates the corresponding
+    Two orders on one set are equal exactly when their covers are.  Equal
+    orders also have equal heights, so the same (height, name) indexing,
+    and each order is compared by its ``names`` and index ``covers``.  A
+    flag is false exactly when some element separates the corresponding
     label sets (W vs lab_down, W vs lab_up, lab_up vs lab_down); the first
     such element in name order is reported.
     """
-    down = lab_down_map(lattice)
-    up = lab_up_map(lattice)
-    w = w_map(lattice)
-    # two orders on one set are equal exactly when their covers are
-    rel_kappa = kappa_order(lattice).covers_named()
-    rel_down = clo_down(lattice).covers_named()
-    rel_up = clo_up(lattice).covers_named()
+    names = lattice.names
+    lab_down = _lab_down_masks(lattice)
+    lab_up = _lab_up_masks(lattice)
+    w = [d & u for d, u in zip(lab_down, lab_up)]
+    kappa, down, up = kappa_order(lattice), clo_down(lattice), clo_up(lattice)
+
+    def same(left, right):
+        return left.names == right.names and left.covers == right.covers
 
     def first_diff(left, right):
-        for x in sorted(lattice.names):
-            if left[x] != right[x]:
-                return (x, tuple(sorted(left[x])), tuple(sorted(right[x])))
-        return None
+        differ = [x for x in range(lattice.n) if left[x] != right[x]]
+        if not differ:
+            return None
+        x = min(differ, key=names.__getitem__)
+        return (names[x], _sorted_names(lattice, left[x]), _sorted_names(lattice, right[x]))
 
-    wit_kd = first_diff(w, down)
-    wit_ku = first_diff(w, up)
-    wit_ud = first_diff(up, down)
     return OrdersReport(
-        kappa_equals_clo_down=rel_kappa == rel_down,
-        kappa_equals_clo_up=rel_kappa == rel_up,
-        clo_up_equals_clo_down=rel_up == rel_down,
-        witness_kappa_clo_down=wit_kd,
-        witness_kappa_clo_up=wit_ku,
-        witness_clo_up_clo_down=wit_ud,
+        kappa_equals_clo_down=same(kappa, down),
+        kappa_equals_clo_up=same(kappa, up),
+        clo_up_equals_clo_down=same(up, down),
+        witness_kappa_clo_down=first_diff(w, lab_down),
+        witness_kappa_clo_up=first_diff(w, lab_up),
+        witness_clo_up_clo_down=first_diff(lab_up, lab_down),
     )

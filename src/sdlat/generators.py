@@ -11,8 +11,8 @@ import random
 from functools import lru_cache
 from typing import Optional, Union
 
-from .core import Lattice, _cover_pairs
-from .errors import BadParameter, InconsistentLabels, LatticeError
+from .core import Lattice, Poset, _cover_pairs
+from .errors import BadParameter, InconsistentLabels
 from .irreducibles import _inherited_label_leq, irreducible_table, j_label_cover
 from .shelling import LabeledPoset
 
@@ -223,9 +223,11 @@ def random_sd_lattice(
     top.  The candidate is tested on bitmasks: indexed bot, e0..e(k-1), top
     (a linear extension, since edges rise in rank), ``down[i]`` is closed by
     OR-ing in ``down[j]`` for each picked edge in draw order, and the covers
-    come from the msb walk of ``_cover_pairs``.  ``Lattice`` on those masks
-    checks the bounds and the cover-pair lemma, and ``is_semidistributive``
-    the kappa test; only an accepted candidate is rebuilt through
+    come from the msb walk of ``_cover_pairs``.  bot and top bound every
+    candidate, so a ``Poset`` on those masks is a lattice exactly when it
+    passes ``_cover_pairs_have_meets``, and then SD exactly when
+    ``_kappa_maps`` finds the kappa maps; a rejected candidate builds no
+    error message.  Only an accepted candidate is rebuilt through
     ``Lattice.build_from_covers``, which validates the Hasse diagram and
     indexes it canonically.
 
@@ -258,11 +260,8 @@ def random_sd_lattice(
         down.append((1 << (k + 2)) - 1)
         names = ("bot", *(f"e{i}" for i in range(k)), "top")
         covers = _cover_pairs(down)
-        try:
-            candidate = Lattice(names, down, tuple(covers))
-        except LatticeError:
-            continue
-        if candidate.is_semidistributive():
+        candidate = Poset(names, down, tuple(covers))
+        if candidate._cover_pairs_have_meets() and candidate._kappa_maps() is not None:
             return Lattice.build_from_covers(names, [(names[j], names[i]) for j, i in covers])
     raise BadParameter("random_sd_lattice failed to find a lattice; widen max_tries")
 

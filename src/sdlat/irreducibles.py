@@ -7,7 +7,7 @@ and its inverse kappa_d sends m to the unique smallest y with m v y = m^*.
 Both extrema exist precisely when the lattice is semidistributive
 (Freese-Jezek-Nation, Thm 2.56), so one mask test per irreducible both
 checks semidistributivity and yields the kappa table; see
-``Lattice._kappa_indices``.
+``Poset._kappa_maps``.
 
 Cover labels come from masks too.  With above[u] = {j : kappa(j) >= u},
 the j-label of a cover u < v is the single bit of ``down[v] & above[u]``

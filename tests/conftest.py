@@ -2,8 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 import sdlat as S
+
+from oracles import from_leq
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +45,20 @@ def sd_family_lattices(max_size=12):
     ]
     out += [S.generate("chain", n) for n in range(0, 6)]
     return [lat for lat in out if len(lat) <= max_size]
+
+
+# Two random_sd_lattice draws whose cloUp is not contained in the order of L,
+# so L's indexing is not a linear extension of it; each is a list of covers.
+CLO_UP_OUTSIDE = [
+    "bot<e0 bot<e1 bot<e2 e0<e4 e0<e5 e1<e3 e1<e4 e2<e3 e2<e5 e3<e6 e4<e8 e5<e7 e6<top e7<top e8<top",
+    "bot<e0 bot<e1 bot<e2 e0<e4 e1<e3 e1<e6 e2<e3 e2<e5 e3<e7 e4<e5 e4<e6 e5<top e6<top e7<top",
+]
+
+
+def lattice_from_cover_text(text):
+    """The lattice on the names of ``lo<hi`` pairs separated by spaces."""
+    covers = [tuple(pair.split("<")) for pair in text.split()]
+    return S.Lattice.build_from_covers(sorted({x for c in covers for x in c}), covers)
 
 
 def sd_exponential_oracle(lattice):
@@ -110,3 +127,31 @@ def four_condition_flags(lattice, group):
     refining = is_irredundant and refines_all
 
     return (pairwise, labels_covers, oracle_confirms, refining)
+
+
+def ranked_poset(pick):
+    """A ranked poset on up to 9 elements drawn through pick(lo, hi).
+
+    It is usually bounded and often not a lattice, much like the
+    candidates random_sd_lattice draws and rejects.
+    """
+    k = pick(0, 7)
+    mids = [f"e{i}" for i in range(k)]
+    ranks = sorted(pick(1, 3) for _ in range(k))
+    names = (["bot"] if pick(0, 4) or k == 0 else []) + mids
+    names += ["top"] if pick(0, 4) else []
+    down = {a: {a} for a in names}
+    for i, j in itertools.product(range(k), repeat=2):
+        if ranks[i] < ranks[j] and pick(0, 1):
+            down[mids[j]] |= down[mids[i]]
+    if "bot" in names:
+        for a in names:
+            down[a].add("bot")
+    if "top" in names:
+        down["top"] = set(names)
+    return from_leq(names, lambda a, b: a in down[b])
+
+
+@st.composite
+def posets(draw):
+    return ranked_poset(lambda lo, hi: draw(st.integers(lo, hi)))

@@ -9,12 +9,15 @@ reads off masks or off intervals of the parent lattice:
 * ``interval_restriction``: a labeled poset cut down to an interval;
 * ``cjr_oracle`` and ``irredundant_representations``: canonical and
   irredundant join representations by enumerating element subsets, and
-  ``cmr_matches_kappa_bar``: the kappa_bar identity on CJR/CMR.
+  ``cmr_matches_kappa_bar``: the kappa_bar identity on CJR/CMR;
+* ``orders_coincide_report_oracle``: the derived orders compared by their
+  sorted name covers, and the label sets as maps of name frozensets.
 """
 
 from sdlat import InconsistentLabels, LabeledPoset, Lattice, Poset, cjr, cmr, irreducible_table
 from sdlat import CanonicalRep, NoUniqueMax, SizeLimitExceeded, j_label_interval
 from sdlat.core import _bits
+from sdlat.cores import OrdersReport, clo_down, clo_up, kappa_order, lab_down_map, lab_up_map, w_map
 from sdlat.irreducibles import kappa_bar_map
 
 
@@ -186,3 +189,28 @@ def cmr_matches_kappa_bar(lattice, x):
     image = kappa_bar_map(lattice)[x]
     expected = sorted(table.kappa[j] for j in cjr(lattice, x).joinands)
     return list(cmr(lattice, image).joinands) == expected
+
+
+def orders_coincide_report_oracle(lattice):
+    """``orders_coincide_report`` on names: sorted name covers and name frozensets."""
+    down = lab_down_map(lattice)
+    up = lab_up_map(lattice)
+    w = w_map(lattice)
+    rel_kappa = kappa_order(lattice).covers_named()
+    rel_down = clo_down(lattice).covers_named()
+    rel_up = clo_up(lattice).covers_named()
+
+    def first_diff(left, right):
+        for x in sorted(lattice.names):
+            if left[x] != right[x]:
+                return (x, tuple(sorted(left[x])), tuple(sorted(right[x])))
+        return None
+
+    return OrdersReport(
+        kappa_equals_clo_down=rel_kappa == rel_down,
+        kappa_equals_clo_up=rel_kappa == rel_up,
+        clo_up_equals_clo_down=rel_up == rel_down,
+        witness_kappa_clo_down=first_diff(w, down),
+        witness_kappa_clo_up=first_diff(w, up),
+        witness_clo_up_clo_down=first_diff(up, down),
+    )

@@ -23,6 +23,8 @@ import sdlat as S
 from sdlat.cli import cli_main
 from sdlat.jsonio import emit_json, to_document
 
+from conftest import CLO_UP_OUTSIDE, lattice_from_cover_text
+
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
 DOCUMENTS = {
@@ -37,6 +39,9 @@ DOCUMENTS = {
     "preprojA2": ("preprojA2", None),
 }
 DERIVED = ("cloDown", "cloUp", "kappa")
+# Lattices whose cloUp is not contained in their order, given by covers;
+# only the derived orders are run on them.
+COVER_DOCUMENTS = {f"cloUpOutside{k}": text for k, text in enumerate(CLO_UP_OUTSIDE, 1)}
 
 
 def _forms(obj):
@@ -80,13 +85,18 @@ def _run(argv):
 
 def run_cases(doc, workdir):
     """Case id -> [sha256 of stdout, exit code, first stderr line] for one document."""
-    family, n = DOCUMENTS[doc]
-    obj = S.generate(family, n)
     path = Path(workdir) / f"{doc}.json"
+    if doc in COVER_DOCUMENTS:
+        obj = lattice_from_cover_text(COVER_DOCUMENTS[doc])
+        commands = [["orders", str(path), "--which", which] for which in DERIVED]
+    else:
+        family, n = DOCUMENTS[doc]
+        obj = S.generate(family, n)
+        commands = [["gen", family] + ([] if n is None else [str(n)])]
+        commands += [[form[0], str(path), *form[1:]] for form in _forms(obj)]
     path.write_text(emit_json(to_document(obj)), encoding="utf-8")
-    gen = ["gen", family] + ([] if n is None else [str(n)])
     results = {}
-    for args in [gen] + [[form[0], str(path), *form[1:]] for form in _forms(obj)]:
+    for args in commands:
         for extra in ([], ["--json"]):
             argv = args + extra
             key = " ".join(a if a != str(path) else "FILE" for a in argv)
@@ -94,7 +104,7 @@ def run_cases(doc, workdir):
     return results
 
 
-@pytest.mark.parametrize("doc", sorted(DOCUMENTS))
+@pytest.mark.parametrize("doc", sorted(DOCUMENTS) + sorted(COVER_DOCUMENTS))
 def test_cli_output_matches_golden(doc, tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     expected = {k: v for k, v in golden.items() if k.startswith(f"{doc}: ")}
@@ -107,7 +117,7 @@ def test_cli_output_matches_golden(doc, tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {}
-        for name in sorted(DOCUMENTS):
+        for name in sorted(DOCUMENTS) + sorted(COVER_DOCUMENTS):
             record.update(run_cases(name, tmp))
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(record)} cases to {GOLDEN}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -66,6 +67,79 @@ def test_build_runs_poset_init_once(monkeypatch):
         del calls[:]
         again = Lattice.build_from_covers(lat.names, lat.covers_named())
         assert calls == [again.names] and again == lat
+
+
+def test_derived_orders_are_built_without_the_untrusted_path(monkeypatch):
+    # the derived orders come as index covers that are an exact reduction by
+    # construction, so they skip the name checks, the toposort and the
+    # reduction check of from_covers
+    lat = S.generate("tamari", 5)
+    calls = []
+    from_covers, toposort, check = Poset.from_covers.__func__, Poset._toposort, Poset._check_reduction
+
+    def counting_from_covers(cls, names, covers):
+        calls.append("from_covers")
+        return from_covers(cls, names, covers)
+
+    def counting_toposort(*args):
+        calls.append("_toposort")
+        return toposort(*args)
+
+    def counting_check(*args):
+        calls.append("_check_reduction")
+        return check(*args)
+
+    monkeypatch.setattr(Poset, "from_covers", classmethod(counting_from_covers))
+    monkeypatch.setattr(Poset, "_toposort", staticmethod(counting_toposort))
+    monkeypatch.setattr(Poset, "_check_reduction", staticmethod(counting_check))
+    orders = [S.kappa_order(lat), S.clo_up(lat), S.clo_down(lat)]
+    assert calls == []
+    assert [order.kind for order in orders] == ["kappaOrder", "cloUp", "cloDown"]
+    # the same wrappers do see an untrusted build
+    Lattice.build_from_covers(["0", "a", "1"], [("0", "a"), ("a", "1")])
+    assert calls == ["from_covers", "_toposort"]
+
+
+# messages recorded before the reduction check moved from Poset.__init__
+# into from_covers
+REDUNDANT_COVERS = [
+    ("0<a a<b b<1 0<b", "cover ('0', 'b') is implied via 'a'"),
+    ("0<a 0<b a<1 b<1 0<1", "cover ('0', '1') is implied via 'a'"),
+    ("0<a a<b b<c 0<c a<c", "cover ('0', 'c') is implied via 'a'"),
+    ("0<a a<x x<1 0<b b<1 a<1 0<y y<x", "cover ('a', '1') is implied via 'x'"),
+    ("bot<p bot<q p<r q<r r<top p<top q<s s<top bot<s", "cover ('bot', 's') is implied via 'q'"),
+    ("0<b b<1 0<1 0<c", "cover ('0', '1') is implied via 'b'"),
+]
+
+
+@pytest.mark.parametrize("text, message", REDUNDANT_COVERS)
+def test_redundant_cover_messages(text, message):
+    covers = [tuple(pair.split("<")) for pair in text.split()]
+    names = sorted({x for c in covers for x in c})
+    for build in (Poset.from_covers, Lattice.build_from_covers):
+        with pytest.raises(NotTransitiveReduction) as info:
+            build(names, covers)
+        assert str(info.value) == message
+
+
+def test_redundant_cover_messages_on_random_dags():
+    # 300 random DAGs on up to 9 vertices, 127 of them with an implied
+    # cover: the outcomes hash to the digest recorded before the change
+    rng = random.Random(5)
+    outcomes = []
+    for _ in range(300):
+        names = [f"v{i}" for i in range(rng.randint(2, 9))]
+        edges = {(a, b) for a, b in itertools.combinations(names, 2) if rng.random() < 0.35}
+        covers = sorted(edges)
+        rng.shuffle(covers)
+        try:
+            Poset.from_covers(names, covers)
+            outcomes.append("ok")
+        except S.LatticeError as exc:
+            outcomes.append(f"{type(exc).__name__} {exc}")
+    assert sum(o != "ok" for o in outcomes) == 127
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "ed8c3c9ac5f423fb307ad6b6b970fa691aad995774a5b6325efcf436bdaf7dc8"
 
 
 def test_non_lattice_rejected():

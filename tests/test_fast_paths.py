@@ -16,14 +16,20 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import sdlat as S
 from sdlat import Lattice, NotALattice, NotSemidistributive
 from sdlat.cores import lab_down_map, lab_up_map, w_map
 
-from conftest import sd_exponential_oracle
-from oracles import from_leq
+from conftest import (
+    CLO_UP_OUTSIDE,
+    lattice_from_cover_text,
+    posets,
+    ranked_poset,
+    sd_exponential_oracle,
+    sd_family_lattices,
+)
+from oracles import from_leq, orders_coincide_report_oracle
 
 SRC = Path(S.__file__).resolve().parent
 
@@ -187,34 +193,6 @@ def check_drawn_poset(poset):
     return "lattice"
 
 
-def ranked_poset(pick):
-    """A ranked poset on up to 9 elements drawn through pick(lo, hi).
-
-    It is usually bounded and often not a lattice, much like the
-    candidates random_sd_lattice draws and rejects.
-    """
-    k = pick(0, 7)
-    mids = [f"e{i}" for i in range(k)]
-    ranks = sorted(pick(1, 3) for _ in range(k))
-    names = (["bot"] if pick(0, 4) or k == 0 else []) + mids
-    names += ["top"] if pick(0, 4) else []
-    down = {a: {a} for a in names}
-    for i, j in itertools.product(range(k), repeat=2):
-        if ranks[i] < ranks[j] and pick(0, 1):
-            down[mids[j]] |= down[mids[i]]
-    if "bot" in names:
-        for a in names:
-            down[a].add("bot")
-    if "top" in names:
-        down["top"] = set(names)
-    return from_leq(names, lambda a, b: a in down[b])
-
-
-@st.composite
-def posets(draw):
-    return ranked_poset(lambda lo, hi: draw(st.integers(lo, hi)))
-
-
 # -- tests --------------------------------------------------------------------
 
 
@@ -237,15 +215,25 @@ def test_random_pool_matches_oracles():
 def test_clo_up_outside_the_lattice_order():
     # cloUp need not be contained in the order of L, so L's indexing is not
     # always a linear extension of it (two random_sd_lattice draws)
-    cases = [
-        "bot<e0 bot<e1 bot<e2 e0<e4 e0<e5 e1<e3 e1<e4 e2<e3 e2<e5 e3<e6 e4<e8 e5<e7 e6<top e7<top e8<top",
-        "bot<e0 bot<e1 bot<e2 e0<e4 e1<e3 e1<e6 e2<e3 e2<e5 e3<e7 e4<e5 e4<e6 e5<top e6<top e7<top",
-    ]
-    for text in cases:
-        covers = [tuple(pair.split("<")) for pair in text.split()]
-        lat = Lattice.build_from_covers(sorted({x for c in covers for x in c}), covers)
+    for text in CLO_UP_OUTSIDE:
+        lat = lattice_from_cover_text(text)
         check_sd_lattice(lat)
         assert any(lat.index[a] > lat.index[b] for a, b in S.clo_up(lat).relation_pairs())
+
+
+def test_orders_report_matches_oracle(small_sd_lattices):
+    rng = random.Random(1)
+    el_search_pool = [S.random_sd_lattice(rng=rng, max_mid=8) for _ in range(24)]
+    lattices = sd_family_lattices() + [S.generate(f, n) for f, n in FAMILIES]
+    lattices += [lattice_from_cover_text(text) for text in CLO_UP_OUTSIDE]
+    lattices += small_sd_lattices + el_search_pool
+    separated = set()
+    for lat in lattices:
+        report = S.orders_coincide_report(lat)
+        assert report == orders_coincide_report_oracle(lat)
+        separated |= {name for name, value in vars(report).items() if value not in (True, None)}
+    # every flag is false, and every witness set, somewhere
+    assert len(separated) == 6
 
 
 def test_derived_orders_that_are_not_lattices():

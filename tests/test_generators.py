@@ -193,6 +193,30 @@ def test_random_sd_lattice_builds_only_the_accepted_candidate(monkeypatch):
         assert sorted(built[0]) == sorted(lattice.names)
 
 
+def test_random_sd_lattice_rejects_without_messages(monkeypatch):
+    # rejected candidates fail the cover-pair test on masks and build no
+    # NotALattice or NotTransitiveReduction message; the second draw of the
+    # el-search stream tries 1365 candidates, 585 of them not lattices
+    rng = random.Random(1)
+    S.random_sd_lattice(rng=rng, max_mid=8)
+    calls = []
+    scan, check = Poset._two_sided_scan, Poset._check_reduction
+
+    def counting_scan(self):
+        calls.append("_two_sided_scan")
+        return scan(self)
+
+    def counting_check(*args):
+        calls.append("_check_reduction")
+        return check(*args)
+
+    monkeypatch.setattr(Poset, "_two_sided_scan", counting_scan)
+    monkeypatch.setattr(Poset, "_check_reduction", staticmethod(counting_check))
+    lattice = S.random_sd_lattice(rng=rng, max_mid=8)
+    assert calls == []
+    assert len(lattice) == 9 and lattice.is_semidistributive()
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
