@@ -61,6 +61,22 @@ def lattice_from_cover_text(text):
     return S.Lattice.build_from_covers(sorted({x for c in covers for x in c}), covers)
 
 
+def record_calls(monkeypatch, cls, names):
+    """Record each call of the named methods of ``cls``, in order, and let it through."""
+    calls = []
+    for name in names:
+        raw = cls.__dict__[name]
+        wrap = type(raw) if isinstance(raw, (classmethod, staticmethod)) else None
+        fn = raw.__func__ if wrap else raw
+
+        def wrapper(*args, name=name, fn=fn):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(cls, name, wrap(wrapper) if wrap else wrapper)
+    return calls
+
+
 def sd_exponential_oracle(lattice):
     """Literal complete-semidistributivity check over every subset."""
     names = lattice.names

@@ -17,7 +17,7 @@ from sdlat import (
     SizeLimitExceeded,
 )
 
-from conftest import sd_exponential_oracle, sd_family_lattices, transitive_reduction_from_order
+from conftest import record_calls, sd_exponential_oracle, sd_family_lattices, transitive_reduction_from_order
 from oracles import as_lattice
 
 
@@ -74,24 +74,7 @@ def test_derived_orders_are_built_without_the_untrusted_path(monkeypatch):
     # construction, so they skip the name checks, the toposort and the
     # reduction check of from_covers
     lat = S.generate("tamari", 5)
-    calls = []
-    from_covers, toposort, check = Poset.from_covers.__func__, Poset._toposort, Poset._check_reduction
-
-    def counting_from_covers(cls, names, covers):
-        calls.append("from_covers")
-        return from_covers(cls, names, covers)
-
-    def counting_toposort(*args):
-        calls.append("_toposort")
-        return toposort(*args)
-
-    def counting_check(*args):
-        calls.append("_check_reduction")
-        return check(*args)
-
-    monkeypatch.setattr(Poset, "from_covers", classmethod(counting_from_covers))
-    monkeypatch.setattr(Poset, "_toposort", staticmethod(counting_toposort))
-    monkeypatch.setattr(Poset, "_check_reduction", staticmethod(counting_check))
+    calls = record_calls(monkeypatch, Poset, ["from_covers", "_toposort", "_check_reduction"])
     orders = [S.kappa_order(lat), S.clo_up(lat), S.clo_down(lat)]
     assert calls == []
     assert [order.kind for order in orders] == ["kappaOrder", "cloUp", "cloDown"]

@@ -6,6 +6,7 @@ import sdlat as S
 from sdlat import BadParameter, Lattice, Poset
 from sdlat.generators import catalan
 
+from conftest import record_calls
 from oracles import from_leq
 
 
@@ -199,19 +200,7 @@ def test_random_sd_lattice_rejects_without_messages(monkeypatch):
     # el-search stream tries 1365 candidates, 585 of them not lattices
     rng = random.Random(1)
     S.random_sd_lattice(rng=rng, max_mid=8)
-    calls = []
-    scan, check = Poset._two_sided_scan, Poset._check_reduction
-
-    def counting_scan(self):
-        calls.append("_two_sided_scan")
-        return scan(self)
-
-    def counting_check(*args):
-        calls.append("_check_reduction")
-        return check(*args)
-
-    monkeypatch.setattr(Poset, "_two_sided_scan", counting_scan)
-    monkeypatch.setattr(Poset, "_check_reduction", staticmethod(counting_check))
+    calls = record_calls(monkeypatch, Poset, ["_two_sided_scan", "_check_reduction"])
     lattice = S.random_sd_lattice(rng=rng, max_mid=8)
     assert calls == []
     assert len(lattice) == 9 and lattice.is_semidistributive()
