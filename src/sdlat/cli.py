@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -23,10 +22,10 @@ from .cores import (
     is_nuclear,
     kappa_order,
 )
-from .errors import LatticeError
+from .errors import LatticeError, SchemaError
 from .generators import generate
 from .irreducibles import irreducible_table, kappa_bar_cycles
-from .jsonio import emit_dot, emit_json, parse_json, to_document
+from .jsonio import dumps_indented, emit_dot, emit_json, parse_json, to_document
 from .sequences import enumerate_kd_exceptional, label_clo_up
 from .shelling import LabeledPoset, find_el_order, is_el_labeling, lattice_j_labeling
 
@@ -34,7 +33,11 @@ _DERIVED = {"kappa": kappa_order, "cloUp": clo_up, "cloDown": clo_down}
 
 
 def _load(path: str):
-    return parse_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not valid UTF-8: {exc}") from None
+    return parse_json(text)
 
 
 def _load_lattice(path: str):
@@ -44,7 +47,7 @@ def _load_lattice(path: str):
 
 def _emit(args, human_lines, payload) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(dumps_indented(payload, sort_keys=True))
     else:
         for line in human_lines:
             print(line)
@@ -195,22 +198,16 @@ def _cmd_seq(args) -> int:
     seqs = enumerate_kd_exceptional(
         lattice, maximal_only=args.maximal, mark_right_extendable=args.maximal
     )
-    lines = []
-    for s in seqs:
-        suffix = ""
-        if s.right_extendable:
-            suffix = "   [extendable to the right]"
-        lines.append("(" + ",".join(s.entries) + ")" + suffix)
+    if args.json:
+        sequences = [{"entries": s.entries, "rightExtendable": s.right_extendable} for s in seqs]
+        _emit(args, (), {"maximalOnly": args.maximal, "count": len(seqs), "sequences": sequences})
+        return 0
+    lines = [
+        "(" + ",".join(s.entries) + ")" + ("   [extendable to the right]" if s.right_extendable else "")
+        for s in seqs
+    ]
     lines.append(f"count: {len(seqs)}")
-    payload = {
-        "maximalOnly": args.maximal,
-        "count": len(seqs),
-        "sequences": [
-            {"entries": list(s.entries), "rightExtendable": s.right_extendable}
-            for s in seqs
-        ],
-    }
-    _emit(args, lines, payload)
+    _emit(args, lines, None)
     return 0
 
 
@@ -366,7 +363,7 @@ def cli_main(argv=None) -> int:
     except LatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from .core import Lattice, Poset
@@ -42,8 +43,10 @@ def parse_document(text: str) -> LatticeDocument:
     """Parse and validate the JSON wire format without building the lattice."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise SchemaError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("not valid JSON: arrays or objects nest too deeply") from None
     if not isinstance(raw, dict):
         raise SchemaError("top level must be an object")
     version = raw.get("schemaVersion")
@@ -107,7 +110,54 @@ def emit_json(doc: LatticeDocument) -> str:
         payload["labels"] = {k: doc.labels[k] for k in sorted(doc.labels)}
     if doc.meta is not None:
         payload["meta"] = {k: doc.meta[k] for k in sorted(doc.meta)}
-    return json.dumps(payload, indent=2) + "\n"
+    return dumps_indented(payload) + "\n"
+
+
+def dumps_indented(value, sort_keys: bool = False) -> str:
+    """``json.dumps(value, indent=2, sort_keys=sort_keys)``, byte for byte.
+
+    The json module runs its C encoder only when ``indent`` is None; with an
+    indent every value goes through its pure-Python generator, which made
+    formatting about 40 % of a ``seq --json`` call on tamari(6).  This
+    writer, about twice as fast, takes the types the CLI and documents
+    use, dispatched on their exact type: dicts with ``str`` keys, lists,
+    tuples, ``str`` (encoded by the json module's C function), ``int``,
+    ``bool`` and None.  Anything else, a float or a subclass included,
+    raises TypeError.
+    """
+    return _dumps(value, "\n", sort_keys)
+
+
+def _dumps(value, newline: str, sort_keys: bool) -> str:
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(item) if type(item) is str else _dumps(item, inner, sort_keys)
+            for item in value
+        ]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key, item in sorted(value.items()) if sort_keys else value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _dumps(item, inner, sort_keys))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def document_to_lattice(doc: LatticeDocument) -> Lattice:

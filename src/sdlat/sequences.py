@@ -145,24 +145,31 @@ def enumerate_kd_exceptional(
     result also records whether one more entry j0 could be appended on the
     right instead, that is, whether the sequence is a path from some child
     (j0, pop_up(j0)) of the root; those walks run alongside the listing.
+
+    The walk is depth first over the memoized interval DAG.  Each stack
+    frame carries its displayed name tuple, and a step prepends the new
+    entry to it, so a result is never rebuilt from its path; the children
+    of the alive walks are fetched once per node that has children.
+    Display tuples are distinct, so sorting (entries, flag) pairs sorts by
+    entries.
     """
     names = lattice.names
     memo: dict = {}
     root = _root(lattice)
     alive = tuple(_children(lattice, memo, root).values()) if mark_right_extendable else ()
-    out = []
+    found = []
     stack = [(root, (), alive)]
     while stack:
-        node, prefix, alive = stack.pop()
+        node, shown, alive = stack.pop()
         kids = _children(lattice, memo, node)
-        if prefix and (not kids or not maximal_only):
-            flag = bool(alive) if mark_right_extendable else None
-            out.append(KdSequence(entries=tuple(names[j] for j in reversed(prefix)), right_extendable=flag))
+        if shown and (not kids or not maximal_only):
+            found.append((shown, bool(alive) if mark_right_extendable else None))
+        walks = [_children(lattice, memo, c) for c in alive] if kids else ()
         for j, child in kids.items():
-            moved = tuple(walk[j] for walk in (_children(lattice, memo, c) for c in alive) if j in walk)
-            stack.append((child, prefix + (j,), moved))
-    out.sort(key=lambda s: s.entries)
-    return out
+            moved = tuple(walk[j] for walk in walks if j in walk)
+            stack.append((child, (names[j],) + shown, moved))
+    found.sort()
+    return [KdSequence(entries, True, flag) for entries, flag in found]
 
 
 def count_kd_exceptional(lattice: Lattice, maximal_only: bool = False) -> int:

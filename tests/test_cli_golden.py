@@ -42,6 +42,19 @@ DERIVED = ("cloDown", "cloUp", "kappa")
 # Lattices whose cloUp is not contained in their order, given by covers;
 # only the derived orders are run on them.
 COVER_DOCUMENTS = {f"cloUpOutside{k}": text for k, text in enumerate(CLO_UP_OUTSIDE, 1)}
+# fig1 with element names that hold a double quote, a backslash, a space and
+# a non-ASCII letter, so every form escapes them; no gen command.
+ODD_NAMES = "fig1-oddNames"
+# Larger documents on which only seq runs, with and without --maximal.
+SEQ_DOCUMENTS = {"tamari5": ("tamari", 5), "boolean4": ("boolean", 4)}
+CASES = sorted(DOCUMENTS) + sorted(COVER_DOCUMENTS) + [ODD_NAMES] + sorted(SEQ_DOCUMENTS)
+
+
+def _odd_names(lattice):
+    """``lattice`` with each name x renamed to 'x "é\\'."""
+    fresh = {x: f'{x} "\u00e9\\' for x in lattice.names}
+    covers = [(fresh[a], fresh[b]) for a, b in lattice.covers_named()]
+    return S.Lattice.build_from_covers([fresh[x] for x in lattice.names], covers)
 
 
 def _forms(obj):
@@ -89,6 +102,12 @@ def run_cases(doc, workdir):
     if doc in COVER_DOCUMENTS:
         obj = lattice_from_cover_text(COVER_DOCUMENTS[doc])
         commands = [["orders", str(path), "--which", which] for which in DERIVED]
+    elif doc == ODD_NAMES:
+        obj = _odd_names(S.generate("fig1"))
+        commands = [[form[0], str(path), *form[1:]] for form in _forms(obj)]
+    elif doc in SEQ_DOCUMENTS:
+        obj = S.generate(*SEQ_DOCUMENTS[doc])
+        commands = [["seq", str(path)], ["seq", str(path), "--maximal"]]
     else:
         family, n = DOCUMENTS[doc]
         obj = S.generate(family, n)
@@ -104,7 +123,7 @@ def run_cases(doc, workdir):
     return results
 
 
-@pytest.mark.parametrize("doc", sorted(DOCUMENTS) + sorted(COVER_DOCUMENTS))
+@pytest.mark.parametrize("doc", CASES)
 def test_cli_output_matches_golden(doc, tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     expected = {k: v for k, v in golden.items() if k.startswith(f"{doc}: ")}
@@ -117,7 +136,7 @@ def test_cli_output_matches_golden(doc, tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {}
-        for name in sorted(DOCUMENTS) + sorted(COVER_DOCUMENTS):
+        for name in CASES:
             record.update(run_cases(name, tmp))
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(record)} cases to {GOLDEN}", file=sys.stderr)

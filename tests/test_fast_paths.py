@@ -303,6 +303,21 @@ def test_no_from_leq_calls(module):
     assert lines == [], f"{module} calls from_leq on lines {lines}"
 
 
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_no_indented_json_dumps(module):
+    # json.dumps with an indent runs the pure-Python encoder; indented JSON
+    # has one writer, jsonio.dumps_indented
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    ]
+    assert lines == [], f"{module} calls json.dumps with an indent on lines {lines}"
+
+
 def _memo_owners(tree):
     """memoized itself and Lattice.__init__, which creates the memo dict."""
     for node in tree.body:

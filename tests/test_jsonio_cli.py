@@ -50,6 +50,8 @@ def test_parse_propagates_build_errors():
 def test_schema_errors():
     with pytest.raises(SchemaError):
         parse_document("not json")
+    with pytest.raises(SchemaError, match="4300 digits"):
+        parse_document('{"elements": [' + "1" * 5000 + "]}")
     with pytest.raises(SchemaError):
         parse_document(json.dumps({"schemaVersion": "2", "elements": [], "covers": []}))
     with pytest.raises(SchemaError):
@@ -66,6 +68,16 @@ def test_schema_errors():
                 {"schemaVersion": "1", "elements": ["a"], "covers": [["a"]]}
             )
         )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200000, '{"a": ' * 200000, "[" * 100000 + "]" * 100000],
+    ids=["open-arrays", "open-objects", "closed-arrays"],
+)
+def test_parse_document_rejects_deep_nesting(text):
+    with pytest.raises(SchemaError, match="nest too deeply"):
+        parse_document(text)
 
 
 def test_dot_output(fig1):
@@ -242,6 +254,31 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, doc, args, messag
         path.write_text(json.dumps({"schemaVersion": "1", **doc}), encoding="utf-8")
     assert cli_main([args[0], str(path), *args[1:]]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "content, argv, message",
+    [
+        (None, ["check", "DIR"], None),
+        (None, ["gen", "tamari", "3", "-o", "DIR"], None),
+        (b'{"elements": ["\xff"]}', ["check", "FILE"],
+         "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
+        (b"[" * 200000, ["check", "FILE"], "not valid JSON: arrays or objects nest too deeply"),
+    ],
+    ids=["read-dir", "write-dir", "not-utf8", "deep"],
+)
+def test_cli_file_errors_exit_2_with_one_line(tmp_path, capsys, content, argv, message):
+    # a directory to read or write (the OS words the message), bytes that are
+    # not UTF-8, and nesting deeper than the parser's recursion limit
+    path = tmp_path / "doc.json"
+    if content is not None:
+        path.write_bytes(content)
+    argv = [{"DIR": str(tmp_path), "FILE": str(path)}.get(a, a) for a in argv]
+    assert cli_main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if message is not None:
+        assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -1,18 +1,22 @@
-"""Hypothesis properties: the JSON round trip and the dual identities.
+"""Hypothesis properties: the JSON writer, the JSON round trip and the dual identities.
 
 Lattices are drawn two ways, each on drawn names: random semidistributive
 lattices from a drawn seed and size, and the ranked posets of
 ``conftest.posets`` that happen to be lattices, some of which are not
-semidistributive.
+semidistributive.  The indented-JSON writer is checked against
+``json.dumps`` on drawn nested values.
 """
 
+import json
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sdlat as S
 from sdlat import LatticeError
 from sdlat.irreducibles import kappa_bar_d_map, kappa_bar_map
-from sdlat.jsonio import emit_json, parse_json, to_document
+from sdlat.jsonio import dumps_indented, emit_json, parse_json, to_document
 
 from conftest import posets
 
@@ -37,6 +41,31 @@ sd_lattices = renamed(
 )
 
 drawn_lattices = renamed(posets().filter(lambda poset: poset.is_lattice_poset()))
+
+
+# quotes, backslashes, control characters and non-ASCII letters, or any character
+json_text = st.text(st.sampled_from('"\\\x00\x1f\n\t\x7f éß€😀') | st.characters(), max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | json_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@SETTINGS
+@given(json_values, st.booleans())
+def test_dumps_indented_matches_json_dumps(value, sort_keys):
+    assert dumps_indented(value, sort_keys=sort_keys) == json.dumps(value, indent=2, sort_keys=sort_keys)
+
+
+@pytest.mark.parametrize("sort_keys", [False, True])
+@pytest.mark.parametrize("value", [1.0, [1, {"a": 0.5}], {1}, {1: "a"}, {"a": {True: None}}])
+def test_dumps_indented_rejects_other_types(value, sort_keys):
+    # json.dumps writes these, and a lookup on the value would write 1.0 as true
+    with pytest.raises(TypeError):
+        dumps_indented(value, sort_keys=sort_keys)
 
 
 def _round_trip(obj):
