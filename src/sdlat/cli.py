@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 a checked property is negative (not
 semidistributive, not an EL-labeling, interval not nuclear, no certifying
-order found), 2 input or usage error.
+order found), 2 input or usage error, 141 (128 + SIGPIPE) stdout closed
+before the output was written, as in ``sdlat seq FILE --json | head -1``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from .sequences import enumerate_kd_exceptional, label_clo_up
 from .shelling import LabeledPoset, find_el_order, is_el_labeling, lattice_j_labeling
 
 _DERIVED = {"kappa": kappa_order, "cloUp": clo_up, "cloDown": clo_down}
+EXIT_BROKEN_PIPE = 141
 
 
 def _load(path: str):
@@ -363,10 +366,22 @@ def cli_main(argv=None) -> int:
     except LatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    code = cli_main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        # the reader is gone: the flush at interpreter exit must write nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)

@@ -5,21 +5,27 @@ The lower core of x is [pop_down(x), x]; the upper core is the interval
 [kappa_bar(x), pop_up(kappa_bar(x))].  Their join-irreducible label sets
 (lab_down, lab_up) intersect in W(x), and comparison of these sets induces
 three partial orders on the lattice: the two core label orders and the
-kappa order x <= y iff x <= y and kappa_bar(y) <= kappa_bar(x).
+kappa order x <= y iff x <= y and kappa_bar(y) <= kappa_bar(x), which is
+inclusion of the W sets (proof in ``kappa_order``).
 
-Each derived order is computed on masks: the down-sets of the kappa order
-and the up-sets of the label inclusion orders, whose msb walk
-(``core._cover_pairs``) gives index covers that are an exact reduction by
-construction.  So ``Poset._from_cover_pairs`` builds it without the name
-checks, toposort and reduction check of ``Poset.from_covers``, and indexes
-it by (height, name) exactly as ``from_covers`` would; that order is the
-derived order's ``names``, which ``to_document`` exposes.  Names appear only
-at the boundary: in ``covers_named``, the label-set maps and the witnesses
-of ``orders_coincide_report``.
+So all three derived orders are inclusion orders of a list of label masks,
+one mask per element, and ``_label_order`` builds each distinct list once
+per lattice: orders whose lists coincide (all three on the tamari and
+boolean lattices) share one build and one lattice verdict and differ only
+in ``kind``.  The up-sets of an inclusion order have a msb walk
+(``core._cover_pairs``) that gives index covers which are an exact
+reduction by construction.  So ``Poset._from_cover_pairs`` builds the order
+without the name checks, toposort and reduction check of
+``Poset.from_covers``, and indexes it by (height, name) exactly as
+``from_covers`` would; that order is the derived order's ``names``, which
+``to_document`` exposes.  Names appear only at the boundary: in
+``covers_named``, the label-set maps and the witnesses of
+``orders_coincide_report``.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
@@ -166,11 +172,16 @@ def lab_up_map(lattice: Lattice) -> dict[str, frozenset[str]]:
     return _label_sets(lattice, _lab_up_masks(lattice))
 
 
+@memoized
+def _w_masks(lattice: Lattice) -> list[int]:
+    """W(x) = {j in cji : j <= x and kappa(j) >= kappa_bar(x)} of every element, as masks."""
+    down, above = lattice.down, _above(lattice)
+    return [down[x] & above[k] for x, k in enumerate(_kappa_bar_idx(lattice))]
+
+
 def w_map(lattice: Lattice) -> dict[str, frozenset[str]]:
     """W(x) = lab_up(x) & lab_down(x) for every element."""
-    down = lab_down_map(lattice)
-    up = lab_up_map(lattice)
-    return {x: down[x] & up[x] for x in lattice.names}
+    return _label_sets(lattice, _w_masks(lattice))
 
 
 class DerivedPoset(Poset):
@@ -178,43 +189,53 @@ class DerivedPoset(Poset):
 
     It is a plain Poset on the lattice's names, tagged with which order it
     is as ``kind`` (kappaOrder, cloUp or cloDown), so it compares ``==`` by
-    relation with any Poset.
+    relation with any Poset.  Orders built from one mask list share their
+    arrays and their lattice verdict, and differ only in ``kind``.
     """
 
     kind: str
+    _verdict: list[bool]  # shared by the orders of one build; empty until is_lattice runs
 
     def is_lattice(self) -> bool:
-        return self.is_lattice_poset()
+        verdict = self._verdict
+        if not verdict:
+            verdict.append(self.is_lattice_poset())
+        return verdict[0]
 
 
-def _derived(kind: str, names: list[str], covers: list[tuple[int, int]]) -> DerivedPoset:
-    """Build and tag the derived order with index covers ``covers`` over ``names``."""
-    order = DerivedPoset._from_cover_pairs(names, covers)
-    order.kind = kind
-    return order
+@memoized
+def _orders_built(lattice: Lattice) -> dict[tuple[int, ...], DerivedPoset]:
+    """The derived orders built on this lattice so far, keyed by their mask lists."""
+    return {}
 
 
 @memoized
 def kappa_order(lattice: Lattice) -> DerivedPoset:
     """x below y when x <= y in L and kappa_bar(y) <= kappa_bar(x); memoized.
 
-    With reach[z] = {x : kappa_bar(x) >= z}, the down-set of y in this order
-    is down[y] & reach[kappa_bar(y)].  It is contained in the order of L,
-    so the lattice's indexing is a linear extension of it, and the msb walk
-    of ``_cover_pairs`` reads the covers off those down-sets.
+    This is the inclusion order of the sets W(x) = {j in J : j <= x and
+    kappa(j) >= kappa_bar(x)}, which are lab_down(x) & lab_up(x):
+
+    - W(x) contains the canonical joinands D of x, since each of them lies
+      below x and kappa_bar(x) is the meet of kappa over D.  So
+      x = join W(x), and kappa_bar(x) = meet kappa(W(x)), as every
+      kappa(j) with j in W(x) lies above kappa_bar(x).
+    - So W(x) <= W(y) gives x = join W(x) <= join W(y) = y and
+      kappa_bar(y) = meet kappa(W(y)) <= meet kappa(W(x)) = kappa_bar(x);
+      conversely, x <= y and kappa_bar(y) <= kappa_bar(x) put every j of
+      W(x) below y with kappa(j) >= kappa_bar(x) >= kappa_bar(y).
+    - It also follows that W(x) = W(y) gives x = y: the W masks separate
+      the elements.
     """
-    kbar = _kappa_bar_idx(lattice)
-    seeds = [0] * lattice.n
-    for x, k in enumerate(kbar):
-        seeds[k] |= 1 << x
-    reach = lattice._union_above(seeds)
-    covers = _cover_pairs([mask & reach[kbar[y]] for y, mask in enumerate(lattice.down)])
-    del reach  # n masks of n bits, freed before the build allocates its own
-    return _derived("kappaOrder", lattice.names, covers)
+    return _label_order(lattice, "kappaOrder", _w_masks(lattice))
 
 
 def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
-    """Inclusion order of the label masks, tagged ``kind``.
+    """Inclusion order of the label masks, tagged ``kind``; one build per distinct list.
+
+    A list already built for this lattice is not built again: the result
+    is a copy of that order, tagged ``kind``, which shares its arrays and
+    its lattice verdict.
 
     With having[j] the set of elements whose label set contains j, the
     up-set of x is the intersection of having[j] over the labels j of x:
@@ -224,6 +245,13 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
     ``_cover_pairs`` over those up-sets gives the covers, reversed; listed
     by increasing size, they are a linear extension of inclusion.
     """
+    built = _orders_built(lattice)
+    key = tuple(masks)
+    order = built.get(key)
+    if order is not None:
+        order = copy.copy(order)
+        order.kind = kind
+        return order
     if len(set(masks)) != len(masks):
         raise InconsistentLabels(f"{kind}: label sets do not separate elements")
     n = lattice.n
@@ -243,7 +271,10 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
         up.append(acc)
     covers = [(n - 1 - lo, n - 1 - hi) for hi, lo in reversed(_cover_pairs(up))]
     del up  # n masks of n bits, freed before the build allocates its own
-    return _derived(kind, [lattice.names[x] for x in reversed(ranked)], covers)
+    names = [lattice.names[x] for x in reversed(ranked)]
+    order = built[key] = DerivedPoset._from_cover_pairs(names, covers)
+    order.kind, order._verdict = kind, []
+    return order
 
 
 @memoized
@@ -285,9 +316,7 @@ def orders_coincide_report(lattice: Lattice) -> OrdersReport:
     such element in name order is reported.
     """
     names = lattice.names
-    lab_down = _lab_down_masks(lattice)
-    lab_up = _lab_up_masks(lattice)
-    w = [d & u for d, u in zip(lab_down, lab_up)]
+    lab_down, lab_up, w = _lab_down_masks(lattice), _lab_up_masks(lattice), _w_masks(lattice)
     kappa, down, up = kappa_order(lattice), clo_down(lattice), clo_up(lattice)
 
     def same(left, right):

@@ -83,6 +83,26 @@ def test_derived_orders_are_built_without_the_untrusted_path(monkeypatch):
     assert calls == ["from_covers", "_toposort"]
 
 
+@pytest.mark.parametrize(
+    "family, builds", [(("tamari", 5), 1), (("boolean", 4), 1), (("fig1",), 2), (("fig4",), 3)]
+)
+def test_each_distinct_mask_list_is_built_and_checked_once(monkeypatch, family, builds):
+    # the three derived orders coincide on tamari and boolean lattices; on
+    # fig1 the kappa order is cloUp, and on fig4 all three differ.  With the
+    # W masks computed first, every _union_above call left is a build's own
+    # up-sets: the kappa order has no construction of its own.
+    lat = S.generate(*family)
+    S.cores.w_map(lat)
+    calls = record_calls(monkeypatch, Poset, ["_from_cover_pairs", "lattice_failure", "_union_above"])
+    for _ in range(2):
+        orders = [S.kappa_order(lat), S.clo_up(lat), S.clo_down(lat)]
+        verdicts = [order.is_lattice() for order in orders]
+        assert [order.kind for order in orders] == ["kappaOrder", "cloUp", "cloDown"]
+    assert calls.count("_from_cover_pairs") == calls.count("lattice_failure") == builds
+    assert calls.count("_union_above") == builds
+    assert verdicts == [order.lattice_failure() is None for order in orders]
+
+
 # messages recorded before the reduction check moved from Poset.__init__
 # into from_covers
 REDUNDANT_COVERS = [

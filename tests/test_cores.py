@@ -189,3 +189,25 @@ def test_chain_orders_coincide():
         assert report.kappa_equals_clo_up
         assert report.kappa_equals_clo_down
         assert report.clo_up_equals_clo_down
+
+
+def test_derived_orders_do_not_depend_on_call_order(small_sd_lattices):
+    # orders built from one mask list share a build, so the first builder
+    # called decides which order is built; no result may depend on that
+    builders = (S.kappa_order, S.clo_up, S.clo_down)
+    pool = [S.generate("fig1"), S.generate("fig4"), S.generate("tamari", 4), S.generate("boolean", 3)]
+    pool += small_sd_lattices[:20]
+    for lat in pool + [lat.dual() for lat in pool]:
+        seen = set()
+        for calls in itertools.permutations(range(3)):
+            fresh = S.Lattice.build_from_covers(lat.names, lat.covers_named())
+            orders = [None] * 3
+            for i in calls:
+                orders[i] = builders[i](fresh)
+            seen.add(
+                (
+                    tuple((order.names, order.covers, order.kind, order.is_lattice()) for order in orders),
+                    S.orders_coincide_report(fresh),
+                )
+            )
+        assert len(seen) == 1

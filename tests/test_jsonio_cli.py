@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +315,37 @@ def test_cli_input_errors(tmp_path, capsys):
     assert cli_main(["check", str(bad)]) == 2
     fig1 = _write(tmp_path, "fig1.json", S.generate("fig1"))
     assert cli_main(["cjr", fig1, "--element", "zz"]) == 2
+
+
+def _sdlat_process(args, stdout):
+    """``python -m sdlat`` on the checked-out sources, writing to ``stdout``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.Popen(
+        [sys.executable, "-m", "sdlat", *args], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    # the reader stops after one line of a 0.65 MB payload, so the write
+    # fails while the command runs
+    t6 = _write(tmp_path, "t6.json", S.generate("tamari", 6))
+    with _sdlat_process(["seq", t6, "--json"], subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+
+
+def test_closed_stdout_at_the_final_flush_exits_141_quietly(tmp_path):
+    # a short output stays in the buffer until the flush at exit; the read
+    # end is closed before the process starts, so every write fails
+    fig1 = _write(tmp_path, "fig1.json", S.generate("fig1"))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _sdlat_process(["check", fig1], write)
+    finally:
+        os.close(write)
+    with proc:
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
