@@ -68,6 +68,9 @@ def _forms(obj):
         ["cores"], ["cores", "--element", mid], ["seq"], ["seq", "--maximal"],
         ["nuclear", "--lo", lattice.bottom, "--hi", lattice.top],
         ["nuclear", "--lo", lattice.bottom, "--hi", mid],
+        # unknown names: the first one looked up is the one named
+        ["cjr", "--element", "zz"], ["cores", "--element", "zz"],
+        ["nuclear", "--lo", "zz", "--hi", "yy"], ["nuclear", "--lo", lattice.bottom, "--hi", "yy"],
     ]
     for which in DERIVED:
         forms += [["orders", "--which", which], ["orders", "--which", which, "--dot"]]
