@@ -8,7 +8,7 @@ from .canonical import (
     cmr,
     joins_canonically,
 )
-from .core import IntervalView, Lattice, Poset, posets_isomorphic
+from .core import IntervalView, Lattice, Poset
 from .cores import (
     CoreData,
     DerivedPoset,

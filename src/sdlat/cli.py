@@ -26,7 +26,7 @@ from .cores import (
 )
 from .errors import LatticeError, SchemaError
 from .generators import generate
-from .irreducibles import irreducible_table, kappa_bar_cycles
+from .irreducibles import cover_labeling, irreducible_table, kappa_bar_cycles
 from .jsonio import dumps_indented, emit_dot, emit_json, parse_json, to_document
 from .sequences import enumerate_kd_exceptional, label_clo_up
 from .shelling import LabeledPoset, find_el_order, is_el_labeling, lattice_j_labeling
@@ -54,6 +54,21 @@ def _emit(args, human_lines, payload) -> None:
     else:
         for line in human_lines:
             print(line)
+
+
+def _print_derived_dot(lattice, which: str, clo_labels: bool, refusal=None) -> int:
+    """Print the derived order ``which`` as DOT, with the recursive clo-up labels if asked.
+
+    A ``refusal`` is the caller's argument error.  It is raised only once
+    the order is built, so an error of the build, such as a lattice that is
+    not semidistributive, is the one reported.
+    """
+    derived = _DERIVED[which](lattice)
+    if refusal:
+        raise LatticeError(refusal)
+    labels = label_clo_up(lattice).labels if clo_labels else None
+    print(emit_dot(derived, labels=labels, graph_name=which), end="")
+    return 0
 
 
 def _cmd_check(args) -> int:
@@ -104,8 +119,6 @@ def _cmd_cjr(args) -> int:
     lines = []
     payload = {}
     for x in elements:
-        if x not in lattice.index:
-            raise LatticeError(f"unknown element {x!r}")
         join_rep = cjr(lattice, x).joinands
         meet_rep = cmr(lattice, x).joinands
         lines.append(f"CJR({x}) = {{{', '.join(join_rep)}}}")
@@ -132,8 +145,6 @@ def _cmd_cores(args) -> int:
     lines = []
     payload = {}
     for x in elements:
-        if x not in lattice.index:
-            raise LatticeError(f"unknown element {x!r}")
         data = core_data(lattice, x)
         lines.append(
             f"{x}: pop_down={data.pop_down} pop_up={data.pop_up} "
@@ -159,13 +170,9 @@ def _cmd_cores(args) -> int:
 
 def _cmd_orders(args) -> int:
     lattice = _load_lattice(args.file)
-    derived = _DERIVED[args.which](lattice)
     if args.dot:
-        labels = None
-        if args.which == "cloUp" and args.labels:
-            labels = label_clo_up(lattice).labels
-        print(emit_dot(derived, labels=labels, graph_name=args.which), end="")
-        return 0
+        return _print_derived_dot(lattice, args.which, args.labels and args.which == "cloUp")
+    derived = _DERIVED[args.which](lattice)
     covers = derived.covers_named()
     lattice_flag = derived.is_lattice()
     lines = [f"{args.which} covers ({len(covers)}):"]
@@ -182,9 +189,6 @@ def _cmd_orders(args) -> int:
 
 def _cmd_nuclear(args) -> int:
     lattice = _load_lattice(args.file)
-    for x in (args.lo, args.hi):
-        if x not in lattice.index:
-            raise LatticeError(f"unknown element {x!r}")
     nuclear = is_nuclear(lattice, args.lo, args.hi)
     conuclear = is_conuclear(lattice, args.lo, args.hi)
     lines = [
@@ -262,30 +266,25 @@ def _cmd_gen(args) -> int:
 def _cmd_dot(args) -> int:
     obj = _load(args.file)
     lattice = obj.poset if isinstance(obj, LabeledPoset) else obj
+    clo_only = "labeling 'clo' applies only to --derived cloUp"
     if args.derived:
-        derived = _DERIVED[args.derived](lattice)
-        labels = None
-        if args.labeling == "clo":
-            if args.derived != "cloUp":
-                raise LatticeError("labeling 'clo' applies only to --derived cloUp")
-            labels = label_clo_up(lattice).labels
-        elif args.labeling:
-            raise LatticeError("derived posets accept only the 'clo' labeling")
-        print(emit_dot(derived, labels=labels, graph_name=args.derived), end="")
-        return 0
+        refusal = None
+        if args.labeling == "clo" and args.derived != "cloUp":
+            refusal = clo_only
+        elif args.labeling not in (None, "clo"):
+            refusal = "derived posets accept only the 'clo' labeling"
+        return _print_derived_dot(lattice, args.derived, args.labeling == "clo", refusal)
     labels = None
     if args.labeling == "j":
         labels = lattice_j_labeling(lattice).labels
     elif args.labeling == "m":
-        from .irreducibles import cover_labeling
-
         labels = cover_labeling(lattice).mlabel
     elif args.labeling == "custom":
         if not isinstance(obj, LabeledPoset):
             raise LatticeError("labeling 'custom' requires labels in the document")
         labels = obj.labels
     elif args.labeling == "clo":
-        raise LatticeError("labeling 'clo' applies only to --derived cloUp")
+        raise LatticeError(clo_only)
     print(emit_dot(lattice, labels=labels), end="")
     return 0
 

@@ -9,7 +9,8 @@ In a lattice that makes join(x, y) the lowest set bit of ``up[x] & up[y]``
 and meet(x, y) the highest set bit of ``down[x] & down[y]``, so no n^2 join
 or meet table is built; the lattice axioms are checked on pairs of lower
 covers only (the cover-pair lemma in ``Poset._cover_pairs_have_meets``).
-All public entry points speak element *names*; indices stay internal.
+All public entry points speak element *names*, looked up in ``Poset.index``,
+where a name that is not an element raises SchemaError; indices stay internal.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
     NotComparable,
     NotTransitiveReduction,
     SchemaError,
-    SizeLimitExceeded,
 )
 
 
@@ -85,6 +85,13 @@ def _cover_pairs(down: list[int]) -> list[tuple[int, int]]:
     return covers
 
 
+class _Index(dict):
+    """Element name -> index; a name that is not an element raises SchemaError."""
+
+    def __missing__(self, name):
+        raise SchemaError(f"unknown element {name!r}")
+
+
 class Poset:
     """A finite partially ordered set on distinct, non-empty names."""
 
@@ -101,7 +108,7 @@ class Poset:
         """
         self.n = n = len(names)
         self.names = names
-        self.index = {s: i for i, s in enumerate(names)}
+        self.index = _Index(zip(names, range(n)))
         self.down = down
         self.covers = covers
         ucov: list[list[int]] = [[] for _ in range(n)]
@@ -133,18 +140,24 @@ class Poset:
         """Build an instance of ``cls`` from an exact transitive reduction given by name pairs.
 
         This is the one entry point for untrusted covers.  Raises
-        SchemaError for repeated, empty or unknown names, CycleError if the
-        cover digraph is cyclic and NotTransitiveReduction if any listed
-        cover is implied by others.  Elements are indexed by (height, name).
+        SchemaError for names that are not non-empty strings, repeated
+        names, a cover that is not a pair of strings or names an unknown
+        element, CycleError if the cover digraph is cyclic and
+        NotTransitiveReduction if any listed cover is implied by others.
+        Elements are indexed by (height, name).
         """
         names = list(names)
+        if not all(isinstance(s, str) and s for s in names):
+            raise SchemaError("element names must be non-empty strings")
         if len(set(names)) != len(names):
             raise SchemaError("element names must be unique")
-        if any((not isinstance(s, str)) or not s for s in names):
-            raise SchemaError("element names must be non-empty strings")
         raw_index = {s: i for i, s in enumerate(names)}
         raw_covers = []
-        for lo, hi in covers:
+        for cover in covers:
+            # plain isinstance tests, not all() over a generator, which is slower per cover
+            lo, hi = cover if isinstance(cover, (tuple, list)) and len(cover) == 2 else (None, None)
+            if not isinstance(lo, str) or not isinstance(hi, str):
+                raise SchemaError(f"cover {cover!r} is not a pair of strings")
             if lo not in raw_index or hi not in raw_index:
                 raise SchemaError(f"cover ({lo!r}, {hi!r}) mentions an unknown element")
             if lo == hi:
@@ -445,9 +458,6 @@ class Lattice(Poset):
     def _meet_idx(self, x: int, y: int) -> int:
         return _msb(self.down[x] & self.down[y])
 
-    def _leq_idx(self, x: int, y: int) -> bool:
-        return bool(self.down[y] >> x & 1)
-
     def _join_set_idx(self, ids: Iterable[int]) -> int:
         up = self.up
         acc = up[self._bot]
@@ -490,8 +500,8 @@ class Lattice(Poset):
         return self.index[b] in self._ucov[self.index[a]]
 
     def _ends(self, lo: str, hi: str) -> tuple[int, int]:
-        """The indices of lo and hi; raises NotComparable unless lo <= hi."""
-        b, a = self.index[hi], self.index[lo]
+        """The indices of lo and hi, looked up in that order; raises NotComparable unless lo <= hi."""
+        a, b = self.index[lo], self.index[hi]
         if not self.down[b] >> a & 1:
             raise NotComparable(f"{lo!r} is not below {hi!r}")
         return a, b
@@ -585,62 +595,3 @@ class IntervalView:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-
-def posets_isomorphic(p, q, size_cap: int = 14) -> Optional[dict[str, str]]:
-    """Search for an order isomorphism between two small posets.
-
-    Accepts any Poset, such as a Lattice or a derived order.  Returns a
-    name-to-name mapping, or None if the posets are not isomorphic.  Exhaustive backtracking with degree/height pruning;
-    refuses inputs larger than ``size_cap`` elements.
-    """
-    if len(p) != len(q):
-        return None
-    if len(p) > size_cap:
-        raise SizeLimitExceeded(f"posets_isomorphic is capped at {size_cap} elements")
-
-    def signature(poset: Poset, i: int) -> tuple[int, int, int, int, int]:
-        return (
-            poset.heights[i],
-            len(poset._dcov[i]),
-            len(poset._ucov[i]),
-            poset.down[i].bit_count(),
-            poset.up[i].bit_count(),
-        )
-
-    sig_p = [signature(p, i) for i in range(len(p))]
-    sig_q = [signature(q, i) for i in range(len(q))]
-    if sorted(sig_p) != sorted(sig_q):
-        return None
-
-    order = sorted(range(len(p)), key=lambda i: (sig_p[i], p.names[i]))
-    candidates = [[j for j in range(len(q)) if sig_q[j] == sig_p[i]] for i in range(len(p))]
-    assign: dict[int, int] = {}
-    used = [False] * len(q)
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for i2, j2 in assign.items():
-                same = bool(p.down[i2] >> i & 1) == bool(q.down[j2] >> j & 1) and bool(
-                    p.down[i] >> i2 & 1
-                ) == bool(q.down[j] >> j2 & 1)
-                if not same:
-                    ok = False
-                    break
-            if ok:
-                assign[i] = j
-                used[j] = True
-                if extend(k + 1):
-                    return True
-                del assign[i]
-                used[j] = False
-        return False
-
-    if extend(0):
-        return {p.names[i]: q.names[j] for i, j in assign.items()}
-    return None

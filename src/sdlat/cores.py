@@ -32,14 +32,7 @@ from typing import Optional
 
 from .core import IntervalView, Lattice, Poset, _bits, _cover_pairs, _lsb, _msb, memoized
 from .errors import InconsistentLabels
-from .irreducibles import (
-    _above,
-    _j_label_idx,
-    _kappa,
-    _kappa_bar_idx,
-    _labels_between,
-    _sorted_names,
-)
+from .irreducibles import _above, _kappa_bar_idx, _labels_between, _sorted_names
 
 
 def pop_down(lattice: Lattice, x: str) -> str:
@@ -70,22 +63,6 @@ def _pop_up_idx(lattice: Lattice, x: int, b: int) -> int:
         if down_b >> v & 1:
             acc &= up[v]
     return _lsb(acc)
-
-
-def atom_labels(lattice: Lattice, lo: str, hi: str) -> tuple[str, ...]:
-    """Labels j of the covers lo < z inside [lo, hi] (the interval's atoms)."""
-    a, b = lattice._ends(lo, hi)
-    _kappa(lattice)  # raises NotSemidistributive even when [lo, hi] has no atoms
-    atoms = [z for z in lattice._ucov[a] if lattice.down[b] >> z & 1]
-    return _sorted_names(lattice, sum(1 << _j_label_idx(lattice, a, z) for z in atoms))
-
-
-def coatom_labels(lattice: Lattice, lo: str, hi: str) -> tuple[str, ...]:
-    """Labels kappa(j) of the covers z < hi inside [lo, hi] (the coatoms)."""
-    a, b = lattice._ends(lo, hi)
-    kappa = _kappa(lattice)
-    coatoms = [z for z in lattice._dcov[b] if lattice.up[a] >> z & 1]
-    return _sorted_names(lattice, sum(1 << kappa[_j_label_idx(lattice, z, b)] for z in coatoms))
 
 
 def is_nuclear(lattice: Lattice, lo: str, hi: str) -> bool:

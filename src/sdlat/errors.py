@@ -63,8 +63,9 @@ class ChainCapExceeded(LatticeError):
 
 
 class SchemaError(LatticeError):
-    """A lattice document does not conform to the JSON schema, or a poset's
-    names are repeated or empty, or one of its covers names no element."""
+    """A lattice document does not conform to the JSON schema; a poset's names
+    are not distinct non-empty strings, or a cover is not a pair of them; or
+    a name given to a library call, such as ``join`` or ``cjr``, is no element."""
 
 
 class BadParameter(LatticeError):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Lattice, _bits, _lsb, memoized
+from .core import Lattice, _bits, memoized
 from .errors import (
     NoUniqueMax,
     NotACover,
@@ -192,29 +192,30 @@ def kappa_bar_map(lattice: Lattice) -> dict[str, str]:
 
 
 @memoized
-def kappa_bar_d_map(lattice: Lattice) -> dict[str, str]:
-    """The extended kappa_d map on every element (inverse of kappa_bar), memoized.
+def _kappa_bar_d_idx(lattice: Lattice) -> list[int]:
+    """kappa_bar_d on indices, as the inverse permutation of kappa_bar.
 
-    kappa_bar_d(x) is the join of kappa_d over the canonical meetands of x;
-    the meetand of a cover x < v is kappa(j) for its j-label, so this is the
-    join of the j-labels of the covers above x.
+    On a finite semidistributive lattice kappa_bar is a bijection and
+    kappa_bar_d is its inverse (Barnard, "The canonical join complex",
+    EJC 2019), so position y holds the x with kappa_bar(x) = y.
     """
-    names, up, ucov = lattice.names, lattice.up, lattice._ucov
-    out = {}
-    for x in range(lattice.n):
-        acc = up[lattice._bot]
-        for v in ucov[x]:
-            acc &= up[_j_label_idx(lattice, x, v)]
-        out[names[x]] = names[_lsb(acc)]
-    return out
+    kbar = _kappa_bar_idx(lattice)
+    return sorted(range(lattice.n), key=kbar.__getitem__)
+
+
+@memoized
+def kappa_bar_d_map(lattice: Lattice) -> dict[str, str]:
+    """The extended kappa_d map on every element (inverse of kappa_bar), memoized."""
+    names = lattice.names
+    return {names[y]: names[x] for y, x in enumerate(_kappa_bar_d_idx(lattice))}
 
 
 def kappa_bar(lattice: Lattice, x: str) -> str:
-    return kappa_bar_map(lattice)[x]
+    return lattice.names[_kappa_bar_idx(lattice)[lattice.index[x]]]
 
 
 def kappa_bar_d(lattice: Lattice, x: str) -> str:
-    return kappa_bar_d_map(lattice)[x]
+    return lattice.names[_kappa_bar_d_idx(lattice)[lattice.index[x]]]
 
 
 def kappa_bar_cycles(lattice: Lattice) -> str:

@@ -64,7 +64,7 @@ from typing import Iterable, Optional
 
 from .core import Lattice, Poset, _bits
 from .errors import BadParameter, ChainCapExceeded, MissingLabel, SizeLimitExceeded
-from .irreducibles import _inherited_label_leq, _j_label_idx, cover_labeling, irreducible_table
+from .irreducibles import _inherited_label_leq, cover_labeling, irreducible_table
 
 
 @dataclass(frozen=True)
@@ -258,45 +258,19 @@ def lattice_j_labeling(lattice: Lattice) -> LabeledPoset:
 
 
 def is_extremal(lattice: Lattice) -> bool:
-    """Longest chain length equals |cji| = |cmi|, witnessed by a chain whose
-    j-labels exhaust all of cji."""
-    table = irreducible_table(lattice)
-    length = lattice.heights[lattice._top]
-    if length != len(table.cji) or length != len(table.cmi):
-        return False
-    target = {lattice.index[j] for j in table.cji}
-    for chain in _chains_of_full_length(lattice):
-        if {_j_label_idx(lattice, u, v) for u, v in zip(chain, chain[1:])} == target:
-            return True
-    return False
+    """Whether the length of the lattice equals |cji| = |cmi|.
 
-
-def _chains_of_full_length(lattice: Lattice):
-    """Maximal chains from bottom to top realizing the lattice height.
-
-    Depth-first with an explicit stack, so tall lattices do not hit the
-    recursion limit.  Only steps that increase height by exactly one can
-    reach full length.
+    That is Markowsky's definition of an extremal lattice ("Primes,
+    irreducibles and extremal lattices", Order 1992); the length is the
+    number of covers in a longest chain.  A longest chain then has j-labels
+    exhausting cji, with no search: in a semidistributive lattice the
+    j-labels along a maximal chain are distinct, for if a cover u < v and a
+    later cover u' < v' had the same label j, then j <= v <= u', so
+    u' v j = u' and not v'.  So a chain of length |cji| uses every label.
+    Raises NotSemidistributive, as irreducible_table does.
     """
-    heights, top, ucov = lattice.heights, lattice._top, lattice._ucov
-    path = [lattice._bot]
-    if path[0] == top:
-        yield tuple(path)
-        return
-    pending = [iter(ucov[path[0]])]
-    while pending:
-        for nxt in pending[-1]:
-            if heights[nxt] != heights[path[-1]] + 1:
-                continue
-            if nxt == top:
-                yield (*path, nxt)
-                continue
-            path.append(nxt)
-            pending.append(iter(ucov[nxt]))
-            break
-        else:
-            pending.pop()
-            path.pop()
+    table = irreducible_table(lattice)
+    return lattice.heights[lattice._top] == len(table.cji) == len(table.cmi)
 
 
 def _length_two_keys(lp: LabeledPoset, flip: bool) -> list[list[tuple[str, str]]]:

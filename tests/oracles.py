@@ -11,14 +11,21 @@ reads off masks or off intervals of the parent lattice:
   irredundant join representations by enumerating element subsets, and
   ``cmr_matches_kappa_bar``: the kappa_bar identity on CJR/CMR;
 * ``orders_coincide_report_oracle``: the derived orders compared by their
-  sorted name covers, and the label sets as maps of name frozensets.
+  sorted name covers, and the label sets as maps of name frozensets;
+* ``is_extremal_oracle``: extremality by a search for a longest chain whose
+  j-labels exhaust cji, and ``kappa_bar_d_oracle``: kappa_bar_d as the join
+  of the j-labels of the covers above each element;
+* ``atom_labels`` and ``coatom_labels``: the labels of the covers at the two
+  ends of an interval;
+* ``posets_isomorphic``: an order isomorphism of two small posets, by
+  backtracking.
 """
 
 from sdlat import InconsistentLabels, LabeledPoset, Lattice, Poset, cjr, cmr, irreducible_table
 from sdlat import CanonicalRep, NoUniqueMax, SizeLimitExceeded, j_label_interval
-from sdlat.core import _bits
+from sdlat.core import _bits, _lsb
 from sdlat.cores import OrdersReport, clo_down, clo_up, kappa_order, lab_down_map, lab_up_map, w_map
-from sdlat.irreducibles import kappa_bar_map
+from sdlat.irreducibles import _j_label_idx, _kappa, _sorted_names, kappa_bar_map
 
 
 def _transpose(down, n):
@@ -214,3 +221,139 @@ def orders_coincide_report_oracle(lattice):
         witness_kappa_clo_up=first_diff(w, up),
         witness_clo_up_clo_down=first_diff(up, down),
     )
+
+
+def is_extremal_oracle(lattice):
+    """Longest chain length equals |cji| = |cmi|, witnessed by a chain whose
+    j-labels exhaust all of cji."""
+    table = irreducible_table(lattice)
+    length = lattice.heights[lattice._top]
+    if length != len(table.cji) or length != len(table.cmi):
+        return False
+    target = {lattice.index[j] for j in table.cji}
+    for chain in _chains_of_full_length(lattice):
+        if {_j_label_idx(lattice, u, v) for u, v in zip(chain, chain[1:])} == target:
+            return True
+    return False
+
+
+def _chains_of_full_length(lattice):
+    """Maximal chains from bottom to top realizing the lattice height.
+
+    Depth-first with an explicit stack, so tall lattices do not hit the
+    recursion limit.  Only steps that increase height by exactly one can
+    reach full length.
+    """
+    heights, top, ucov = lattice.heights, lattice._top, lattice._ucov
+    path = [lattice._bot]
+    if path[0] == top:
+        yield tuple(path)
+        return
+    pending = [iter(ucov[path[0]])]
+    while pending:
+        for nxt in pending[-1]:
+            if heights[nxt] != heights[path[-1]] + 1:
+                continue
+            if nxt == top:
+                yield (*path, nxt)
+                continue
+            path.append(nxt)
+            pending.append(iter(ucov[nxt]))
+            break
+        else:
+            pending.pop()
+            path.pop()
+
+
+def kappa_bar_d_oracle(lattice):
+    """kappa_bar_d of every element by an up-mask scan, not by inverting kappa_bar.
+
+    kappa_bar_d(x) is the join of kappa_d over the canonical meetands of x;
+    the meetand of a cover x < v is kappa(j) for its j-label, so this is the
+    join of the j-labels of the covers above x.
+    """
+    names, up, ucov = lattice.names, lattice.up, lattice._ucov
+    out = {}
+    for x in range(lattice.n):
+        acc = up[lattice._bot]
+        for v in ucov[x]:
+            acc &= up[_j_label_idx(lattice, x, v)]
+        out[names[x]] = names[_lsb(acc)]
+    return out
+
+
+def atom_labels(lattice, lo, hi):
+    """Labels j of the covers lo < z inside [lo, hi] (the interval's atoms)."""
+    a, b = lattice._ends(lo, hi)
+    _kappa(lattice)  # raises NotSemidistributive even when [lo, hi] has no atoms
+    atoms = [z for z in lattice._ucov[a] if lattice.down[b] >> z & 1]
+    return _sorted_names(lattice, sum(1 << _j_label_idx(lattice, a, z) for z in atoms))
+
+
+def coatom_labels(lattice, lo, hi):
+    """Labels kappa(j) of the covers z < hi inside [lo, hi] (the coatoms)."""
+    a, b = lattice._ends(lo, hi)
+    kappa = _kappa(lattice)
+    coatoms = [z for z in lattice._dcov[b] if lattice.up[a] >> z & 1]
+    return _sorted_names(lattice, sum(1 << kappa[_j_label_idx(lattice, z, b)] for z in coatoms))
+
+
+def posets_isomorphic(p, q, size_cap=14):
+    """Search for an order isomorphism between two small posets.
+
+    Accepts any Poset, such as a Lattice or a derived order.  Returns a
+    name-to-name mapping, or None if the posets are not isomorphic.
+    Exhaustive backtracking with degree/height pruning; refuses inputs
+    larger than ``size_cap`` elements.
+    """
+    if len(p) != len(q):
+        return None
+    if len(p) > size_cap:
+        raise SizeLimitExceeded(f"posets_isomorphic is capped at {size_cap} elements")
+
+    def signature(poset, i):
+        return (
+            poset.heights[i],
+            len(poset._dcov[i]),
+            len(poset._ucov[i]),
+            poset.down[i].bit_count(),
+            poset.up[i].bit_count(),
+        )
+
+    sig_p = [signature(p, i) for i in range(len(p))]
+    sig_q = [signature(q, i) for i in range(len(q))]
+    if sorted(sig_p) != sorted(sig_q):
+        return None
+
+    order = sorted(range(len(p)), key=lambda i: (sig_p[i], p.names[i]))
+    candidates = [[j for j in range(len(q)) if sig_q[j] == sig_p[i]] for i in range(len(p))]
+    assign = {}
+    used = [False] * len(q)
+
+    def extend(k):
+        if k == len(order):
+            return True
+        i = order[k]
+        for j in candidates[i]:
+            if used[j]:
+                continue
+            ok = True
+            for i2, j2 in assign.items():
+                same = bool(p.down[i2] >> i & 1) == bool(q.down[j2] >> j & 1) and bool(
+                    p.down[i] >> i2 & 1
+                ) == bool(q.down[j] >> j2 & 1)
+                if not same:
+                    ok = False
+                    break
+            if ok:
+                assign[i] = j
+                used[j] = True
+                if extend(k + 1):
+                    return True
+                del assign[i]
+                used[j] = False
+        return False
+
+    if extend(0):
+        return {p.names[i]: q.names[j] for i, j in assign.items()}
+    return None

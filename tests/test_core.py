@@ -18,7 +18,7 @@ from sdlat import (
 )
 
 from conftest import record_calls, sd_exponential_oracle, sd_family_lattices, transitive_reduction_from_order
-from oracles import as_lattice
+from oracles import as_lattice, posets_isomorphic
 
 
 def test_fig1_builds(fig1):
@@ -163,6 +163,58 @@ def test_duplicate_names_rejected():
         Lattice.build_from_covers(["a", ""], [])
 
 
+@pytest.mark.parametrize(
+    "names, covers, message",
+    [
+        ([["a"], "b"], [], "element names must be non-empty strings"),
+        (["a", None], [], "element names must be non-empty strings"),
+        (["a", "b"], [(["a"], "b")], "cover (['a'], 'b') is not a pair of strings"),
+        (["a", "b"], ["ab"], "cover 'ab' is not a pair of strings"),
+        (["a", "b"], [("a", "b", "a")], "cover ('a', 'b', 'a') is not a pair of strings"),
+        (["a", "b"], [("a", "c")], "cover ('a', 'c') mentions an unknown element"),
+    ],
+)
+def test_malformed_names_and_covers_rejected(names, covers, message):
+    for build in (Poset.from_covers, Lattice.build_from_covers):
+        with pytest.raises(SchemaError) as info:
+            build(names, covers)
+        assert str(info.value) == message
+
+
+UNKNOWN_NAME_CALLS = {
+    "join": lambda lat, x: lat.join("bot", x),
+    "meet_set": lambda lat, x: lat.meet_set(["top", x]),
+    "leq": lambda lat, x: lat.leq(x, "top"),
+    "upper_covers": lambda lat, x: lat.upper_covers(x),
+    "interval": lambda lat, x: lat.interval("bot", x),
+    "cjr": lambda lat, x: S.cjr(lat, x),
+    "cmr": lambda lat, x: S.cmr(lat, x),
+    "core_data": lambda lat, x: S.core_data(lat, x),
+    "pop_up": lambda lat, x: S.pop_up(lat, x),
+    "pop_down": lambda lat, x: S.pop_down(lat, x),
+    "is_nuclear": lambda lat, x: S.is_nuclear(lat, x, "top"),
+    "kappa_bar": lambda lat, x: S.kappa_bar(lat, x),
+    "kappa_bar_d": lambda lat, x: S.kappa_bar_d(lat, x),
+    "j_label_interval": lambda lat, x: S.j_label_interval(lat, x, "top"),
+    "j_label_cover": lambda lat, x: S.j_label_cover(lat, "bot", x),
+    "kappa_order.leq": lambda lat, x: S.kappa_order(lat).leq(x, "top"),
+}
+
+
+@pytest.mark.parametrize("call", UNKNOWN_NAME_CALLS.values(), ids=UNKNOWN_NAME_CALLS)
+def test_unknown_name_raises_schema_error(fig1, call):
+    with pytest.raises(SchemaError) as info:
+        call(fig1, "x")
+    assert str(info.value) == "unknown element 'x'"
+
+
+def test_unknown_interval_ends_name_lo_first(fig1):
+    for call in (Lattice.interval, S.is_nuclear, S.is_conuclear, S.j_label_interval):
+        with pytest.raises(SchemaError, match="^unknown element 'zz'$"):
+            call(fig1, "zz", "yy")
+    assert "x" not in fig1.interval("bot", "top")
+
+
 def test_leq_golden(fig1):
     assert fig1.leq("j3", "m1")
     assert not fig1.leq("j1", "m1")
@@ -236,7 +288,7 @@ def test_dual_swaps_irreducibles(fig1):
 
 def test_dual_chain():
     chain = S.generate("chain", 3)
-    assert S.posets_isomorphic(chain.dual(), chain) is not None
+    assert posets_isomorphic(chain.dual(), chain) is not None
 
 
 def test_absorption_everywhere():
@@ -286,7 +338,7 @@ def test_semidistributive_self_dual(small_sd_lattices):
 
 
 def test_isomorphic_to_self(fig1):
-    iso = S.posets_isomorphic(fig1, fig1)
+    iso = posets_isomorphic(fig1, fig1)
     assert iso is not None
     for a, b in itertools.product(fig1.names, repeat=2):
         assert fig1.leq(a, b) == fig1.leq(iso[a], iso[b])
@@ -298,22 +350,22 @@ def test_isomorphic_relabeled(fig1):
         [renamed[n] for n in fig1.names],
         [(renamed[a], renamed[b]) for a, b in fig1.covers_named()],
     )
-    iso = S.posets_isomorphic(fig1, other)
+    iso = posets_isomorphic(fig1, other)
     assert iso is not None
     for a, b in itertools.product(fig1.names, repeat=2):
         assert fig1.leq(a, b) == other.leq(iso[a], iso[b])
 
 
 def test_not_isomorphic():
-    assert S.posets_isomorphic(S.generate("chain", 3), S.generate("boolean", 2)) is None
-    assert S.posets_isomorphic(S.generate("m3"), S.generate("diamond")) is None
+    assert posets_isomorphic(S.generate("chain", 3), S.generate("boolean", 2)) is None
+    assert posets_isomorphic(S.generate("m3"), S.generate("diamond")) is None
 
 
 def test_isomorphism_size_cap():
     big = S.generate("boolean", 4)
     with pytest.raises(SizeLimitExceeded):
-        S.posets_isomorphic(big, big)
-    assert S.posets_isomorphic(big, big, size_cap=16) is not None
+        posets_isomorphic(big, big)
+    assert posets_isomorphic(big, big, size_cap=16) is not None
 
 
 def test_isomorphism_random_relabels(small_sd_lattices):
@@ -325,4 +377,4 @@ def test_isomorphism_random_relabels(small_sd_lattices):
         other = Lattice.build_from_covers(
             shuffled, [(renamed[a], renamed[b]) for a, b in lat.covers_named()]
         )
-        assert S.posets_isomorphic(lat, other) is not None
+        assert posets_isomorphic(lat, other) is not None

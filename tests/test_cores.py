@@ -6,6 +6,7 @@ import sdlat as S
 from sdlat import NotComparable
 
 from conftest import sd_family_lattices
+from oracles import atom_labels, coatom_labels
 
 
 def _all_intervals(lat):
@@ -48,8 +49,6 @@ def test_nuclear_golden(fig1):
 
 
 def test_nuclear_iff_conuclear(small_sd_lattices):
-    from sdlat.cores import atom_labels, coatom_labels
-
     for lat in sd_family_lattices() + small_sd_lattices[:25]:
         table = S.irreducible_table(lat)
         for lo, hi in _all_intervals(lat):

@@ -3,8 +3,9 @@
 Each oracle here is the direct definition (or the old quadratic scan):
 lattice checks against the ordered two-sided scan, the kappa test of
 semidistributivity against the fiber fold, cover labels and kappa against
-scans over every element, and the derived orders against ``from_leq`` (in
-``tests/oracles.py``) on the defining relation.  Inputs: fixed families,
+scans over every element, the derived orders against ``from_leq`` (in
+``tests/oracles.py``) on the defining relation, and extremality and
+kappa_bar_d against a chain search and an up-mask scan.  Inputs: fixed families,
 the random SD pool, non-semidistributive lattices, and Hypothesis-drawn
 posets, most of which are not lattices.
 """
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 import sdlat as S
 from sdlat import Lattice, NotALattice, NotSemidistributive
 from sdlat.cores import lab_down_map, lab_up_map, w_map
+from sdlat.irreducibles import kappa_bar_d_map
 
 from conftest import (
     CLO_UP_OUTSIDE,
@@ -29,7 +31,13 @@ from conftest import (
     sd_exponential_oracle,
     sd_family_lattices,
 )
-from oracles import from_leq, orders_coincide_report_oracle
+from oracles import (
+    atom_labels,
+    from_leq,
+    is_extremal_oracle,
+    kappa_bar_d_oracle,
+    orders_coincide_report_oracle,
+)
 
 SRC = Path(S.__file__).resolve().parent
 
@@ -149,7 +157,7 @@ def check_sd_lattice(lat):
         assert lat.meet_set(S.cmr(lat, x).joinands) == x
         data = S.core_data(lat, x)
         assert set(data.w_set) == set(data.lab_down) & set(data.lab_up)
-        assert S.cores.atom_labels(lat, data.core_down.lo, data.core_down.hi) == S.cores.atom_labels(
+        assert atom_labels(lat, data.core_down.lo, data.core_down.hi) == atom_labels(
             lat, data.core_up.lo, data.core_up.hi
         )
     kbar, lab_down, lab_up, oracle = derived_orders_oracle(lat)
@@ -210,6 +218,28 @@ def test_random_pool_matches_oracles():
         check_sd(lat)
         check_sd_lattice(lat)
         check_sd(lat.dual())
+
+
+def test_extremal_and_kappa_bar_d_match_oracles(small_sd_lattices):
+    # is_extremal is a height test and kappa_bar_d inverts kappa_bar; the
+    # oracles search for a label-exhausting chain and scan the up-masks
+    lattices = [S.generate(name) for name in ("fig1", "fig4", "diamond")]
+    for family, top in (("tamari", 7), ("boolean", 5), ("chain", 7)):
+        lattices += [S.generate(family, n) for n in range(top + 1)]
+    lattices += [S.generate("chain", 1200)] + small_sd_lattices
+    for seed, max_mid, draws in ((1, 8, 64), (5, 8, 50), (2, 6, 200), (3, 7, 100)):
+        rng = random.Random(seed)
+        lattices += [S.random_sd_lattice(rng=rng, max_mid=max_mid) for _ in range(draws)]
+    lattices += [lat.dual() for lat in lattices]
+    extremal = 0
+    for lat in lattices:
+        assert S.is_extremal(lat) == is_extremal_oracle(lat)
+        kbar_d = kappa_bar_d_map(lat)
+        assert kbar_d == kappa_bar_d_oracle(lat) and list(kbar_d) == list(lat.names)
+        extremal += S.is_extremal(lat)
+    assert 0 < extremal < len(lattices)
+    with pytest.raises(NotSemidistributive):
+        S.is_extremal(S.generate("m3"))
 
 
 def test_clo_up_outside_the_lattice_order():
