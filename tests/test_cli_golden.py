@@ -75,6 +75,9 @@ def _forms(obj):
     for which in DERIVED:
         forms += [["orders", "--which", which], ["orders", "--which", which, "--dot"]]
     forms += [["orders", "--which", "cloUp", "--dot", "--labels"], ["dot"]]
+    # --labels everywhere else: without --dot, and with --dot on the other orders
+    forms += [["orders", "--which", which, "--labels"] for which in DERIVED]
+    forms += [["orders", "--which", which, "--dot", "--labels"] for which in ("cloDown", "kappa")]
     forms += [["dot", "--labeling", kind] for kind in ("j", "m", "custom", "clo")]
     forms += [["dot", "--derived", which] for which in DERIVED]
     forms += [
