@@ -104,7 +104,7 @@ class FlagComplex:
             nxt = []
             for face in frontier:
                 last = face[-1]
-                common = set.intersection(*(adj[v] for v in face)) if face else set()
+                common = set.intersection(*(adj[v] for v in face))
                 for w in sorted(common):
                     if w > last:
                         nxt.append(face + (w,))

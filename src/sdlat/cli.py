@@ -33,6 +33,7 @@ from .shelling import LabeledPoset, find_el_order, is_el_labeling, lattice_j_lab
 
 _DERIVED = {"kappa": kappa_order, "cloUp": clo_up, "cloDown": clo_down}
 EXIT_BROKEN_PIPE = 141
+_CLO_ONLY = "labeling 'clo' applies only to --derived cloUp"
 
 
 def _load(path: str):
@@ -56,17 +57,19 @@ def _emit(args, human_lines, payload) -> None:
             print(line)
 
 
-def _print_derived_dot(lattice, which: str, clo_labels: bool, refusal=None) -> int:
+def _print_derived_dot(lattice, which: str, labeling: str | None) -> int:
     """Print the derived order ``which`` as DOT, with the recursive clo-up labels if asked.
 
-    A ``refusal`` is the caller's argument error.  It is raised only once
-    the order is built, so an error of the build, such as a lattice that is
-    not semidistributive, is the one reported.
+    Only the cloUp order takes a labeling, and only 'clo'.  The labeling
+    is refused only once the order is built, so an error of the build,
+    such as a lattice that is not semidistributive, is the one reported.
     """
     derived = _DERIVED[which](lattice)
-    if refusal:
-        raise LatticeError(refusal)
-    labels = label_clo_up(lattice).labels if clo_labels else None
+    if labeling == "clo" and which != "cloUp":
+        raise LatticeError(_CLO_ONLY)
+    if labeling not in (None, "clo"):
+        raise LatticeError("derived posets accept only the 'clo' labeling")
+    labels = label_clo_up(lattice).labels if labeling else None
     print(emit_dot(derived, labels=labels, graph_name=which), end="")
     return 0
 
@@ -171,8 +174,10 @@ def _cmd_cores(args) -> int:
 def _cmd_orders(args) -> int:
     lattice = _load_lattice(args.file)
     if args.dot:
-        return _print_derived_dot(lattice, args.which, args.labels and args.which == "cloUp")
+        return _print_derived_dot(lattice, args.which, "clo" if args.labels else None)
     derived = _DERIVED[args.which](lattice)
+    if args.labels:
+        raise LatticeError("--labels applies only with --dot")
     covers = derived.covers_named()
     lattice_flag = derived.is_lattice()
     lines = [f"{args.which} covers ({len(covers)}):"]
@@ -266,14 +271,8 @@ def _cmd_gen(args) -> int:
 def _cmd_dot(args) -> int:
     obj = _load(args.file)
     lattice = obj.poset if isinstance(obj, LabeledPoset) else obj
-    clo_only = "labeling 'clo' applies only to --derived cloUp"
     if args.derived:
-        refusal = None
-        if args.labeling == "clo" and args.derived != "cloUp":
-            refusal = clo_only
-        elif args.labeling not in (None, "clo"):
-            refusal = "derived posets accept only the 'clo' labeling"
-        return _print_derived_dot(lattice, args.derived, args.labeling == "clo", refusal)
+        return _print_derived_dot(lattice, args.derived, args.labeling)
     labels = None
     if args.labeling == "j":
         labels = lattice_j_labeling(lattice).labels
@@ -284,7 +283,7 @@ def _cmd_dot(args) -> int:
             raise LatticeError("labeling 'custom' requires labels in the document")
         labels = obj.labels
     elif args.labeling == "clo":
-        raise LatticeError(clo_only)
+        raise LatticeError(_CLO_ONLY)
     print(emit_dot(lattice, labels=labels), end="")
     return 0
 

@@ -16,7 +16,6 @@ where a name that is not an element raises SchemaError; indices stay internal.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Iterable, Optional
 
 from .errors import (
@@ -53,16 +52,18 @@ def _name_list(names) -> str:
 
 
 def memoized(fn):
-    """Cache ``fn(lattice)`` in ``lattice.memo``, keyed by the function ``fn``.
+    """Cache ``fn(poset)`` in ``poset.memo``, keyed by the function ``fn``.
 
-    The name, qualified name and docstring are copied by hand and no
-    ``__wrapped__`` is set, so the result stands in for ``fn`` everywhere.
+    Every ``Poset`` has a memo, so this caches on lattices and derived
+    orders alike; a ``copy.copy`` of a poset shares its memo.  The name,
+    qualified name and docstring are copied by hand and no ``__wrapped__``
+    is set, so the result stands in for ``fn`` everywhere.
     """
 
-    def cached(lattice):
-        memo = lattice.memo
+    def cached(poset):
+        memo = poset.memo
         if fn not in memo:
-            memo[fn] = fn(lattice)
+            memo[fn] = fn(poset)
         return memo[fn]
 
     cached.__name__, cached.__qualname__, cached.__doc__ = fn.__name__, fn.__qualname__, fn.__doc__
@@ -101,10 +102,10 @@ class Poset:
         ``covers`` must be an exact transitive reduction, each cover (lo, hi)
         with lo < hi as indices and listed after every cover into lo (as
         when sorted by either end), and ``down`` the down-set masks they
-        generate.  Nothing is re-checked here: ``from_covers`` validates
-        untrusted covers, and the msb walk of ``_cover_pairs``, which gives
-        the covers of the derived orders and of the ``random_sd_lattice``
-        candidates, yields an exact reduction by construction.
+        generate.  Nothing is re-checked here: ``_from_cover_pairs`` tests
+        the covers it indexes, and the ``random_sd_lattice`` candidates come
+        from the msb walk of ``_cover_pairs``, an exact reduction by
+        construction.  ``memo`` holds what ``memoized`` caches on it.
         """
         self.n = n = len(names)
         self.names = names
@@ -121,6 +122,7 @@ class Poset:
                 heights[hi] = heights[lo] + 1
         self._ucov, self._dcov, self.heights = ucov, dcov, heights
         self.up = self._union_above([1 << i for i in range(n)])
+        self.memo: dict = {}
 
     def _union_above(self, seeds: list[int]) -> list[int]:
         """out[u] is the union of seeds[v] over all v >= u, one mask op per cover."""
@@ -144,7 +146,9 @@ class Poset:
         names, a cover that is not a pair of strings or names an unknown
         element, CycleError if the cover digraph is cyclic and
         NotTransitiveReduction if any listed cover is implied by others.
-        Elements are indexed by (height, name).
+        The checked covers go, over a Kahn extension from ``_toposort``, to
+        ``_from_cover_pairs``, which indexes the elements by (height, name)
+        and runs the reduction test.
         """
         names = list(names)
         if not all(isinstance(s, str) and s for s in names):
@@ -167,60 +171,35 @@ class Poset:
             raise NotTransitiveReduction("duplicate cover listed")
 
         order = cls._toposort(len(names), raw_covers, names)
-        rank = {old: new for new, old in enumerate(order)}
-        sorted_names = tuple(names[old] for old in order)
-        cover_idx = sorted((rank[a], rank[b]) for a, b in raw_covers)
-
-        n = len(names)
-        down = [1 << i for i in range(n)]
-        dcov: list[list[int]] = [[] for _ in range(n)]
-        for lo, hi in cover_idx:
-            dcov[hi].append(lo)
-        implied = False
-        for i in range(n):
-            # lower covers from the highest index down: one is implied by
-            # another exactly when it lies below a higher one, that is, when
-            # it is already in the union of their down-sets
-            acc = down[i]
-            for lo in reversed(dcov[i]):
-                if acc >> lo & 1:
-                    implied = True
-                acc |= down[lo]
-            down[i] = acc
-        if implied:
-            cls._check_reduction(sorted_names, down, cover_idx)
-        return cls(sorted_names, down, tuple(cover_idx))
+        position = {old: k for k, old in enumerate(order)}
+        return cls._from_cover_pairs(
+            [names[i] for i in order], [(position[lo], position[hi]) for lo, hi in raw_covers]
+        )
 
     @staticmethod
     def _toposort(n: int, covers: list[tuple[int, int]], names: list[str]) -> list[int]:
-        """Kahn's algorithm; ties broken by (height-first, name) for determinism."""
+        """Some linear extension of the cover digraph, by Kahn's algorithm, or CycleError."""
         succ: list[list[int]] = [[] for _ in range(n)]
-        indeg = [0] * n
+        remaining = [0] * n
         for a, b in covers:
             succ[a].append(b)
-            indeg[b] += 1
-        height = [0] * n
-        ready = deque(i for i in range(n) if indeg[i] == 0)
-        seen = 0
-        remaining = indeg[:]
-        while ready:
-            i = ready.popleft()
-            seen += 1
+            remaining[b] += 1
+        order = [i for i in range(n) if remaining[i] == 0]
+        for i in order:  # grows while it is walked
             for j in succ[i]:
-                height[j] = max(height[j], height[i] + 1)
                 remaining[j] -= 1
                 if remaining[j] == 0:
-                    ready.append(j)
-        if seen != n:
+                    order.append(j)
+        if len(order) != n:
             stuck = [names[i] for i in range(n) if remaining[i] > 0]
             raise CycleError(f"cover digraph has a cycle through {stuck[:6]}")
-        return sorted(range(n), key=lambda i: (height[i], names[i]))
+        return order
 
     @staticmethod
     def _check_reduction(names: tuple[str, ...], down: list[int], covers: list[tuple[int, int]]) -> None:
         """Raise NotTransitiveReduction for the first cover with an element strictly between.
 
-        The message names the lowest-indexed such element.  ``from_covers``
+        The message names the lowest-indexed such element; ``_from_cover_pairs``
         calls this only after its own test has found an implied cover.
         """
         for lo, hi in covers:
@@ -232,29 +211,49 @@ class Poset:
 
     @classmethod
     def _from_cover_pairs(cls, names: list[str], covers: list[tuple[int, int]]) -> "Poset":
-        """Build an instance of ``cls`` from trusted index covers over ``names``.
+        """Build an instance of ``cls`` from distinct index covers (lo, hi) over ``names``.
 
-        ``names`` must list a linear extension, and ``covers`` must be the
-        exact transitive reduction as index pairs (lo, hi), in ascending
-        order of either end, as ``_cover_pairs`` gives it.  Nothing is
-        checked: the heights are taken along the given extension, the
-        elements re-indexed by (height, name) as ``from_covers`` indexes
-        them, and ``down`` propagated over the re-indexed covers.
+        The one place that indexes an order by (height, name) and closes
+        its down-sets.  ``names`` must list a linear extension; the covers
+        may come in any order.  Heights are read off the lower-cover lists
+        along the extension.  A cover implied by others raises
+        NotTransitiveReduction from ``_check_reduction`` before ``cls``
+        checks anything of its own; on the derived orders, whose covers
+        the msb walk of ``_cover_pairs`` gives, it never fires.
         """
         n = len(names)
-        heights = [0] * n
+        lower: list[list[int]] = [[] for _ in range(n)]
         for lo, hi in covers:
-            if heights[hi] <= heights[lo]:
-                heights[hi] = heights[lo] + 1
+            lower[hi].append(lo)
+        heights = [0] * n
+        for i, lows in enumerate(lower):
+            for lo in lows:
+                if heights[i] <= heights[lo]:
+                    heights[i] = heights[lo] + 1
         order = sorted(range(n), key=lambda i: (heights[i], names[i]))
         rank = [0] * n
         for new, old in enumerate(order):
             rank[old] = new
+        sorted_names = tuple(names[i] for i in order)
         cover_idx = sorted((rank[lo], rank[hi]) for lo, hi in covers)
-        down = [1 << i for i in range(n)]
+        lower = [[] for _ in range(n)]
         for lo, hi in cover_idx:
-            down[hi] |= down[lo]
-        return cls(tuple(names[i] for i in order), down, tuple(cover_idx))
+            lower[hi].append(lo)
+        down = [1 << i for i in range(n)]
+        implied = False
+        for i, lows in enumerate(lower):
+            # lower covers from the highest index down: one is implied by
+            # another exactly when it lies below a higher one, that is, when
+            # it is already in the union of their down-sets
+            acc = down[i]
+            for lo in reversed(lows):
+                if acc >> lo & 1:
+                    implied = True
+                acc |= down[lo]
+            down[i] = acc
+        if implied:
+            cls._check_reduction(sorted_names, down, cover_idx)
+        return cls(sorted_names, down, tuple(cover_idx))
 
     # -- queries -----------------------------------------------------------
 
@@ -420,8 +419,8 @@ class Lattice(Poset):
     must have a meet, which by the cover-pair lemma (see
     ``Poset._cover_pairs_have_meets``) gives every pair a unique join and
     meet.  Derived data (kappa tables, labels, derived orders) is cached
-    by ``memoized`` in the per-lattice ``memo`` dict, keyed by the function
-    that computed it.
+    by ``memoized`` in the ``memo`` dict that every ``Poset`` has, keyed by
+    the function that computed it.
     """
 
     def __init__(self, names, down, covers):
@@ -439,7 +438,6 @@ class Lattice(Poset):
         if not self._cover_pairs_have_meets():
             kind, a, b = self._two_sided_scan()
             raise NotALattice(f"elements {a!r} and {b!r} have no unique {kind}")
-        self.memo: dict = {}
 
     @classmethod
     def build_from_covers(cls, names: Iterable[str], covers: Iterable[tuple[str, str]]) -> "Lattice":

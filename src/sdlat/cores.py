@@ -11,16 +11,30 @@ inclusion of the W sets (proof in ``kappa_order``).
 So all three derived orders are inclusion orders of a list of label masks,
 one mask per element, and ``_label_order`` builds each distinct list once
 per lattice: orders whose lists coincide (all three on the tamari and
-boolean lattices) share one build and one lattice verdict and differ only
-in ``kind``.  The up-sets of an inclusion order have a msb walk
-(``core._cover_pairs``) that gives index covers which are an exact
-reduction by construction.  So ``Poset._from_cover_pairs`` builds the order
-without the name checks, toposort and reduction check of
-``Poset.from_covers``, and indexes it by (height, name) exactly as
-``from_covers`` would; that order is the derived order's ``names``, which
-``to_document`` exposes.  Names appear only at the boundary: in
-``covers_named``, the label-set maps and the witnesses of
-``orders_coincide_report``.
+boolean lattices) share one build and one memo and differ only in
+``kind``.  The msb walk (``core._cover_pairs``) over the up-sets of an
+inclusion order gives its index covers, an exact reduction by
+construction, so ``Poset._from_cover_pairs`` indexes the order by
+(height, name), as ``to_document`` exposes it, without the name checks
+and toposort of ``Poset.from_covers``; its reduction test runs but never
+fires.  Names appear only at the boundary: in ``covers_named``, the
+label-set maps and the witnesses of ``orders_coincide_report``.
+
+Two derived orders are equal exactly when their mask lists are, so they
+are compared without being built.  Each family gives every completely
+join-irreducible j the mask {j}:
+
+- lab_down(j) labels [j_*, j], whose one cover has label j;
+- W(j) = {j}: j is in W(j) as kappa_bar(j) = kappa(j), and an i < j in J
+  with kappa(i) >= kappa(j) would give i <= j_* <= kappa(j) <= kappa(i),
+  which is impossible, as i ^ kappa(i) = i_* < i;
+- lab_up(j) labels [kappa(j), kappa(j)^*], as kappa(j) is meet-irreducible,
+  and the one cover m < m^* with m = kappa(j) has the j-label i with
+  kappa(i) = m, which is j, as kappa is injective.
+
+So in a derived order F, j <= x exactly when F(j) = {j} is contained in
+F(x), that is, F(x) = {j in J : j <= x in F}: the order determines its
+masks.
 """
 
 from __future__ import annotations
@@ -167,17 +181,16 @@ class DerivedPoset(Poset):
     It is a plain Poset on the lattice's names, tagged with which order it
     is as ``kind`` (kappaOrder, cloUp or cloDown), so it compares ``==`` by
     relation with any Poset.  Orders built from one mask list share their
-    arrays and their lattice verdict, and differ only in ``kind``.
+    arrays and their memo, so their lattice verdict, and differ only in
+    ``kind``.
     """
 
     kind: str
-    _verdict: list[bool]  # shared by the orders of one build; empty until is_lattice runs
 
+    @memoized
     def is_lattice(self) -> bool:
-        verdict = self._verdict
-        if not verdict:
-            verdict.append(self.is_lattice_poset())
-        return verdict[0]
+        """Whether this order is a lattice, memoized."""
+        return self.is_lattice_poset()
 
 
 @memoized
@@ -212,7 +225,7 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
 
     A list already built for this lattice is not built again: the result
     is a copy of that order, tagged ``kind``, which shares its arrays and
-    its lattice verdict.
+    its memo.
 
     With having[j] the set of elements whose label set contains j, the
     up-set of x is the intersection of having[j] over the labels j of x:
@@ -250,7 +263,7 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
     del up  # n masks of n bits, freed before the build allocates its own
     names = [lattice.names[x] for x in reversed(ranked)]
     order = built[key] = DerivedPoset._from_cover_pairs(names, covers)
-    order.kind, order._verdict = kind, []
+    order.kind = kind
     return order
 
 
@@ -283,21 +296,16 @@ class OrdersReport:
 
 
 def orders_coincide_report(lattice: Lattice) -> OrdersReport:
-    """Compare the three derived orders as relation sets.
+    """Compare the three derived orders as relation sets, without building them.
 
-    Two orders on one set are equal exactly when their covers are.  Equal
-    orders also have equal heights, so the same (height, name) indexing,
-    and each order is compared by its ``names`` and index ``covers``.  A
-    flag is false exactly when some element separates the corresponding
-    label sets (W vs lab_down, W vs lab_up, lab_up vs lab_down); the first
-    such element in name order is reported.
+    Two derived orders are equal exactly when their mask lists are (see
+    the module docstring), so a flag is true exactly when no element
+    separates the corresponding label sets (W vs lab_down, W vs lab_up,
+    lab_up vs lab_down); the first such element in name order is the
+    witness.
     """
     names = lattice.names
     lab_down, lab_up, w = _lab_down_masks(lattice), _lab_up_masks(lattice), _w_masks(lattice)
-    kappa, down, up = kappa_order(lattice), clo_down(lattice), clo_up(lattice)
-
-    def same(left, right):
-        return left.names == right.names and left.covers == right.covers
 
     def first_diff(left, right):
         differ = [x for x in range(lattice.n) if left[x] != right[x]]
@@ -306,11 +314,6 @@ def orders_coincide_report(lattice: Lattice) -> OrdersReport:
         x = min(differ, key=names.__getitem__)
         return (names[x], _sorted_names(lattice, left[x]), _sorted_names(lattice, right[x]))
 
-    return OrdersReport(
-        kappa_equals_clo_down=same(kappa, down),
-        kappa_equals_clo_up=same(kappa, up),
-        clo_up_equals_clo_down=same(up, down),
-        witness_kappa_clo_down=first_diff(w, lab_down),
-        witness_kappa_clo_up=first_diff(w, lab_up),
-        witness_clo_up_clo_down=first_diff(lab_up, lab_down),
-    )
+    witnesses = [first_diff(w, lab_down), first_diff(w, lab_up), first_diff(lab_up, lab_down)]
+    # the fields in order: the three flags, then the three witnesses
+    return OrdersReport(*(witness is None for witness in witnesses), *witnesses)

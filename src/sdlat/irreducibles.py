@@ -237,9 +237,8 @@ def kappa_bar_cycles(lattice: Lattice) -> str:
             cycle.append(cur)
             seen.add(cur)
             cur = mapping[cur]
+        # starts go in name order, so a cycle is entered at its least member
+        # and the cycles come out sorted by it
         if len(cycle) > 1:
-            smallest = min(range(len(cycle)), key=lambda k: cycle[k])
-            cycle = cycle[smallest:] + cycle[:smallest]
             cycles.append(cycle)
-    cycles.sort(key=lambda c: c[0])
     return "".join("(" + ",".join(c) + ")" for c in cycles)

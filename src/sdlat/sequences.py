@@ -51,6 +51,7 @@ from .irreducibles import (
     _labels_between,
     irreducible_table,
 )
+from .shelling import LabeledPoset
 
 Node = tuple[int, int]
 
@@ -211,9 +212,7 @@ class CloLabeling:
     labels: dict[tuple[str, str], str]
     label_leq: frozenset[tuple[str, str]]
 
-    def to_labeled_poset(self):
-        from .shelling import LabeledPoset
-
+    def to_labeled_poset(self) -> LabeledPoset:
         alphabet = tuple(sorted(set(self.labels.values())))
         return LabeledPoset(
             poset=self.poset,

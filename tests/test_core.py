@@ -103,6 +103,16 @@ def test_each_distinct_mask_list_is_built_and_checked_once(monkeypatch, family, 
     assert verdicts == [order.lattice_failure() is None for order in orders]
 
 
+def test_orders_report_builds_no_order(monkeypatch):
+    # equal derived orders have equal mask lists, so the report compares
+    # the masks and builds none of the three orders
+    lattices = [S.generate("fig1"), S.generate("fig4"), S.generate("tamari", 5)]
+    calls = record_calls(monkeypatch, Poset, ["_from_cover_pairs"])
+    for lat in lattices:
+        S.orders_coincide_report(lat)
+    assert calls == []
+
+
 # messages recorded before the reduction check moved from Poset.__init__
 # into from_covers
 REDUNDANT_COVERS = [

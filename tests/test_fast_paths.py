@@ -21,7 +21,7 @@ from hypothesis import given, settings
 import sdlat as S
 from sdlat import Lattice, NotALattice, NotSemidistributive
 from sdlat.cores import lab_down_map, lab_up_map, w_map
-from sdlat.irreducibles import kappa_bar_d_map
+from sdlat.irreducibles import irreducible_table, kappa_bar_d_map
 
 from conftest import (
     CLO_UP_OUTSIDE,
@@ -266,6 +266,36 @@ def test_orders_report_matches_oracle(small_sd_lattices):
     assert len(separated) == 6
 
 
+def test_derived_orders_equal_exactly_when_their_masks_are(small_sd_lattices):
+    # the closed form of orders_coincide_report: each family gives every
+    # j in J the mask {j}, so an order determines its masks, and a flag
+    # is true exactly when its witness is None
+    lattices = [S.generate(name) for name in ("fig1", "fig4", "diamond")]
+    for family, top in (("tamari", 6), ("boolean", 4), ("chain", 6)):
+        lattices += [S.generate(family, n) for n in range(top + 1)]
+    lattices += [lattice_from_cover_text(text) for text in CLO_UP_OUTSIDE] + small_sd_lattices
+    for seed, max_mid, draws in ((1, 8, 64), (2, 6, 200), (3, 7, 100)):
+        rng = random.Random(seed)
+        lattices += [S.random_sd_lattice(rng=rng, max_mid=max_mid) for _ in range(draws)]
+    lattices += [lat.dual() for lat in lattices]
+    differ = 0
+    for lat in lattices:
+        masks = {"kappa": w_map(lat), "cloDown": lab_down_map(lat), "cloUp": lab_up_map(lat)}
+        for labels in masks.values():
+            assert all(labels[j] == {j} for j in irreducible_table(lat).cji)
+        orders = {"kappa": S.kappa_order(lat), "cloDown": S.clo_down(lat), "cloUp": S.clo_up(lat)}
+        relations = {which: order.relation_pairs() for which, order in orders.items()}
+        report = S.orders_coincide_report(lat)
+        for flag, witness, left, right in (
+            (report.kappa_equals_clo_down, report.witness_kappa_clo_down, "kappa", "cloDown"),
+            (report.kappa_equals_clo_up, report.witness_kappa_clo_up, "kappa", "cloUp"),
+            (report.clo_up_equals_clo_down, report.witness_clo_up_clo_down, "cloUp", "cloDown"),
+        ):
+            assert flag == (witness is None) == (relations[left] == relations[right])
+            differ += not flag
+    assert differ > 0
+
+
 def test_derived_orders_that_are_not_lattices():
     seen = 0
     for lat in [S.generate("fig1"), S.generate("fig4")] + _random_pool():
@@ -349,11 +379,11 @@ def test_no_indented_json_dumps(module):
 
 
 def _memo_owners(tree):
-    """memoized itself and Lattice.__init__, which creates the memo dict."""
+    """memoized itself and Poset.__init__, which creates the memo dict."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name == "memoized":
             yield node
-        if isinstance(node, ast.ClassDef) and node.name == "Lattice":
+        if isinstance(node, ast.ClassDef) and node.name == "Poset":
             yield from (f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__")
 
 
