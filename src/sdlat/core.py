@@ -55,9 +55,9 @@ def memoized(fn):
     """Cache ``fn(poset)`` in ``poset.memo``, keyed by the function ``fn``.
 
     Every ``Poset`` has a memo, so this caches on lattices and derived
-    orders alike; a ``copy.copy`` of a poset shares its memo.  The name,
-    qualified name and docstring are copied by hand and no ``__wrapped__``
-    is set, so the result stands in for ``fn`` everywhere.
+    orders alike.  The name, qualified name and docstring are copied by
+    hand and no ``__wrapped__`` is set, so the result stands in for ``fn``
+    everywhere.
     """
 
     def cached(poset):
@@ -357,8 +357,9 @@ class Poset:
                         return False
         return True
 
+    @memoized
     def _kappa_maps(self) -> Optional[tuple[dict[int, int], dict[int, int]]]:
-        """kappa and kappa_d on element indices of a lattice, or None if it is not SD.
+        """kappa and kappa_d on element indices of a lattice, or None if it is not SD; memoized.
 
         Freese-Jezek-Nation, *Free Lattices* (1995), Thm 2.56: a finite
         lattice is meet-semidistributive iff kappa(j) exists for every
@@ -516,18 +517,13 @@ class Lattice(Poset):
 
     # -- semidistributivity --------------------------------------------------
 
-    @memoized
-    def _kappa_indices(self) -> Optional[tuple[dict[int, int], dict[int, int]]]:
-        """``Poset._kappa_maps`` of this lattice, memoized."""
-        return self._kappa_maps()
-
     def is_semidistributive(self) -> bool:
         """Check both halves of semidistributivity through the kappa maps.
 
         Join half: whenever x v y = x v z, also x v (y ^ z) = x v y, and the
         dual statement for meets; see ``Poset._kappa_maps`` for the test.
         """
-        return self._kappa_indices() is not None
+        return self._kappa_maps() is not None
 
     def semidistributivity_witness(self) -> Optional[tuple[str, str, str, str]]:
         """None if semidistributive, else a witness ('join'|'meet', x, y, z).

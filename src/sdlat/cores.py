@@ -11,13 +11,12 @@ inclusion of the W sets (proof in ``kappa_order``).
 So all three derived orders are inclusion orders of a list of label masks,
 one mask per element, and ``_label_order`` builds each distinct list once
 per lattice: orders whose lists coincide (all three on the tamari and
-boolean lattices) share one build and one memo and differ only in
-``kind``.  The msb walk (``core._cover_pairs``) over the up-sets of an
-inclusion order gives its index covers, an exact reduction by
-construction, so ``Poset._from_cover_pairs`` indexes the order by
-(height, name), as ``to_document`` exposes it, without the name checks
-and toposort of ``Poset.from_covers``; its reduction test runs but never
-fires.  Names appear only at the boundary: in ``covers_named``, the
+boolean lattices) are one object.  The msb walk (``core._cover_pairs``)
+over the up-sets of an inclusion order gives its index covers, an exact
+reduction by construction, so ``Poset._from_cover_pairs`` indexes the
+order by (height, name), as ``to_document`` exposes it, without the name
+checks and toposort of ``Poset.from_covers``; its reduction test runs but
+never fires.  Names appear only at the boundary: in ``covers_named``, the
 label-set maps and the witnesses of ``orders_coincide_report``.
 
 Two derived orders are equal exactly when their mask lists are, so they
@@ -39,14 +38,13 @@ masks.
 
 from __future__ import annotations
 
-import copy
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import IntervalView, Lattice, Poset, _bits, _cover_pairs, _lsb, _msb, memoized
 from .errors import InconsistentLabels
-from .irreducibles import _above, _kappa_bar_idx, _labels_between, _sorted_names
+from .irreducibles import _kappa_bar_idx, _labels_between, _sorted_names
 
 
 def pop_down(lattice: Lattice, x: str) -> str:
@@ -111,7 +109,7 @@ class CoreData:
 
 
 def core_data(lattice: Lattice, x: str) -> CoreData:
-    """All core data for x, from the label masks.
+    """All core data for x, from the memoized label masks.
 
     lab_down(x) labels [pop_down(x), x], lab_up(x) labels the upper core
     [kappa_bar(x), pop_up(kappa_bar(x))], and W(x) is {j in cji : j <= x and
@@ -128,9 +126,9 @@ def core_data(lattice: Lattice, x: str) -> CoreData:
         pop_up=names[_pop_up_idx(lattice, i, lattice._top)],
         core_down=lattice.interval(names[pd], x),
         core_up=lattice.interval(names[k], names[pk]),
-        lab_down=_sorted_names(lattice, _labels_between(lattice, pd, i)),
-        lab_up=_sorted_names(lattice, _labels_between(lattice, k, pk)),
-        w_set=_sorted_names(lattice, lattice.down[i] & _above(lattice)[k]),
+        lab_down=_sorted_names(lattice, _lab_down_masks(lattice)[i]),
+        lab_up=_sorted_names(lattice, _lab_up_masks(lattice)[i]),
+        w_set=_sorted_names(lattice, _w_masks(lattice)[i]),
     )
 
 
@@ -140,10 +138,18 @@ def _lab_down_masks(lattice: Lattice) -> list[int]:
     return [_labels_between(lattice, _pop_down_idx(lattice, x, bot), x) for x in range(lattice.n)]
 
 
+def _lab_up_within(lattice: Lattice, kbars: Iterable[int], b: int) -> list[int]:
+    """lab_up, taken in an interval [a, b], of the elements whose kappa_bar there is ``kbars``.
+
+    The upper core of x in [a, b] is [k, pop_up(k)] with k = kappa_bar(x)
+    and pop_up taken in [a, b], so its mask depends on k and b alone.
+    """
+    return [_labels_between(lattice, k, _pop_up_idx(lattice, k, b)) for k in kbars]
+
+
 @memoized
 def _lab_up_masks(lattice: Lattice) -> list[int]:
-    top = lattice._top
-    return [_labels_between(lattice, k, _pop_up_idx(lattice, k, top)) for k in _kappa_bar_idx(lattice)]
+    return _lab_up_within(lattice, _kappa_bar_idx(lattice), lattice._top)
 
 
 def _label_sets(lattice: Lattice, masks: list[int]) -> dict[str, frozenset[str]]:
@@ -166,8 +172,7 @@ def lab_up_map(lattice: Lattice) -> dict[str, frozenset[str]]:
 @memoized
 def _w_masks(lattice: Lattice) -> list[int]:
     """W(x) = {j in cji : j <= x and kappa(j) >= kappa_bar(x)} of every element, as masks."""
-    down, above = lattice.down, _above(lattice)
-    return [down[x] & above[k] for x, k in enumerate(_kappa_bar_idx(lattice))]
+    return [_labels_between(lattice, k, x) for x, k in enumerate(_kappa_bar_idx(lattice))]
 
 
 def w_map(lattice: Lattice) -> dict[str, frozenset[str]]:
@@ -178,14 +183,10 @@ def w_map(lattice: Lattice) -> dict[str, frozenset[str]]:
 class DerivedPoset(Poset):
     """A partial order derived from a lattice: the kappa order or a core label order.
 
-    It is a plain Poset on the lattice's names, tagged with which order it
-    is as ``kind`` (kappaOrder, cloUp or cloDown), so it compares ``==`` by
-    relation with any Poset.  Orders built from one mask list share their
-    arrays and their memo, so their lattice verdict, and differ only in
-    ``kind``.
+    It is a plain Poset on the lattice's names, so it compares ``==`` by
+    relation with any Poset.  Derived orders built from one mask list are
+    one object, so they share their memo and their lattice verdict.
     """
-
-    kind: str
 
     @memoized
     def is_lattice(self) -> bool:
@@ -221,11 +222,11 @@ def kappa_order(lattice: Lattice) -> DerivedPoset:
 
 
 def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
-    """Inclusion order of the label masks, tagged ``kind``; one build per distinct list.
+    """Inclusion order of the label masks; one build per distinct list.
 
     A list already built for this lattice is not built again: the result
-    is a copy of that order, tagged ``kind``, which shares its arrays and
-    its memo.
+    is the order built from it first.  ``kind`` names the order in the
+    error raised when the masks do not separate the elements.
 
     With having[j] the set of elements whose label set contains j, the
     up-set of x is the intersection of having[j] over the labels j of x:
@@ -239,8 +240,6 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
     key = tuple(masks)
     order = built.get(key)
     if order is not None:
-        order = copy.copy(order)
-        order.kind = kind
         return order
     if len(set(masks)) != len(masks):
         raise InconsistentLabels(f"{kind}: label sets do not separate elements")
@@ -262,9 +261,8 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
     covers = [(n - 1 - lo, n - 1 - hi) for hi, lo in reversed(_cover_pairs(up))]
     del up  # n masks of n bits, freed before the build allocates its own
     names = [lattice.names[x] for x in reversed(ranked)]
-    order = built[key] = DerivedPoset._from_cover_pairs(names, covers)
-    order.kind = kind
-    return order
+    built[key] = DerivedPoset._from_cover_pairs(names, covers)
+    return built[key]
 
 
 @memoized

@@ -43,7 +43,7 @@ class IrreducibleTable:
 @memoized
 def irreducible_table(lattice: Lattice) -> IrreducibleTable:
     """Compute (and memoize on the lattice) the irreducible/kappa table."""
-    maps = lattice._kappa_indices()
+    maps = lattice._kappa_maps()
     if maps is None:
         witness = lattice.semidistributivity_witness()
         raise NotSemidistributive(f"lattice is not semidistributive, witness {witness}")
@@ -65,7 +65,7 @@ def irreducible_table(lattice: Lattice) -> IrreducibleTable:
 def _kappa(lattice: Lattice) -> dict[int, int]:
     """kappa on indices; raises NotSemidistributive as irreducible_table does."""
     irreducible_table(lattice)
-    return lattice._kappa_indices()[0]
+    return lattice._kappa_maps()[0]
 
 
 @memoized

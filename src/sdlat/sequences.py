@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import Lattice, _bits, _lsb, _name_list
-from .cores import DerivedPoset, _lab_up_masks, _pop_up_idx, clo_up
+from .cores import DerivedPoset, _lab_up_masks, _lab_up_within, _pop_up_idx, clo_up
 from .errors import InconsistentLabels, NotJoinIrreducible, RecursionMismatch
 from .irreducibles import (
     _inherited_label_leq,
@@ -61,7 +61,6 @@ class KdSequence:
     """One verified sequence, displayed in (j_k, ..., j_1) order."""
 
     entries: tuple[str, ...]
-    verified: bool = True
     right_extendable: Optional[bool] = None
 
 
@@ -170,7 +169,7 @@ def enumerate_kd_exceptional(
             moved = tuple(walk[j] for walk in walks if j in walk)
             stack.append((child, (names[j],) + shown, moved))
     found.sort()
-    return [KdSequence(entries, True, flag) for entries, flag in found]
+    return [KdSequence(entries, flag) for entries, flag in found]
 
 
 def count_kd_exceptional(lattice: Lattice, maximal_only: bool = False) -> int:
@@ -313,7 +312,7 @@ def _node_steps(lattice: Lattice, node: Node):
     names, up = lattice.names, lattice.up
     kbar = _kappa_bar_within(lattice, a, b)
     members = list(kbar)
-    lab_up = {x: _labels_between(lattice, k, _pop_up_idx(lattice, k, b)) for x, k in kbar.items()}
+    lab_up = dict(zip(kbar, _lab_up_within(lattice, kbar.values(), b)))
     if len(set(lab_up.values())) != len(members):
         raise InconsistentLabels("cloUp: label sets do not separate elements")
     full = 0

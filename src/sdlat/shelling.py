@@ -39,10 +39,15 @@ chain enumerator, which builds the witness; ``ChainCapExceeded`` is raised
 when that interval has more than ``chain_cap`` chains, which is where
 enumerating every interval in name order would have raised.
 
+Internally a label is its position in the sorted alphabet, numbered once
+per public call, and an order is the list ``rank`` of each position's
+place in it; names come back only in a returned order and in a witness.
+
 Search.  ``find_el_order`` places labels depth-first in the order of
 ``itertools.permutations(sorted(alphabet))``.  A placed prefix fixes every
 comparison but those between two unplaced labels, as an unplaced label
-ranks after every placed one.  A prefix is dropped as soon as
+ranks m, after every placed one, for an alphabet of m labels.  A prefix is
+dropped as soon as
 
 * it places a label before one that ``label_leq`` requires to come
   earlier, or
@@ -58,7 +63,6 @@ permutations.  A complete candidate is verified by the dynamic program.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -70,6 +74,9 @@ from .irreducibles import _inherited_label_leq, cover_labeling, irreducible_tabl
 @dataclass(frozen=True)
 class LabeledPoset:
     """A finite bounded poset whose covers carry labels from a finite alphabet.
+
+    The alphabet is a set of labels, given as a tuple of distinct ones; a
+    repeated label raises BadParameter.
 
     ``label_leq`` optionally records the strict partial order the labels
     inherit when they are themselves lattice elements; the order search uses
@@ -94,6 +101,8 @@ class LabeledPoset:
             raise MissingLabel(f"labels on non-covers: {extra[:4]}")
         if not self.alphabet:
             object.__setattr__(self, "alphabet", tuple(sorted(set(self.labels.values()))))
+        if len(set(self.alphabet)) != len(self.alphabet):
+            raise BadParameter("the label alphabet repeats a label")
         if set(self.labels.values()) - set(self.alphabet):
             raise MissingLabel("some cover label is outside the alphabet")
 
@@ -134,21 +143,22 @@ def _maximal_chains(poset: Poset, lo: int, hi: int) -> list[tuple[int, ...]]:
 
 
 # (reach, steps): reach[e] is the set the walk from the fixed end e spans,
-# steps[v] the covers the walk enters v by, as (neighbour, label).
-_Walk = tuple[list[int], list[list[tuple[int, str]]]]
+# steps[v] the covers the walk enters v by, as (neighbour, label position).
+_Walk = tuple[list[int], list[list[tuple[int, int]]]]
 
 
-def _walk(lp: LabeledPoset, flip: bool) -> _Walk:
+def _walk(lp: LabeledPoset, position: dict[str, int], flip: bool) -> _Walk:
     """Upwards from each lower end, or with ``flip`` downwards from each upper end."""
     p, labels = lp.poset, lp.labels
     names = p.names
     if flip:
-        return p.down, [[(u, labels[(names[v], names[u])]) for u in p._ucov[v]] for v in range(p.n)]
-    return p.up, [[(u, labels[(names[u], names[v])]) for u in p._dcov[v]] for v in range(p.n)]
+        steps = [[(u, position[labels[(names[v], names[u])]]) for u in p._ucov[v]] for v in range(p.n)]
+        return p.down, steps
+    return p.up, [[(u, position[labels[(names[u], names[v])]]) for u in p._dcov[v]] for v in range(p.n)]
 
 
 def _first_failing(
-    lp: LabeledPoset, walk: _Walk, rank: dict[str, int], flip: bool, chain_cap: int
+    lp: LabeledPoset, walk: _Walk, rank: list[int], flip: bool, chain_cap: int
 ) -> Optional[tuple[int, int]]:
     """The name-least interval that is not EL under ``rank``, or None.
 
@@ -194,14 +204,16 @@ def _first_failing(
     return worst[1]
 
 
-def _witness(lp: LabeledPoset, rank: dict[str, int], flip: bool, lo: int, hi: int) -> ELWitness:
+def _witness(
+    lp: LabeledPoset, position: dict[str, int], rank: list[int], flip: bool, lo: int, hi: int
+) -> ELWitness:
     """Enumerate the maximal chains of the failing interval [lo, hi] to show why."""
     p = lp.poset
     names = p.names
     scored = []
     for chain in _maximal_chains(p, lo, hi):
         word = tuple(lp.labels[(names[a], names[b])] for a, b in zip(chain, chain[1:]))
-        ranks = tuple(rank[w] for w in word)
+        ranks = tuple(rank[position[w]] for w in word)
         key = ranks if flip else ranks[::-1]
         scored.append((key, all(a < b for a, b in zip(key, key[1:])), chain, word))
     interval = (names[lo], names[hi])
@@ -238,13 +250,16 @@ def is_el_labeling(
     maximal chains comes before every failing one.
     """
     order = tuple(order)
-    if sorted(order) != sorted(lp.alphabet):
+    alphabet = sorted(lp.alphabet)
+    if sorted(order) != alphabet:
         raise BadParameter("order must be a permutation of the label alphabet")
-    rank = {lbl: k for k, lbl in enumerate(order)}
-    failing = _first_failing(lp, _walk(lp, flip), rank, flip, chain_cap)
+    position = {label: i for i, label in enumerate(alphabet)}
+    # the inverse permutation: rank[i] is where alphabet[i] stands in order
+    rank = sorted(range(len(order)), key=order.__getitem__)
+    failing = _first_failing(lp, _walk(lp, position, flip), rank, flip, chain_cap)
     if failing is None:
         return ELReport(ok=True)
-    return ELReport(ok=False, witness=_witness(lp, rank, flip, *failing))
+    return ELReport(ok=False, witness=_witness(lp, position, rank, flip, *failing))
 
 
 def lattice_j_labeling(lattice: Lattice) -> LabeledPoset:
@@ -273,8 +288,10 @@ def is_extremal(lattice: Lattice) -> bool:
     return lattice.heights[lattice._top] == len(table.cji) == len(table.cmi)
 
 
-def _length_two_keys(lp: LabeledPoset, flip: bool) -> list[list[tuple[str, str]]]:
-    """For each interval whose maximal chains all have length 2, their keys as labels.
+def _length_two_keys(
+    lp: LabeledPoset, position: dict[str, int], flip: bool
+) -> list[list[tuple[int, int]]]:
+    """For each interval whose maximal chains all have length 2, their keys as label positions.
 
     [lo, hi] is such an interval when every element strictly inside it
     covers lo: those elements form an antichain, so hi covers each of them.
@@ -297,15 +314,16 @@ def _length_two_keys(lp: LabeledPoset, flip: bool) -> list[list[tuple[str, str]]
                 continue
             keys = []
             for m in _bits(inside):
-                x, y = labels[(names[lo], names[m])], labels[(names[m], names[hi])]
+                x = position[labels[(names[lo], names[m])]]
+                y = position[labels[(names[m], names[hi])]]
                 keys.append((x, y) if flip else (y, x))
             out.append(keys)
     return out
 
 
-def _length_two_passes(keys: list[tuple[str, str]], rank: dict[str, int], last: int) -> bool:
-    """EL for a length-2 interval; a label missing from ``rank`` ranks ``last``."""
-    ranked = [(rank.get(x, last), rank.get(y, last)) for x, y in keys]
+def _length_two_passes(keys: list[tuple[int, int]], rank: list[int]) -> bool:
+    """EL for a length-2 interval whose keys are label positions ranked by ``rank``."""
+    ranked = [(rank[x], rank[y]) for x, y in keys]
     least = min(ranked)
     return least[0] < least[1] and sum(a < b for a, b in ranked) == 1
 
@@ -327,65 +345,50 @@ def find_el_order(
     order.
     """
     alphabet = sorted(lp.alphabet)
-    if len(alphabet) > size_cap:
-        raise SizeLimitExceeded(
-            f"alphabet of size {len(alphabet)} exceeds the search cap {size_cap}"
-        )
-    # a < b inherited forces b to come earlier than a in the total order
-    earlier: dict[str, set[str]] = {}
-    for a, b in lp.label_leq or ():
-        if a != b and a in alphabet and b in alphabet:
-            earlier.setdefault(a, set()).add(b)
-    watched: dict[str, list[tuple[set[str], list[tuple[str, str]]]]] = {}
-    for keys in _length_two_keys(lp, flip):
-        used = {label for key in keys for label in key}
-        if len(used) == 1 and not _length_two_passes(keys, {}, 0):
-            return None
-        for label in used:
-            watched.setdefault(label, []).append((used, keys))
-
-    # A label's rank is the position of its last copy, as in is_el_labeling;
-    # until then it ranks after every label already ranked.
     m = len(alphabet)
-    copies = Counter(alphabet)
-    rank: dict[str, int] = {}
+    if m > size_cap:
+        raise SizeLimitExceeded(f"alphabet of size {m} exceeds the search cap {size_cap}")
+    position = {label: i for i, label in enumerate(alphabet)}
+    # a < b inherited forces b to come earlier than a in the total order
+    earlier: list[list[int]] = [[] for _ in range(m)]
+    for a, b in lp.label_leq or ():
+        if a != b and a in position and b in position:
+            earlier[position[a]].append(position[b])
+    watched: list[list[tuple[set[int], list[tuple[int, int]]]]] = [[] for _ in range(m)]
+    for keys in _length_two_keys(lp, position, flip):
+        used = {label for key in keys for label in key}
+        if len(used) == 1:
+            return None  # every key is (x, x), which no order makes increasing
+        for label in used:
+            watched[label].append((used, keys))
+
+    # rank[i] is the place of label i in the prefix, or m while it is unplaced
+    rank = [m] * m
     prefix: list[int] = []
-    taken = [False] * m
 
-    def place(i: int) -> bool:
-        label = alphabet[i]
-        if copies[label] == 1:
-            if any(b not in rank for b in earlier.get(label, ())):
-                return False
-            rank[label] = len(prefix)
-            for used, keys in watched.get(label, ()):
-                if sum(x not in rank for x in used) == 1 and not _length_two_passes(keys, rank, m):
-                    del rank[label]
-                    return False
-        copies[label] -= 1
-        taken[i] = True
-        prefix.append(i)
-        return True
+    def fits(i: int) -> bool:
+        """Whether label i, just ranked last, keeps every order extending the prefix alive."""
+        return all(rank[b] < m for b in earlier[i]) and all(
+            sum(rank[x] == m for x in used) != 1 or _length_two_passes(keys, rank)
+            for used, keys in watched[i]
+        )
 
-    def unplace() -> None:
-        i = prefix.pop()
-        taken[i] = False
-        label = alphabet[i]
-        if not copies[label]:
-            del rank[label]
-        copies[label] += 1
-
-    walk = _walk(lp, flip)
+    walk = _walk(lp, position, flip)
     pending = [iter(range(m))]
     while pending:
         if len(prefix) == m and _first_failing(lp, walk, rank, flip, 10**6) is None:
             return tuple(alphabet[i] for i in prefix)
         for i in pending[-1]:
-            if not taken[i] and place(i):
+            if rank[i] < m:
+                continue
+            rank[i] = len(prefix)
+            if fits(i):
+                prefix.append(i)
                 pending.append(iter(range(m)))
                 break
+            rank[i] = m
         else:
             pending.pop()
             if prefix:
-                unplace()
+                rank[prefix.pop()] = m
     return None

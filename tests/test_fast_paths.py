@@ -163,8 +163,9 @@ def check_sd_lattice(lat):
     kbar, lab_down, lab_up, oracle = derived_orders_oracle(lat)
     assert S.irreducibles.kappa_bar_map(lat) == kbar
     assert lab_down_map(lat) == lab_down and lab_up_map(lat) == lab_up
-    for fast in (S.kappa_order(lat), S.clo_down(lat), S.clo_up(lat)):
-        slow = oracle[fast.kind]
+    fast_orders = {"kappaOrder": S.kappa_order(lat), "cloDown": S.clo_down(lat), "cloUp": S.clo_up(lat)}
+    for kind, fast in fast_orders.items():
+        slow = oracle[kind]
         assert fast.names == slow.names
         assert fast.down == slow.down
         assert fast.covers_named() == slow.covers_named()
