@@ -33,7 +33,7 @@ from .shelling import LabeledPoset, find_el_order, is_el_labeling, lattice_j_lab
 
 _DERIVED = {"kappa": kappa_order, "cloUp": clo_up, "cloDown": clo_down}
 EXIT_BROKEN_PIPE = 141
-_CLO_ONLY = "labeling 'clo' applies only to --derived cloUp"
+_CLO_ONLY = "labeling 'clo' applies only to the cloUp order"
 
 
 def _load(path: str):

@@ -146,9 +146,9 @@ class Poset:
         names, a cover that is not a pair of strings or names an unknown
         element, CycleError if the cover digraph is cyclic and
         NotTransitiveReduction if any listed cover is implied by others.
-        The checked covers go, over a Kahn extension from ``_toposort``, to
-        ``_from_cover_pairs``, which indexes the elements by (height, name)
-        and runs the reduction test.
+        The checked covers go as they are to ``_from_cover_pairs``, which
+        runs the cycle and reduction tests and indexes the elements by
+        (height, name).
         """
         names = list(names)
         if not all(isinstance(s, str) and s for s in names):
@@ -169,31 +169,7 @@ class Poset:
             raw_covers.append((raw_index[lo], raw_index[hi]))
         if len(set(raw_covers)) != len(raw_covers):
             raise NotTransitiveReduction("duplicate cover listed")
-
-        order = cls._toposort(len(names), raw_covers, names)
-        position = {old: k for k, old in enumerate(order)}
-        return cls._from_cover_pairs(
-            [names[i] for i in order], [(position[lo], position[hi]) for lo, hi in raw_covers]
-        )
-
-    @staticmethod
-    def _toposort(n: int, covers: list[tuple[int, int]], names: list[str]) -> list[int]:
-        """Some linear extension of the cover digraph, by Kahn's algorithm, or CycleError."""
-        succ: list[list[int]] = [[] for _ in range(n)]
-        remaining = [0] * n
-        for a, b in covers:
-            succ[a].append(b)
-            remaining[b] += 1
-        order = [i for i in range(n) if remaining[i] == 0]
-        for i in order:  # grows while it is walked
-            for j in succ[i]:
-                remaining[j] -= 1
-                if remaining[j] == 0:
-                    order.append(j)
-        if len(order) != n:
-            stuck = [names[i] for i in range(n) if remaining[i] > 0]
-            raise CycleError(f"cover digraph has a cycle through {stuck[:6]}")
-        return order
+        return cls._from_cover_pairs(names, raw_covers)
 
     @staticmethod
     def _check_reduction(names: tuple[str, ...], down: list[int], covers: list[tuple[int, int]]) -> None:
@@ -214,29 +190,40 @@ class Poset:
         """Build an instance of ``cls`` from distinct index covers (lo, hi) over ``names``.
 
         The one place that indexes an order by (height, name) and closes
-        its down-sets.  ``names`` must list a linear extension; the covers
-        may come in any order.  Heights are read off the lower-cover lists
-        along the extension.  A cover implied by others raises
-        NotTransitiveReduction from ``_check_reduction`` before ``cls``
-        checks anything of its own; on the derived orders, whose covers
-        the msb walk of ``_cover_pairs`` gives, it never fires.
+        its down-sets.  The names and the covers may come in any order:
+        Kahn's algorithm takes the heights, or raises CycleError naming
+        the elements it cannot reach, in the order of ``names``.  A cover
+        implied by others raises NotTransitiveReduction from
+        ``_check_reduction`` before ``cls`` checks anything of its own; on
+        the derived orders, whose covers the msb walk of ``_cover_pairs``
+        gives, it never fires.
         """
         n = len(names)
-        lower: list[list[int]] = [[] for _ in range(n)]
+        upper: list[list[int]] = [[] for _ in range(n)]
+        remaining = [0] * n
         for lo, hi in covers:
-            lower[hi].append(lo)
+            upper[lo].append(hi)
+            remaining[hi] += 1
         heights = [0] * n
-        for i, lows in enumerate(lower):
-            for lo in lows:
-                if heights[i] <= heights[lo]:
-                    heights[i] = heights[lo] + 1
+        sweep = [i for i in range(n) if not remaining[i]]
+        for i in sweep:  # grows while it is walked
+            for j in upper[i]:
+                remaining[j] -= 1
+                if not remaining[j]:
+                    # the sweep visits elements by rising height, so the
+                    # last lower cover of j to be visited is a highest one
+                    heights[j] = heights[i] + 1
+                    sweep.append(j)
+        if len(sweep) != n:
+            stuck = [names[i] for i in range(n) if remaining[i]]
+            raise CycleError(f"cover digraph has a cycle through {stuck[:6]}")
         order = sorted(range(n), key=lambda i: (heights[i], names[i]))
         rank = [0] * n
         for new, old in enumerate(order):
             rank[old] = new
         sorted_names = tuple(names[i] for i in order)
         cover_idx = sorted((rank[lo], rank[hi]) for lo, hi in covers)
-        lower = [[] for _ in range(n)]
+        lower: list[list[int]] = [[] for _ in range(n)]
         for lo, hi in cover_idx:
             lower[hi].append(lo)
         down = [1 << i for i in range(n)]
@@ -426,16 +413,10 @@ class Lattice(Poset):
 
     def __init__(self, names, down, covers):
         super().__init__(names, down, covers)
-        mins = [i for i in range(self.n) if not self._dcov[i]]
-        maxs = [i for i in range(self.n) if not self._ucov[i]]
         if self.n == 0:
             raise NoBoundsError("empty lattice")
-        if len(mins) != 1:
-            raise NoBoundsError(f"no unique minimum: {_name_list(self.names[i] for i in mins)}")
-        if len(maxs) != 1:
-            raise NoBoundsError(f"no unique maximum: {_name_list(self.names[i] for i in maxs)}")
-        self._bot = mins[0]
-        self._top = maxs[0]
+        self._bot = self.index[self.bottom_name()]
+        self._top = self.index[self.top_name()]
         if not self._cover_pairs_have_meets():
             kind, a, b = self._two_sided_scan()
             raise NotALattice(f"elements {a!r} and {b!r} have no unique {kind}")
@@ -511,9 +492,7 @@ class Lattice(Poset):
 
     def dual(self) -> "Lattice":
         """The lattice with the order reversed (joins and meets swap)."""
-        return Lattice.build_from_covers(
-            self.names, [(self.names[b], self.names[a]) for a, b in self.covers]
-        )
+        return Lattice._from_cover_pairs(self.names, [(b, a) for a, b in self.covers])
 
     # -- semidistributivity --------------------------------------------------
 

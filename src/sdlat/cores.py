@@ -15,7 +15,7 @@ boolean lattices) are one object.  The msb walk (``core._cover_pairs``)
 over the up-sets of an inclusion order gives its index covers, an exact
 reduction by construction, so ``Poset._from_cover_pairs`` indexes the
 order by (height, name), as ``to_document`` exposes it, without the name
-checks and toposort of ``Poset.from_covers``; its reduction test runs but
+and cover checks of ``Poset.from_covers``; its reduction test runs but
 never fires.  Names appear only at the boundary: in ``covers_named``, the
 label-set maps and the witnesses of ``orders_coincide_report``.
 
@@ -233,8 +233,7 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
     one mask op per label x has, and an element has few labels next to
     those it misses.  Listed by decreasing label-set size, the elements are
     a linear extension of reverse inclusion, so the msb walk of
-    ``_cover_pairs`` over those up-sets gives the covers, reversed; listed
-    by increasing size, they are a linear extension of inclusion.
+    ``_cover_pairs`` over those up-sets gives the covers, each as (hi, lo).
     """
     built = _orders_built(lattice)
     key = tuple(masks)
@@ -258,10 +257,9 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
         for j in _bits(masks[x]):
             acc &= having[j]
         up.append(acc)
-    covers = [(n - 1 - lo, n - 1 - hi) for hi, lo in reversed(_cover_pairs(up))]
+    covers = [(lo, hi) for hi, lo in _cover_pairs(up)]
     del up  # n masks of n bits, freed before the build allocates its own
-    names = [lattice.names[x] for x in reversed(ranked)]
-    built[key] = DerivedPoset._from_cover_pairs(names, covers)
+    built[key] = DerivedPoset._from_cover_pairs([lattice.names[x] for x in ranked], covers)
     return built[key]
 
 

@@ -113,17 +113,23 @@ def preproj_a2() -> LabeledPoset:
 
 
 def chain(n: int) -> Lattice:
-    """The chain with n covers (n + 1 elements c0 < ... < cn)."""
+    """The chain with n covers (n + 1 elements c0 < ... < cn).
+
+    Its down-set masks take about n^2/16 bytes and its up-set masks about
+    n^2/8, so n is capped at 5000, about 5 MB in all.
+    """
     if n < 0:
         raise BadParameter("chain length must be >= 0")
+    if n > 5000:
+        raise BadParameter("chain length must be at most 5000")
     names = [f"c{i}" for i in range(n + 1)]
     return Lattice.build_from_covers(names, [(f"c{i}", f"c{i+1}") for i in range(n)])
 
 
-def boolean(n: int, max_n: int = 6) -> Lattice:
+def boolean(n: int) -> Lattice:
     """The boolean lattice of subsets of n letters; empty set is named '0'."""
-    if not 0 <= n <= max_n:
-        raise BadParameter(f"boolean rank must be between 0 and {max_n}")
+    if not 0 <= n <= 6:
+        raise BadParameter("boolean rank must be between 0 and 6")
     letters = "abcdef"[:n]
 
     def name(mask: int) -> str:

@@ -73,16 +73,60 @@ def test_build_runs_poset_init_once(monkeypatch):
 
 def test_derived_orders_are_built_without_the_untrusted_path(monkeypatch):
     # the derived orders come as index covers that are an exact reduction by
-    # construction, so they skip the name checks, the toposort and the
-    # reduction check of from_covers
+    # construction, so they skip the name and cover checks of from_covers
+    # and never reach the reduction check
     lat = S.generate("tamari", 5)
-    calls = record_calls(monkeypatch, Poset, ["from_covers", "_toposort", "_check_reduction"])
+    calls = record_calls(monkeypatch, Poset, ["from_covers", "_check_reduction"])
     orders = [S.kappa_order(lat), S.clo_up(lat), S.clo_down(lat)]
     assert calls == []
     assert orders[0] is orders[1] is orders[2]
     # the same wrappers do see an untrusted build
     Lattice.build_from_covers(["0", "a", "1"], [("0", "a"), ("a", "1")])
-    assert calls == ["from_covers", "_toposort"]
+    assert calls == ["from_covers"]
+
+
+def test_indexer_takes_any_indexing_of_the_covers(small_sd_lattices):
+    # the names and covers of each lattice under a seeded shuffle of the
+    # indices, with the covers shuffled too: the indexer needs no linear
+    # extension, so it rebuilds the lattice exactly
+    lattices = [S.generate("fig1"), S.generate("fig4")]
+    lattices += [S.generate("tamari", n) for n in range(6)]
+    lattices += [S.generate("boolean", n) for n in range(5)]
+    lattices += [S.generate("chain", n) for n in range(6)]
+    rng = random.Random(14)
+    for lat in lattices + small_sd_lattices[:50]:
+        perm = list(range(lat.n))
+        rng.shuffle(perm)
+        names = [None] * lat.n
+        for i, name in enumerate(lat.names):
+            names[perm[i]] = name
+        covers = [(perm[lo], perm[hi]) for lo, hi in lat.covers]
+        rng.shuffle(covers)
+        again = Lattice._from_cover_pairs(names, covers)
+        assert (again.names, again.down, again.covers) == (lat.names, lat.down, lat.covers)
+        assert again.heights == lat.heights
+
+
+def test_indexer_rejects_a_cycle():
+    with pytest.raises(CycleError) as info:
+        Poset._from_cover_pairs(["a", "b", "c"], [(0, 1), (1, 2), (2, 0)])
+    assert str(info.value) == "cover digraph has a cycle through ['a', 'b', 'c']"
+    # the stuck names, a cycle and what lies above it, in the order given
+    with pytest.raises(CycleError) as info:
+        Poset._from_cover_pairs(["d", "x", "c", "b", "a"], [(4, 3), (3, 2), (2, 4), (2, 0)])
+    assert str(info.value) == "cover digraph has a cycle through ['d', 'c', 'b', 'a']"
+
+
+def test_several_maxima_listed_in_name_order():
+    # z is maximal at height 1 and b at height 2: the message lists them by
+    # name, as Poset.top_name does, not in index order
+    covers = [("0", "a"), ("a", "b"), ("0", "z")]
+    with pytest.raises(NoBoundsError) as info:
+        Lattice.build_from_covers(["0", "a", "b", "z"], covers)
+    assert str(info.value) == "no unique maximum: ['b', 'z']"
+    with pytest.raises(NoBoundsError) as info:
+        Poset.from_covers(["0", "a", "b", "z"], covers).top_name()
+    assert str(info.value) == "no unique maximum: ['b', 'z']"
 
 
 @pytest.mark.parametrize(

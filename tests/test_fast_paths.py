@@ -399,3 +399,32 @@ def test_memo_only_through_memoized(module):
         if isinstance(node, ast.Attribute) and node.attr == "memo" and id(node) not in allowed
     ]
     assert lines == [], f"{module} reads .memo outside memoized on lines {lines}"
+
+
+def _calls_outside(tree, callees, owner):
+    """Lines of calls to the names ``callees`` outside every function named ``owner``."""
+    inside = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == owner
+        for sub in ast.walk(node)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in callees
+        and id(node) not in inside
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
+def test_orders_built_only_through_the_indexer(module):
+    # one indexer for every order: only Poset._from_cover_pairs calls
+    # cls(...), and only random_sd_lattice wraps its candidate masks
+    # directly in a Poset
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    lines = _calls_outside(tree, {"cls"}, "_from_cover_pairs")
+    lines += _calls_outside(tree, {"Poset", "Lattice", "DerivedPoset"}, "random_sd_lattice")
+    assert lines == [], f"{module} builds an order outside the indexer on lines {lines}"

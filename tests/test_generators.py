@@ -4,6 +4,7 @@ import pytest
 
 import sdlat as S
 from sdlat import BadParameter, Lattice, Poset
+from sdlat.cli import cli_main
 from sdlat.generators import catalan
 
 from conftest import record_calls
@@ -75,7 +76,7 @@ def test_preproj_search_finds_paper_order(preproj):
 def test_bad_parameters():
     with pytest.raises(BadParameter):
         S.generate("tamari", 10)
-    with pytest.raises(BadParameter):
+    with pytest.raises(BadParameter, match="boolean rank must be between 0 and 6"):
         S.generate("boolean", 7)
     with pytest.raises(BadParameter):
         S.generate("chain", -1)
@@ -85,6 +86,16 @@ def test_bad_parameters():
         S.generate("fig1", 3)
     with pytest.raises(BadParameter):
         S.generate("boolean")
+
+
+def test_chain_length_is_capped(monkeypatch, capsys):
+    # the cap is checked before any name or cover is made
+    calls = record_calls(monkeypatch, Poset, ["from_covers"])
+    with pytest.raises(BadParameter, match="chain length must be at most 5000"):
+        S.generate("chain", 5001)
+    assert cli_main(["gen", "chain", "5001"]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == "error: chain length must be at most 5000\n"
 
 
 def test_random_sd_lattice_deterministic():
