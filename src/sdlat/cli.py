@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .canonical import canonical_join_complex, cjr, cmr
@@ -34,6 +37,7 @@ from .shelling import LabeledPoset, find_el_order, is_el_labeling, lattice_j_lab
 _DERIVED = {"kappa": kappa_order, "cloUp": clo_up, "cloDown": clo_down}
 EXIT_BROKEN_PIPE = 141
 _CLO_ONLY = "labeling 'clo' applies only to the cloUp order"
+_CHUNK = 4096  # items per write of a streamed listing
 
 
 def _load(path: str):
@@ -205,21 +209,49 @@ def _cmd_nuclear(args) -> int:
     return 0 if nuclear and conuclear else 1
 
 
+def _write_joined(head: str, items: Iterator[str], sep: str, tail: str) -> None:
+    """Write head, the items joined by sep, and tail to stdout, a chunk of items at a time."""
+    write = sys.stdout.write
+    write(head)
+    before = ""
+    while chunk := list(itertools.islice(items, _CHUNK)):
+        write(before + sep.join(chunk))
+        before = sep
+    write(tail)
+
+
 def _cmd_seq(args) -> int:
+    """List the sequences as they are formatted, never as one payload or one string.
+
+    The JSON form is byte for byte ``dumps_indented`` of the payload
+    {"count", "maximalOnly", "sequences": [{"entries", "rightExtendable"}]}
+    with sorted keys; an entry list is never empty.  Each name is encoded
+    once.
+    """
     lattice = _load_lattice(args.file)
     seqs = enumerate_kd_exceptional(
         lattice, maximal_only=args.maximal, mark_right_extendable=args.maximal
     )
-    if args.json:
-        sequences = [{"entries": s.entries, "rightExtendable": s.right_extendable} for s in seqs]
-        _emit(args, (), {"maximalOnly": args.maximal, "count": len(seqs), "sequences": sequences})
+    if not args.json:
+        extendable = {None: "", False: "", True: "   [extendable to the right]"}
+        lines = ("(" + ",".join(s.entries) + ")" + extendable[s.right_extendable] + "\n" for s in seqs)
+        _write_joined("", lines, "", f"count: {len(seqs)}\n")
         return 0
-    lines = [
-        "(" + ",".join(s.entries) + ")" + ("   [extendable to the right]" if s.right_extendable else "")
+    literal = {None: "null", False: "false", True: "true"}
+    head = f'{{\n  "count": {len(seqs)},\n  "maximalOnly": {literal[args.maximal]},\n  "sequences": '
+    if not seqs:
+        sys.stdout.write(head + "[]\n}\n")
+        return 0
+    encoded = {x: encode_basestring_ascii(x) for x in lattice.names}.__getitem__
+    items = (
+        '{\n      "entries": [\n        '
+        + ",\n        ".join(map(encoded, s.entries))
+        + '\n      ],\n      "rightExtendable": '
+        + literal[s.right_extendable]
+        + "\n    }"
         for s in seqs
-    ]
-    lines.append(f"count: {len(seqs)}")
-    _emit(args, lines, None)
+    )
+    _write_joined(head + "[\n    ", items, ",\n    ", "\n  ]\n}\n")
     return 0
 
 

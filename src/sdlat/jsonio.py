@@ -117,8 +117,7 @@ def dumps_indented(value, sort_keys: bool = False) -> str:
     """``json.dumps(value, indent=2, sort_keys=sort_keys)``, byte for byte.
 
     The json module runs its C encoder only when ``indent`` is None; with an
-    indent every value goes through its pure-Python generator, which made
-    formatting about 40 % of a ``seq --json`` call on tamari(6).  This
+    indent every value goes through its pure-Python generator.  This
     writer, about twice as fast, takes the types the CLI and documents
     use, dispatched on their exact type: dicts with ``str`` keys, lists,
     tuples, ``str`` (encoded by the json module's C function), ``int``,

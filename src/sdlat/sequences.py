@@ -31,9 +31,32 @@ of element indices of L, and everything is kept in L's label coordinates:
 * Labels only shrink along a path: a grows and b falls, so above[a] and
   down[b] both shrink.
 
-Each public call keeps its own memo of nodes, dropped when it returns.
-The test oracles for this module rebuild intervals from scratch and live
-with the tests, not in the library.
+A node is fixed, up to an isomorphism that keeps the L-labels, by its
+label mask S.  The cji of [a, b] are a v j and its cmi are b ^ kappa(j),
+for j in S, as above (kappa is a bijection from cji onto cmi in an SD
+lattice), and a v j <= b ^ kappa(j') holds iff j <= kappa(j'),
+because j <= b and a <= kappa(j') for every j, j' in S.  By the basic
+theorem of formal concept analysis (Ganter-Wille), a finite lattice is the
+concept lattice of the context (cji, cmi, <=), so [a, b] is the concept
+lattice of (S, S, j <= kappa(j')), which depends on S alone.  Two nodes
+(a, b) and (a', b') with one mask are therefore isomorphic by the map
+that keeps the extents {j in S : a v j <= x}; it sends a v j to a' v j,
+so by the label transfer it keeps the L-label of every cover.  All that
+the walks compute is then a function of S: the child masks, kappa_bar and
+lab_up inside the node, the cover labels, and whether a step fails.
+
+So each public call keeps one dict ``reps`` from every label mask met to
+the first node met with it, ``_child`` returns that node, and every walk
+expands one node per distinct mask (|L| of them on tamari and boolean,
+where a node per interval gave 394 / 1806 on tamari 6 / 7).  A
+depth-first walk expands a node's whole subtree before it meets the next
+node with the same mask (a descendant has fewer labels), and the two
+subtrees carry the same masks, so a walk with a node per interval meets
+each failure first at the first node of its mask: the representative,
+where this walk meets it too.  Every error class and message is
+therefore unchanged.  The dicts are dropped when the call returns.  The
+test oracles for this module, the walks with a node per interval among
+them, live with the tests, not in the library.
 """
 
 from __future__ import annotations
@@ -82,18 +105,23 @@ class KdCheck:
         return self.ok
 
 
-def _child(lattice: Lattice, a: int, b: int, j: int) -> Node:
-    """The node (a v j, pop_up_[a,b](a v j)) reached from (a, b) by label j."""
+def _child(lattice: Lattice, reps: dict[int, Node], a: int, b: int, j: int) -> Node:
+    """The node reached from (a, b) by label j: the first one met with its label mask.
+
+    The interval is (a v j, pop_up_[a,b](a v j)); ``reps`` maps each label
+    mask met so far to the first node that had it.
+    """
     x = _lsb(lattice.up[a] & lattice.up[j])
-    return (x, _pop_up_idx(lattice, x, b))
+    y = _pop_up_idx(lattice, x, b)
+    return reps.setdefault(_labels_between(lattice, x, y), (x, y))
 
 
-def _children(lattice: Lattice, memo: dict, node: Node) -> dict[int, Node]:
+def _children(lattice: Lattice, reps: dict[int, Node], memo: dict, node: Node) -> dict[int, Node]:
     """Label index -> child node of ``node``, in label index order, memoized."""
     kids = memo.get(node)
     if kids is None:
         a, b = node
-        kids = memo[node] = {j: _child(lattice, a, b, j) for j in _bits(_labels_between(lattice, a, b))}
+        kids = memo[node] = {j: _child(lattice, reps, a, b, j) for j in _bits(_labels_between(lattice, a, b))}
     return kids
 
 
@@ -116,9 +144,10 @@ def is_kd_exceptional(lattice: Lattice, entries: Sequence[str]) -> KdCheck:
             raise NotJoinIrreducible(f"{e!r} is not completely join-irreducible")
     seq = [lattice.index[e] for e in reversed(entries)]
     node = _root(lattice)
+    reps: dict[int, Node] = {}
     masks = []
     for d in range(len(seq) - 1):
-        node = _child(lattice, *node, seq[d])
+        node = _child(lattice, reps, *node, seq[d])
         masks.append(_labels_between(lattice, *node))
         if masks[-1] >> seq[d + 1] & 1:
             continue
@@ -148,25 +177,27 @@ def enumerate_kd_exceptional(
 
     The walk is depth first over the memoized interval DAG.  Each stack
     frame carries its displayed name tuple, and a step prepends the new
-    entry to it, so a result is never rebuilt from its path; the children
-    of the alive walks are fetched once per node that has children.
+    entry to it, so a result is never rebuilt from its path; the alive
+    walks are a set of nodes, so walks that reach one mask go on as one,
+    and their children are fetched once per node that has children.
     Display tuples are distinct, so sorting (entries, flag) pairs sorts by
     entries.
     """
     names = lattice.names
+    reps: dict[int, Node] = {}
     memo: dict = {}
     root = _root(lattice)
-    alive = tuple(_children(lattice, memo, root).values()) if mark_right_extendable else ()
+    alive = set(_children(lattice, reps, memo, root).values()) if mark_right_extendable else ()
     found = []
     stack = [(root, (), alive)]
     while stack:
         node, shown, alive = stack.pop()
-        kids = _children(lattice, memo, node)
+        kids = _children(lattice, reps, memo, node)
         if shown and (not kids or not maximal_only):
             found.append((shown, bool(alive) if mark_right_extendable else None))
-        walks = [_children(lattice, memo, c) for c in alive] if kids else ()
+        walks = [_children(lattice, reps, memo, c) for c in alive] if kids else ()
         for j, child in kids.items():
-            moved = tuple(walk[j] for walk in walks if j in walk)
+            moved = {walk[j] for walk in walks if j in walk}
             stack.append((child, (names[j],) + shown, moved))
     found.sort()
     return [KdSequence(entries, flag) for entries, flag in found]
@@ -179,6 +210,7 @@ def count_kd_exceptional(lattice: Lattice, maximal_only: bool = False) -> int:
     (when every path counts, or when it is a one-element interval) plus
     the counts of its children.
     """
+    reps: dict[int, Node] = {}
     memo: dict = {}
     root = _root(lattice)
     counts: dict[Node, int] = {}
@@ -188,7 +220,7 @@ def count_kd_exceptional(lattice: Lattice, maximal_only: bool = False) -> int:
         if node in counts:
             stack.pop()
             continue
-        kids = _children(lattice, memo, node).values()
+        kids = _children(lattice, reps, memo, node).values()
         pending = [c for c in kids if c not in counts]
         if pending:
             stack.extend(pending)
@@ -196,7 +228,7 @@ def count_kd_exceptional(lattice: Lattice, maximal_only: bool = False) -> int:
         stack.pop()
         own = 1 if not kids or not maximal_only else 0
         counts[node] = own + sum(counts[c] for c in kids)
-    return sum(counts[c] for c in _children(lattice, memo, root).values())
+    return sum(counts[c] for c in _children(lattice, reps, memo, root).values())
 
 
 @dataclass(frozen=True)
@@ -261,12 +293,13 @@ def _recursive_labels(lattice: Lattice) -> dict[tuple[int, int], int]:
 
     The recursion runs depth first on nodes (a, b) of L, visiting children
     in the name order of the coatoms that lead to them, so errors surface
-    in the order of the rebuilt recursion; a node reached twice is
-    computed once.
+    in the order of the rebuilt recursion; a label mask reached twice is
+    computed once, at its first node.
     """
     root = _root(lattice)
+    reps: dict[int, Node] = {}
     done: dict[Node, dict[tuple[int, int], int]] = {}
-    stack = [(root, {}, _node_steps(lattice, root))]
+    stack = [(root, {}, _node_steps(lattice, reps, root))]
     while stack:
         node, out, steps = stack[-1]
         step = next(steps, None)
@@ -281,7 +314,7 @@ def _recursive_labels(lattice: Lattice) -> dict[tuple[int, int], int]:
             if child in done:
                 _merge(lattice, stack[-1], done[child])
             else:
-                stack.append((child, {}, _node_steps(lattice, child)))
+                stack.append((child, {}, _node_steps(lattice, reps, child)))
     return done[root]
 
 
@@ -295,7 +328,7 @@ def _merge(lattice: Lattice, frame, labels: dict) -> None:
         out[key] = lbl
 
 
-def _node_steps(lattice: Lattice, node: Node):
+def _node_steps(lattice: Lattice, reps: dict[int, Node], node: Node):
     """Yield (key, label, child) for each coatom of the top of cloUp([a, b]).
 
     The upper core label order of [a, b] compares the masks lab_up(x) =
@@ -334,7 +367,7 @@ def _node_steps(lattice: Lattice, node: Node):
                 f"kappa_bar({names[u]!r}) = {names[k]!r} is not completely join-irreducible"
             )
         j = _j_label_idx(lattice, lower[0], k)
-        yield (lab_up[u], full), j, _child(lattice, a, b, j)
+        yield (lab_up[u], full), j, _child(lattice, reps, a, b, j)
 
 
 def _maximal(members: list[int], masks: dict[int, int]) -> list[int]:

@@ -61,6 +61,13 @@ def lattice_from_cover_text(text):
     return S.Lattice.build_from_covers(sorted({x for c in covers for x in c}), covers)
 
 
+def odd_names(lattice):
+    """``lattice`` with each name x renamed to 'x "é\\'."""
+    fresh = {x: f'{x} "\u00e9\\' for x in lattice.names}
+    covers = [(fresh[a], fresh[b]) for a, b in lattice.covers_named()]
+    return S.Lattice.build_from_covers([fresh[x] for x in lattice.names], covers)
+
+
 def record_calls(monkeypatch, cls, names):
     """Record each call of the named methods of ``cls``, in order, and let it through."""
     calls = []

@@ -18,14 +18,20 @@ reads off masks or off intervals of the parent lattice:
 * ``atom_labels`` and ``coatom_labels``: the labels of the covers at the two
   ends of an interval;
 * ``posets_isomorphic``: an order isomorphism of two small posets, by
-  backtracking.
+  backtracking;
+* ``kd_nodes``, ``count_kd_nodes``, ``enumerate_kd_nodes`` and
+  ``recursive_labels_nodes``: the kappa_d-exceptional walks of ``sequences``
+  on a DAG with one node per interval (a, b), where the library keeps one
+  node per label mask.
 """
 
 from sdlat import InconsistentLabels, LabeledPoset, Lattice, Poset, cjr, cmr, irreducible_table
-from sdlat import CanonicalRep, NoUniqueMax, SizeLimitExceeded, j_label_interval
-from sdlat.core import _bits, _lsb
+from sdlat import CanonicalRep, NoUniqueMax, RecursionMismatch, SizeLimitExceeded, j_label_interval
+from sdlat.core import _bits, _lsb, _name_list
 from sdlat.cores import OrdersReport, clo_down, clo_up, kappa_order, lab_down_map, lab_up_map, w_map
-from sdlat.irreducibles import _j_label_idx, _kappa, _sorted_names, kappa_bar_map
+from sdlat.cores import _lab_up_within, _pop_up_idx
+from sdlat.irreducibles import _j_label_idx, _kappa, _kappa_bar_within, _labels_between, _sorted_names
+from sdlat.irreducibles import kappa_bar_map
 
 
 def _transpose(down, n):
@@ -357,3 +363,155 @@ def posets_isomorphic(p, q, size_cap=14):
     if extend(0):
         return {p.names[i]: q.names[j] for i, j in assign.items()}
     return None
+
+
+# -- the kappa_d-exceptional walks, one node per interval ------------------------
+
+
+def _node_child(lattice, a, b, j):
+    """The node (a v j, pop_up_[a,b](a v j)) reached from (a, b) by label j."""
+    x = _lsb(lattice.up[a] & lattice.up[j])
+    return (x, _pop_up_idx(lattice, x, b))
+
+
+def _node_children(lattice, memo, node):
+    """Label index -> child node of ``node``, in label index order, memoized."""
+    kids = memo.get(node)
+    if kids is None:
+        a, b = node
+        kids = memo[node] = {j: _node_child(lattice, a, b, j) for j in _bits(_labels_between(lattice, a, b))}
+    return kids
+
+
+def _node_root(lattice):
+    irreducible_table(lattice)  # raises NotSemidistributive
+    return (lattice._bot, lattice._top)
+
+
+def kd_nodes(lattice):
+    """Every node (a, b) reachable from the root, one node per interval."""
+    memo = {}
+    root = _node_root(lattice)
+    seen, stack = {root}, [root]
+    while stack:
+        for child in _node_children(lattice, memo, stack.pop()).values():
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return seen
+
+
+def enumerate_kd_nodes(lattice, maximal_only=False, mark_right_extendable=False):
+    """Sorted (display entries, right-extendable flag) pairs, one node per interval."""
+    names = lattice.names
+    memo = {}
+    root = _node_root(lattice)
+    alive = tuple(_node_children(lattice, memo, root).values()) if mark_right_extendable else ()
+    found = []
+    stack = [(root, (), alive)]
+    while stack:
+        node, shown, alive = stack.pop()
+        kids = _node_children(lattice, memo, node)
+        if shown and (not kids or not maximal_only):
+            found.append((shown, bool(alive) if mark_right_extendable else None))
+        walks = [_node_children(lattice, memo, c) for c in alive] if kids else ()
+        for j, child in kids.items():
+            moved = tuple(walk[j] for walk in walks if j in walk)
+            stack.append((child, (names[j],) + shown, moved))
+    found.sort()
+    return found
+
+
+def count_kd_nodes(lattice, maximal_only=False):
+    """Path counts summed over the interval DAG, one node per interval."""
+    memo = {}
+    root = _node_root(lattice)
+    counts = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if node in counts:
+            stack.pop()
+            continue
+        kids = _node_children(lattice, memo, node).values()
+        pending = [c for c in kids if c not in counts]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        own = 1 if not kids or not maximal_only else 0
+        counts[node] = own + sum(counts[c] for c in kids)
+    return sum(counts[c] for c in _node_children(lattice, memo, root).values())
+
+
+def recursive_labels_nodes(lattice):
+    """``sequences._recursive_labels`` with one node per interval (a, b)."""
+    root = _node_root(lattice)
+    done = {}
+    stack = [(root, {}, _node_label_steps(lattice, root))]
+    while stack:
+        node, out, steps = stack[-1]
+        step = next(steps, None)
+        if step is None:
+            stack.pop()
+            done[node] = out
+            if stack:
+                _merge_labels(lattice, stack[-1], out)
+        else:
+            key, lbl, child = step
+            out[key] = lbl
+            if child in done:
+                _merge_labels(lattice, stack[-1], done[child])
+            else:
+                stack.append((child, {}, _node_label_steps(lattice, child)))
+    return done[root]
+
+
+def _merge_labels(lattice, frame, labels):
+    (a, _), out, _ = frame
+    for key, lbl in labels.items():
+        if out.get(key, lbl) != lbl:
+            name = [lattice.names[lattice._join_idx(a, j)] for j in (out[key], lbl)]
+            raise RecursionMismatch(f"conflicting labels {name[0]!r} and {name[1]!r} for one cover")
+        out[key] = lbl
+
+
+def _node_label_steps(lattice, node):
+    """Yield (key, label, child) for each coatom of the top of cloUp([a, b])."""
+    a, b = node
+    if a == b:
+        return
+    names, up = lattice.names, lattice.up
+    kbar = _kappa_bar_within(lattice, a, b)
+    members = list(kbar)
+    lab_up = dict(zip(kbar, _lab_up_within(lattice, kbar.values(), b)))
+    if len(set(lab_up.values())) != len(members):
+        raise InconsistentLabels("cloUp: label sets do not separate elements")
+    full = 0
+    for mask in lab_up.values():
+        full |= mask
+    tops = [x for x in members if lab_up[x] == full]
+    if not tops:
+        maxs = _name_list(sorted(names[x] for x in _maximal_masks(members, lab_up)))
+        raise RecursionMismatch(
+            f"derived order has no unique top element (no unique maximum: {maxs}); "
+            "the lattice is not a nuclear interval"
+        )
+    (top,) = tops
+    for u in sorted(_maximal_masks([x for x in members if x != top], lab_up), key=names.__getitem__):
+        k = kbar[u]
+        lower = [v for v in lattice._dcov[k] if up[a] >> v & 1]
+        if len(lower) != 1:
+            raise RecursionMismatch(
+                f"kappa_bar({names[u]!r}) = {names[k]!r} is not completely join-irreducible"
+            )
+        j = _j_label_idx(lattice, lower[0], k)
+        yield (lab_up[u], full), j, _node_child(lattice, a, b, j)
+
+
+def _maximal_masks(members, masks):
+    kept = []
+    for x in sorted(members, key=lambda x: -masks[x].bit_count()):
+        if not any(masks[x] & ~masks[y] == 0 for y in kept):
+            kept.append(x)
+    return kept

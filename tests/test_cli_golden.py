@@ -23,7 +23,7 @@ import sdlat as S
 from sdlat.cli import cli_main
 from sdlat.jsonio import emit_json, to_document
 
-from conftest import CLO_UP_OUTSIDE, lattice_from_cover_text
+from conftest import CLO_UP_OUTSIDE, lattice_from_cover_text, odd_names
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -45,16 +45,12 @@ COVER_DOCUMENTS = {f"cloUpOutside{k}": text for k, text in enumerate(CLO_UP_OUTS
 # fig1 with element names that hold a double quote, a backslash, a space and
 # a non-ASCII letter, so every form escapes them; no gen command.
 ODD_NAMES = "fig1-oddNames"
-# Larger documents on which only seq runs, with and without --maximal.
-SEQ_DOCUMENTS = {"tamari5": ("tamari", 5), "boolean4": ("boolean", 4)}
+# Documents on which only seq runs, with and without --maximal: two larger
+# ones, and the one-element lattice (no sequences) and the two-element chain.
+SEQ_DOCUMENTS = {
+    "tamari5": ("tamari", 5), "boolean4": ("boolean", 4), "chain0": ("chain", 0), "chain1": ("chain", 1),
+}
 CASES = sorted(DOCUMENTS) + sorted(COVER_DOCUMENTS) + [ODD_NAMES] + sorted(SEQ_DOCUMENTS)
-
-
-def _odd_names(lattice):
-    """``lattice`` with each name x renamed to 'x "é\\'."""
-    fresh = {x: f'{x} "\u00e9\\' for x in lattice.names}
-    covers = [(fresh[a], fresh[b]) for a, b in lattice.covers_named()]
-    return S.Lattice.build_from_covers([fresh[x] for x in lattice.names], covers)
 
 
 def _forms(obj):
@@ -109,7 +105,7 @@ def run_cases(doc, workdir):
         obj = lattice_from_cover_text(COVER_DOCUMENTS[doc])
         commands = [["orders", str(path), "--which", which] for which in DERIVED]
     elif doc == ODD_NAMES:
-        obj = _odd_names(S.generate("fig1"))
+        obj = odd_names(S.generate("fig1"))
         commands = [[form[0], str(path), *form[1:]] for form in _forms(obj)]
     elif doc in SEQ_DOCUMENTS:
         obj = S.generate(*SEQ_DOCUMENTS[doc])

@@ -5,8 +5,12 @@ The oracles below are the recursion the DAG replaced: every interval
 on its own, with names mapped back through ``j -> lo v j``.  Enumeration,
 verification (including the failing entry and depth), right-extendability
 and the recursive clo-up labels, errors included, must agree on fixed
-families, the random SD pools and their duals.  Closed-form counts of
-maximal sequences are gold tests for ``count_kd_exceptional``.
+families, the random SD pools and their duals.  The library keeps one node
+per label mask; the walks with one node per interval (a, b) in ``oracles``
+must agree with it on the same lattices and on larger random pools, errors
+included, and a counter checks that each walk expands one node per mask.
+Closed-form counts of maximal sequences are gold tests for
+``count_kd_exceptional``.
 """
 
 import itertools
@@ -18,9 +22,10 @@ import pytest
 import sdlat as S
 from sdlat import NoBoundsError, RecursionMismatch
 from sdlat.cores import clo_up, lab_up_map, pop_up
+from sdlat.irreducibles import _labels_between
 
 from conftest import sd_family_lattices
-from oracles import as_lattice
+from oracles import as_lattice, count_kd_nodes, enumerate_kd_nodes, kd_nodes, recursive_labels_nodes
 
 FAMILIES = [("tamari", n) for n in range(3, 7)] + [("boolean", n) for n in range(2, 6)]
 FAMILIES += [("fig1", None), ("fig4", None)] + [("chain", n) for n in range(2, 7)]
@@ -191,6 +196,51 @@ def check_label_clo_up(lat, oracle, monkeypatch):
     return expected[0]
 
 
+def check_node_walk(lat, monkeypatch):
+    """Counts, sorted listings with flags and clo-up labels, or the same error, per node walk."""
+    for maximal_only in (False, True):
+        got = _outcome(S.count_kd_exceptional, lat, maximal_only)
+        assert got == _outcome(count_kd_nodes, lat, maximal_only)
+        got = _outcome(S.enumerate_kd_exceptional, lat, maximal_only, True)
+        got = (got[0], [(s.entries, s.right_extendable) for s in got[1]]) if got[0] == "ok" else got
+        assert got == _outcome(enumerate_kd_nodes, lat, maximal_only, True)
+    got = _outcome(S.sequences._recursive_labels, lat)
+    expected = _outcome(recursive_labels_nodes, lat)
+    if got[0] == "ok" and expected[0] == "ok":
+        assert list(got[1].items()) == list(expected[1].items())
+    else:
+        assert got == expected
+    got = _outcome(S.label_clo_up, lat)
+    with monkeypatch.context() as patch:
+        patch.setattr(S.sequences, "_recursive_labels", recursive_labels_nodes)
+        expected = _outcome(S.label_clo_up, lat)
+    if got[0] == "ok" and expected[0] == "ok":
+        assert list(got[1].labels.items()) == list(expected[1].labels.items())
+    else:
+        assert got == expected
+
+
+def expansions(monkeypatch, call):
+    """The nodes that ``_children`` and ``_node_steps`` expand while ``call()`` runs."""
+    expanded = []
+    children, steps = S.sequences._children, S.sequences._node_steps
+
+    def counted_children(lattice, reps, memo, node):
+        if node not in memo:
+            expanded.append(node)
+        return children(lattice, reps, memo, node)
+
+    def counted_steps(lattice, reps, node):
+        expanded.append(node)
+        return steps(lattice, reps, node)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(S.sequences, "_children", counted_children)
+        patch.setattr(S.sequences, "_node_steps", counted_steps)
+        call()
+    return expanded
+
+
 # -- tests --------------------------------------------------------------------
 
 
@@ -204,6 +254,7 @@ def test_families_match_rebuild_recursion(family, n, dual, monkeypatch):
     check_verifier(lat, oracle)
     check_labels(lat, oracle)
     check_label_clo_up(lat, oracle, monkeypatch)
+    check_node_walk(lat, monkeypatch)
 
 
 def test_small_pool_matches_rebuild_recursion(small_sd_lattices, monkeypatch):
@@ -214,6 +265,37 @@ def test_small_pool_matches_rebuild_recursion(small_sd_lattices, monkeypatch):
             check_verifier(each, oracle, limit=100)
             check_labels(each, oracle)
             check_label_clo_up(each, oracle, monkeypatch)
+            check_node_walk(each, monkeypatch)
+
+
+@pytest.mark.parametrize("seed,max_mid", [(1, 8), (2, 9), (3, 7)])
+def test_random_pools_match_node_walk(seed, max_mid, monkeypatch):
+    rng = random.Random(seed)
+    for lat in [S.random_sd_lattice(rng=rng, max_mid=max_mid) for _ in range(300)]:
+        for each in (lat, lat.dual()):
+            check_node_walk(each, monkeypatch)
+
+
+MASK_FAMILIES = [("tamari", n) for n in range(3, 9)] + [("boolean", n) for n in range(2, 6)]
+
+
+@pytest.mark.parametrize("family,n", MASK_FAMILIES)
+def test_one_node_per_label_mask(family, n, monkeypatch):
+    # a node per interval would expand 394 / 1806 nodes on tamari 6 / 7, not 132 / 429
+    lat = S.generate(family, n)
+    masks = {_labels_between(lat, *node) for node in kd_nodes(lat)}
+    assert len(masks) == len(lat)
+    calls = [
+        lambda: S.count_kd_exceptional(lat, maximal_only=True),
+        lambda: S.count_kd_exceptional(lat),
+        lambda: S.sequences._recursive_labels(lat),
+    ]
+    if len(lat) <= 132:
+        calls.append(lambda: S.enumerate_kd_exceptional(lat, mark_right_extendable=True))
+    for call in calls:
+        expanded = expansions(monkeypatch, call)
+        assert len(expanded) == len(masks)
+        assert {_labels_between(lat, *node) for node in expanded} == masks
 
 
 def test_random_pool_labels_and_errors(monkeypatch):
@@ -260,7 +342,7 @@ def test_right_extendable_on_a_long_chain():
     assert flags[("c3", "c2")] is False
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", range(3, 10))
 def test_tamari_maximal_count(n):
     # complete exceptional sequences of linearly oriented A_(n-1)
     assert S.count_kd_exceptional(S.generate("tamari", n), maximal_only=True) == n ** (n - 2)

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,12 +13,15 @@ import sdlat as S
 from sdlat import CycleError, NotTransitiveReduction, SchemaError
 from sdlat.cli import build_parser, cli_main
 from sdlat.jsonio import (
+    dumps_indented,
     emit_dot,
     emit_json,
     parse_document,
     parse_json,
     to_document,
 )
+
+from conftest import odd_names, sd_family_lattices
 
 
 def test_round_trip_all_generators():
@@ -168,6 +174,38 @@ def test_cli_seq(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == 7
     assert ["j4", "j3"] in [s["entries"] for s in payload["sequences"]]
+
+
+def _seq_output_oracle(lattice, maximal, as_json):
+    """What ``seq`` printed when it built the whole payload, or line list, first."""
+    seqs = S.enumerate_kd_exceptional(lattice, maximal_only=maximal, mark_right_extendable=maximal)
+    if as_json:
+        sequences = [{"entries": s.entries, "rightExtendable": s.right_extendable} for s in seqs]
+        payload = {"maximalOnly": maximal, "count": len(seqs), "sequences": sequences}
+        return dumps_indented(payload, sort_keys=True) + "\n"
+    lines = [
+        "(" + ",".join(s.entries) + ")" + ("   [extendable to the right]" if s.right_extendable else "")
+        for s in seqs
+    ]
+    lines.append(f"count: {len(seqs)}")
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("chunk", [3, S.cli._CHUNK])
+def test_cli_seq_writes_the_payload_byte_for_byte(tmp_path, small_sd_lattices, monkeypatch, chunk):
+    # a chunk of 3 splits every longer listing across writes
+    monkeypatch.setattr(S.cli, "_CHUNK", chunk)
+    lattices = sd_family_lattices() + [S.generate("tamari", n) for n in (4, 5, 6)]
+    lattices += [S.generate("boolean", n) for n in (4, 5)] + [odd_names(S.generate("fig1"))]
+    lattices += small_sd_lattices
+    for k, lattice in enumerate(lattices):
+        path = _write(tmp_path, f"doc{k}.json", lattice)
+        for maximal, as_json in itertools.product((False, True), repeat=2):
+            argv = ["seq", path] + ["--maximal"] * maximal + ["--json"] * as_json
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli_main(argv) == 0
+            assert out.getvalue() == _seq_output_oracle(lattice, maximal, as_json), argv
 
 
 def test_cli_complex_orders(tmp_path, capsys):
