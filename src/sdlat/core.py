@@ -8,7 +8,7 @@ bit and the greatest element of an up-closed set is its highest set bit.
 In a lattice that makes join(x, y) the lowest set bit of ``up[x] & up[y]``
 and meet(x, y) the highest set bit of ``down[x] & down[y]``, so no n^2 join
 or meet table is built; the lattice axioms are checked on pairs of lower
-covers only (the cover-pair lemma in ``Poset._cover_pairs_have_meets``).
+covers only (the lemma in ``_cover_pairs_have_meets``, shared with ``random_sd_lattice``).
 All public entry points speak element *names*, looked up in ``Poset.index``,
 where a name that is not an element raises SchemaError; indices stay internal.
 """
@@ -70,20 +70,83 @@ def memoized(fn):
     return cached
 
 
-def _cover_pairs(down: list[int]) -> list[tuple[int, int]]:
-    """The covers (j, i) of transitive down-set masks indexed along a linear extension.
+def _lower_covers(down: list[int]) -> list[list[int]]:
+    """The lower covers of each element of transitive down-set masks indexed along a linear extension.
 
-    The lower covers of i are found by taking the highest remaining element
-    below i and dropping its down-set, one mask op per cover.
+    The msb walk: the highest element left below i is a lower cover, and its
+    down-set is dropped, one mask op per cover, so each list falls in index.
     """
-    covers = []
+    dcov = []
     for i, mask in enumerate(down):
-        rest = mask & ~(1 << i)
+        rest, lows = mask & ~(1 << i), []
         while rest:
             j = rest.bit_length() - 1
-            covers.append((j, i))
+            lows.append(j)
             rest &= ~down[j]
-    return covers
+        dcov.append(lows)
+    return dcov
+
+
+def _union_above(ucov: list[list[int]], seeds: list[int]) -> list[int]:
+    """out[u] is the union of seeds[v] over all v >= u, one mask op per upper cover in ``ucov``."""
+    out = list(seeds)
+    for u in range(len(out) - 1, -1, -1):
+        acc = out[u]
+        for c in ucov[u]:
+            acc |= out[c]
+        out[u] = acc
+    return out
+
+
+def _cover_pairs_have_meets(down: list[int], dcov: list[list[int]]) -> bool:
+    """True when every two lower covers a, b of a common element have a meet.
+
+    In a finite poset with a greatest element this makes every pair have
+    a meet (and hence a join, the meet of its upper bounds), so it is a
+    lattice.  Proof by upward induction on a common upper bound u of a
+    and b: take a <= a1 < u and b <= b1 < u with u covering a1 and b1,
+    and w = a1 ^ b1; by induction m = a ^ w exists, and then
+    a ^ b = m ^ b.  The cost is the sum over elements of C(downdegree, 2)
+    mask tests, on down-sets, which are short for elements low in the
+    index order.
+    """
+    for covers in dcov:
+        for a, b in itertools.combinations(covers, 2):
+            # common is a down-set, so it has a greatest element
+            # exactly when the down-set of its highest index is all of it
+            common = down[a] & down[b]
+            if not common or down[common.bit_length() - 1] != common:
+                return False
+    return True
+
+
+def _kappa_maps(down: list[int], up: list[int], dcov: list, ucov: list) -> Optional[tuple[dict, dict]]:
+    """kappa and kappa_d on element indices of a lattice, or None if it is not SD.
+
+    Freese-Jezek-Nation, *Free Lattices* (1995), Thm 2.56: a finite
+    lattice is meet-semidistributive iff kappa(j) exists for every
+    completely join-irreducible j, and dually join-semidistributive iff
+    kappa_d(m) exists for every completely meet-irreducible m.  The
+    candidates for kappa(j) = max{y : j ^ y = j_*} are exactly
+    ``up[j_*] & ~up[j]``, and those for kappa_d(m) are
+    ``down[m^*] & ~down[m]``, so the whole check is one mask test per
+    irreducible.
+    """
+    kappa: dict[int, int] = {}
+    for j, lows in enumerate(dcov):
+        if len(lows) == 1:
+            cand = up[lows[0]] & ~up[j]
+            kappa[j] = top = _msb(cand)
+            if cand & ~down[top]:
+                return None
+    kappa_d: dict[int, int] = {}
+    for m, highs in enumerate(ucov):
+        if len(highs) == 1:
+            cand = down[highs[0]] & ~down[m]
+            kappa_d[m] = bot = _lsb(cand)
+            if cand & ~up[bot]:
+                return None
+    return kappa, kappa_d
 
 
 class _Index(dict):
@@ -102,10 +165,9 @@ class Poset:
         ``covers`` must be an exact transitive reduction, each cover (lo, hi)
         with lo < hi as indices and listed after every cover into lo (as
         when sorted by either end), and ``down`` the down-set masks they
-        generate.  Nothing is re-checked here: ``_from_cover_pairs`` tests
-        the covers it indexes, and the ``random_sd_lattice`` candidates come
-        from the msb walk of ``_cover_pairs``, an exact reduction by
-        construction.  ``memo`` holds what ``memoized`` caches on it.
+        generate.  Nothing is re-checked here: ``_from_cover_pairs``, the one
+        caller, tests the covers it indexes.  ``memo`` holds what
+        ``memoized`` caches on it.
         """
         self.n = n = len(names)
         self.names = names
@@ -125,15 +187,8 @@ class Poset:
         self.memo: dict = {}
 
     def _union_above(self, seeds: list[int]) -> list[int]:
-        """out[u] is the union of seeds[v] over all v >= u, one mask op per cover."""
-        out = list(seeds)
-        ucov = self._ucov
-        for u in range(self.n - 1, -1, -1):
-            acc = out[u]
-            for c in ucov[u]:
-                acc |= out[c]
-            out[u] = acc
-        return out
+        """out[u] is the union of seeds[v] over all v >= u (the module's ``_union_above``)."""
+        return _union_above(self._ucov, seeds)
 
     # -- construction ------------------------------------------------------
 
@@ -195,7 +250,7 @@ class Poset:
         the elements it cannot reach, in the order of ``names``.  A cover
         implied by others raises NotTransitiveReduction from
         ``_check_reduction`` before ``cls`` checks anything of its own; on
-        the derived orders, whose covers the msb walk of ``_cover_pairs``
+        the derived orders, whose covers the msb walk of ``_lower_covers``
         gives, it never fires.
         """
         n = len(names)
@@ -321,60 +376,13 @@ class Poset:
         return self._two_sided_scan()
 
     def _cover_pairs_have_meets(self) -> bool:
-        """True when every two lower covers a, b of a common element have a meet.
-
-        In a finite poset with a greatest element this makes every pair have
-        a meet (and hence a join, the meet of its upper bounds), so it is a
-        lattice.  Proof by upward induction on a common upper bound u of a
-        and b: take a <= a1 < u and b <= b1 < u with u covering a1 and b1,
-        and w = a1 ^ b1; by induction m = a ^ w exists, and then
-        a ^ b = m ^ b.  The cost is the sum over elements of C(downdegree, 2)
-        mask tests, on down-sets, which are short for elements low in the
-        index order.
-        """
-        down = self.down
-        for covers in self._dcov:
-            for k, a in enumerate(covers):
-                down_a = down[a]
-                for b in covers[k + 1 :]:
-                    # common is a down-set, so it has a greatest element
-                    # exactly when the down-set of its highest index is all of it
-                    common = down_a & down[b]
-                    if not common or down[common.bit_length() - 1] != common:
-                        return False
-        return True
+        """The module's ``_cover_pairs_have_meets`` on this poset's lower covers."""
+        return _cover_pairs_have_meets(self.down, self._dcov)
 
     @memoized
     def _kappa_maps(self) -> Optional[tuple[dict[int, int], dict[int, int]]]:
-        """kappa and kappa_d on element indices of a lattice, or None if it is not SD; memoized.
-
-        Freese-Jezek-Nation, *Free Lattices* (1995), Thm 2.56: a finite
-        lattice is meet-semidistributive iff kappa(j) exists for every
-        completely join-irreducible j, and dually join-semidistributive iff
-        kappa_d(m) exists for every completely meet-irreducible m.  The
-        candidates for kappa(j) = max{y : j ^ y = j_*} are exactly
-        ``up[j_*] & ~up[j]``, and those for kappa_d(m) are
-        ``down[m^*] & ~down[m]``, so the whole check is one mask test per
-        irreducible.
-        """
-        up, down = self.up, self.down
-        kappa: dict[int, int] = {}
-        for j in range(self.n):
-            if len(self._dcov[j]) == 1:
-                cand = up[self._dcov[j][0]] & ~up[j]
-                top = _msb(cand)
-                if cand & ~down[top]:
-                    return None
-                kappa[j] = top
-        kappa_d: dict[int, int] = {}
-        for m in range(self.n):
-            if len(self._ucov[m]) == 1:
-                cand = down[self._ucov[m][0]] & ~down[m]
-                bot = _lsb(cand)
-                if cand & ~up[bot]:
-                    return None
-                kappa_d[m] = bot
-        return kappa, kappa_d
+        """The module's ``_kappa_maps`` on this lattice, or None if it is not SD; memoized."""
+        return _kappa_maps(self.down, self.up, self._dcov, self._ucov)
 
     def _two_sided_scan(self) -> Optional[tuple[str, str, str]]:
         """The first pair, in index order, with no unique join or meet."""
@@ -405,7 +413,7 @@ class Lattice(Poset):
     stored.  Construction validates the lattice axioms: there must be a
     unique bottom and top, and every two lower covers of a common element
     must have a meet, which by the cover-pair lemma (see
-    ``Poset._cover_pairs_have_meets``) gives every pair a unique join and
+    ``_cover_pairs_have_meets``) gives every pair a unique join and
     meet.  Derived data (kappa tables, labels, derived orders) is cached
     by ``memoized`` in the ``memo`` dict that every ``Poset`` has, keyed by
     the function that computed it.
@@ -417,7 +425,7 @@ class Lattice(Poset):
             raise NoBoundsError("empty lattice")
         self._bot = self.index[self.bottom_name()]
         self._top = self.index[self.top_name()]
-        if not self._cover_pairs_have_meets():
+        if not _cover_pairs_have_meets(self.down, self._dcov):
             kind, a, b = self._two_sided_scan()
             raise NotALattice(f"elements {a!r} and {b!r} have no unique {kind}")
 

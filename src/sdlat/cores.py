@@ -11,7 +11,7 @@ inclusion of the W sets (proof in ``kappa_order``).
 So all three derived orders are inclusion orders of a list of label masks,
 one mask per element, and ``_label_order`` builds each distinct list once
 per lattice: orders whose lists coincide (all three on the tamari and
-boolean lattices) are one object.  The msb walk (``core._cover_pairs``)
+boolean lattices) are one object.  The msb walk (``core._lower_covers``)
 over the up-sets of an inclusion order gives its index covers, an exact
 reduction by construction, so ``Poset._from_cover_pairs`` indexes the
 order by (height, name), as ``to_document`` exposes it, without the name
@@ -42,7 +42,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import IntervalView, Lattice, Poset, _bits, _cover_pairs, _lsb, _msb, memoized
+from .core import IntervalView, Lattice, Poset, _bits, _lower_covers, _lsb, _msb, memoized
 from .errors import InconsistentLabels
 from .irreducibles import _kappa_bar_idx, _labels_between, _sorted_names
 
@@ -233,7 +233,7 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
     one mask op per label x has, and an element has few labels next to
     those it misses.  Listed by decreasing label-set size, the elements are
     a linear extension of reverse inclusion, so the msb walk of
-    ``_cover_pairs`` over those up-sets gives the covers, each as (hi, lo).
+    ``_lower_covers`` over those up-sets gives the covers, as upper covers.
     """
     built = _orders_built(lattice)
     key = tuple(masks)
@@ -257,7 +257,7 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
         for j in _bits(masks[x]):
             acc &= having[j]
         up.append(acc)
-    covers = [(lo, hi) for hi, lo in _cover_pairs(up)]
+    covers = [(lo, hi) for lo, highs in enumerate(_lower_covers(up)) for hi in highs]
     del up  # n masks of n bits, freed before the build allocates its own
     built[key] = DerivedPoset._from_cover_pairs([lattice.names[x] for x in ranked], covers)
     return built[key]

@@ -11,7 +11,7 @@ import random
 from functools import lru_cache
 from typing import Optional, Union
 
-from .core import Lattice, Poset, _cover_pairs
+from .core import Lattice, _cover_pairs_have_meets, _kappa_maps, _lower_covers, _union_above
 from .errors import BadParameter, InconsistentLabels
 from .irreducibles import _inherited_label_leq, irreducible_table, j_label_cover
 from .shelling import LabeledPoset
@@ -226,14 +226,15 @@ def random_sd_lattice(
     Each attempt draws k middle elements e0..e(k-1) with sorted ranks in
     1..3 and an edge density, and proposes each edge ej -> ei from a lower
     to a higher rank with that probability, between a forced bottom and
-    top.  The candidate is tested on bitmasks: indexed bot, e0..e(k-1), top
-    (a linear extension, since edges rise in rank), ``down[i]`` is closed by
-    OR-ing in ``down[j]`` for each picked edge in draw order, and the covers
-    come from the msb walk of ``_cover_pairs``.  bot and top bound every
-    candidate, so a ``Poset`` on those masks is a lattice exactly when it
-    passes ``_cover_pairs_have_meets``, and then SD exactly when
-    ``_kappa_maps`` finds the kappa maps; a rejected candidate builds no
-    error message.  Only an accepted candidate is rebuilt through
+    top.  The candidate is tested on bare bitmasks: indexed bot, e0..e(k-1),
+    top (a linear extension, since edges rise in rank), ``down[i]`` is closed
+    by OR-ing in ``down[j]`` for each picked edge in draw order, and the
+    lower covers come from the msb walk of ``core._lower_covers``.  bot and
+    top bound every candidate, so it is a lattice exactly when it passes
+    ``core._cover_pairs_have_meets``, and then SD exactly when
+    ``core._kappa_maps`` finds the kappa maps, as for a ``Lattice``.  A
+    rejected candidate gets no names, no ``Poset`` and no error message.
+    Only an accepted one is named and built through
     ``Lattice.build_from_covers``, which validates the Hasse diagram and
     indexes it canonically.
 
@@ -259,16 +260,22 @@ def random_sd_lattice(
         down = [1]
         for i in range(k):
             mask = 1 | 1 << (i + 1)
-            for j in range(i):
-                if ranks[j] < ranks[i] and rng.random() < density:
+            for j in range(ranks.index(ranks[i])):  # the j with ranks[j] < ranks[i]: ranks are sorted
+                if rng.random() < density:
                     mask |= down[j + 1]
             down.append(mask)
         down.append((1 << (k + 2)) - 1)
-        names = ("bot", *(f"e{i}" for i in range(k)), "top")
-        covers = _cover_pairs(down)
-        candidate = Poset(names, down, tuple(covers))
-        if candidate._cover_pairs_have_meets() and candidate._kappa_maps() is not None:
-            return Lattice.build_from_covers(names, [(names[j], names[i]) for j, i in covers])
+        dcov = _lower_covers(down)
+        if not _cover_pairs_have_meets(down, dcov):
+            continue
+        ucov: list[list[int]] = [[] for _ in down]
+        for i, lows in enumerate(dcov):
+            for j in lows:
+                ucov[j].append(i)
+        if _kappa_maps(down, _union_above(ucov, [1 << i for i in range(k + 2)]), dcov, ucov) is not None:
+            names = ("bot", *(f"e{i}" for i in range(k)), "top")
+            covers = [(names[j], names[i]) for i, lows in enumerate(dcov) for j in lows]
+            return Lattice.build_from_covers(names, covers)
     raise BadParameter("random_sd_lattice failed to find a lattice; widen max_tries")
 
 

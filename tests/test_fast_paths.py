@@ -20,6 +20,7 @@ from hypothesis import given, settings
 
 import sdlat as S
 from sdlat import Lattice, NotALattice, NotSemidistributive
+from sdlat.core import _cover_pairs_have_meets, _kappa_maps, _lower_covers, _union_above
 from sdlat.cores import lab_down_map, lab_up_map, w_map
 from sdlat.irreducibles import irreducible_table, kappa_bar_d_map
 
@@ -182,12 +183,36 @@ def check_sd_lattice(lat):
     assert all(lat.join_set(w[x]) == x for x in lat.names)
 
 
+def check_mask_kernels(poset):
+    """The tests random_sd_lattice runs on bare masks: lower covers, meets and up-sets.
+
+    Returns the meet test's verdict and the kappa test's input, as the
+    generator builds them from the down-set masks alone.
+    """
+    down = poset.down
+    dcov = _lower_covers(down)
+    assert [sorted(lows) for lows in dcov] == [sorted(lows) for lows in poset._dcov]
+    ucov = [[] for _ in down]
+    for i, lows in enumerate(dcov):
+        for j in lows:
+            ucov[j].append(i)
+    up = _union_above(ucov, [1 << i for i in range(len(down))])
+    assert up == poset.up
+    meets = _cover_pairs_have_meets(down, dcov)
+    if poset.lattice_failure() is None:
+        assert meets
+    return meets, (down, up, dcov, ucov)
+
+
 def check_drawn_poset(poset):
     check_poset(poset)
     failure = poset._two_sided_scan()
     names, covers = poset.names, poset.covers_named()
+    meets, kappa_args = check_mask_kernels(poset)
     if len(poset.minimal_elements()) != 1 or len(poset.maximal_elements()) != 1:
         return
+    # bounded: the cover-pair lemma makes the meet test the lattice test
+    assert meets == (failure is None) == (poset.lattice_failure() is None)
     if failure is not None:
         kind, a, b = failure
         with pytest.raises(NotALattice) as info:
@@ -196,7 +221,7 @@ def check_drawn_poset(poset):
         return "not a lattice"
     lat = Lattice.build_from_covers(names, covers)
     check_sd(lat)
-    assert lat.is_semidistributive() == sd_exponential_oracle(lat)
+    assert lat.is_semidistributive() == sd_exponential_oracle(lat) == (_kappa_maps(*kappa_args) is not None)
     if lat.is_semidistributive():
         check_sd_lattice(lat)
     return "lattice"
@@ -422,9 +447,8 @@ def _calls_outside(tree, callees, owner):
 @pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
 def test_orders_built_only_through_the_indexer(module):
     # one indexer for every order: only Poset._from_cover_pairs calls
-    # cls(...), and only random_sd_lattice wraps its candidate masks
-    # directly in a Poset
+    # cls(...), and nothing calls Poset, Lattice or DerivedPoset directly,
+    # random_sd_lattice included, which tests its candidates on bare masks
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
-    lines = _calls_outside(tree, {"cls"}, "_from_cover_pairs")
-    lines += _calls_outside(tree, {"Poset", "Lattice", "DerivedPoset"}, "random_sd_lattice")
+    lines = _calls_outside(tree, {"cls", "Poset", "Lattice", "DerivedPoset"}, "_from_cover_pairs")
     assert lines == [], f"{module} builds an order outside the indexer on lines {lines}"

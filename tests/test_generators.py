@@ -205,6 +205,24 @@ def test_random_sd_lattice_builds_only_the_accepted_candidate(monkeypatch):
         assert sorted(built[0]) == sorted(lattice.names)
 
 
+def test_random_sd_lattice_constructs_one_poset_per_draw(monkeypatch):
+    # rejected candidates are tested on bare masks: the one Poset.__init__
+    # of a draw is the accepted lattice's own
+    inits = []
+    init = Poset.__init__
+
+    def counting(self, names, down, covers):
+        inits.append(names)
+        init(self, names, down, covers)
+
+    monkeypatch.setattr(Poset, "__init__", counting)
+    rng = random.Random(2)
+    for _ in range(20):
+        del inits[:]
+        lattice = S.random_sd_lattice(rng=rng, max_mid=8)
+        assert inits == [lattice.names]
+
+
 def test_random_sd_lattice_rejects_without_messages(monkeypatch):
     # rejected candidates fail the cover-pair test on masks and build no
     # NotALattice or NotTransitiveReduction message; the second draw of the
