@@ -8,7 +8,7 @@ bit and the greatest element of an up-closed set is its highest set bit.
 In a lattice that makes join(x, y) the lowest set bit of ``up[x] & up[y]``
 and meet(x, y) the highest set bit of ``down[x] & down[y]``, so no n^2 join
 or meet table is built; the lattice axioms are checked on pairs of lower
-covers only (the lemma in ``_cover_pairs_have_meets``, shared with ``random_sd_lattice``).
+covers only (the lemma in ``_cover_pairs_have_meets``, the one test all callers share).
 All public entry points speak element *names*, looked up in ``Poset.index``,
 where a name that is not an element raises SchemaError; indices stay internal.
 """
@@ -370,14 +370,10 @@ class Poset:
         if (
             len(self.minimal_elements()) == 1
             and len(self.maximal_elements()) == 1
-            and self._cover_pairs_have_meets()
+            and _cover_pairs_have_meets(self.down, self._dcov)
         ):
             return None
         return self._two_sided_scan()
-
-    def _cover_pairs_have_meets(self) -> bool:
-        """The module's ``_cover_pairs_have_meets`` on this poset's lower covers."""
-        return _cover_pairs_have_meets(self.down, self._dcov)
 
     @memoized
     def _kappa_maps(self) -> Optional[tuple[dict[int, int], dict[int, int]]]:

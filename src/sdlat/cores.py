@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import IntervalView, Lattice, Poset, _bits, _lower_covers, _lsb, _msb, memoized
 from .errors import InconsistentLabels
@@ -138,18 +138,14 @@ def _lab_down_masks(lattice: Lattice) -> list[int]:
     return [_labels_between(lattice, _pop_down_idx(lattice, x, bot), x) for x in range(lattice.n)]
 
 
-def _lab_up_within(lattice: Lattice, kbars: Iterable[int], b: int) -> list[int]:
-    """lab_up, taken in an interval [a, b], of the elements whose kappa_bar there is ``kbars``.
-
-    The upper core of x in [a, b] is [k, pop_up(k)] with k = kappa_bar(x)
-    and pop_up taken in [a, b], so its mask depends on k and b alone.
-    """
-    return [_labels_between(lattice, k, _pop_up_idx(lattice, k, b)) for k in kbars]
-
-
 @memoized
 def _lab_up_masks(lattice: Lattice) -> list[int]:
-    return _lab_up_within(lattice, _kappa_bar_idx(lattice), lattice._top)
+    """lab_up of every element x, as masks: the labels of its upper core.
+
+    The upper core of x is [k, pop_up(k)] with k = kappa_bar(x).
+    """
+    top = lattice._top
+    return [_labels_between(lattice, k, _pop_up_idx(lattice, k, top)) for k in _kappa_bar_idx(lattice)]
 
 
 def _label_sets(lattice: Lattice, masks: list[int]) -> dict[str, frozenset[str]]:

@@ -11,16 +11,16 @@ checks semidistributivity and yields the kappa table; see
 
 Cover labels come from masks too.  With above[u] = {j : kappa(j) >= u},
 the j-label of a cover u < v is the single bit of ``down[v] & above[u]``
-and its m-label is kappa of that j-label; kappa_bar and the label sets of
-intervals are read off the same masks.  A mask that is not a single bit
-raises NoUniqueMax.
+and its m-label is kappa of that j-label; kappa_bar, kappa_bar_d and the
+label sets of intervals are read off the same masks.  A mask that is not
+a single bit raises NoUniqueMax.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Lattice, _bits, memoized
+from .core import Lattice, _bits, _lsb, memoized
 from .errors import (
     NoUniqueMax,
     NotACover,
@@ -157,26 +157,14 @@ def _inherited_label_leq(lattice: Lattice) -> frozenset[tuple[str, str]]:
 
 @memoized
 def _kappa_bar_idx(lattice: Lattice) -> list[int]:
-    """kappa_bar on indices: the meet of kappa(j) over the labels j below x."""
-    return list(_kappa_bar_within(lattice, lattice._bot, lattice._top).values())
-
-
-def _kappa_bar_within(lattice: Lattice, a: int, b: int) -> dict[int, int]:
-    """kappa_bar of each x in [a, b], taken in the interval [a, b], by index.
-
-    It is b ^ the meet of kappa(j) over the labels j of the covers below x
-    inside [a, b]: the interval's kappa of its cji a v j is b ^ kappa(j)
-    (see ``sequences``), and the empty meet is b.
-    """
-    kappa = _kappa(lattice)
-    up_a, down = lattice.up[a], lattice.down
-    out = {}
-    for x in _bits(up_a & down[b]):
-        acc = down[b]
-        for u in lattice._dcov[x]:
-            if up_a >> u & 1:
-                acc &= down[kappa[_j_label_idx(lattice, u, x)]]
-        out[x] = acc.bit_length() - 1
+    """kappa_bar on indices: the meet of kappa(j) over the labels j of the covers below x."""
+    kappa, down, dcov = _kappa(lattice), lattice.down, lattice._dcov
+    out = []
+    for x in range(lattice.n):
+        acc = down[lattice._top]
+        for u in dcov[x]:
+            acc &= down[kappa[_j_label_idx(lattice, u, x)]]
+        out.append(acc.bit_length() - 1)
     return out
 
 
@@ -191,16 +179,27 @@ def kappa_bar_map(lattice: Lattice) -> dict[str, str]:
     return {names[x]: names[k] for x, k in enumerate(_kappa_bar_idx(lattice))}
 
 
+def _kappa_bar_d_within(lattice: Lattice, a: int, b: int, k: int) -> int:
+    """kappa_bar_d of k inside [a, b]: a v the j-labels of the covers k < v <= b.
+
+    kappa_bar_d(k) joins kappa_d of the m-labels kappa(j) of the covers
+    above k, and the interval relabels j as a v j (see ``sequences``).
+    On a finite SD lattice and its intervals kappa_bar is a bijection with
+    inverse kappa_bar_d (Barnard, "The canonical join complex", EJC 2019).
+    """
+    up, down_b = lattice.up, lattice.down[b]
+    acc = up[a]
+    for v in lattice._ucov[k]:
+        if down_b >> v & 1:
+            acc &= up[_j_label_idx(lattice, k, v)]
+    return _lsb(acc)
+
+
 @memoized
 def _kappa_bar_d_idx(lattice: Lattice) -> list[int]:
-    """kappa_bar_d on indices, as the inverse permutation of kappa_bar.
-
-    On a finite semidistributive lattice kappa_bar is a bijection and
-    kappa_bar_d is its inverse (Barnard, "The canonical join complex",
-    EJC 2019), so position y holds the x with kappa_bar(x) = y.
-    """
-    kbar = _kappa_bar_idx(lattice)
-    return sorted(range(lattice.n), key=kbar.__getitem__)
+    """kappa_bar_d on indices: ``_kappa_bar_d_within`` on the whole lattice."""
+    bot, top = lattice._bot, lattice._top
+    return [_kappa_bar_d_within(lattice, bot, top, y) for y in range(lattice.n)]
 
 
 @memoized

@@ -25,9 +25,10 @@ of element indices of L, and everything is kept in L's label coordinates:
   [a, b] gives a cover u < a v j with L-label j, the y with
   y ^ (a v j) = u are exactly the interval [u, kappa(j)] of L, and the
   largest of them below b is b ^ kappa(j).
-* kappa_bar of x inside [a, b] is the meet of kappa over the labels of
-  its lower covers inside [a, b], hence b ^ (the meet in L of kappa(j)
-  over their L-labels j); the empty meet gives b.
+* kappa_bar is a bijection of [a, b], which is SD.  So the lab_up masks
+  of the node are the masks of its members' upper cores, and a coatom k
+  of cloUp is named by kappa_bar_d(k) = a v (the join of the L-labels of
+  the covers above k inside [a, b]); see ``_node_steps``.
 * Labels only shrink along a path: a grows and b falls, so above[a] and
   down[b] both shrink.
 
@@ -42,8 +43,8 @@ lattice of (S, S, j <= kappa(j')), which depends on S alone.  Two nodes
 (a, b) and (a', b') with one mask are therefore isomorphic by the map
 that keeps the extents {j in S : a v j <= x}; it sends a v j to a' v j,
 so by the label transfer it keeps the L-label of every cover.  All that
-the walks compute is then a function of S: the child masks, kappa_bar and
-lab_up inside the node, the cover labels, and whether a step fails.
+the walks compute is then a function of S: the child masks, upper cores
+and kappa_bar_d inside the node, the cover labels, and whether a step fails.
 
 So each public call keeps one dict ``reps`` from every label mask met to
 the first node met with it, ``_child`` returns that node, and every walk
@@ -65,12 +66,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import Lattice, _bits, _lsb, _name_list
-from .cores import DerivedPoset, _lab_up_masks, _lab_up_within, _pop_up_idx, clo_up
+from .cores import DerivedPoset, _lab_up_masks, _pop_up_idx, clo_up
 from .errors import InconsistentLabels, NotJoinIrreducible, RecursionMismatch
 from .irreducibles import (
     _inherited_label_leq,
     _j_label_idx,
-    _kappa_bar_within,
+    _kappa_bar_d_within,
     _labels_between,
     irreducible_table,
 )
@@ -331,43 +332,50 @@ def _merge(lattice: Lattice, frame, labels: dict) -> None:
 def _node_steps(lattice: Lattice, reps: dict[int, Node], node: Node):
     """Yield (key, label, child) for each coatom of the top of cloUp([a, b]).
 
-    The upper core label order of [a, b] compares the masks lab_up(x) =
-    labels of [k, pop_up(k)] with k = kappa_bar(x) inside [a, b].  Its top
-    is the element holding the union of all masks, and the coatoms of the
-    top are the elements whose masks are maximal among the rest.  The key
-    of the cover u < top is (lab_up(u), lab_up(top)), its label is the
-    L-label j with a v j = kappa_bar(u), and the recursion continues at
-    the child of (a, b) for j.
+    cloUp([a, b]) compares the masks lab_up(x) of the upper cores
+    [k, pop_up(k)], k = kappa_bar(x), all taken inside [a, b].  As [a, b]
+    is semidistributive, kappa_bar is a bijection of it with inverse
+    kappa_bar_d (Barnard, EJC 2019), so the lab_up masks are the masks of
+    the upper cores of the members k themselves; the distinctness check,
+    the top and the maximal masks below it are taken on those.  The top
+    holds the union of all masks, which is the node's own mask, as a
+    cover u < v of [a, b] lies in the upper core of u.  A coatom's k must
+    be a cji of [a, b]; its one lower cover there has an L-label j, and
+    k = a v j, so the child for j is k's own upper core and the key
+    (lab_up(u), lab_up(top)) starts with the child's mask.  The coatom
+    u = kappa_bar_d(k) is computed only for the maximal k, to order
+    coatoms and word errors by name.  Only the children enter ``reps``,
+    as in ``_child``, so each mask keeps the representative the walks
+    give it.
     """
     a, b = node
     if a == b:
         return
     names, up = lattice.names, lattice.up
-    kbar = _kappa_bar_within(lattice, a, b)
-    members = list(kbar)
-    lab_up = dict(zip(kbar, _lab_up_within(lattice, kbar.values(), b)))
-    if len(set(lab_up.values())) != len(members):
+    pops = {k: _pop_up_idx(lattice, k, b) for k in _bits(up[a] & lattice.down[b])}
+    masks = {k: _labels_between(lattice, k, y) for k, y in pops.items()}
+    if len(set(masks.values())) != len(masks):
         raise InconsistentLabels("cloUp: label sets do not separate elements")
-    full = 0
-    for mask in lab_up.values():
-        full |= mask
-    tops = [x for x in members if lab_up[x] == full]
+    full = _labels_between(lattice, a, b)
+    tops = [k for k, mask in masks.items() if mask == full]
     if not tops:
-        maxs = _name_list(sorted(names[x] for x in _maximal(members, lab_up)))
+        maxs = sorted(names[_kappa_bar_d_within(lattice, a, b, k)] for k in _maximal(list(masks), masks))
         raise RecursionMismatch(
-            f"derived order has no unique top element (no unique maximum: {maxs}); "
+            f"derived order has no unique top element (no unique maximum: {_name_list(maxs)}); "
             "the lattice is not a nuclear interval"
         )
     (top,) = tops
-    for u in sorted(_maximal([x for x in members if x != top], lab_up), key=names.__getitem__):
-        k = kbar[u]
+    maximal = _maximal([k for k in masks if k != top], masks)
+    coatoms = {_kappa_bar_d_within(lattice, a, b, k): k for k in maximal}
+    for u in sorted(coatoms, key=names.__getitem__):
+        k = coatoms[u]
         lower = [v for v in lattice._dcov[k] if up[a] >> v & 1]
         if len(lower) != 1:
             raise RecursionMismatch(
                 f"kappa_bar({names[u]!r}) = {names[k]!r} is not completely join-irreducible"
             )
         j = _j_label_idx(lattice, lower[0], k)
-        yield (lab_up[u], full), j, _child(lattice, reps, a, b, j)
+        yield (masks[k], full), j, reps.setdefault(masks[k], (k, pops[k]))
 
 
 def _maximal(members: list[int], masks: dict[int, int]) -> list[int]:

@@ -22,15 +22,16 @@ reads off masks or off intervals of the parent lattice:
 * ``kd_nodes``, ``count_kd_nodes``, ``enumerate_kd_nodes`` and
   ``recursive_labels_nodes``: the kappa_d-exceptional walks of ``sequences``
   on a DAG with one node per interval (a, b), where the library keeps one
-  node per label mask.
+  node per label mask; their clo-up step takes kappa_bar of every member
+  of a node (``kappa_bar_within``), where the library reads upper cores.
 """
 
 from sdlat import InconsistentLabels, LabeledPoset, Lattice, Poset, cjr, cmr, irreducible_table
 from sdlat import CanonicalRep, NoUniqueMax, RecursionMismatch, SizeLimitExceeded, j_label_interval
 from sdlat.core import _bits, _lsb, _name_list
 from sdlat.cores import OrdersReport, clo_down, clo_up, kappa_order, lab_down_map, lab_up_map, w_map
-from sdlat.cores import _lab_up_within, _pop_up_idx
-from sdlat.irreducibles import _j_label_idx, _kappa, _kappa_bar_within, _labels_between, _sorted_names
+from sdlat.cores import _pop_up_idx
+from sdlat.irreducibles import _j_label_idx, _kappa, _labels_between, _sorted_names
 from sdlat.irreducibles import kappa_bar_map
 
 
@@ -448,7 +449,7 @@ def recursive_labels_nodes(lattice):
     """``sequences._recursive_labels`` with one node per interval (a, b)."""
     root = _node_root(lattice)
     done = {}
-    stack = [(root, {}, _node_label_steps(lattice, root))]
+    stack = [(root, {}, node_label_steps(lattice, root))]
     while stack:
         node, out, steps = stack[-1]
         step = next(steps, None)
@@ -463,7 +464,7 @@ def recursive_labels_nodes(lattice):
             if child in done:
                 _merge_labels(lattice, stack[-1], done[child])
             else:
-                stack.append((child, {}, _node_label_steps(lattice, child)))
+                stack.append((child, {}, node_label_steps(lattice, child)))
     return done[root]
 
 
@@ -476,15 +477,39 @@ def _merge_labels(lattice, frame, labels):
         out[key] = lbl
 
 
-def _node_label_steps(lattice, node):
-    """Yield (key, label, child) for each coatom of the top of cloUp([a, b])."""
+def kappa_bar_within(lattice, a, b):
+    """kappa_bar of each x in [a, b], taken in the interval [a, b], by index.
+
+    It is b ^ the meet of kappa(j) over the L-labels j of the covers below
+    x inside [a, b]: the interval's kappa of its cji a v j is b ^ kappa(j)
+    (see ``sdlat.sequences``), and the empty meet is b.
+    """
+    kappa = _kappa(lattice)
+    up_a, down = lattice.up[a], lattice.down
+    out = {}
+    for x in _bits(up_a & down[b]):
+        acc = down[b]
+        for u in lattice._dcov[x]:
+            if up_a >> u & 1:
+                acc &= down[kappa[_j_label_idx(lattice, u, x)]]
+        out[x] = acc.bit_length() - 1
+    return out
+
+
+def node_label_steps(lattice, node):
+    """Yield (key, label, child) for each coatom of the top of cloUp([a, b]).
+
+    kappa_bar is taken for every member x of [a, b]: lab_up(x) labels
+    [k, pop_up(k)] for k = kappa_bar(x), and a coatom u is labeled by the
+    j with a v j = kappa_bar(u).
+    """
     a, b = node
     if a == b:
         return
     names, up = lattice.names, lattice.up
-    kbar = _kappa_bar_within(lattice, a, b)
+    kbar = kappa_bar_within(lattice, a, b)
     members = list(kbar)
-    lab_up = dict(zip(kbar, _lab_up_within(lattice, kbar.values(), b)))
+    lab_up = {x: _labels_between(lattice, k, _pop_up_idx(lattice, k, b)) for x, k in kbar.items()}
     if len(set(lab_up.values())) != len(members):
         raise InconsistentLabels("cloUp: label sets do not separate elements")
     full = 0

@@ -389,6 +389,20 @@ def test_no_from_leq_calls(module):
     assert lines == [], f"{module} calls from_leq on lines {lines}"
 
 
+def test_sequences_names_no_kappa_bar_helper():
+    # the clo-up recursion reads upper cores and names coatoms by
+    # kappa_bar_d; taking kappa_bar for every member of a node is the
+    # slower step kept in tests/oracles.py
+    tree = ast.parse((SRC / "sequences.py").read_text(encoding="utf-8"))
+    helpers = {"_kappa_bar_idx", "_kappa_bar_within", "kappa_bar_map"}
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)} & helpers
+    ]
+    assert lines == [], f"sequences.py names a kappa_bar helper on lines {lines}"
+
+
 @pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
 def test_no_indented_json_dumps(module):
     # json.dumps with an indent runs the pure-Python encoder; indented JSON

@@ -22,10 +22,11 @@ import pytest
 import sdlat as S
 from sdlat import NoBoundsError, RecursionMismatch
 from sdlat.cores import clo_up, lab_up_map, pop_up
-from sdlat.irreducibles import _labels_between
+from sdlat.irreducibles import _kappa_bar_d_within, _labels_between
 
 from conftest import sd_family_lattices
-from oracles import as_lattice, count_kd_nodes, enumerate_kd_nodes, kd_nodes, recursive_labels_nodes
+from oracles import as_lattice, count_kd_nodes, enumerate_kd_nodes, kappa_bar_within, kd_nodes
+from oracles import node_label_steps, recursive_labels_nodes
 
 FAMILIES = [("tamari", n) for n in range(3, 7)] + [("boolean", n) for n in range(2, 6)]
 FAMILIES += [("fig1", None), ("fig4", None)] + [("chain", n) for n in range(2, 7)]
@@ -197,7 +198,15 @@ def check_label_clo_up(lat, oracle, monkeypatch):
 
 
 def check_node_walk(lat, monkeypatch):
-    """Counts, sorted listings with flags and clo-up labels, or the same error, per node walk."""
+    """Counts, sorted listings with flags and clo-up labels, or the same error, per node walk.
+
+    The clo-up step of each node, read off upper cores, must also yield
+    what the step with kappa_bar per member yields, or raise alike; with
+    an empty ``reps`` each child is the node the oracle step reaches.
+    """
+    for node in kd_nodes(lat):
+        got = _outcome(lambda: list(S.sequences._node_steps(lat, {}, node)))
+        assert got == _outcome(lambda: list(node_label_steps(lat, node)))
     for maximal_only in (False, True):
         got = _outcome(S.count_kd_exceptional, lat, maximal_only)
         assert got == _outcome(count_kd_nodes, lat, maximal_only)
@@ -296,6 +305,19 @@ def test_one_node_per_label_mask(family, n, monkeypatch):
         expanded = expansions(monkeypatch, call)
         assert len(expanded) == len(masks)
         assert {_labels_between(lat, *node) for node in expanded} == masks
+
+
+def test_kappa_bar_d_within_inverts_interval_kappa_bar(small_sd_lattices):
+    # kappa_bar_d inside a node is the closed form, kappa_bar inside it the
+    # oracle's meet over the lower covers; one undoes the other on [a, b]
+    lattices = [S.generate(family, n) for family, n in FAMILIES] + small_sd_lattices
+    nodes = 0
+    for lat in lattices + [lat.dual() for lat in lattices]:
+        for a, b in kd_nodes(lat):
+            kbar = kappa_bar_within(lat, a, b)
+            assert {x: _kappa_bar_d_within(lat, a, b, k) for x, k in kbar.items()} == {x: x for x in kbar}
+            nodes += 1
+    assert nodes > 1000
 
 
 def test_random_pool_labels_and_errors(monkeypatch):
