@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Lattice
+from .core import Lattice, _name_tuple
 from .errors import BadParameter, NotJoinIrreducible, SizeLimitExceeded
 from .irreducibles import _j_label_idx, _kappa, irreducible_table
 
@@ -55,7 +55,7 @@ def joins_canonically(lattice: Lattice, elems) -> bool:
     Equivalent to the set being a face of the canonical join complex.
     """
     table = irreducible_table(lattice)
-    elems = sorted(set(elems))
+    elems = sorted(set(_name_tuple(elems)))
     for a in elems:
         if a not in table.jstar:
             raise NotJoinIrreducible(f"{a!r} is not completely join-irreducible")
@@ -79,7 +79,7 @@ class FlagComplex:
         return frozenset((a, b)) in self.edges
 
     def is_face(self, elems) -> bool:
-        elems = sorted(set(elems))
+        elems = sorted(set(_name_tuple(elems)))
         if any(v not in self.vertices for v in elems):
             return False
         return all(self.has_edge(a, b) for a, b in itertools.combinations(elems, 2))

@@ -19,6 +19,7 @@ import itertools
 from typing import Iterable, Optional
 
 from .errors import (
+    BadParameter,
     CycleError,
     NoBoundsError,
     NotALattice,
@@ -41,6 +42,13 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _name_tuple(names) -> tuple:
+    """A collection of element names as a tuple; a bare str is refused, not split into letters."""
+    if isinstance(names, str):
+        raise BadParameter(f"expected a collection of element names, got the string {names!r}")
+    return tuple(names)
 
 
 def _name_list(names) -> str:

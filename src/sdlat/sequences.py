@@ -46,18 +46,22 @@ so by the label transfer it keeps the L-label of every cover.  All that
 the walks compute is then a function of S: the child masks, upper cores
 and kappa_bar_d inside the node, the cover labels, and whether a step fails.
 
-So each public call keeps one dict ``reps`` from every label mask met to
-the first node met with it, ``_child`` returns that node, and every walk
-expands one node per distinct mask (|L| of them on tamari and boolean,
-where a node per interval gave 394 / 1806 on tamari 6 / 7).  A
-depth-first walk expands a node's whole subtree before it meets the next
-node with the same mask (a descendant has fewer labels), and the two
-subtrees carry the same masks, so a walk with a node per interval meets
-each failure first at the first node of its mask: the representative,
-where this walk meets it too.  Every error class and message is
-therefore unchanged.  The dicts are dropped when the call returns.  The
-test oracles for this module, the walks with a node per interval among
-them, live with the tests, not in the library.
+So the walks carry masks, not nodes.  ``_dag`` expands each mask once,
+at the first node met with it, into its child masks (|L| masks on tamari
+and boolean, where a node per interval gave 394 / 1806 on tamari 6 / 7);
+the count, the listing and right-extendability read that table, and the
+verifier steps along its one path with ``_child``.  Only the clo-up
+recursion keeps nodes, in a dict ``reps`` from each mask met to the
+first node met with it: it orders a node's coatoms and words its errors
+by the names of the node's elements, and those differ between nodes with
+one mask.  A depth-first walk expands a node's whole subtree before it
+meets the next node with the same mask (a descendant has fewer labels),
+and the two subtrees carry the same masks, so a walk with a node per
+interval meets each failure first at the first node of its mask: the
+representative, where this walk meets it too.  Every error class and
+message is therefore unchanged.  The test oracles for this module, the
+walks with a node per interval among them, live with the tests, not in
+the library.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Lattice, _bits, _lsb, _name_list
+from .core import Lattice, _bits, _lsb, _name_list, _name_tuple
 from .cores import DerivedPoset, _lab_up_masks, _pop_up_idx, clo_up
 from .errors import InconsistentLabels, NotJoinIrreducible, RecursionMismatch
 from .irreducibles import (
@@ -106,24 +110,37 @@ class KdCheck:
         return self.ok
 
 
-def _child(lattice: Lattice, reps: dict[int, Node], a: int, b: int, j: int) -> Node:
-    """The node reached from (a, b) by label j: the first one met with its label mask.
-
-    The interval is (a v j, pop_up_[a,b](a v j)); ``reps`` maps each label
-    mask met so far to the first node that had it.
-    """
+def _child(lattice: Lattice, a: int, b: int, j: int) -> Node:
+    """The node (a v j, pop_up_[a,b](a v j)) reached from (a, b) by label j."""
     x = _lsb(lattice.up[a] & lattice.up[j])
-    y = _pop_up_idx(lattice, x, b)
-    return reps.setdefault(_labels_between(lattice, x, y), (x, y))
+    return x, _pop_up_idx(lattice, x, b)
 
 
-def _children(lattice: Lattice, reps: dict[int, Node], memo: dict, node: Node) -> dict[int, Node]:
-    """Label index -> child node of ``node``, in label index order, memoized."""
-    kids = memo.get(node)
-    if kids is None:
-        a, b = node
-        kids = memo[node] = {j: _child(lattice, reps, a, b, j) for j in _bits(_labels_between(lattice, a, b))}
-    return kids
+def _dag(lattice: Lattice) -> tuple[int, dict[int, dict[int, int]]]:
+    """The root's label mask, and for each mask met, label -> child mask.
+
+    Labels come in index order.  Each mask is expanded at the first node
+    met with it; nodes with one mask are isomorphic and keep L-labels, so
+    the walk order does not matter.  A mask is as wide as L, so every edge
+    to it shares the int object of its first meeting (``first``).
+    """
+    a, b = _root(lattice)
+    root = _labels_between(lattice, a, b)
+    kids: dict[int, dict[int, int]] = {}
+    first = {root: root}
+    stack = [(root, a, b)]
+    while stack:
+        mask, a, b = stack.pop()
+        step = kids[mask] = {}
+        for j in _bits(mask):
+            x, y = _child(lattice, a, b, j)
+            child = _labels_between(lattice, x, y)
+            held = first.get(child)
+            if held is None:
+                first[child] = held = child
+                stack.append((child, x, y))
+            step[j] = held
+    return root, kids
 
 
 def _root(lattice: Lattice) -> Node:
@@ -139,16 +156,15 @@ def is_kd_exceptional(lattice: Lattice, entries: Sequence[str]) -> KdCheck:
     entry is not a label of the interval, as in the definition.
     """
     table = irreducible_table(lattice)
-    entries = tuple(entries)
+    entries = _name_tuple(entries)
     for e in entries:
         if e not in table.jstar:
             raise NotJoinIrreducible(f"{e!r} is not completely join-irreducible")
     seq = [lattice.index[e] for e in reversed(entries)]
     node = _root(lattice)
-    reps: dict[int, Node] = {}
     masks = []
     for d in range(len(seq) - 1):
-        node = _child(lattice, reps, *node, seq[d])
+        node = _child(lattice, *node, seq[d])
         masks.append(_labels_between(lattice, *node))
         if masks[-1] >> seq[d + 1] & 1:
             continue
@@ -176,28 +192,24 @@ def enumerate_kd_exceptional(
     right instead, that is, whether the sequence is a path from some child
     (j0, pop_up(j0)) of the root; those walks run alongside the listing.
 
-    The walk is depth first over the memoized interval DAG.  Each stack
-    frame carries its displayed name tuple, and a step prepends the new
-    entry to it, so a result is never rebuilt from its path; the alive
-    walks are a set of nodes, so walks that reach one mask go on as one,
-    and their children are fetched once per node that has children.
-    Display tuples are distinct, so sorting (entries, flag) pairs sorts by
-    entries.
+    The walk is depth first over the masks of ``_dag``.  Each stack frame
+    carries its displayed name tuple, and a step prepends the new entry to
+    it, so a result is never rebuilt from its path; the alive walks are a
+    set of masks, so walks that reach one mask go on as one.  Display
+    tuples are distinct, so sorting (entries, flag) pairs sorts by entries.
     """
     names = lattice.names
-    reps: dict[int, Node] = {}
-    memo: dict = {}
-    root = _root(lattice)
-    alive = set(_children(lattice, reps, memo, root).values()) if mark_right_extendable else ()
+    root, kids = _dag(lattice)
+    alive = set(kids[root].values()) if mark_right_extendable else ()
     found = []
     stack = [(root, (), alive)]
     while stack:
-        node, shown, alive = stack.pop()
-        kids = _children(lattice, reps, memo, node)
-        if shown and (not kids or not maximal_only):
+        mask, shown, alive = stack.pop()
+        step = kids[mask]
+        if shown and (not step or not maximal_only):
             found.append((shown, bool(alive) if mark_right_extendable else None))
-        walks = [_children(lattice, reps, memo, c) for c in alive] if kids else ()
-        for j, child in kids.items():
+        walks = [kids[w] for w in alive] if step else ()
+        for j, child in step.items():
             moved = {walk[j] for walk in walks if j in walk}
             stack.append((child, (names[j],) + shown, moved))
     found.sort()
@@ -207,29 +219,17 @@ def enumerate_kd_exceptional(
 def count_kd_exceptional(lattice: Lattice, maximal_only: bool = False) -> int:
     """Number of non-empty (or maximal) sequences, without listing them.
 
-    Sums path counts over the memoized interval DAG: a node counts itself
-    (when every path counts, or when it is a one-element interval) plus
-    the counts of its children.
+    A mask counts itself (when every path counts, or when it is a
+    one-element interval) plus the counts of its children.  A child's
+    mask lacks the label that leads to it, so taking masks in popcount
+    order counts every child before its parent.
     """
-    reps: dict[int, Node] = {}
-    memo: dict = {}
-    root = _root(lattice)
-    counts: dict[Node, int] = {}
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if node in counts:
-            stack.pop()
-            continue
-        kids = _children(lattice, reps, memo, node).values()
-        pending = [c for c in kids if c not in counts]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        own = 1 if not kids or not maximal_only else 0
-        counts[node] = own + sum(counts[c] for c in kids)
-    return sum(counts[c] for c in _children(lattice, reps, memo, root).values())
+    root, kids = _dag(lattice)
+    counts: dict[int, int] = {}
+    for mask in sorted(kids, key=int.bit_count):
+        step = kids[mask].values()
+        counts[mask] = (1 if not step or not maximal_only else 0) + sum(counts[c] for c in step)
+    return sum(counts[c] for c in kids[root].values())
 
 
 @dataclass(frozen=True)
@@ -294,39 +294,28 @@ def _recursive_labels(lattice: Lattice) -> dict[tuple[int, int], int]:
 
     The recursion runs depth first on nodes (a, b) of L, visiting children
     in the name order of the coatoms that lead to them, so errors surface
-    in the order of the rebuilt recursion; a label mask reached twice is
-    computed once, at its first node.
+    in the order of the rebuilt recursion.  Each key is written once: a
+    node yields keys (child mask, its own mask); the child masks of one
+    node are distinct, or ``_node_steps`` raises InconsistentLabels; and
+    ``reps`` gives each mask one node, expanded once.  So the keys come in
+    the order of their depth-first writes, the order a merge of each
+    child's labels into its parent's would give.
     """
     root = _root(lattice)
     reps: dict[int, Node] = {}
-    done: dict[Node, dict[tuple[int, int], int]] = {}
-    stack = [(root, {}, _node_steps(lattice, reps, root))]
+    labels: dict[tuple[int, int], int] = {}
+    seen = {root}
+    stack = [_node_steps(lattice, reps, root)]
     while stack:
-        node, out, steps = stack[-1]
-        step = next(steps, None)
+        step = next(stack[-1], None)
         if step is None:
             stack.pop()
-            done[node] = out
-            if stack:
-                _merge(lattice, stack[-1], out)
-        else:
-            key, lbl, child = step
-            out[key] = lbl
-            if child in done:
-                _merge(lattice, stack[-1], done[child])
-            else:
-                stack.append((child, {}, _node_steps(lattice, reps, child)))
-    return done[root]
-
-
-def _merge(lattice: Lattice, frame, labels: dict) -> None:
-    """Add a child's labels to the frame's; a conflict names both as cji of [a, b]."""
-    (a, _), out, _ = frame
-    for key, lbl in labels.items():
-        if out.get(key, lbl) != lbl:
-            name = [lattice.names[lattice._join_idx(a, j)] for j in (out[key], lbl)]
-            raise RecursionMismatch(f"conflicting labels {name[0]!r} and {name[1]!r} for one cover")
-        out[key] = lbl
+            continue
+        key, labels[key], child = step
+        if child not in seen:
+            seen.add(child)
+            stack.append(_node_steps(lattice, reps, child))
+    return labels
 
 
 def _node_steps(lattice: Lattice, reps: dict[int, Node], node: Node):
@@ -345,8 +334,7 @@ def _node_steps(lattice: Lattice, reps: dict[int, Node], node: Node):
     (lab_up(u), lab_up(top)) starts with the child's mask.  The coatom
     u = kappa_bar_d(k) is computed only for the maximal k, to order
     coatoms and word errors by name.  Only the children enter ``reps``,
-    as in ``_child``, so each mask keeps the representative the walks
-    give it.
+    so each mask keeps the first node the recursion meets with it.
     """
     a, b = node
     if a == b:

@@ -446,7 +446,13 @@ def count_kd_nodes(lattice, maximal_only=False):
 
 
 def recursive_labels_nodes(lattice):
-    """``sequences._recursive_labels`` with one node per interval (a, b)."""
+    """``sequences._recursive_labels`` with one node per interval (a, b).
+
+    Each finished node's labels are merged into its parent's by
+    ``_merge_labels``, with its conflict test: the library writes each key
+    once into one dict, and this keeps the merge that its docstring proves
+    needless, as the check on that proof.
+    """
     root = _node_root(lattice)
     done = {}
     stack = [(root, {}, node_label_steps(lattice, root))]

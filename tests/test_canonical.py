@@ -26,6 +26,21 @@ def test_joins_canonically_golden(fig1):
         S.joins_canonically(fig1, ("m1", "j2"))
 
 
+def test_joins_canonically_refuses_a_bare_string():
+    # "ab" is an element of boolean(3), not the pair ("a", "b")
+    lat = S.generate("boolean", 3)
+    assert S.joins_canonically(lat, ("a", "b"))
+    with pytest.raises(BadParameter):
+        S.joins_canonically(lat, "ab")
+
+
+def test_is_face_refuses_a_bare_string():
+    complex_ = S.canonical_join_complex(S.generate("boolean", 3))
+    assert complex_.is_face(("a", "b"))
+    with pytest.raises(BadParameter):
+        complex_.is_face("ab")
+
+
 def test_oracle_golden(fig1):
     assert cjr_oracle(fig1, "m1").joinands == ("j2", "j3")
     assert cjr_oracle(fig1, "bot").joinands == ()

@@ -403,6 +403,21 @@ def test_sequences_names_no_kappa_bar_helper():
     assert lines == [], f"sequences.py names a kappa_bar helper on lines {lines}"
 
 
+def test_sequences_steps_to_a_child_in_one_place():
+    # the n-bit child step (a v j, then pop_up inside the node) lives in
+    # _child, and _node_steps reads the upper cores of a node's members;
+    # every walk goes through them, so one context can replace both
+    tree = ast.parse((SRC / "sequences.py").read_text(encoding="utf-8"))
+    owners = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    inside = {id(sub) for f in owners if f.name in ("_child", "_node_steps") for sub in ast.walk(f)}
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in ("_pop_up_idx", "_lsb") and id(node) not in inside
+    ]
+    assert lines == [], f"sequences.py steps to a child outside _child and _node_steps on lines {lines}"
+
+
 @pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
 def test_no_indented_json_dumps(module):
     # json.dumps with an indent runs the pure-Python encoder; indented JSON

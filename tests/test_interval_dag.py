@@ -5,10 +5,11 @@ The oracles below are the recursion the DAG replaced: every interval
 on its own, with names mapped back through ``j -> lo v j``.  Enumeration,
 verification (including the failing entry and depth), right-extendability
 and the recursive clo-up labels, errors included, must agree on fixed
-families, the random SD pools and their duals.  The library keeps one node
-per label mask; the walks with one node per interval (a, b) in ``oracles``
-must agree with it on the same lattices and on larger random pools, errors
-included, and a counter checks that each walk expands one node per mask.
+families, the random SD pools and their duals.  The library walks label
+masks, and its clo-up recursion keeps one node per mask; the walks with
+one node per interval (a, b) in ``oracles`` must agree with it on the
+same lattices and on larger random pools, errors included, and counters
+check that each walk steps from, or expands, one node per mask.
 Closed-form counts of maximal sequences are gold tests for
 ``count_kd_exceptional``.
 """
@@ -21,6 +22,7 @@ import pytest
 
 import sdlat as S
 from sdlat import NoBoundsError, RecursionMismatch
+from sdlat.core import _bits
 from sdlat.cores import clo_up, lab_up_map, pop_up
 from sdlat.irreducibles import _kappa_bar_d_within, _labels_between
 
@@ -229,25 +231,24 @@ def check_node_walk(lat, monkeypatch):
         assert got == expected
 
 
-def expansions(monkeypatch, call):
-    """The nodes that ``_children`` and ``_node_steps`` expand while ``call()`` runs."""
-    expanded = []
-    children, steps = S.sequences._children, S.sequences._node_steps
+def steps_taken(monkeypatch, call):
+    """The nodes that ``_child`` steps from and ``_node_steps`` expands while ``call()`` runs."""
+    stepped, expanded = [], []
+    child, steps = S.sequences._child, S.sequences._node_steps
 
-    def counted_children(lattice, reps, memo, node):
-        if node not in memo:
-            expanded.append(node)
-        return children(lattice, reps, memo, node)
+    def counted_child(lattice, a, b, j):
+        stepped.append((a, b))
+        return child(lattice, a, b, j)
 
     def counted_steps(lattice, reps, node):
         expanded.append(node)
         return steps(lattice, reps, node)
 
     with monkeypatch.context() as patch:
-        patch.setattr(S.sequences, "_children", counted_children)
+        patch.setattr(S.sequences, "_child", counted_child)
         patch.setattr(S.sequences, "_node_steps", counted_steps)
         call()
-    return expanded
+    return stepped, expanded
 
 
 # -- tests --------------------------------------------------------------------
@@ -294,17 +295,37 @@ def test_one_node_per_label_mask(family, n, monkeypatch):
     lat = S.generate(family, n)
     masks = {_labels_between(lat, *node) for node in kd_nodes(lat)}
     assert len(masks) == len(lat)
-    calls = [
+    walks = [
         lambda: S.count_kd_exceptional(lat, maximal_only=True),
         lambda: S.count_kd_exceptional(lat),
-        lambda: S.sequences._recursive_labels(lat),
     ]
     if len(lat) <= 132:
-        calls.append(lambda: S.enumerate_kd_exceptional(lat, mark_right_extendable=True))
-    for call in calls:
-        expanded = expansions(monkeypatch, call)
-        assert len(expanded) == len(masks)
-        assert {_labels_between(lat, *node) for node in expanded} == masks
+        walks.append(lambda: S.enumerate_kd_exceptional(lat, mark_right_extendable=True))
+    for walk in walks:
+        stepped, expanded = steps_taken(monkeypatch, walk)
+        assert len(stepped) == sum(mask.bit_count() for mask in masks)
+        assert expanded == []
+        from_nodes = set(stepped)
+        assert len(from_nodes) == len(masks) - 1
+        assert {_labels_between(lat, *node) for node in from_nodes} == masks - {0}
+    stepped, expanded = steps_taken(monkeypatch, lambda: S.sequences._recursive_labels(lat))
+    assert stepped == []
+    assert len(expanded) == len(masks)
+    assert {_labels_between(lat, *node) for node in expanded} == masks
+
+
+def test_child_masks_lose_their_label(small_sd_lattices):
+    lattices = [S.generate(family, n) for family, n in FAMILIES] + small_sd_lattices
+    for lat in lattices + [lat.dual() for lat in lattices]:
+        root, kids = S.sequences._dag(lat)
+        index = lat.index
+        assert root == sum(1 << index[j] for j in S.irreducible_table(lat).cji)
+        for mask, step in kids.items():
+            # every label of the mask, in index order, leads to a smaller mask without it
+            assert list(step) == list(_bits(mask))
+            for j, child in step.items():
+                assert not child >> j & 1
+                assert child & ~mask == 0
 
 
 def test_kappa_bar_d_within_inverts_interval_kappa_bar(small_sd_lattices):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import sdlat as S
-from sdlat import NotJoinIrreducible, RecursionMismatch
+from sdlat import BadParameter, NotJoinIrreducible, RecursionMismatch
 
 from conftest import sd_family_lattices
 
@@ -55,6 +55,15 @@ def test_verify_golden(fig1):
 
     with pytest.raises(NotJoinIrreducible):
         S.is_kd_exceptional(fig1, ("m1",))
+
+
+def test_verifier_refuses_a_bare_string():
+    # "ab" names an element of boolean(3) that is not join-irreducible; it
+    # must not be read as the sequence ("a", "b")
+    lat = S.generate("boolean", 3)
+    assert S.is_kd_exceptional(lat, ("a", "b"))
+    with pytest.raises(BadParameter):
+        S.is_kd_exceptional(lat, "ab")
 
 
 def test_fig1_maximal(fig1):
