@@ -167,30 +167,46 @@ class _Index(dict):
 class Poset:
     """A finite partially ordered set on distinct, non-empty names."""
 
-    def __init__(self, names: tuple[str, ...], down: list[int], covers: tuple[tuple[int, int], ...]):
-        """Wrap trusted order data indexed along a linear extension.
+    def __init__(self, names: tuple[str, ...], heights: list[int], covers: tuple[tuple[int, int], ...]):
+        """Wrap an order indexed along a linear extension and close its down-sets.
 
-        ``covers`` must be an exact transitive reduction, each cover (lo, hi)
-        with lo < hi as indices and listed after every cover into lo (as
-        when sorted by either end), and ``down`` the down-set masks they
-        generate.  Nothing is re-checked here: ``_from_cover_pairs``, the one
-        caller, tests the covers it indexes.  ``memo`` holds what
-        ``memoized`` caches on it.
+        ``names`` lists the elements by index, ``heights[i]`` is the length
+        of a longest chain below i, and ``covers`` are the sorted index
+        covers (lo, hi), lo < hi: all three from ``_from_cover_pairs``, the
+        one caller, which has ruled out cycles.  A cover implied by others
+        raises NotTransitiveReduction (``_check_reduction``) before a
+        subclass checks anything.  ``memo`` holds what ``memoized`` caches.
+
+        The three positional parameters stay: perfbench's tracer wraps
+        ``Lattice.__init__`` as ``(lattice, names, down, covers)``, forwards
+        them by position and reads only ``names``.  The second may change
+        meaning, but no parameter, default or keyword may be added.
         """
         self.n = n = len(names)
         self.names = names
         self.index = _Index(zip(names, range(n)))
-        self.down = down
+        self.heights = heights
         self.covers = covers
         ucov: list[list[int]] = [[] for _ in range(n)]
         dcov: list[list[int]] = [[] for _ in range(n)]
-        heights = [0] * n
         for lo, hi in covers:
             ucov[lo].append(hi)
             dcov[hi].append(lo)
-            if heights[hi] <= heights[lo]:
-                heights[hi] = heights[lo] + 1
-        self._ucov, self._dcov, self.heights = ucov, dcov, heights
+        self._ucov, self._dcov = ucov, dcov
+        self.down = down = [1 << i for i in range(n)]
+        implied = False
+        for i, lows in enumerate(dcov):
+            # lower covers from the highest index down: one is implied by
+            # another exactly when it lies below a higher one, that is, when
+            # it is already in the union of their down-sets
+            acc = down[i]
+            for lo in reversed(lows):
+                if acc >> lo & 1:
+                    implied = True
+                acc |= down[lo]
+            down[i] = acc
+        if implied:
+            self._check_reduction(names, down, covers)
         self.up = self._union_above([1 << i for i in range(n)])
         self.memo: dict = {}
 
@@ -210,8 +226,8 @@ class Poset:
         element, CycleError if the cover digraph is cyclic and
         NotTransitiveReduction if any listed cover is implied by others.
         The checked covers go as they are to ``_from_cover_pairs``, which
-        runs the cycle and reduction tests and indexes the elements by
-        (height, name).
+        runs the cycle test and indexes the elements by (height, name);
+        the constructor it calls runs the reduction test.
         """
         names = list(names)
         if not all(isinstance(s, str) and s for s in names):
@@ -238,7 +254,7 @@ class Poset:
     def _check_reduction(names: tuple[str, ...], down: list[int], covers: list[tuple[int, int]]) -> None:
         """Raise NotTransitiveReduction for the first cover with an element strictly between.
 
-        The message names the lowest-indexed such element; ``_from_cover_pairs``
+        The message names the lowest-indexed such element; ``Poset.__init__``
         calls this only after its own test has found an implied cover.
         """
         for lo, hi in covers:
@@ -252,14 +268,16 @@ class Poset:
     def _from_cover_pairs(cls, names: list[str], covers: list[tuple[int, int]]) -> "Poset":
         """Build an instance of ``cls`` from distinct index covers (lo, hi) over ``names``.
 
-        The one place that indexes an order by (height, name) and closes
-        its down-sets.  The names and the covers may come in any order:
-        Kahn's algorithm takes the heights, or raises CycleError naming
-        the elements it cannot reach, in the order of ``names``.  A cover
-        implied by others raises NotTransitiveReduction from
-        ``_check_reduction`` before ``cls`` checks anything of its own; on
-        the derived orders, whose covers the msb walk of ``_lower_covers``
-        gives, it never fires.
+        The one place that indexes an order by (height, name).  The names
+        and the covers may come in any order: Kahn's algorithm takes the
+        heights, or raises CycleError naming the elements it cannot reach,
+        in the order of ``names``.  The sorted names, their heights and the
+        sorted index covers go to ``cls``, whose ``Poset.__init__`` closes
+        the down-sets and raises NotTransitiveReduction for a cover implied
+        by others before ``cls`` checks anything of its own; on the derived
+        orders, whose covers the msb walk of ``_lower_covers`` gives, that
+        test never fires.  The sweep keeps its own upper-cover lists, as it
+        runs before the final index exists.
         """
         n = len(names)
         upper: list[list[int]] = [[] for _ in range(n)]
@@ -284,26 +302,8 @@ class Poset:
         rank = [0] * n
         for new, old in enumerate(order):
             rank[old] = new
-        sorted_names = tuple(names[i] for i in order)
-        cover_idx = sorted((rank[lo], rank[hi]) for lo, hi in covers)
-        lower: list[list[int]] = [[] for _ in range(n)]
-        for lo, hi in cover_idx:
-            lower[hi].append(lo)
-        down = [1 << i for i in range(n)]
-        implied = False
-        for i, lows in enumerate(lower):
-            # lower covers from the highest index down: one is implied by
-            # another exactly when it lies below a higher one, that is, when
-            # it is already in the union of their down-sets
-            acc = down[i]
-            for lo in reversed(lows):
-                if acc >> lo & 1:
-                    implied = True
-                acc |= down[lo]
-            down[i] = acc
-        if implied:
-            cls._check_reduction(sorted_names, down, cover_idx)
-        return cls(sorted_names, down, tuple(cover_idx))
+        cover_idx = tuple(sorted((rank[lo], rank[hi]) for lo, hi in covers))
+        return cls(tuple(names[i] for i in order), [heights[i] for i in order], cover_idx)
 
     # -- queries -----------------------------------------------------------
 

@@ -15,9 +15,28 @@ boolean lattices) are one object.  The msb walk (``core._lower_covers``)
 over the up-sets of an inclusion order gives its index covers, an exact
 reduction by construction, so ``Poset._from_cover_pairs`` indexes the
 order by (height, name), as ``to_document`` exposes it, without the name
-and cover checks of ``Poset.from_covers``; its reduction test runs but
-never fires.  Names appear only at the boundary: in ``covers_named``, the
-label-set maps and the witnesses of ``orders_coincide_report``.
+and cover checks of ``Poset.from_covers``; the reduction test in
+``Poset.__init__``, which closes the down-sets, runs but never fires.
+Names appear only at the boundary: in ``covers_named``, the label-set
+maps and the witnesses of ``orders_coincide_report``.
+
+In a finite SD lattice each of the three mask lists separates the
+elements, so the ``InconsistentLabels`` check of ``_label_order`` (and
+the one in ``sequences._node_steps``) guards this theorem and never
+fires on a lattice that passed the SD test:
+
+- lab_down: x = join lab_down(x).  lab_down(x) holds the canonical
+  joinands of x, the labels of its lower covers, and every label in it
+  lies below x, as it labels a cover inside [pop_down(x), x].
+- lab_up: k = meet kappa(lab_up(x)) for k = kappa_bar(x).  lab_up(x)
+  holds the labels of the covers above k, whose kappa are k's canonical
+  meetands, and every kappa(j) with j in lab_up(x) lies above k, as j
+  labels a cover inside [k, pop_up(k)].  So lab_up(x) fixes
+  kappa_bar(x), and kappa_bar is a bijection.
+- W: the proof in ``kappa_order``.
+- A node [a, b] of the clo-up recursion is an interval of an SD
+  lattice, so it is SD itself, and the lab_up argument, with the node's
+  own labels and kappa, covers the upper cores of its members.
 
 Two derived orders are equal exactly when their mask lists are, so they
 are compared without being built.  Each family gives every completely

@@ -207,14 +207,6 @@ def tamari(n: int, max_n: int = 9) -> Lattice:
     return Lattice.build_from_covers(names, covers)
 
 
-def catalan(n: int) -> int:
-    """Independent recursive Catalan count, for validating tamari sizes."""
-    counts = [1]
-    for m in range(1, n + 1):
-        counts.append(sum(counts[k] * counts[m - 1 - k] for k in range(m)))
-    return counts[n]
-
-
 def random_sd_lattice(
     seed: Optional[int] = None,
     max_mid: int = 6,

@@ -334,7 +334,9 @@ def _node_steps(lattice: Lattice, reps: dict[int, Node], node: Node):
     (lab_up(u), lab_up(top)) starts with the child's mask.  The coatom
     u = kappa_bar_d(k) is computed only for the maximal k, to order
     coatoms and word errors by name.  Only the children enter ``reps``,
-    so each mask keeps the first node the recursion meets with it.
+    so each mask keeps the first node the recursion meets with it.  The
+    distinctness check cannot fire on an SD lattice (proof in the
+    ``cores`` module docstring); it stays as a guard.
     """
     a, b = node
     if a == b:

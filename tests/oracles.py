@@ -19,6 +19,7 @@ reads off masks or off intervals of the parent lattice:
   ends of an interval;
 * ``posets_isomorphic``: an order isomorphism of two small posets, by
   backtracking;
+* ``catalan``: the Catalan numbers by their recursion, for the tamari sizes;
 * ``kd_nodes``, ``count_kd_nodes``, ``enumerate_kd_nodes`` and
   ``recursive_labels_nodes``: the kappa_d-exceptional walks of ``sequences``
   on a DAG with one node per interval (a, b), where the library keeps one
@@ -303,6 +304,14 @@ def coatom_labels(lattice, lo, hi):
     kappa = _kappa(lattice)
     coatoms = [z for z in lattice._dcov[b] if lattice.up[a] >> z & 1]
     return _sorted_names(lattice, sum(1 << kappa[_j_label_idx(lattice, z, b)] for z in coatoms))
+
+
+def catalan(n):
+    """Independent recursive Catalan count, for validating tamari sizes."""
+    counts = [1]
+    for m in range(1, n + 1):
+        counts.append(sum(counts[k] * counts[m - 1 - k] for k in range(m)))
+    return counts[n]
 
 
 def posets_isomorphic(p, q, size_cap=14):

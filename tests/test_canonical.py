@@ -41,6 +41,14 @@ def test_is_face_refuses_a_bare_string():
         complex_.is_face("ab")
 
 
+def test_faces_past_the_cap_raise():
+    # boolean(3)'s complex is the full triangle: 8 faces, the empty one included
+    complex_ = S.canonical_join_complex(S.generate("boolean", 3))
+    assert len(complex_.faces(cap=8)) == 8
+    with pytest.raises(SizeLimitExceeded, match="^more than 5 faces$"):
+        complex_.faces(cap=5)
+
+
 def test_oracle_golden(fig1):
     assert cjr_oracle(fig1, "m1").joinands == ("j2", "j3")
     assert cjr_oracle(fig1, "bot").joinands == ()

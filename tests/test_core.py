@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import sdlat as S
+import sdlat.cli
 from sdlat import (
     CycleError,
     Lattice,
@@ -18,6 +19,7 @@ from sdlat import (
     SchemaError,
     SizeLimitExceeded,
 )
+from sdlat.jsonio import emit_json, to_document
 
 from conftest import record_calls, sd_exponential_oracle, sd_family_lattices, transitive_reduction_from_order
 from oracles import as_lattice, posets_isomorphic
@@ -60,9 +62,9 @@ def test_build_runs_poset_init_once(monkeypatch):
     calls = []
     init = Poset.__init__
 
-    def counting(self, names, down, covers):
+    def counting(self, names, heights, covers):
         calls.append(names)
-        init(self, names, down, covers)
+        init(self, names, heights, covers)
 
     monkeypatch.setattr(Poset, "__init__", counting)
     for lat in (S.generate("fig1"), S.generate("tamari", 3), S.generate("chain", 0)):
@@ -331,17 +333,60 @@ def test_memoized_functions(fig1, module, name):
     assert fn(fig1) is not fn(S.generate("fig1"))
 
 
-def test_traced_entry_points_are_owned_where_the_tracer_wraps_them():
-    # perfbench's tracer replaces each entry point in its owner's __dict__,
-    # so a refactor that moves one, or leaves it inherited, breaks --trace 1
+def _perfbench_tracing():
+    """perfbench's tracing module, loaded from its file, and the targets it wraps."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     targets = [("core.Lattice", "__init__")] + [t for layer in tracing.LAYERS.values() for t in layer]
+    return tracing, targets
+
+
+def test_traced_entry_points_are_owned_where_the_tracer_wraps_them():
+    # perfbench's tracer replaces each entry point in its owner's __dict__,
+    # so a refactor that moves one, or leaves it inherited, breaks --trace 1
+    tracing, targets = _perfbench_tracing()
     assert len(targets) > 20
     missing = [(owner, attr) for owner, attr in targets if attr not in vars(tracing._resolve(owner))]
     assert missing == []
+
+
+def test_traced_run_reaches_every_entry_point(tmp_path, capsys):
+    # the traced set-up of a benchmark run calls every wrapped entry point
+    # through its wrapper, so a changed call shape (say, of Lattice.__init__,
+    # which the tracer calls as (lattice, names, down, covers)) fails here
+    tracing, targets = _perfbench_tracing()
+    originals = {(owner, attr): vars(tracing._resolve(owner))[attr] for owner, attr in targets}
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        labeled = S.generate("fig1-labeled")
+        docs = {}
+        inputs = [("tamari", S.generate("tamari", 4)), ("labeled", labeled), ("random", S.random_sd_lattice(seed=1))]
+        for name, obj in inputs:
+            docs[name] = str(tmp_path / f"{name}.json")
+            Path(docs[name]).write_text(emit_json(to_document(obj)), encoding="utf-8")
+        order = ",".join(S.find_el_order(labeled))
+        calls = [[cmd, docs[name]] for cmd in ("check", "kappa", "cjr", "complex", "cores") for name in docs]
+        calls += [["orders", docs["random"], "--which", which] for which in ("kappa", "cloDown")]
+        calls += [
+            ["orders", docs["tamari"], "--which", "cloUp", "--dot", "--labels"],
+            ["seq", docs["tamari"], "--maximal", "--json"],
+            ["el", docs["labeled"], "--search", "--json"],
+            ["el", docs["labeled"], "--order", order, "--json"],
+            ["dot", docs["random"], "--labeling", "j"],
+        ]
+        for argv in calls:
+            assert sdlat.cli.cli_main(argv) == 0, argv
+        lattice = S.generate("fig1")
+        S.cores.lab_down_map(lattice)
+        S.cores.lab_up_map(lattice)
+        assert S.sequences.is_kd_exceptional(lattice, ["j1"])
+    capsys.readouterr()
+    recorded = {name for name, *_ in tracer.spans}
+    assert [f"{owner}.{attr}" for owner, attr in targets[1:] if f"{owner}.{attr}" not in recorded] == []
+    assert tracer.counts["core.lattices_built"] > 0
+    assert [key for key, raw in originals.items() if vars(tracing._resolve(key[0]))[key[1]] is not raw] == []
 
 
 def test_dual_involution(fig1):

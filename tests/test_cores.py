@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 import sdlat as S
-from sdlat import NotComparable
+from sdlat import InconsistentLabels, NotComparable
+from sdlat.cores import _label_order
 
 from conftest import sd_family_lattices
 from oracles import atom_labels, coatom_labels
@@ -101,6 +102,14 @@ def test_kappa_order_is_w_containment(small_sd_lattices):
         w = w_map(lat)
         for a, b in itertools.product(lat.names, repeat=2):
             assert order.leq(a, b) == (w[a] <= w[b])
+
+
+def test_label_order_refuses_masks_that_do_not_separate(fig1):
+    # on an SD lattice the three mask lists separate the elements (proof in
+    # the cores module docstring), so only a made-up list reaches the guard
+    with pytest.raises(InconsistentLabels) as info:
+        _label_order(fig1, "cloUp", [0] * fig1.n)
+    assert str(info.value) == "cloUp: label sets do not separate elements"
 
 
 def test_kappa_bar_order_isomorphism_with_dual(small_sd_lattices):

@@ -5,10 +5,9 @@ import pytest
 import sdlat as S
 from sdlat import BadParameter, Lattice, Poset
 from sdlat.cli import cli_main
-from sdlat.generators import catalan
 
 from conftest import record_calls
-from oracles import from_leq
+from oracles import catalan, from_leq
 
 
 def test_fig1_cji_names(fig1):
@@ -211,9 +210,9 @@ def test_random_sd_lattice_constructs_one_poset_per_draw(monkeypatch):
     inits = []
     init = Poset.__init__
 
-    def counting(self, names, down, covers):
+    def counting(self, names, heights, covers):
         inits.append(names)
-        init(self, names, down, covers)
+        init(self, names, heights, covers)
 
     monkeypatch.setattr(Poset, "__init__", counting)
     rng = random.Random(2)

@@ -13,6 +13,7 @@ import sdlat as S
 from sdlat import CycleError, NotTransitiveReduction, SchemaError
 from sdlat.cli import build_parser, cli_main
 from sdlat.jsonio import (
+    document_to_labeled_poset,
     dumps_indented,
     emit_dot,
     emit_json,
@@ -286,6 +287,18 @@ def test_cli_dot(tmp_path, capsys):
         ({"elements": ["a", "a"], "covers": []}, ["check"], "element names must be unique"),
         ({"elements": ["a", "b"], "covers": [["a", "c"]]}, ["check"], "cover ('a', 'c') mentions an unknown element"),
         (None, ["el", "--order", "P1,P1"], "order must be a permutation of the label alphabet"),
+        ({"elements": ["a"], "covers": [], "extra": 1}, ["check"], "unknown fields: ['extra']"),
+        ({"elements": ["a"], "covers": {}}, ["check"], "'covers' must be a list of [lower, upper] pairs"),
+        ({"elements": ["a"], "covers": [], "labels": {"a->a": 1}}, ["check"],
+         "'labels' must map 'lower->upper' strings to label names"),
+        ({"elements": ["a", "b"], "covers": [["a", "b"]], "labels": {"a-b": "x"}}, ["check"],
+         "label key 'a-b' is not of the form 'lower->upper'"),
+        ({"elements": ["a"], "covers": [], "meta": {"k": 1}}, ["check"], "'meta' must map strings to strings"),
+        ({"elements": ["a", "b"], "covers": [["a", "b"]], "labels": {"a->c": "x"}}, ["check"],
+         "label key 'a->c' mentions an unknown element"),
+        ({"elements": [], "covers": []}, ["check"], "empty lattice"),
+        ({"elements": ["a", "b"], "covers": [["a", "a"]]}, ["check"], "cover ('a', 'a') is a self-loop"),
+        ({"elements": ["a", "b"], "covers": [["a", "b"], ["a", "b"]]}, ["check"], "duplicate cover listed"),
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, doc, args, message):
@@ -306,12 +319,14 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, doc, args, messag
         (b'{"elements": ["\xff"]}', ["check", "FILE"],
          "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
         (b"[" * 200000, ["check", "FILE"], "not valid JSON: arrays or objects nest too deeply"),
+        (b"[1, 2]", ["check", "FILE"], "top level must be an object"),
     ],
-    ids=["read-dir", "write-dir", "not-utf8", "deep"],
+    ids=["read-dir", "write-dir", "not-utf8", "deep", "not-object"],
 )
 def test_cli_file_errors_exit_2_with_one_line(tmp_path, capsys, content, argv, message):
     # a directory to read or write (the OS words the message), bytes that are
-    # not UTF-8, and nesting deeper than the parser's recursion limit
+    # not UTF-8, nesting deeper than the parser's recursion limit, and a top
+    # level that is not an object
     path = tmp_path / "doc.json"
     if content is not None:
         path.write_bytes(content)
@@ -321,6 +336,15 @@ def test_cli_file_errors_exit_2_with_one_line(tmp_path, capsys, content, argv, m
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     if message is not None:
         assert err == f"error: {message}\n"
+
+
+def test_labeled_documents_need_labels_and_arrow_free_names():
+    lattice = S.Lattice.build_from_covers(["0", "a->b", "1"], [("0", "a->b"), ("a->b", "1")])
+    with pytest.raises(SchemaError, match=r"^element name 'a->b' contains '->' and cannot be used with labels$"):
+        emit_json(to_document(S.lattice_j_labeling(lattice)))
+    emit_json(to_document(lattice))  # an unlabeled document may use the arrow
+    with pytest.raises(SchemaError, match=r"^document has no 'labels' field$"):
+        document_to_labeled_poset(to_document(S.generate("fig1")))
 
 
 @pytest.mark.parametrize(

@@ -193,6 +193,13 @@ def test_repeated_alphabet_label_rejected():
         LabeledPoset(poset=_diamond_poset(), labels=labels, alphabet=("x", "y", "x"))
 
 
+def test_label_outside_the_alphabet_rejected():
+    labels = dict.fromkeys(_diamond_poset().covers_named(), "x")
+    labels[("a", "top")] = "z"
+    with pytest.raises(MissingLabel, match="^some cover label is outside the alphabet$"):
+        LabeledPoset(poset=_diamond_poset(), labels=labels, alphabet=("x", "y"))
+
+
 def test_label_validation_reads_the_covers_once(monkeypatch):
     lp = S.lattice_j_labeling(S.generate("boolean", 4))
     calls = []
