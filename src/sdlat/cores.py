@@ -215,9 +215,8 @@ def _orders_built(lattice: Lattice) -> dict[tuple[int, ...], DerivedPoset]:
     return {}
 
 
-@memoized
 def kappa_order(lattice: Lattice) -> DerivedPoset:
-    """x below y when x <= y in L and kappa_bar(y) <= kappa_bar(x); memoized.
+    """x below y when x <= y in L and kappa_bar(y) <= kappa_bar(x).
 
     This is the inclusion order of the sets W(x) = {j in J : j <= x and
     kappa(j) >= kappa_bar(x)}, which are lab_down(x) & lab_up(x):
@@ -278,13 +277,11 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
     return built[key]
 
 
-@memoized
 def clo_down(lattice: Lattice) -> DerivedPoset:
     """Lower core label order: compare lab_down sets by inclusion."""
     return _label_order(lattice, "cloDown", _lab_down_masks(lattice))
 
 
-@memoized
 def clo_up(lattice: Lattice) -> DerivedPoset:
     """Upper core label order: compare lab_up sets by inclusion."""
     return _label_order(lattice, "cloUp", _lab_up_masks(lattice))

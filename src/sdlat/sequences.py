@@ -50,18 +50,18 @@ So the walks carry masks, not nodes.  ``_dag`` expands each mask once,
 at the first node met with it, into its child masks (|L| masks on tamari
 and boolean, where a node per interval gave 394 / 1806 on tamari 6 / 7);
 the count, the listing and right-extendability read that table, and the
-verifier steps along its one path with ``_child``.  Only the clo-up
-recursion keeps nodes, in a dict ``reps`` from each mask met to the
-first node met with it: it orders a node's coatoms and words its errors
-by the names of the node's elements, and those differ between nodes with
-one mask.  A depth-first walk expands a node's whole subtree before it
-meets the next node with the same mask (a descendant has fewer labels),
-and the two subtrees carry the same masks, so a walk with a node per
-interval meets each failure first at the first node of its mask: the
-representative, where this walk meets it too.  Every error class and
-message is therefore unchanged.  The test oracles for this module, the
-walks with a node per interval among them, live with the tests, not in
-the library.
+verifier steps along its one path with ``_child``.  The clo-up recursion
+also keeps a set of the masks met, and expands each mask at the first
+node met with it, but it expands that node, not the mask: it orders a
+node's coatoms and words its errors by the names of the node's elements,
+and those differ between nodes with one mask.  A depth-first walk
+expands a node's whole subtree before it meets the next node with the
+same mask (a descendant has fewer labels), and the two subtrees carry
+the same masks, so a walk with a node per interval meets each failure
+first at the first node of its mask, where this walk meets it too.
+Every error class and message is therefore unchanged.  The test oracles
+for this module, the walks with a node per interval among them, live
+with the tests, not in the library.
 """
 
 from __future__ import annotations
@@ -245,13 +245,7 @@ class CloLabeling:
     label_leq: frozenset[tuple[str, str]]
 
     def to_labeled_poset(self) -> LabeledPoset:
-        alphabet = tuple(sorted(set(self.labels.values())))
-        return LabeledPoset(
-            poset=self.poset,
-            labels=dict(self.labels),
-            alphabet=alphabet,
-            label_leq=self.label_leq,
-        )
+        return LabeledPoset(poset=self.poset, labels=dict(self.labels), label_leq=self.label_leq)
 
 
 def label_clo_up(lattice: Lattice) -> CloLabeling:
@@ -263,10 +257,10 @@ def label_clo_up(lattice: Lattice) -> CloLabeling:
     of the identification raises RecursionMismatch; the construction is only
     known to succeed example-by-example.
     """
+    keyed = _recursive_labels(lattice)  # a lattice it rejects never pays for the cloUp build
     derived = clo_up(lattice)
     names = lattice.names
     by_mask = {mask: names[x] for x, mask in enumerate(_lab_up_masks(lattice))}
-    keyed = _recursive_labels(lattice)
 
     covers = set(derived.covers_named())
     labels: dict[tuple[str, str], str] = {}
@@ -294,68 +288,71 @@ def _recursive_labels(lattice: Lattice) -> dict[tuple[int, int], int]:
 
     The recursion runs depth first on nodes (a, b) of L, visiting children
     in the name order of the coatoms that lead to them, so errors surface
-    in the order of the rebuilt recursion.  Each key is written once: a
-    node yields keys (child mask, its own mask); the child masks of one
-    node are distinct, or ``_node_steps`` raises InconsistentLabels; and
-    ``reps`` gives each mask one node, expanded once.  So the keys come in
-    the order of their depth-first writes, the order a merge of each
+    in the order of the rebuilt recursion.  A child is expanded when its
+    mask, the first half of its key, is met for the first time, so each
+    mask is expanded at the first node met with it; a child's mask lacks
+    the label that leads to it, so no child has the root's mask.  Each key
+    is written once: a node yields keys (child mask, its own mask); the
+    child masks of one node are distinct, or ``_node_steps`` raises
+    InconsistentLabels; and each mask is expanded once.  So the keys come
+    in the order of their depth-first writes, the order a merge of each
     child's labels into its parent's would give.
     """
-    root = _root(lattice)
-    reps: dict[int, Node] = {}
     labels: dict[tuple[int, int], int] = {}
-    seen = {root}
-    stack = [_node_steps(lattice, reps, root)]
+    seen: set[int] = set()
+    stack = [_node_steps(lattice, _root(lattice))]
     while stack:
         step = next(stack[-1], None)
         if step is None:
             stack.pop()
             continue
         key, labels[key], child = step
-        if child not in seen:
-            seen.add(child)
-            stack.append(_node_steps(lattice, reps, child))
+        if key[0] not in seen:
+            seen.add(key[0])
+            stack.append(_node_steps(lattice, child))
     return labels
 
 
-def _node_steps(lattice: Lattice, reps: dict[int, Node], node: Node):
+def _node_steps(lattice: Lattice, node: Node):
     """Yield (key, label, child) for each coatom of the top of cloUp([a, b]).
 
     cloUp([a, b]) compares the masks lab_up(x) of the upper cores
     [k, pop_up(k)], k = kappa_bar(x), all taken inside [a, b].  As [a, b]
     is semidistributive, kappa_bar is a bijection of it with inverse
     kappa_bar_d (Barnard, EJC 2019), so the lab_up masks are the masks of
-    the upper cores of the members k themselves; the distinctness check,
-    the top and the maximal masks below it are taken on those.  The top
-    holds the union of all masks, which is the node's own mask, as a
-    cover u < v of [a, b] lies in the upper core of u.  A coatom's k must
-    be a cji of [a, b]; its one lower cover there has an L-label j, and
-    k = a v j, so the child for j is k's own upper core and the key
-    (lab_up(u), lab_up(top)) starts with the child's mask.  The coatom
-    u = kappa_bar_d(k) is computed only for the maximal k, to order
-    coatoms and word errors by name.  Only the children enter ``reps``,
-    so each mask keeps the first node the recursion meets with it.  The
-    distinctness check cannot fire on an SD lattice (proof in the
-    ``cores`` module docstring); it stays as a guard.
+    the upper cores of the members k themselves; the distinctness check
+    and the maximal masks below the top are taken on those.
+
+    The top must hold the node's own mask S, as a cover u < v of [a, b]
+    lies in the upper core of u.  No member k > a holds S: some cover
+    u < v <= k inside [a, k] has a label j in S, and j <= v <= k rules out
+    kappa(j) >= k.  And a holds S exactly when pop_up(a) = b, because
+    b = a v (join of S).  So cloUp has a top, a, exactly when
+    pops[a] == b.  Only the root can fail this: a child (k, y) has
+    y = pop_up_[a,b](k), and pop_up_[k,y](k) = y, since every upper cover
+    of k below b lies below y.
+
+    A coatom's k must be a cji of [a, b]; its one lower cover there has an
+    L-label j, and k = a v j, so the child for j is k's own upper core
+    (k, pops[k]) and the key (lab_up(u), lab_up(top)) starts with the
+    child's mask.  The coatom u = kappa_bar_d(k) is computed only for the
+    maximal k, to order coatoms and word errors by name.  The distinctness
+    check cannot fire on an SD lattice (proof in the ``cores`` module
+    docstring); it stays as a guard.
     """
     a, b = node
-    if a == b:
-        return
     names, up = lattice.names, lattice.up
     pops = {k: _pop_up_idx(lattice, k, b) for k in _bits(up[a] & lattice.down[b])}
     masks = {k: _labels_between(lattice, k, y) for k, y in pops.items()}
     if len(set(masks.values())) != len(masks):
         raise InconsistentLabels("cloUp: label sets do not separate elements")
-    full = _labels_between(lattice, a, b)
-    tops = [k for k, mask in masks.items() if mask == full]
-    if not tops:
+    if pops[a] != b:
         maxs = sorted(names[_kappa_bar_d_within(lattice, a, b, k)] for k in _maximal(list(masks), masks))
         raise RecursionMismatch(
             f"derived order has no unique top element (no unique maximum: {_name_list(maxs)}); "
             "the lattice is not a nuclear interval"
         )
-    (top,) = tops
-    maximal = _maximal([k for k in masks if k != top], masks)
+    maximal = _maximal([k for k in masks if k != a], masks)
     coatoms = {_kappa_bar_d_within(lattice, a, b, k): k for k in maximal}
     for u in sorted(coatoms, key=names.__getitem__):
         k = coatoms[u]
@@ -365,7 +362,7 @@ def _node_steps(lattice: Lattice, reps: dict[int, Node], node: Node):
                 f"kappa_bar({names[u]!r}) = {names[k]!r} is not completely join-irreducible"
             )
         j = _j_label_idx(lattice, lower[0], k)
-        yield (masks[k], full), j, reps.setdefault(masks[k], (k, pops[k]))
+        yield (masks[k], masks[a]), j, (k, pops[k])
 
 
 def _maximal(members: list[int], masks: dict[int, int]) -> list[int]:

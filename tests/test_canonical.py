@@ -103,6 +103,7 @@ def test_complex_golden(fig1):
     ]
     assert complex_.is_face(("j1", "j2", "j3"))
     assert not complex_.is_face(("j1", "j4"))
+    assert not complex_.is_face(("j1", "top"))  # an element, not a vertex
     faces = complex_.faces()
     assert ("j1", "j2", "j3") in faces
     assert ("j4",) in faces

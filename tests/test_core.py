@@ -303,10 +303,19 @@ def test_covers_golden(fig1):
 
 def test_interval_golden(fig1):
     assert fig1.interval("j4", "top").members == ("j4", "m1", "m2", "top")
+    assert len(fig1.interval("j4", "top")) == 4
     assert fig1.interval("j3", "j3").members == ("j3",)
     assert fig1.interval("j3", "j4").members == ("j3", "j4")
     with pytest.raises(NotComparable):
         fig1.interval("m1", "j1")
+
+
+def test_poset_equality_needs_a_poset_on_the_same_names():
+    chain = S.generate("chain", 2)
+    renamed = Lattice.build_from_covers(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    assert chain == S.generate("chain", 2)
+    assert (chain == "chain") is False
+    assert chain != renamed
 
 
 def test_interval_is_sublattice(fig1):

@@ -203,12 +203,16 @@ def check_node_walk(lat, monkeypatch):
     """Counts, sorted listings with flags and clo-up labels, or the same error, per node walk.
 
     The clo-up step of each node, read off upper cores, must also yield
-    what the step with kappa_bar per member yields, or raise alike; with
-    an empty ``reps`` each child is the node the oracle step reaches.
+    what the step with kappa_bar per member yields, or raise alike; each
+    child is the node the oracle step reaches.  Only the root can lack a
+    top of cloUp, and it lacks one exactly when cloUp of the lattice does.
     """
+    root = (lat._bot, lat._top)
     for node in kd_nodes(lat):
-        got = _outcome(lambda: list(S.sequences._node_steps(lat, {}, node)))
+        got = _outcome(lambda: list(S.sequences._node_steps(lat, node)))
         assert got == _outcome(lambda: list(node_label_steps(lat, node)))
+        no_top = got[0] is RecursionMismatch and "no unique top element" in got[1]
+        assert no_top == (node == root and _outcome(clo_up(lat).top_name)[0] is NoBoundsError)
     for maximal_only in (False, True):
         got = _outcome(S.count_kd_exceptional, lat, maximal_only)
         assert got == _outcome(count_kd_nodes, lat, maximal_only)
@@ -240,9 +244,9 @@ def steps_taken(monkeypatch, call):
         stepped.append((a, b))
         return child(lattice, a, b, j)
 
-    def counted_steps(lattice, reps, node):
+    def counted_steps(lattice, node):
         expanded.append(node)
-        return steps(lattice, reps, node)
+        return steps(lattice, node)
 
     with monkeypatch.context() as patch:
         patch.setattr(S.sequences, "_child", counted_child)

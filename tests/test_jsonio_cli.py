@@ -95,6 +95,10 @@ def test_dot_output(fig1):
     text = emit_dot(fig1, labels=S.lattice_j_labeling(fig1).labels)
     assert '"top" -> "m1" [label="j1"];' in text
     assert text == emit_dot(fig1, labels=S.lattice_j_labeling(fig1).labels)
+    # a LabeledPoset draws its own labels unless labels= replaces them
+    assert emit_dot(S.lattice_j_labeling(fig1)) == text
+    other = {("m1", "top"): "x"}
+    assert emit_dot(S.lattice_j_labeling(fig1), labels=other) == emit_dot(fig1, labels=other) != text
 
     single = S.Lattice.build_from_covers(["x"], [])
     assert emit_dot(single) == 'digraph lattice {\n  "x";\n}\n'

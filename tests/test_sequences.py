@@ -184,6 +184,23 @@ def test_label_clo_up_needs_nuclear_top():
         S.label_clo_up(S.generate("chain", 2))
 
 
+def test_label_clo_up_reports_keys_that_miss_the_derived_order(fig1, monkeypatch):
+    # each key the recursion may return is checked against cloUp itself
+    lab_up = S.cores._lab_up_masks(fig1)
+    bot, top = (lab_up[fig1.index[x]] for x in ("bot", "top"))
+    cases = [
+        ({(1 << len(fig1), top): 0}, "recursive label set does not match any element of the derived order"),
+        ({(bot, top): 0}, "recursion labeled ('bot', 'top'), which is not a cover of the derived order"),
+        ({}, "covers left unlabeled: [('bot', 'j1'), ('bot', 'j2'), ('bot', 'j3'), ('bot', 'j4')]"),
+    ]
+    for keyed, message in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(S.sequences, "_recursive_labels", lambda lattice: keyed)
+            with pytest.raises(RecursionMismatch) as info:
+                S.label_clo_up(fig1)
+        assert str(info.value) == message
+
+
 def test_maximal_count_matches_clo_up_chains_fig1(fig1):
     # On the running example the maximal sequences biject with the maximal
     # chains of the upper core label order.
