@@ -50,22 +50,33 @@ So the walks carry masks, not nodes.  ``_dag`` expands each mask once,
 at the first node met with it, into its child masks (|L| masks on tamari
 and boolean, where a node per interval gave 394 / 1806 on tamari 6 / 7);
 the count, the listing and right-extendability read that table, and the
-verifier steps along its one path with ``_child``.  The clo-up recursion
-also keeps a set of the masks met, and expands each mask at the first
-node met with it, but it expands that node, not the mask: it orders a
-node's coatoms and words its errors by the names of the node's elements,
-and those differ between nodes with one mask.  A depth-first walk
-expands a node's whole subtree before it meets the next node with the
-same mask (a descendant has fewer labels), and the two subtrees carry
-the same masks, so a walk with a node per interval meets each failure
-first at the first node of its mask, where this walk meets it too.
-Every error class and message is therefore unchanged.  The test oracles
-for this module, the walks with a node per interval among them, live
-with the tests, not in the library.
+verifier steps along its one path with ``_child``.  The listing goes one
+step further: what a walk lists below a point depends only on its mask
+and its alive right-extension walks, so each such state builds its list
+of suffixes once, from its children's, and the results are sorted as
+integer keys, not as tuples of names (``enumerate_kd_exceptional``).
+
+The clo-up recursion also keeps a set of the masks met, and expands each
+mask at the first node met with it, but it expands that node, not the
+mask: it orders a node's coatoms and words its errors by the names of
+the node's elements, and those differ between nodes with one mask.  A
+depth-first walk expands a node's whole subtree before it meets the next
+node with the same mask (a descendant has fewer labels), and the two
+subtrees carry the same masks, so a walk with a node per interval meets
+each failure first at the first node of its mask, where this walk meets
+it too.  Every error class and message is therefore unchanged.  What the
+recursion computes per member is shared across nodes: a member k of a
+node with mask S has the intent S & above[k], the mask of the interval
+[k, b], and k's upper-core mask is a function of that intent alone, so
+one memo from intents to upper-core masks serves every node of a call
+(``_node_steps``; tamari(8) has 8558 intents for 43 263 member steps).
+The test oracles for this module, the walks with a node per interval
+among them, live with the tests, not in the library.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -73,6 +84,7 @@ from .core import Lattice, _bits, _lsb, _name_list, _name_tuple
 from .cores import DerivedPoset, _lab_up_masks, _pop_up_idx, clo_up
 from .errors import InconsistentLabels, NotJoinIrreducible, RecursionMismatch
 from .irreducibles import (
+    _above,
     _inherited_label_leq,
     _j_label_idx,
     _kappa_bar_d_within,
@@ -192,28 +204,70 @@ def enumerate_kd_exceptional(
     right instead, that is, whether the sequence is a path from some child
     (j0, pop_up(j0)) of the root; those walks run alongside the listing.
 
-    The walk is depth first over the masks of ``_dag``.  Each stack frame
-    carries its displayed name tuple, and a step prepends the new entry to
-    it, so a result is never rebuilt from its path; the alive walks are a
-    set of masks, so walks that reach one mask go on as one.  Display
-    tuples are distinct, so sorting (entries, flag) pairs sorts by entries.
+    A walk's state is its mask and its alive right-extension walks, a set
+    of masks (walks that reach one mask go on as one).  What a walk lists
+    from a state on, the suffixes of its paths, depends on the state
+    alone, so each state's suffix list is built once, from its children's,
+    in popcount order of the masks (a child's mask lacks the label that
+    leads to it).  Sequences act from the right, so a suffix is displayed
+    on the left of the entries walked before it.
+
+    The listing sorts integers.  Label j gets the digit d(j), its rank in
+    name order plus 1, and a display tuple (e_1, ..., e_m) the key
+    sum d(e_i) * B**(W - i), with W the number of labels and B = W + 1; no
+    sequence is longer than W, as each step drops a label.  Read in base B
+    the key is the tuple's digits, padded on the right with zeros, which
+    sort below every digit; so a prefix sorts before its extensions, and
+    names are distinct, so keys sort exactly as the tuples do.  A suffix
+    of length n extended by the label j that leads to it gets
+    d(j) * B**(W - 1 - n) added.  Keys are kept doubled, with the
+    right-extendable flag in the low bit, which does not change their order.
     """
     names = lattice.names
     root, kids = _dag(lattice)
-    alive = set(kids[root].values()) if mark_right_extendable else ()
-    found = []
-    stack = [(root, (), alive)]
+    labels = sorted(_bits(root), key=names.__getitem__)
+    digit = {j: d for d, j in enumerate(labels, 1)}
+    base = len(labels) + 1
+    weights = [2 * base**power for power in reversed(range(len(labels)))]
+    start = (root, frozenset(kids[root].values()) if mark_right_extendable else frozenset())
+    moves: dict[tuple[int, frozenset[int]], list] = {}
+    stack = [start]
     while stack:
-        mask, shown, alive = stack.pop()
-        step = kids[mask]
-        if shown and (not step or not maximal_only):
-            found.append((shown, bool(alive) if mark_right_extendable else None))
-        walks = [kids[w] for w in alive] if step else ()
-        for j, child in step.items():
-            moved = {walk[j] for walk in walks if j in walk}
-            stack.append((child, (names[j],) + shown, moved))
-    found.sort()
-    return [KdSequence(entries, flag) for entries, flag in found]
+        state = stack.pop()
+        if state in moves:
+            continue
+        mask, alive = state
+        walks = [kids[w] for w in alive]
+        moves[state] = [
+            (j, (child, frozenset([walk[j] for walk in walks if j in walk]) if walks else alive))
+            for j, child in kids[mask].items()
+        ]
+        stack.extend(child for _, child in moves[state])
+    parents = Counter(child for step in moves.values() for _, child in step)
+    # state -> suffix length -> (doubled keys, display tuples); a state's
+    # lists go once its last parent has read them
+    suffixes: dict[tuple[int, frozenset[int]], dict[int, tuple[list[int], list[tuple]]]] = {}
+    for state in sorted(moves, key=lambda state: state[0].bit_count()):
+        step = moves[state]
+        own = not step or not maximal_only
+        listed = suffixes[state] = {0: ([1 if state[1] else 0], [()])} if own else {}
+        for j, child in step:
+            entry = (names[j],)
+            for length, (keys, tuples) in suffixes[child].items():
+                add = digit[j] * weights[length]
+                to_keys, to_tuples = listed.setdefault(length + 1, ([], []))
+                to_keys += [key + add for key in keys]
+                to_tuples += [left + entry for left in tuples]
+            parents[child] -= 1
+            if not parents[child]:
+                del suffixes[child]
+    found: dict[int, tuple] = {}
+    for length, (keys, tuples) in suffixes[start].items():
+        if length:
+            found.update(zip(keys, tuples))
+    if mark_right_extendable:
+        return [KdSequence(found[key], key & 1 == 1) for key in sorted(found)]
+    return [KdSequence(found[key]) for key in sorted(found)]
 
 
 def count_kd_exceptional(lattice: Lattice, maximal_only: bool = False) -> int:
@@ -296,11 +350,13 @@ def _recursive_labels(lattice: Lattice) -> dict[tuple[int, int], int]:
     child masks of one node are distinct, or ``_node_steps`` raises
     InconsistentLabels; and each mask is expanded once.  So the keys come
     in the order of their depth-first writes, the order a merge of each
-    child's labels into its parent's would give.
+    child's labels into its parent's would give.  Every node reads and
+    fills one memo of upper-core masks keyed by intents (``_node_steps``).
     """
     labels: dict[tuple[int, int], int] = {}
     seen: set[int] = set()
-    stack = [_node_steps(lattice, _root(lattice))]
+    cores: dict[int, int] = {}
+    stack = [_node_steps(lattice, _root(lattice), cores)]
     while stack:
         step = next(stack[-1], None)
         if step is None:
@@ -309,11 +365,11 @@ def _recursive_labels(lattice: Lattice) -> dict[tuple[int, int], int]:
         key, labels[key], child = step
         if key[0] not in seen:
             seen.add(key[0])
-            stack.append(_node_steps(lattice, child))
+            stack.append(_node_steps(lattice, child, cores))
     return labels
 
 
-def _node_steps(lattice: Lattice, node: Node):
+def _node_steps(lattice: Lattice, node: Node, cores: dict[int, int]):
     """Yield (key, label, child) for each coatom of the top of cloUp([a, b]).
 
     cloUp([a, b]) compares the masks lab_up(x) of the upper cores
@@ -323,52 +379,75 @@ def _node_steps(lattice: Lattice, node: Node):
     the upper cores of the members k themselves; the distinctness check
     and the maximal masks below the top are taken on those.
 
+    ``cores`` maps intents to upper-core masks and is shared by every node
+    of one recursion.  A member k of a node with label mask S has the
+    intent I = S & above[k], the label mask of the interval [k, b] of L.
+    That interval is the concept lattice of (I, I, j <= kappa(j')), by the
+    module docstring, so it is fixed by I up to an isomorphism that keeps
+    the L-labels.  pop_up_[a,b](k) joins k with its upper covers below b,
+    which are its upper covers in [k, b], and the upper-core mask labels
+    the covers inside [k, pop_up_[a,b](k)]: both are read inside [k, b].
+    So the upper-core mask is a function of I, whatever the node.
+
     The top must hold the node's own mask S, as a cover u < v of [a, b]
     lies in the upper core of u.  No member k > a holds S: some cover
     u < v <= k inside [a, k] has a label j in S, and j <= v <= k rules out
     kappa(j) >= k.  And a holds S exactly when pop_up(a) = b, because
-    b = a v (join of S).  So cloUp has a top, a, exactly when
-    pops[a] == b.  Only the root can fail this: a child (k, y) has
+    b = a v (join of S).  So cloUp has a top, a, exactly when a's upper
+    core holds S.  Only the root can fail this: a child (k, y) has
     y = pop_up_[a,b](k), and pop_up_[k,y](k) = y, since every upper cover
     of k below b lies below y.
 
+    One pass in decreasing popcount keeps each mask that lies inside no
+    kept one: the maximal masks, as the masks are distinct.  It leaves a
+    out when a is the top, so it finds the coatoms of cloUp, and keeps it
+    otherwise, so it finds the maximal elements that the no-top error names.
+
     A coatom's k must be a cji of [a, b]; its one lower cover there has an
     L-label j, and k = a v j, so the child for j is k's own upper core
-    (k, pops[k]) and the key (lab_up(u), lab_up(top)) starts with the
-    child's mask.  The coatom u = kappa_bar_d(k) is computed only for the
-    maximal k, to order coatoms and word errors by name.  The distinctness
-    check cannot fire on an SD lattice (proof in the ``cores`` module
-    docstring); it stays as a guard.
+    (k, pop_up_[a,b](k)) and the key (lab_up(u), lab_up(top)) starts with
+    the child's mask.  The coatom u = kappa_bar_d(k) is computed only for
+    the maximal k, to order coatoms and word errors by name.  The
+    distinctness check cannot fire on an SD lattice (proof in the
+    ``cores`` module docstring); it stays as a guard.
     """
     a, b = node
-    names, up = lattice.names, lattice.up
-    pops = {k: _pop_up_idx(lattice, k, b) for k in _bits(up[a] & lattice.down[b])}
-    masks = {k: _labels_between(lattice, k, y) for k, y in pops.items()}
-    if len(set(masks.values())) != len(masks):
+    names, up, down = lattice.names, lattice.up, lattice.down
+    above = _above(lattice)
+    full = down[b] & above[a]
+    members = up[a] & down[b]
+    by_mask: dict[int, int] = {}
+    for k in _bits(members):
+        intent = full & above[k]
+        mask = cores.get(intent)
+        if mask is None:
+            mask = cores[intent] = _labels_between(lattice, k, _pop_up_idx(lattice, k, b))
+        by_mask[mask] = k
+    if len(by_mask) != members.bit_count():
         raise InconsistentLabels("cloUp: label sets do not separate elements")
-    if pops[a] != b:
-        maxs = sorted(names[_kappa_bar_d_within(lattice, a, b, k)] for k in _maximal(list(masks), masks))
+    has_top = by_mask.get(full) == a
+    kept: list[int] = []
+    for mask in sorted(by_mask, key=int.bit_count, reverse=True):
+        for other in kept:
+            if not mask & ~other:
+                break
+        else:
+            if not (has_top and mask == full):
+                kept.append(mask)
+    if not has_top:
+        maxs = sorted(names[_kappa_bar_d_within(lattice, a, b, by_mask[mask])] for mask in kept)
         raise RecursionMismatch(
             f"derived order has no unique top element (no unique maximum: {_name_list(maxs)}); "
             "the lattice is not a nuclear interval"
         )
-    maximal = _maximal([k for k in masks if k != a], masks)
-    coatoms = {_kappa_bar_d_within(lattice, a, b, k): k for k in maximal}
+    coatoms = {_kappa_bar_d_within(lattice, a, b, by_mask[mask]): mask for mask in kept}
     for u in sorted(coatoms, key=names.__getitem__):
-        k = coatoms[u]
+        mask = coatoms[u]
+        k = by_mask[mask]
         lower = [v for v in lattice._dcov[k] if up[a] >> v & 1]
         if len(lower) != 1:
             raise RecursionMismatch(
                 f"kappa_bar({names[u]!r}) = {names[k]!r} is not completely join-irreducible"
             )
         j = _j_label_idx(lattice, lower[0], k)
-        yield (masks[k], masks[a]), j, (k, pops[k])
-
-
-def _maximal(members: list[int], masks: dict[int, int]) -> list[int]:
-    """Members whose (distinct) masks are not strictly inside another's."""
-    kept: list[int] = []
-    for x in sorted(members, key=lambda x: -masks[x].bit_count()):
-        if not any(masks[x] & ~masks[y] == 0 for y in kept):
-            kept.append(x)
-    return kept
+        yield (mask, full), j, (k, _pop_up_idx(lattice, k, b))

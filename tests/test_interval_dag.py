@@ -23,8 +23,8 @@ import pytest
 import sdlat as S
 from sdlat import NoBoundsError, RecursionMismatch
 from sdlat.core import _bits
-from sdlat.cores import clo_up, lab_up_map, pop_up
-from sdlat.irreducibles import _kappa_bar_d_within, _labels_between
+from sdlat.cores import _pop_up_idx, clo_up, lab_up_map, pop_up
+from sdlat.irreducibles import _above, _kappa_bar_d_within, _labels_between
 
 from conftest import sd_family_lattices
 from oracles import as_lattice, count_kd_nodes, enumerate_kd_nodes, kappa_bar_within, kd_nodes
@@ -204,12 +204,14 @@ def check_node_walk(lat, monkeypatch):
 
     The clo-up step of each node, read off upper cores, must also yield
     what the step with kappa_bar per member yields, or raise alike; each
-    child is the node the oracle step reaches.  Only the root can lack a
-    top of cloUp, and it lacks one exactly when cloUp of the lattice does.
+    child is the node the oracle step reaches, with one intent memo shared
+    by every interval node.  Only the root can lack a top of cloUp, and it
+    lacks one exactly when cloUp of the lattice does.
     """
     root = (lat._bot, lat._top)
+    cores = {}  # one intent memo for every interval node, not only the first of each mask
     for node in kd_nodes(lat):
-        got = _outcome(lambda: list(S.sequences._node_steps(lat, node)))
+        got = _outcome(lambda: list(S.sequences._node_steps(lat, node, cores)))
         assert got == _outcome(lambda: list(node_label_steps(lat, node)))
         no_top = got[0] is RecursionMismatch and "no unique top element" in got[1]
         assert no_top == (node == root and _outcome(clo_up(lat).top_name)[0] is NoBoundsError)
@@ -225,6 +227,7 @@ def check_node_walk(lat, monkeypatch):
         assert list(got[1].items()) == list(expected[1].items())
     else:
         assert got == expected
+    check_intent_memo(lat, monkeypatch)
     got = _outcome(S.label_clo_up, lat)
     with monkeypatch.context() as patch:
         patch.setattr(S.sequences, "_recursive_labels", recursive_labels_nodes)
@@ -233,6 +236,33 @@ def check_node_walk(lat, monkeypatch):
         assert list(got[1].labels.items()) == list(expected[1].labels.items())
     else:
         assert got == expected
+
+
+def check_intent_memo(lat, monkeypatch):
+    """One intent memo serves the whole clo-up recursion, and each mask it
+    holds is the upper core, read directly, of every member of every
+    expanded node whose intent it is keyed by."""
+    memos, expanded = [], []
+    steps = S.sequences._node_steps
+
+    def recorded(lattice, node, cores):
+        memos.append(cores)
+        expanded.append(node)
+        return steps(lattice, node, cores)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(S.sequences, "_node_steps", recorded)
+        _outcome(S.sequences._recursive_labels, lat)
+    (cores,) = {id(memo): memo for memo in memos}.values()
+    above = _above(lat)
+    hit = set()
+    for a, b in expanded:
+        full = _labels_between(lat, a, b)
+        for k in _bits(lat.up[a] & lat.down[b]):
+            intent = full & above[k]
+            assert cores[intent] == _labels_between(lat, k, _pop_up_idx(lat, k, b))
+            hit.add(intent)
+    assert hit == set(cores)
 
 
 def steps_taken(monkeypatch, call):
@@ -244,9 +274,9 @@ def steps_taken(monkeypatch, call):
         stepped.append((a, b))
         return child(lattice, a, b, j)
 
-    def counted_steps(lattice, node):
+    def counted_steps(lattice, node, cores):
         expanded.append(node)
-        return steps(lattice, node)
+        return steps(lattice, node, cores)
 
     with monkeypatch.context() as patch:
         patch.setattr(S.sequences, "_child", counted_child)
@@ -316,6 +346,37 @@ def test_one_node_per_label_mask(family, n, monkeypatch):
     assert stepped == []
     assert len(expanded) == len(masks)
     assert {_labels_between(lat, *node) for node in expanded} == masks
+
+
+def names_reversed(lat):
+    """lat with its names handed out in reverse index order.
+
+    Elements are indexed by height first, so on lattices with cji at more
+    than one height the index order of the cji then differs from their
+    name order, which the listing must sort by.
+    """
+    rename = dict(zip(lat.names, reversed(lat.names)))
+    return S.Lattice.build_from_covers(
+        [rename[x] for x in lat.names], [(rename[lo], rename[hi]) for lo, hi in lat.covers_named()]
+    )
+
+
+@pytest.mark.parametrize("family,n", [("fig1", None), ("fig4", None), ("tamari", 5), ("chain", 5)])
+def test_listing_sorts_by_names_not_indices(family, n):
+    lat = names_reversed(S.generate(family, n))
+    cji = S.irreducible_table(lat).cji
+    assert sorted(cji, key=lat.index.__getitem__) != sorted(cji)
+    check_sequences(lat, RebuildOracle())
+    for maximal_only in (False, True):
+        for mark in (False, True):
+            got = S.enumerate_kd_exceptional(lat, maximal_only, mark)
+            assert [(s.entries, s.right_extendable) for s in got] == enumerate_kd_nodes(lat, maximal_only, mark)
+    # a sequence sorts before each sequence it is a proper prefix of
+    listed = [s.entries for s in S.enumerate_kd_exceptional(lat)]
+    place = {entries: i for i, entries in enumerate(listed)}
+    prefixed = [(e[:m], e) for e in listed for m in range(1, len(e)) if e[:m] in place]
+    assert prefixed
+    assert all(place[short] < place[long] for short, long in prefixed)
 
 
 def test_child_masks_lose_their_label(small_sd_lattices):
