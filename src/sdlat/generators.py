@@ -13,8 +13,8 @@ from typing import Optional, Union
 
 from .core import Lattice, _cover_pairs_have_meets, _kappa_maps, _lower_covers, _union_above
 from .errors import BadParameter, InconsistentLabels
-from .irreducibles import _inherited_label_leq, irreducible_table, j_label_cover
-from .shelling import LabeledPoset
+from .irreducibles import j_label_cover
+from .shelling import LabeledPoset, lattice_j_labeling
 
 _FIG1_COVERS = [
     ("bot", "j1"),
@@ -76,12 +76,7 @@ def _validated_labeling(lattice: Lattice, labels: dict) -> LabeledPoset:
                 f"stored label {lbl!r} for cover ({lo!r}, {hi!r}) "
                 f"disagrees with computed {recomputed!r}"
             )
-    return LabeledPoset(
-        poset=lattice,
-        labels=dict(labels),
-        alphabet=irreducible_table(lattice).cji,
-        label_leq=_inherited_label_leq(lattice),
-    )
+    return lattice_j_labeling(lattice)
 
 
 def fig1_labeled() -> LabeledPoset:

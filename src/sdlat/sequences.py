@@ -70,6 +70,8 @@ node with mask S has the intent S & above[k], the mask of the interval
 [k, b], and k's upper-core mask is a function of that intent alone, so
 one memo from intents to upper-core masks serves every node of a call
 (``_node_steps``; tamari(8) has 8558 intents for 43 263 member steps).
+The memo also names each coatom's label, and the child for it is the
+``_child`` step, which the recursion takes only for a mask it expands.
 The test oracles for this module, the walks with a node per interval
 among them, live with the tests, not in the library.
 """
@@ -86,7 +88,6 @@ from .errors import InconsistentLabels, NotJoinIrreducible, RecursionMismatch
 from .irreducibles import (
     _above,
     _inherited_label_leq,
-    _j_label_idx,
     _kappa_bar_d_within,
     _labels_between,
     irreducible_table,
@@ -352,25 +353,30 @@ def _recursive_labels(lattice: Lattice) -> dict[tuple[int, int], int]:
     in the order of their depth-first writes, the order a merge of each
     child's labels into its parent's would give.  Every node reads and
     fills one memo of upper-core masks keyed by intents (``_node_steps``).
+    A frame keeps its node, and the child for a label is built by
+    ``_child``, as in the other walks, only when its mask is new.
     """
     labels: dict[tuple[int, int], int] = {}
     seen: set[int] = set()
     cores: dict[int, int] = {}
-    stack = [_node_steps(lattice, _root(lattice), cores)]
+    root = _root(lattice)
+    stack = [(root, _node_steps(lattice, root, cores))]
     while stack:
-        step = next(stack[-1], None)
+        node, steps = stack[-1]
+        step = next(steps, None)
         if step is None:
             stack.pop()
             continue
-        key, labels[key], child = step
+        key, labels[key] = step
         if key[0] not in seen:
             seen.add(key[0])
-            stack.append(_node_steps(lattice, child, cores))
+            child = _child(lattice, *node, labels[key])
+            stack.append((child, _node_steps(lattice, child, cores)))
     return labels
 
 
 def _node_steps(lattice: Lattice, node: Node, cores: dict[int, int]):
-    """Yield (key, label, child) for each coatom of the top of cloUp([a, b]).
+    """Yield (key, label) for each coatom of the top of cloUp([a, b]).
 
     cloUp([a, b]) compares the masks lab_up(x) of the upper cores
     [k, pop_up(k)], k = kappa_bar(x), all taken inside [a, b].  As [a, b]
@@ -403,13 +409,23 @@ def _node_steps(lattice: Lattice, node: Node, cores: dict[int, int]):
     out when a is the top, so it finds the coatoms of cloUp, and keeps it
     otherwise, so it finds the maximal elements that the no-top error names.
 
-    A coatom's k must be a cji of [a, b]; its one lower cover there has an
-    L-label j, and k = a v j, so the child for j is k's own upper core
-    (k, pop_up_[a,b](k)) and the key (lab_up(u), lab_up(top)) starts with
-    the child's mask.  The coatom u = kappa_bar_d(k) is computed only for
-    the maximal k, to order coatoms and word errors by name.  The
-    distinctness check cannot fire on an SD lattice (proof in the
-    ``cores`` module docstring); it stays as a guard.
+    A coatom's k must be a cji of [a, b], and its label is then read off
+    the memo.  For j in S, a v j is a member, and its intent is
+    S & above[a v j] = S & above[j], as kappa(j') >= a for every j' in S;
+    so ``label`` maps cores[S & above[j]], the mask of a v j, to j.  The
+    map j -> a v j is a bijection onto the cji of [a, b] (module
+    docstring), and member masks are distinct, so the keys of ``label``
+    are the masks of those cji, and the mask of a cji k maps to the one j
+    with a v j = k.  That is the j a scan of k's lower covers gives: k is
+    a cji of [a, b] exactly when it has one lower cover u there, and by
+    the label transfer the label k of u < k in [a, b] is a v j for the
+    L-label j of u < k.  The child for j is then k's own upper core
+    (k, pop_up_[a,b](k)), which is ``_child(a, b, j)``, and the key
+    (lab_up(u), lab_up(top)) starts with the child's mask.  The coatom
+    u = kappa_bar_d(k) is computed once, only for the maximal k, to order
+    coatoms and word both errors by name.  The distinctness check cannot
+    fire on an SD lattice (proof in the ``cores`` module docstring); it
+    stays as a guard.
     """
     a, b = node
     names, up, down = lattice.names, lattice.up, lattice.down
@@ -434,20 +450,18 @@ def _node_steps(lattice: Lattice, node: Node, cores: dict[int, int]):
         else:
             if not (has_top and mask == full):
                 kept.append(mask)
+    coatoms = {_kappa_bar_d_within(lattice, a, b, by_mask[mask]): mask for mask in kept}
     if not has_top:
-        maxs = sorted(names[_kappa_bar_d_within(lattice, a, b, by_mask[mask])] for mask in kept)
+        maxs = sorted(names[u] for u in coatoms)
         raise RecursionMismatch(
             f"derived order has no unique top element (no unique maximum: {_name_list(maxs)}); "
             "the lattice is not a nuclear interval"
         )
-    coatoms = {_kappa_bar_d_within(lattice, a, b, by_mask[mask]): mask for mask in kept}
+    label = {cores[full & above[j]]: j for j in _bits(full)}
     for u in sorted(coatoms, key=names.__getitem__):
         mask = coatoms[u]
-        k = by_mask[mask]
-        lower = [v for v in lattice._dcov[k] if up[a] >> v & 1]
-        if len(lower) != 1:
+        if mask not in label:
             raise RecursionMismatch(
-                f"kappa_bar({names[u]!r}) = {names[k]!r} is not completely join-irreducible"
+                f"kappa_bar({names[u]!r}) = {names[by_mask[mask]]!r} is not completely join-irreducible"
             )
-        j = _j_label_idx(lattice, lower[0], k)
-        yield (mask, full), j, (k, _pop_up_idx(lattice, k, b))
+        yield (mask, full), label[mask]

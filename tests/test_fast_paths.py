@@ -405,17 +405,31 @@ def test_sequences_names_no_kappa_bar_helper():
 
 def test_sequences_steps_to_a_child_in_one_place():
     # the n-bit child step (a v j, then pop_up inside the node) lives in
-    # _child, and _node_steps reads the upper cores of a node's members;
-    # every walk goes through them, so one context can replace both
+    # _child, and _node_steps reads only its members' upper-core masks with
+    # pop_up; cover labels come off the intent memo, not off lower covers,
+    # so one context can replace both
     tree = ast.parse((SRC / "sequences.py").read_text(encoding="utf-8"))
-    owners = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-    inside = {id(sub) for f in owners if f.name in ("_child", "_node_steps") for sub in ast.walk(f)}
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    in_child = {id(sub) for sub in ast.walk(functions["_child"])}
+    member_masks = [
+        line
+        for line in ast.walk(functions["_node_steps"])
+        if isinstance(line, ast.Assign)
+        and any(isinstance(t, ast.Subscript) and getattr(t.value, "id", None) == "cores" for t in line.targets)
+    ]
+    assert len(member_masks) == 1
+    in_member_mask = in_child | {id(sub) for sub in ast.walk(member_masks[0])}
+    allowed = {"_lsb": in_child, "_pop_up_idx": in_member_mask}
     lines = [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and node.id in ("_pop_up_idx", "_lsb") and id(node) not in inside
+        if isinstance(node, ast.Name) and node.id in allowed and id(node) not in allowed[node.id]
     ]
     assert lines == [], f"sequences.py steps to a child outside _child and _node_steps on lines {lines}"
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not used & {"_j_label_idx", "_dcov"}, "sequences.py reads lower covers or scans for a cover label"
 
 
 @pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))

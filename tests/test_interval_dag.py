@@ -203,16 +203,23 @@ def check_node_walk(lat, monkeypatch):
     """Counts, sorted listings with flags and clo-up labels, or the same error, per node walk.
 
     The clo-up step of each node, read off upper cores, must also yield
-    what the step with kappa_bar per member yields, or raise alike; each
-    child is the node the oracle step reaches, with one intent memo shared
-    by every interval node.  Only the root can lack a top of cloUp, and it
-    lacks one exactly when cloUp of the lattice does.
+    the keys and labels that the step with kappa_bar per member yields, or
+    raise alike, with one intent memo shared by every interval node; the
+    ``_child`` step for each label is the node the oracle step reaches.
+    Only the root can lack a top of cloUp, and it lacks one exactly when
+    cloUp of the lattice does.
     """
     root = (lat._bot, lat._top)
     cores = {}  # one intent memo for every interval node, not only the first of each mask
     for node in kd_nodes(lat):
         got = _outcome(lambda: list(S.sequences._node_steps(lat, node, cores)))
-        assert got == _outcome(lambda: list(node_label_steps(lat, node)))
+        expected = _outcome(lambda: list(node_label_steps(lat, node)))
+        if got[0] == "ok" and expected[0] == "ok":
+            assert got[1] == [(key, label) for key, label, _ in expected[1]]
+            children = [S.sequences._child(lat, *node, label) for _, label in got[1]]
+            assert children == [child for _, _, child in expected[1]]
+        else:
+            assert got == expected
         no_top = got[0] is RecursionMismatch and "no unique top element" in got[1]
         assert no_top == (node == root and _outcome(clo_up(lat).top_name)[0] is NoBoundsError)
     for maximal_only in (False, True):
@@ -266,13 +273,15 @@ def check_intent_memo(lat, monkeypatch):
 
 
 def steps_taken(monkeypatch, call):
-    """The nodes that ``_child`` steps from and ``_node_steps`` expands while ``call()`` runs."""
-    stepped, expanded = [], []
+    """The nodes that ``_child`` steps from and to, and that ``_node_steps``
+    expands, while ``call()`` runs."""
+    stepped, reached, expanded = [], [], []
     child, steps = S.sequences._child, S.sequences._node_steps
 
     def counted_child(lattice, a, b, j):
         stepped.append((a, b))
-        return child(lattice, a, b, j)
+        reached.append(child(lattice, a, b, j))
+        return reached[-1]
 
     def counted_steps(lattice, node, cores):
         expanded.append(node)
@@ -282,7 +291,7 @@ def steps_taken(monkeypatch, call):
         patch.setattr(S.sequences, "_child", counted_child)
         patch.setattr(S.sequences, "_node_steps", counted_steps)
         call()
-    return stepped, expanded
+    return stepped, reached, expanded
 
 
 # -- tests --------------------------------------------------------------------
@@ -336,14 +345,16 @@ def test_one_node_per_label_mask(family, n, monkeypatch):
     if len(lat) <= 132:
         walks.append(lambda: S.enumerate_kd_exceptional(lat, mark_right_extendable=True))
     for walk in walks:
-        stepped, expanded = steps_taken(monkeypatch, walk)
+        stepped, _, expanded = steps_taken(monkeypatch, walk)
         assert len(stepped) == sum(mask.bit_count() for mask in masks)
         assert expanded == []
         from_nodes = set(stepped)
         assert len(from_nodes) == len(masks) - 1
         assert {_labels_between(lat, *node) for node in from_nodes} == masks - {0}
-    stepped, expanded = steps_taken(monkeypatch, lambda: S.sequences._recursive_labels(lat))
-    assert stepped == []
+    stepped, reached, expanded = steps_taken(monkeypatch, lambda: S.sequences._recursive_labels(lat))
+    # the recursion steps once to each node it expands but the root, from an expanded node
+    assert reached == expanded[1:]
+    assert set(stepped) <= set(expanded)
     assert len(expanded) == len(masks)
     assert {_labels_between(lat, *node) for node in expanded} == masks
 
