@@ -21,9 +21,9 @@ Names appear only at the boundary: in ``covers_named``, the label-set
 maps and the witnesses of ``orders_coincide_report``.
 
 In a finite SD lattice each of the three mask lists separates the
-elements, so the ``InconsistentLabels`` check of ``_label_order`` (and
-the one in ``sequences._node_steps``) guards this theorem and never
-fires on a lattice that passed the SD test:
+elements, so the ``InconsistentLabels`` check of ``_label_order``
+guards this theorem and never fires on a lattice that passed the SD
+test:
 
 - lab_down: x = join lab_down(x).  lab_down(x) holds the canonical
   joinands of x, the labels of its lower covers, and every label in it
@@ -34,9 +34,9 @@ fires on a lattice that passed the SD test:
   labels a cover inside [k, pop_up(k)].  So lab_up(x) fixes
   kappa_bar(x), and kappa_bar is a bijection.
 - W: the proof in ``kappa_order``.
-- A node [a, b] of the clo-up recursion is an interval of an SD
-  lattice, so it is SD itself, and the lab_up argument, with the node's
-  own labels and kappa, covers the upper cores of its members.
+- A node [a, b] of the kappa_d walks in ``sequences`` is an interval of
+  an SD lattice, so it is SD itself, and the lab_up argument, with the
+  node's own labels and kappa, covers the upper cores of its members.
 
 Two derived orders are equal exactly when their mask lists are, so they
 are compared without being built.  Each family gives every completely

@@ -25,10 +25,8 @@ of element indices of L, and everything is kept in L's label coordinates:
   [a, b] gives a cover u < a v j with L-label j, the y with
   y ^ (a v j) = u are exactly the interval [u, kappa(j)] of L, and the
   largest of them below b is b ^ kappa(j).
-* kappa_bar is a bijection of [a, b], which is SD.  So the lab_up masks
-  of the node are the masks of its members' upper cores, and a coatom k
-  of cloUp is named by kappa_bar_d(k) = a v (the join of the L-labels of
-  the covers above k inside [a, b]); see ``_node_steps``.
+* [a, b] is SD, so kappa_bar is a bijection of it, and the upper-core
+  masks of its members separate them (the lab_up argument of ``cores``).
 * Labels only shrink along a path: a grows and b falls, so above[a] and
   down[b] both shrink.
 
@@ -56,24 +54,14 @@ and its alive right-extension walks, so each such state builds its list
 of suffixes once, from its children's, and the results are sorted as
 integer keys, not as tuples of names (``enumerate_kd_exceptional``).
 
-The clo-up recursion also keeps a set of the masks met, and expands each
-mask at the first node met with it, but it expands that node, not the
-mask: it orders a node's coatoms and words its errors by the names of
-the node's elements, and those differ between nodes with one mask.  A
-depth-first walk expands a node's whole subtree before it meets the next
-node with the same mask (a descendant has fewer labels), and the two
-subtrees carry the same masks, so a walk with a node per interval meets
-each failure first at the first node of its mask, where this walk meets
-it too.  Every error class and message is therefore unchanged.  What the
-recursion computes per member is shared across nodes: a member k of a
-node with mask S has the intent S & above[k], the mask of the interval
-[k, b], and k's upper-core mask is a function of that intent alone, so
-one memo from intents to upper-core masks serves every node of a call
-(``_node_steps``; tamari(8) has 8558 intents for 43 263 member steps).
-The memo also names each coatom's label, and the child for it is the
-``_child`` step, which the recursion takes only for a mask it expands.
-The test oracles for this module, the walks with a node per interval
-among them, live with the tests, not in the library.
+The clo-up labeling reads the same table.  The recursion that defines
+it labels each coatom u of cloUp([a, b]) by kappa_bar(u) = a v j and
+recurses into the upper core of a v j, the child for j, whose mask is
+lab_up(u) inside the node; so each label it writes is a table edge, and
+``label_clo_up`` reads the labels off the edges (what is proved of that
+and what is only checked is in its docstring).  The test oracles for
+this module, the recursion and the walks with a node per interval among
+them, live with the tests, not in the library.
 """
 
 from __future__ import annotations
@@ -82,16 +70,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Lattice, _bits, _lsb, _name_list, _name_tuple
+from .core import Lattice, _bits, _lsb, _name_tuple
 from .cores import DerivedPoset, _lab_up_masks, _pop_up_idx, clo_up
-from .errors import InconsistentLabels, NotJoinIrreducible, RecursionMismatch
-from .irreducibles import (
-    _above,
-    _inherited_label_leq,
-    _kappa_bar_d_within,
-    _labels_between,
-    irreducible_table,
-)
+from .errors import NoBoundsError, NotJoinIrreducible, RecursionMismatch
+from .irreducibles import _inherited_label_leq, _labels_between, irreducible_table, kappa_bar
 from .shelling import LabeledPoset
 
 Node = tuple[int, int]
@@ -304,164 +286,59 @@ class CloLabeling:
 
 
 def label_clo_up(lattice: Lattice) -> CloLabeling:
-    """Label the upper core label order by recursing through upper cores.
+    """Label the covers of the upper core label order off the kappa_d table.
 
-    Each cover u below the top of the derived order is labeled kappa_bar(u);
-    the ideal below u is identified with the derived order of the interval
-    [j, pop_up(j)] for j = kappa_bar(u) and labeled recursively.  Any failure
-    of the identification raises RecursionMismatch; the construction is only
-    known to succeed example-by-example.
+    The labeling is a recursion: a coatom u of cloUp is labeled
+    kappa_bar(u), and the ideal below u is cloUp of the upper core
+    [k, pop_up(k)], k = kappa_bar(u), labeled alike.  On nodes, a node
+    [a, b] with label mask S labels u by the j with a v j = k and steps to
+    the child for j, whose mask is kids[S][j] (``_dag``) and is lab_up(u)
+    inside the node.  So a cover (lo, hi) of cloUp is labeled by the j
+    with kids[lab_up(hi)][j] = lab_up(lo), and that is what is read here,
+    with the labels in ``covers_named`` order.
+
+    Proved:
+
+    * Each row of the table is injective: j -> a v j is a bijection onto
+      the cji of [a, b], kids[S][j] is the upper-core mask of a v j inside
+      [a, b], and upper-core masks separate the members of [a, b], which
+      is SD.  So a cover has at most one label.
+    * Where the recursion succeeds it gives the same labels: it labels
+      every cover, and each label j it writes for (lo, hi) is the edge
+      kids[lab_up(hi)][j] = lab_up(lo), as above.
+    * The root rule: cloUp has a top exactly when the recursion's root
+      does, and for a coatom u, kappa_bar(u) is a cji j exactly when
+      lab_up(u) is the mask of j's upper core, kids[root][j], as upper
+      cores separate the elements.
+
+    Only checked: that where the recursion fails, this reading fails with
+    the same error.  Both gave the same outcome, labels and messages
+    alike, on 2546 lattices: tamari 0-7, boolean and chain 0-5, fig1,
+    fig4, the diamond and 1250 ``random_sd_lattice`` draws from seven
+    (seed, max_mid) pairs, each with its dual.  There were 1076
+    labelings, 1420 lattices without a top and 50 with a coatom whose
+    kappa_bar is not a cji; the last guard, a cover that is no kappa_d
+    step, fired on none.  They also agree on tamari 8 and 9 and duals.
     """
-    keyed = _recursive_labels(lattice)  # a lattice it rejects never pays for the cloUp build
     derived = clo_up(lattice)
-    names = lattice.names
-    by_mask = {mask: names[x] for x, mask in enumerate(_lab_up_masks(lattice))}
-
-    covers = set(derived.covers_named())
-    labels: dict[tuple[str, str], str] = {}
-    for (mask_lo, mask_hi), lbl in keyed.items():
-        lo = by_mask.get(mask_lo)
-        hi = by_mask.get(mask_hi)
-        if lo is None or hi is None:
-            raise RecursionMismatch(
-                "recursive label set does not match any element of the derived order"
-            )
-        if (lo, hi) not in covers:
-            raise RecursionMismatch(
-                f"recursion labeled ({lo!r}, {hi!r}), which is not a cover of the derived order"
-            )
-        labels[(lo, hi)] = names[lbl]
-    if len(labels) != len(covers):
-        missing = sorted(covers - set(labels))
-        raise RecursionMismatch(f"covers left unlabeled: {missing[:4]}")
-
-    return CloLabeling(poset=derived, labels=labels, label_leq=_inherited_label_leq(lattice))
-
-
-def _recursive_labels(lattice: Lattice) -> dict[tuple[int, int], int]:
-    """Cover label indices keyed by the (lab_up(lower), lab_up(upper)) masks.
-
-    The recursion runs depth first on nodes (a, b) of L, visiting children
-    in the name order of the coatoms that lead to them, so errors surface
-    in the order of the rebuilt recursion.  A child is expanded when its
-    mask, the first half of its key, is met for the first time, so each
-    mask is expanded at the first node met with it; a child's mask lacks
-    the label that leads to it, so no child has the root's mask.  Each key
-    is written once: a node yields keys (child mask, its own mask); the
-    child masks of one node are distinct, or ``_node_steps`` raises
-    InconsistentLabels; and each mask is expanded once.  So the keys come
-    in the order of their depth-first writes, the order a merge of each
-    child's labels into its parent's would give.  Every node reads and
-    fills one memo of upper-core masks keyed by intents (``_node_steps``).
-    A frame keeps its node, and the child for a label is built by
-    ``_child``, as in the other walks, only when its mask is new.
-    """
-    labels: dict[tuple[int, int], int] = {}
-    seen: set[int] = set()
-    cores: dict[int, int] = {}
-    root = _root(lattice)
-    stack = [(root, _node_steps(lattice, root, cores))]
-    while stack:
-        node, steps = stack[-1]
-        step = next(steps, None)
-        if step is None:
-            stack.pop()
-            continue
-        key, labels[key] = step
-        if key[0] not in seen:
-            seen.add(key[0])
-            child = _child(lattice, *node, labels[key])
-            stack.append((child, _node_steps(lattice, child, cores)))
-    return labels
-
-
-def _node_steps(lattice: Lattice, node: Node, cores: dict[int, int]):
-    """Yield (key, label) for each coatom of the top of cloUp([a, b]).
-
-    cloUp([a, b]) compares the masks lab_up(x) of the upper cores
-    [k, pop_up(k)], k = kappa_bar(x), all taken inside [a, b].  As [a, b]
-    is semidistributive, kappa_bar is a bijection of it with inverse
-    kappa_bar_d (Barnard, EJC 2019), so the lab_up masks are the masks of
-    the upper cores of the members k themselves; the distinctness check
-    and the maximal masks below the top are taken on those.
-
-    ``cores`` maps intents to upper-core masks and is shared by every node
-    of one recursion.  A member k of a node with label mask S has the
-    intent I = S & above[k], the label mask of the interval [k, b] of L.
-    That interval is the concept lattice of (I, I, j <= kappa(j')), by the
-    module docstring, so it is fixed by I up to an isomorphism that keeps
-    the L-labels.  pop_up_[a,b](k) joins k with its upper covers below b,
-    which are its upper covers in [k, b], and the upper-core mask labels
-    the covers inside [k, pop_up_[a,b](k)]: both are read inside [k, b].
-    So the upper-core mask is a function of I, whatever the node.
-
-    The top must hold the node's own mask S, as a cover u < v of [a, b]
-    lies in the upper core of u.  No member k > a holds S: some cover
-    u < v <= k inside [a, k] has a label j in S, and j <= v <= k rules out
-    kappa(j) >= k.  And a holds S exactly when pop_up(a) = b, because
-    b = a v (join of S).  So cloUp has a top, a, exactly when a's upper
-    core holds S.  Only the root can fail this: a child (k, y) has
-    y = pop_up_[a,b](k), and pop_up_[k,y](k) = y, since every upper cover
-    of k below b lies below y.
-
-    One pass in decreasing popcount keeps each mask that lies inside no
-    kept one: the maximal masks, as the masks are distinct.  It leaves a
-    out when a is the top, so it finds the coatoms of cloUp, and keeps it
-    otherwise, so it finds the maximal elements that the no-top error names.
-
-    A coatom's k must be a cji of [a, b], and its label is then read off
-    the memo.  For j in S, a v j is a member, and its intent is
-    S & above[a v j] = S & above[j], as kappa(j') >= a for every j' in S;
-    so ``label`` maps cores[S & above[j]], the mask of a v j, to j.  The
-    map j -> a v j is a bijection onto the cji of [a, b] (module
-    docstring), and member masks are distinct, so the keys of ``label``
-    are the masks of those cji, and the mask of a cji k maps to the one j
-    with a v j = k.  That is the j a scan of k's lower covers gives: k is
-    a cji of [a, b] exactly when it has one lower cover u there, and by
-    the label transfer the label k of u < k in [a, b] is a v j for the
-    L-label j of u < k.  The child for j is then k's own upper core
-    (k, pop_up_[a,b](k)), which is ``_child(a, b, j)``, and the key
-    (lab_up(u), lab_up(top)) starts with the child's mask.  The coatom
-    u = kappa_bar_d(k) is computed once, only for the maximal k, to order
-    coatoms and word both errors by name.  The distinctness check cannot
-    fire on an SD lattice (proof in the ``cores`` module docstring); it
-    stays as a guard.
-    """
-    a, b = node
-    names, up, down = lattice.names, lattice.up, lattice.down
-    above = _above(lattice)
-    full = down[b] & above[a]
-    members = up[a] & down[b]
-    by_mask: dict[int, int] = {}
-    for k in _bits(members):
-        intent = full & above[k]
-        mask = cores.get(intent)
-        if mask is None:
-            mask = cores[intent] = _labels_between(lattice, k, _pop_up_idx(lattice, k, b))
-        by_mask[mask] = k
-    if len(by_mask) != members.bit_count():
-        raise InconsistentLabels("cloUp: label sets do not separate elements")
-    has_top = by_mask.get(full) == a
-    kept: list[int] = []
-    for mask in sorted(by_mask, key=int.bit_count, reverse=True):
-        for other in kept:
-            if not mask & ~other:
-                break
-        else:
-            if not (has_top and mask == full):
-                kept.append(mask)
-    coatoms = {_kappa_bar_d_within(lattice, a, b, by_mask[mask]): mask for mask in kept}
-    if not has_top:
-        maxs = sorted(names[u] for u in coatoms)
+    try:
+        top = derived.top_name()
+    except NoBoundsError as exc:
         raise RecursionMismatch(
-            f"derived order has no unique top element (no unique maximum: {_name_list(maxs)}); "
-            "the lattice is not a nuclear interval"
-        )
-    label = {cores[full & above[j]]: j for j in _bits(full)}
-    for u in sorted(coatoms, key=names.__getitem__):
-        mask = coatoms[u]
-        if mask not in label:
+            f"derived order has no unique top element ({exc}); the lattice is not a nuclear interval"
+        ) from None
+    root, kids = _dag(lattice)
+    steps = {mask: {child: j for j, child in row.items()} for mask, row in kids.items()}
+    names, index, lab_up = lattice.names, lattice.index, _lab_up_masks(lattice)
+    for u in sorted(derived.lower_covers(top)):
+        if lab_up[index[u]] not in steps[root]:
             raise RecursionMismatch(
-                f"kappa_bar({names[u]!r}) = {names[by_mask[mask]]!r} is not completely join-irreducible"
+                f"kappa_bar({u!r}) = {kappa_bar(lattice, u)!r} is not completely join-irreducible"
             )
-        yield (mask, full), label[mask]
+    labels: dict[tuple[str, str], str] = {}
+    for lo, hi in derived.covers_named():
+        j = steps.get(lab_up[index[hi]], {}).get(lab_up[index[lo]])
+        if j is None:
+            raise RecursionMismatch(f"cover ({lo!r}, {hi!r}) of the derived order is not a kappa_d step")
+        labels[(lo, hi)] = names[j]
+    return CloLabeling(poset=derived, labels=labels, label_leq=_inherited_label_leq(lattice))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -45,6 +46,13 @@ def sd_family_lattices(max_size=12):
     ]
     out += [S.generate("chain", n) for n in range(0, 6)]
     return [lat for lat in out if len(lat) <= max_size]
+
+
+@functools.cache
+def random_pool(seed, max_mid, count):
+    """``count`` draws of ``random_sd_lattice`` from ``Random(seed)``, drawn once a session."""
+    rng = random.Random(seed)
+    return tuple(S.random_sd_lattice(rng=rng, max_mid=max_mid) for _ in range(count))
 
 
 # Two random_sd_lattice draws whose cloUp is not contained in the order of L,

@@ -20,19 +20,22 @@ reads off masks or off intervals of the parent lattice:
 * ``posets_isomorphic``: an order isomorphism of two small posets, by
   backtracking;
 * ``catalan``: the Catalan numbers by their recursion, for the tamari sizes;
-* ``kd_nodes``, ``count_kd_nodes``, ``enumerate_kd_nodes`` and
-  ``recursive_labels_nodes``: the kappa_d-exceptional walks of ``sequences``
-  on a DAG with one node per interval (a, b), where the library keeps one
-  node per label mask; their clo-up step takes kappa_bar of every member
-  of a node (``kappa_bar_within``), where the library reads upper cores.
+* ``kd_nodes``, ``count_kd_nodes`` and ``enumerate_kd_nodes``: the
+  kappa_d-exceptional walks of ``sequences`` on a DAG with one node per
+  interval (a, b), where the library keeps one node per label mask;
+* ``recursive_labels_nodes``: the clo-up recursion on that DAG, which
+  takes kappa_bar of every member of a node (``kappa_bar_within``), and
+  ``clo_labeling_from_keys``: its mask-keyed labels mapped onto cloUp,
+  where the library reads the labels off the mask table.
 """
 
 from sdlat import InconsistentLabels, LabeledPoset, Lattice, Poset, cjr, cmr, irreducible_table
 from sdlat import CanonicalRep, NoUniqueMax, RecursionMismatch, SizeLimitExceeded, j_label_interval
+from sdlat import CloLabeling
 from sdlat.core import _bits, _lsb, _name_list
 from sdlat.cores import OrdersReport, clo_down, clo_up, kappa_order, lab_down_map, lab_up_map, w_map
-from sdlat.cores import _pop_up_idx
-from sdlat.irreducibles import _j_label_idx, _kappa, _labels_between, _sorted_names
+from sdlat.cores import _lab_up_masks, _pop_up_idx
+from sdlat.irreducibles import _inherited_label_leq, _j_label_idx, _kappa, _labels_between, _sorted_names
 from sdlat.irreducibles import kappa_bar_map
 
 
@@ -455,12 +458,12 @@ def count_kd_nodes(lattice, maximal_only=False):
 
 
 def recursive_labels_nodes(lattice):
-    """``sequences._recursive_labels`` with one node per interval (a, b).
+    """The clo-up recursion, one node per interval (a, b): cover labels
+    keyed by (lab_up(lower), lab_up(upper)) masks, errors included.
 
-    Each finished node's labels are merged into its parent's by
-    ``_merge_labels``, with its conflict test: the library writes each key
-    once into one dict, and this keeps the merge that its docstring proves
-    needless, as the check on that proof.
+    Depth first from the root, children in the name order of the coatoms
+    that lead to them; each finished node's labels are merged into its
+    parent's by ``_merge_labels``, with its conflict test.
     """
     root = _node_root(lattice)
     done = {}
@@ -481,6 +484,32 @@ def recursive_labels_nodes(lattice):
             else:
                 stack.append((child, {}, node_label_steps(lattice, child)))
     return done[root]
+
+
+def clo_labeling_from_keys(lattice, keyed):
+    """The recursion's mask-keyed labels as a labeling of cloUp's covers.
+
+    Each key must name two elements of cloUp by their lab_up masks and be a
+    cover of it, and every cover must get a label; labels come in the order
+    of the keys.
+    """
+    derived = clo_up(lattice)
+    names = lattice.names
+    by_mask = {mask: names[x] for x, mask in enumerate(_lab_up_masks(lattice))}
+    covers = set(derived.covers_named())
+    labels = {}
+    for (mask_lo, mask_hi), lbl in keyed.items():
+        lo = by_mask.get(mask_lo)
+        hi = by_mask.get(mask_hi)
+        if lo is None or hi is None:
+            raise RecursionMismatch("recursive label set does not match any element of the derived order")
+        if (lo, hi) not in covers:
+            raise RecursionMismatch(f"recursion labeled ({lo!r}, {hi!r}), which is not a cover of the derived order")
+        labels[(lo, hi)] = names[lbl]
+    if len(labels) != len(covers):
+        missing = sorted(covers - set(labels))
+        raise RecursionMismatch(f"covers left unlabeled: {missing[:4]}")
+    return CloLabeling(poset=derived, labels=labels, label_leq=_inherited_label_leq(lattice))
 
 
 def _merge_labels(lattice, frame, labels):

@@ -390,9 +390,9 @@ def test_no_from_leq_calls(module):
 
 
 def test_sequences_names_no_kappa_bar_helper():
-    # the clo-up recursion reads upper cores and names coatoms by
-    # kappa_bar_d; taking kappa_bar for every member of a node is the
-    # slower step kept in tests/oracles.py
+    # the clo-up labeling reads the mask table and names kappa_bar only on
+    # its error path, through the public kappa_bar; taking kappa_bar for
+    # every member of a node is the slower step kept in tests/oracles.py
     tree = ast.parse((SRC / "sequences.py").read_text(encoding="utf-8"))
     helpers = {"_kappa_bar_idx", "_kappa_bar_within", "kappa_bar_map"}
     lines = [
@@ -405,27 +405,17 @@ def test_sequences_names_no_kappa_bar_helper():
 
 def test_sequences_steps_to_a_child_in_one_place():
     # the n-bit child step (a v j, then pop_up inside the node) lives in
-    # _child, and _node_steps reads only its members' upper-core masks with
-    # pop_up; cover labels come off the intent memo, not off lower covers,
-    # so one context can replace both
+    # _child alone, and cover labels come off the mask table, not off
+    # lower covers, so one context can replace the step
     tree = ast.parse((SRC / "sequences.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     in_child = {id(sub) for sub in ast.walk(functions["_child"])}
-    member_masks = [
-        line
-        for line in ast.walk(functions["_node_steps"])
-        if isinstance(line, ast.Assign)
-        and any(isinstance(t, ast.Subscript) and getattr(t.value, "id", None) == "cores" for t in line.targets)
-    ]
-    assert len(member_masks) == 1
-    in_member_mask = in_child | {id(sub) for sub in ast.walk(member_masks[0])}
-    allowed = {"_lsb": in_child, "_pop_up_idx": in_member_mask}
     lines = [
         node.lineno
         for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and node.id in allowed and id(node) not in allowed[node.id]
+        if isinstance(node, ast.Name) and node.id in {"_lsb", "_pop_up_idx"} and id(node) not in in_child
     ]
-    assert lines == [], f"sequences.py steps to a child outside _child and _node_steps on lines {lines}"
+    assert lines == [], f"sequences.py steps to a child outside _child on lines {lines}"
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}

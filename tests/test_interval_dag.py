@@ -6,10 +6,11 @@ on its own, with names mapped back through ``j -> lo v j``.  Enumeration,
 verification (including the failing entry and depth), right-extendability
 and the recursive clo-up labels, errors included, must agree on fixed
 families, the random SD pools and their duals.  The library walks label
-masks, and its clo-up recursion keeps one node per mask; the walks with
-one node per interval (a, b) in ``oracles`` must agree with it on the
-same lattices and on larger random pools, errors included, and counters
-check that each walk steps from, or expands, one node per mask.
+masks and reads the clo-up labels off its mask table; the walks with one
+node per interval (a, b) in ``oracles``, the clo-up recursion among them,
+must agree with it on the same lattices and on larger random pools,
+errors included, and counters check that each walk steps from one node
+per mask.
 Closed-form counts of maximal sequences are gold tests for
 ``count_kd_exceptional``.
 """
@@ -23,12 +24,12 @@ import pytest
 import sdlat as S
 from sdlat import NoBoundsError, RecursionMismatch
 from sdlat.core import _bits
-from sdlat.cores import _pop_up_idx, clo_up, lab_up_map, pop_up
-from sdlat.irreducibles import _above, _kappa_bar_d_within, _labels_between
+from sdlat.cores import clo_up, lab_up_map, pop_up
+from sdlat.irreducibles import _kappa_bar_d_within, _labels_between
 
-from conftest import sd_family_lattices
+from conftest import random_pool, sd_family_lattices
 from oracles import as_lattice, count_kd_nodes, enumerate_kd_nodes, kappa_bar_within, kd_nodes
-from oracles import node_label_steps, recursive_labels_nodes
+from oracles import clo_labeling_from_keys, node_label_steps, recursive_labels_nodes
 
 FAMILIES = [("tamari", n) for n in range(3, 7)] + [("boolean", n) for n in range(2, 6)]
 FAMILIES += [("fig1", None), ("fig4", None)] + [("chain", n) for n in range(2, 7)]
@@ -176,51 +177,41 @@ def check_verifier(lat, oracle, limit=400):
             )
 
 
-def check_labels(lat, oracle):
-    """Same labels in the same order, or the same error type and message."""
-    got = _outcome(S.sequences._recursive_labels, lat)
-    expected = _outcome(mask_keyed_labels, oracle, lat)
-    if got[0] == "ok" and expected[0] == "ok":
-        assert list(got[1].items()) == list(expected[1].items())
-    else:
-        assert got == expected
-
-
-def check_label_clo_up(lat, oracle, monkeypatch):
+def check_same_labeling(lat, expected):
+    """``label_clo_up`` gives the expected labels and label order, or the
+    same error type and message, with its labels in cover order."""
     got = _outcome(S.label_clo_up, lat)
-    with monkeypatch.context() as patch:
-        patch.setattr(S.sequences, "_recursive_labels", lambda each: mask_keyed_labels(oracle, each))
-        expected = _outcome(S.label_clo_up, lat)
     if got[0] == "ok" and expected[0] == "ok":
-        assert list(got[1].labels.items()) == list(expected[1].labels.items())
+        assert got[1].labels == expected[1].labels
         assert got[1].label_leq == expected[1].label_leq
+        assert list(got[1].labels) == list(got[1].poset.covers_named())
     else:
         assert got == expected
     return expected[0]
 
 
-def check_node_walk(lat, monkeypatch):
+def check_label_clo_up(lat, oracle):
+    return check_same_labeling(lat, _outcome(lambda: clo_labeling_from_keys(lat, mask_keyed_labels(oracle, lat))))
+
+
+def check_node_walk(lat):
     """Counts, sorted listings with flags and clo-up labels, or the same error, per node walk.
 
-    The clo-up step of each node, read off upper cores, must also yield
-    the keys and labels that the step with kappa_bar per member yields, or
-    raise alike, with one intent memo shared by every interval node; the
-    ``_child`` step for each label is the node the oracle step reaches.
-    Only the root can lack a top of cloUp, and it lacks one exactly when
-    cloUp of the lattice does.
+    Each label the clo-up step of a node writes is an edge of ``_dag``'s
+    table: the child mask for that label is the lower mask of its key, and
+    the upper mask is the node's.  Only the root can lack a top of cloUp,
+    and it lacks one exactly when cloUp of the lattice does.
     """
     root = (lat._bot, lat._top)
-    cores = {}  # one intent memo for every interval node, not only the first of each mask
+    _, kids = S.sequences._dag(lat)
     for node in kd_nodes(lat):
-        got = _outcome(lambda: list(S.sequences._node_steps(lat, node, cores)))
-        expected = _outcome(lambda: list(node_label_steps(lat, node)))
-        if got[0] == "ok" and expected[0] == "ok":
-            assert got[1] == [(key, label) for key, label, _ in expected[1]]
-            children = [S.sequences._child(lat, *node, label) for _, label in got[1]]
-            assert children == [child for _, _, child in expected[1]]
-        else:
-            assert got == expected
-        no_top = got[0] is RecursionMismatch and "no unique top element" in got[1]
+        steps = _outcome(lambda: list(node_label_steps(lat, node)))
+        if steps[0] == "ok":
+            mask = _labels_between(lat, *node)
+            for (lo, hi), label, child in steps[1]:
+                assert hi == mask
+                assert kids[mask][label] == lo == _labels_between(lat, *child)
+        no_top = steps[0] is RecursionMismatch and "no unique top element" in steps[1]
         assert no_top == (node == root and _outcome(clo_up(lat).top_name)[0] is NoBoundsError)
     for maximal_only in (False, True):
         got = _outcome(S.count_kd_exceptional, lat, maximal_only)
@@ -228,70 +219,22 @@ def check_node_walk(lat, monkeypatch):
         got = _outcome(S.enumerate_kd_exceptional, lat, maximal_only, True)
         got = (got[0], [(s.entries, s.right_extendable) for s in got[1]]) if got[0] == "ok" else got
         assert got == _outcome(enumerate_kd_nodes, lat, maximal_only, True)
-    got = _outcome(S.sequences._recursive_labels, lat)
-    expected = _outcome(recursive_labels_nodes, lat)
-    if got[0] == "ok" and expected[0] == "ok":
-        assert list(got[1].items()) == list(expected[1].items())
-    else:
-        assert got == expected
-    check_intent_memo(lat, monkeypatch)
-    got = _outcome(S.label_clo_up, lat)
-    with monkeypatch.context() as patch:
-        patch.setattr(S.sequences, "_recursive_labels", recursive_labels_nodes)
-        expected = _outcome(S.label_clo_up, lat)
-    if got[0] == "ok" and expected[0] == "ok":
-        assert list(got[1].labels.items()) == list(expected[1].labels.items())
-    else:
-        assert got == expected
-
-
-def check_intent_memo(lat, monkeypatch):
-    """One intent memo serves the whole clo-up recursion, and each mask it
-    holds is the upper core, read directly, of every member of every
-    expanded node whose intent it is keyed by."""
-    memos, expanded = [], []
-    steps = S.sequences._node_steps
-
-    def recorded(lattice, node, cores):
-        memos.append(cores)
-        expanded.append(node)
-        return steps(lattice, node, cores)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(S.sequences, "_node_steps", recorded)
-        _outcome(S.sequences._recursive_labels, lat)
-    (cores,) = {id(memo): memo for memo in memos}.values()
-    above = _above(lat)
-    hit = set()
-    for a, b in expanded:
-        full = _labels_between(lat, a, b)
-        for k in _bits(lat.up[a] & lat.down[b]):
-            intent = full & above[k]
-            assert cores[intent] == _labels_between(lat, k, _pop_up_idx(lat, k, b))
-            hit.add(intent)
-    assert hit == set(cores)
+    check_same_labeling(lat, _outcome(lambda: clo_labeling_from_keys(lat, recursive_labels_nodes(lat))))
 
 
 def steps_taken(monkeypatch, call):
-    """The nodes that ``_child`` steps from and to, and that ``_node_steps``
-    expands, while ``call()`` runs."""
-    stepped, reached, expanded = [], [], []
-    child, steps = S.sequences._child, S.sequences._node_steps
+    """The nodes that ``_child`` steps from while ``call()`` runs."""
+    stepped = []
+    child = S.sequences._child
 
     def counted_child(lattice, a, b, j):
         stepped.append((a, b))
-        reached.append(child(lattice, a, b, j))
-        return reached[-1]
-
-    def counted_steps(lattice, node, cores):
-        expanded.append(node)
-        return steps(lattice, node, cores)
+        return child(lattice, a, b, j)
 
     with monkeypatch.context() as patch:
         patch.setattr(S.sequences, "_child", counted_child)
-        patch.setattr(S.sequences, "_node_steps", counted_steps)
         call()
-    return stepped, reached, expanded
+    return stepped
 
 
 # -- tests --------------------------------------------------------------------
@@ -299,34 +242,31 @@ def steps_taken(monkeypatch, call):
 
 @pytest.mark.parametrize("family,n", FAMILIES)
 @pytest.mark.parametrize("dual", [False, True])
-def test_families_match_rebuild_recursion(family, n, dual, monkeypatch):
+def test_families_match_rebuild_recursion(family, n, dual):
     lat = S.generate(family, n)
     lat = lat.dual() if dual else lat
     oracle = RebuildOracle()
     check_sequences(lat, oracle)
     check_verifier(lat, oracle)
-    check_labels(lat, oracle)
-    check_label_clo_up(lat, oracle, monkeypatch)
-    check_node_walk(lat, monkeypatch)
+    check_label_clo_up(lat, oracle)
+    check_node_walk(lat)
 
 
-def test_small_pool_matches_rebuild_recursion(small_sd_lattices, monkeypatch):
+def test_small_pool_matches_rebuild_recursion(small_sd_lattices):
     for lat in small_sd_lattices + sd_family_lattices():
         for each in (lat, lat.dual()):
             oracle = RebuildOracle()
             check_sequences(each, oracle)
             check_verifier(each, oracle, limit=100)
-            check_labels(each, oracle)
-            check_label_clo_up(each, oracle, monkeypatch)
-            check_node_walk(each, monkeypatch)
+            check_label_clo_up(each, oracle)
+            check_node_walk(each)
 
 
 @pytest.mark.parametrize("seed,max_mid", [(1, 8), (2, 9), (3, 7)])
-def test_random_pools_match_node_walk(seed, max_mid, monkeypatch):
-    rng = random.Random(seed)
-    for lat in [S.random_sd_lattice(rng=rng, max_mid=max_mid) for _ in range(300)]:
+def test_random_pools_match_node_walk(seed, max_mid):
+    for lat in random_pool(seed, max_mid, 300):
         for each in (lat, lat.dual()):
-            check_node_walk(each, monkeypatch)
+            check_node_walk(each)
 
 
 MASK_FAMILIES = [("tamari", n) for n in range(3, 9)] + [("boolean", n) for n in range(2, 6)]
@@ -344,19 +284,14 @@ def test_one_node_per_label_mask(family, n, monkeypatch):
     ]
     if len(lat) <= 132:
         walks.append(lambda: S.enumerate_kd_exceptional(lat, mark_right_extendable=True))
+    # the clo-up labeling reads the table and steps nowhere else
+    walks.append(lambda: S.label_clo_up(lat))
     for walk in walks:
-        stepped, _, expanded = steps_taken(monkeypatch, walk)
+        stepped = steps_taken(monkeypatch, walk)
         assert len(stepped) == sum(mask.bit_count() for mask in masks)
-        assert expanded == []
         from_nodes = set(stepped)
         assert len(from_nodes) == len(masks) - 1
         assert {_labels_between(lat, *node) for node in from_nodes} == masks - {0}
-    stepped, reached, expanded = steps_taken(monkeypatch, lambda: S.sequences._recursive_labels(lat))
-    # the recursion steps once to each node it expands but the root, from an expanded node
-    assert reached == expanded[1:]
-    assert set(stepped) <= set(expanded)
-    assert len(expanded) == len(masks)
-    assert {_labels_between(lat, *node) for node in expanded} == masks
 
 
 def names_reversed(lat):
@@ -417,14 +352,13 @@ def test_kappa_bar_d_within_inverts_interval_kappa_bar(small_sd_lattices):
     assert nodes > 1000
 
 
-def test_random_pool_labels_and_errors(monkeypatch):
+def test_random_pool_labels_and_errors():
     rng = random.Random(1)
     outcomes = []
     for lat in [S.random_sd_lattice(rng=rng, max_mid=7) for _ in range(110)]:
         for each in (lat, lat.dual()):
             oracle = RebuildOracle()
-            check_labels(each, oracle)
-            outcomes.append(check_label_clo_up(each, oracle, monkeypatch))
+            outcomes.append(check_label_clo_up(each, oracle))
             check_sequences(each, oracle)
     # both branches are exercised: some labelings exist, many fail
     assert outcomes.count("ok") >= 10

@@ -1,11 +1,12 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 import sdlat as S
 from sdlat import BadParameter, NotJoinIrreducible, RecursionMismatch
 
-from conftest import sd_family_lattices
+from conftest import random_pool, sd_family_lattices
 
 FIG1_MAXIMAL = {
     ("j1", "j2", "j4"),
@@ -184,21 +185,58 @@ def test_label_clo_up_needs_nuclear_top():
         S.label_clo_up(S.generate("chain", 2))
 
 
-def test_label_clo_up_reports_keys_that_miss_the_derived_order(fig1, monkeypatch):
-    # each key the recursion may return is checked against cloUp itself
-    lab_up = S.cores._lab_up_masks(fig1)
-    bot, top = (lab_up[fig1.index[x]] for x in ("bot", "top"))
-    cases = [
-        ({(1 << len(fig1), top): 0}, "recursive label set does not match any element of the derived order"),
-        ({(bot, top): 0}, "recursion labeled ('bot', 'top'), which is not a cover of the derived order"),
-        ({}, "covers left unlabeled: [('bot', 'j1'), ('bot', 'j2'), ('bot', 'j3'), ('bot', 'j4')]"),
-    ]
-    for keyed, message in cases:
-        with monkeypatch.context() as patch:
-            patch.setattr(S.sequences, "_recursive_labels", lambda lattice: keyed)
-            with pytest.raises(RecursionMismatch) as info:
-                S.label_clo_up(fig1)
-        assert str(info.value) == message
+def test_label_clo_up_reports_covers_that_are_no_kappa_d_step(fig1, monkeypatch):
+    # a cover is labeled by the table edge from its upper mask to its lower
+    # one; with the edge for j3 out of m1's row, the cover (j2, m1) has none
+    dag = S.sequences._dag
+    m1, j3 = (fig1.index[x] for x in ("m1", "j3"))
+
+    def dropped(lattice):
+        root, kids = dag(lattice)
+        del kids[S.cores._lab_up_masks(lattice)[m1]][j3]
+        return root, kids
+
+    monkeypatch.setattr(S.sequences, "_dag", dropped)
+    with pytest.raises(RecursionMismatch) as info:
+        S.label_clo_up(fig1)
+    assert str(info.value) == "cover ('j2', 'm1') of the derived order is not a kappa_d step"
+
+
+def chain_words(labeling):
+    """The label words of the maximal chains of a labeled cloUp, read bottom to top."""
+    poset, labels = labeling.poset, labeling.labels
+    words = {}
+
+    def upward(x):
+        if x not in words:
+            ups = poset.upper_covers(x)
+            words[x] = [(labels[(x, y)],) + word for y in ups for word in upward(y)] if ups else [()]
+        return words[x]
+
+    return upward(poset.bottom_name())
+
+
+def test_clo_up_chain_words_are_the_maximal_sequences():
+    # the paper's brick labeling on lattices: where cloUp is a lattice and
+    # the labeling exists, the words of its maximal chains are the maximal
+    # kappa_d-exceptional sequences as displayed, each once
+    lattices = [S.generate("tamari", n) for n in range(2, 7)] + [S.generate("boolean", n) for n in range(1, 6)]
+    lattices += [S.generate("fig1"), S.generate("fig4")] + list(random_pool(1, 8, 300)[:150])
+    cases = Counter()
+    for lat in lattices:
+        for each in (lat, lat.dual()):
+            try:
+                labeling = S.label_clo_up(each)
+            except RecursionMismatch:
+                cases["labeling raises"] += 1
+                continue
+            if not labeling.poset.is_lattice():
+                cases["cloUp is not a lattice"] += 1
+                continue
+            maximal = [s.entries for s in S.enumerate_kd_exceptional(each, maximal_only=True)]
+            assert sorted(chain_words(labeling)) == maximal
+            cases["checked"] += 1
+    assert cases == {"checked": 128, "labeling raises": 182, "cloUp is not a lattice": 14}
 
 
 def test_maximal_count_matches_clo_up_chains_fig1(fig1):
