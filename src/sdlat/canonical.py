@@ -15,9 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Lattice, _name_tuple
+from .core import Lattice, _bits, _name_tuple
 from .errors import BadParameter, NotJoinIrreducible, SizeLimitExceeded
-from .irreducibles import _j_label_idx, _kappa, irreducible_table
+from .irreducibles import _cover_label_masks, _kappa, _label_context, _sorted_names, irreducible_table
 
 
 @dataclass(frozen=True)
@@ -36,16 +36,14 @@ class CanonicalRep:
 def cjr(lattice: Lattice, x: str) -> CanonicalRep:
     """Canonical join representation from the labels of the covers below x."""
     i = lattice.index[x]
-    _kappa(lattice)  # raises NotSemidistributive even when x is the bottom
-    joinands = sorted(lattice.names[_j_label_idx(lattice, u, i)] for u in lattice._dcov[i])
-    return CanonicalRep(element=x, joinands=tuple(joinands))
+    return CanonicalRep(element=x, joinands=_sorted_names(lattice, _cover_label_masks(lattice)[0][i]))
 
 
 def cmr(lattice: Lattice, x: str) -> CanonicalRep:
     """Canonical meet representation from the labels of the covers above x."""
     i = lattice.index[x]
-    kappa = _kappa(lattice)
-    meetands = sorted(lattice.names[kappa[_j_label_idx(lattice, i, v)]] for v in lattice._ucov[i])
+    kappa, cji, names = _kappa(lattice), _label_context(lattice).cji, lattice.names
+    meetands = sorted(names[kappa[cji[p]]] for p in _bits(_cover_label_masks(lattice)[1][i]))
     return CanonicalRep(element=x, joinands=tuple(meetands), kind="meet")
 
 

@@ -9,13 +9,16 @@ kappa order x <= y iff x <= y and kappa_bar(y) <= kappa_bar(x), which is
 inclusion of the W sets (proof in ``kappa_order``).
 
 So all three derived orders are inclusion orders of a list of label masks,
-one mask per element, and ``_label_order`` builds each distinct list once
-per lattice: orders whose lists coincide (all three on the tamari and
-boolean lattices) are one object.  The msb walk (``core._lower_covers``)
-over the up-sets of an inclusion order gives its index covers, an exact
-reduction by construction, so ``Poset._from_cover_pairs`` indexes the
-order by (height, name), as ``to_document`` exposes it, without the name
-and cover checks of ``Poset.from_covers``; the reduction test in
+one mask per element.  A mask holds the positions of its labels, the cji
+numbered 0..|J|-1 in name order (``irreducibles._label_context``), so it
+is |J| bits wide and its names come out sorted by a walk over its bits.
+``_label_order`` builds each distinct list once per lattice: orders
+whose lists coincide (all three on the tamari and boolean lattices) are
+one object.  The msb walk (``core._lower_covers``) over the up-sets of
+an inclusion order gives its index covers, an exact reduction by
+construction, so ``Poset._from_cover_pairs`` indexes the order by
+(height, name), as ``to_document`` exposes it, without the name and
+cover checks of ``Poset.from_covers``; the reduction test in
 ``Poset.__init__``, which closes the down-sets, runs but never fires.
 Names appear only at the boundary: in ``covers_named``, the label-set
 maps and the witnesses of ``orders_coincide_report``.
@@ -40,7 +43,7 @@ test:
 
 Two derived orders are equal exactly when their mask lists are, so they
 are compared without being built.  Each family gives every completely
-join-irreducible j the mask {j}:
+join-irreducible j the mask {j}, the one bit of j's position:
 
 - lab_down(j) labels [j_*, j], whose one cover has label j;
 - W(j) = {j}: j is in W(j) as kappa_bar(j) = kappa(j), and an i < j in J
@@ -57,7 +60,6 @@ masks.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -137,14 +139,13 @@ def core_data(lattice: Lattice, x: str) -> CoreData:
     names = lattice.names
     i = lattice.index[x]
     k = _kappa_bar_idx(lattice)[i]
-    pd = _pop_down_idx(lattice, i, lattice._bot)
-    pk = _pop_up_idx(lattice, k, lattice._top)
+    pd, pops_up = _pop_downs(lattice)[i], _pop_ups(lattice)
     return CoreData(
         element=x,
         pop_down=names[pd],
-        pop_up=names[_pop_up_idx(lattice, i, lattice._top)],
+        pop_up=names[pops_up[i]],
         core_down=lattice.interval(names[pd], x),
-        core_up=lattice.interval(names[k], names[pk]),
+        core_up=lattice.interval(names[k], names[pops_up[k]]),
         lab_down=_sorted_names(lattice, _lab_down_masks(lattice)[i]),
         lab_up=_sorted_names(lattice, _lab_up_masks(lattice)[i]),
         w_set=_sorted_names(lattice, _w_masks(lattice)[i]),
@@ -152,24 +153,37 @@ def core_data(lattice: Lattice, x: str) -> CoreData:
 
 
 @memoized
-def _lab_down_masks(lattice: Lattice) -> list[int]:
+def _pop_downs(lattice: Lattice) -> list[int]:
+    """pop_down of every element, memoized."""
     bot = lattice._bot
-    return [_labels_between(lattice, _pop_down_idx(lattice, x, bot), x) for x in range(lattice.n)]
+    return [_pop_down_idx(lattice, x, bot) for x in range(lattice.n)]
+
+
+@memoized
+def _pop_ups(lattice: Lattice) -> list[int]:
+    """pop_up of every element, memoized."""
+    top = lattice._top
+    return [_pop_up_idx(lattice, x, top) for x in range(lattice.n)]
+
+
+@memoized
+def _lab_down_masks(lattice: Lattice) -> list[int]:
+    """lab_down of every element x, as position masks: the labels of [pop_down(x), x]."""
+    return [_labels_between(lattice, pd, x) for x, pd in enumerate(_pop_downs(lattice))]
 
 
 @memoized
 def _lab_up_masks(lattice: Lattice) -> list[int]:
-    """lab_up of every element x, as masks: the labels of its upper core.
+    """lab_up of every element x, as position masks: the labels of its upper core.
 
     The upper core of x is [k, pop_up(k)] with k = kappa_bar(x).
     """
-    top = lattice._top
-    return [_labels_between(lattice, k, _pop_up_idx(lattice, k, top)) for k in _kappa_bar_idx(lattice)]
+    pops_up = _pop_ups(lattice)
+    return [_labels_between(lattice, k, pops_up[k]) for k in _kappa_bar_idx(lattice)]
 
 
 def _label_sets(lattice: Lattice, masks: list[int]) -> dict[str, frozenset[str]]:
-    names = lattice.names
-    return {names[x]: frozenset(names[j] for j in _bits(m)) for x, m in enumerate(masks)}
+    return {name: frozenset(_sorted_names(lattice, m)) for name, m in zip(lattice.names, masks)}
 
 
 @memoized
@@ -186,7 +200,7 @@ def lab_up_map(lattice: Lattice) -> dict[str, frozenset[str]]:
 
 @memoized
 def _w_masks(lattice: Lattice) -> list[int]:
-    """W(x) = {j in cji : j <= x and kappa(j) >= kappa_bar(x)} of every element, as masks."""
+    """W(x) = {j in cji : j <= x and kappa(j) >= kappa_bar(x)} of every element, as position masks."""
     return [_labels_between(lattice, k, x) for x, k in enumerate(_kappa_bar_idx(lattice))]
 
 
@@ -242,8 +256,8 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
     is the order built from it first.  ``kind`` names the order in the
     error raised when the masks do not separate the elements.
 
-    With having[j] the set of elements whose label set contains j, the
-    up-set of x is the intersection of having[j] over the labels j of x:
+    With having[p] the set of elements whose label set holds position p,
+    the up-set of x is the intersection of having[p] over the labels p of x:
     one mask op per label x has, and an element has few labels next to
     those it misses.  Listed by decreasing label-set size, the elements are
     a linear extension of reverse inclusion, so the msb walk of
@@ -258,18 +272,18 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
         raise InconsistentLabels(f"{kind}: label sets do not separate elements")
     n = lattice.n
     ranked = sorted(range(n), key=lambda x: -masks[x].bit_count())
-    # having[j] written as binary digits: bit r is set when ranked[r] has j
-    rows: defaultdict[int, bytearray] = defaultdict(lambda: bytearray(b"0" * n))
+    # having[p] written as binary digits: bit r is set when ranked[r] has p
+    rows = [bytearray(b"0" * n) for _ in range(max(masks).bit_length())]
     for r, x in enumerate(ranked):
-        for j in _bits(masks[x]):
-            rows[j][n - 1 - r] = ord("1")
-    having = {j: int(row, 2) for j, row in rows.items()}
+        for p in _bits(masks[x]):
+            rows[p][n - 1 - r] = ord("1")
+    having = [int(row, 2) for row in rows]
     full = (1 << n) - 1
     up = []
     for x in ranked:
         acc = full
-        for j in _bits(masks[x]):
-            acc &= having[j]
+        for p in _bits(masks[x]):
+            acc &= having[p]
         up.append(acc)
     covers = [(lo, hi) for lo, highs in enumerate(_lower_covers(up)) for hi in highs]
     del up  # n masks of n bits, freed before the build allocates its own

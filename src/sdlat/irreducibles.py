@@ -9,11 +9,14 @@ Both extrema exist precisely when the lattice is semidistributive
 checks semidistributivity and yields the kappa table; see
 ``Poset._kappa_maps``.
 
-Cover labels come from masks too.  With above[u] = {j : kappa(j) >= u},
-the j-label of a cover u < v is the single bit of ``down[v] & above[u]``
-and its m-label is kappa of that j-label; kappa_bar, kappa_bar_d and the
-label sets of intervals are read off the same masks.  A mask that is not
-a single bit raises NoUniqueMax.
+Cover labels come from masks too, on cji positions.  The label context
+(``_label_context``) numbers the cji 0..|J|-1 in name order, and a label
+set is a |J|-bit mask of positions.  With jdown[x] = {j : j <= x} and
+jabove[u] = {j : kappa(j) >= u}, the j-label of a cover u < v is the
+single bit of ``jdown[v] & jabove[u]`` and its m-label is kappa of that
+j-label; kappa_bar, kappa_bar_d and the label sets of intervals are read
+off the same masks, and a label set comes out in name order by a walk
+over its bits.  A mask that is not a single bit raises NoUniqueMax.
 """
 
 from __future__ import annotations
@@ -68,26 +71,59 @@ def _kappa(lattice: Lattice) -> dict[int, int]:
     return lattice._kappa_maps()[0]
 
 
+@dataclass(frozen=True)
+class _LabelContext:
+    """The cji numbered 0..|J|-1 in name order, and the label masks on those positions.
+
+    ``cji[p]`` is the element index of position p, ``jdown[x]`` the mask of
+    the positions of the cji <= x and ``jabove[u]`` that of the j with
+    kappa(j) >= u.
+    """
+
+    cji: tuple[int, ...]
+    jdown: list[int]
+    jabove: list[int]
+
+
 @memoized
-def _above(lattice: Lattice) -> list[int]:
-    """above[u] is the mask of the cji j with kappa(j) >= u, memoized."""
-    seeds = [0] * lattice.n
-    for j, k in _kappa(lattice).items():
-        seeds[k] |= 1 << j
-    return lattice._union_above(seeds)
+def _label_context(lattice: Lattice) -> _LabelContext:
+    """The label context of the lattice, memoized; raises NotSemidistributive as irreducible_table does.
+
+    Positions follow the table's cji, which are sorted by name.
+    """
+    kappa, n = _kappa(lattice), lattice.n
+    cji = tuple(lattice.index[j] for j in irreducible_table(lattice).cji)
+    jdown, above = [0] * n, [0] * n
+    for p, j in enumerate(cji):
+        jdown[j] = 1 << p
+        above[kappa[j]] |= 1 << p
+    for x, lows in enumerate(lattice._dcov):
+        acc = jdown[x]
+        for u in lows:
+            acc |= jdown[u]
+        jdown[x] = acc
+    return _LabelContext(cji, jdown, lattice._union_above(above))
 
 
 def _labels_between(lattice: Lattice, lo: int, hi: int) -> int:
-    """Mask of the cji labels of covers inside [lo, hi]: j <= hi and kappa(j) >= lo."""
-    return lattice.down[hi] & _above(lattice)[lo]
+    """Mask of the positions of the labels of covers inside [lo, hi]: j <= hi and kappa(j) >= lo."""
+    context = _label_context(lattice)
+    return context.jdown[hi] & context.jabove[lo]
 
 
 def _sorted_names(lattice: Lattice, mask: int) -> tuple[str, ...]:
-    return tuple(sorted(lattice.names[i] for i in _bits(mask)))
+    """The names of the cji at the positions of ``mask``, in name order: a walk up its bits."""
+    names, cji = lattice.names, _label_context(lattice).cji
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(names[cji[low.bit_length() - 1]])
+        mask ^= low
+    return tuple(out)
 
 
 def _j_label_idx(lattice: Lattice, u: int, v: int) -> int:
-    """The j-label of the cover u < v: the one label inside [u, v]."""
+    """The position of the j-label of the cover u < v: the one label inside [u, v]."""
     mask = _labels_between(lattice, u, v)
     if mask.bit_count() != 1:
         names = lattice.names
@@ -110,8 +146,8 @@ def j_label_cover(lattice: Lattice, lower: str, upper: str) -> str:
     """
     if not lattice.is_cover(lower, upper):
         raise NotACover(f"({lower!r}, {upper!r}) is not a cover relation")
-    j = _j_label_idx(lattice, lattice.index[lower], lattice.index[upper])
-    return lattice.names[j]
+    p = _j_label_idx(lattice, lattice.index[lower], lattice.index[upper])
+    return lattice.names[_label_context(lattice).cji[p]]
 
 
 def m_label_cover(lattice: Lattice, lower: str, upper: str) -> str:
@@ -124,11 +160,11 @@ def m_label_cover(lattice: Lattice, lower: str, upper: str) -> str:
 def cover_labeling(lattice: Lattice) -> CoverLabeling:
     """Labels for all covers at once, memoized on the lattice."""
     names, index = lattice.names, lattice.index
-    kappa = _kappa(lattice)
+    kappa, cji = _kappa(lattice), _label_context(lattice).cji
     jlabel = {}
     mlabel = {}
     for lo, hi in lattice.covers_named():
-        j = _j_label_idx(lattice, index[lo], index[hi])
+        j = cji[_j_label_idx(lattice, index[lo], index[hi])]
         jlabel[(lo, hi)] = names[j]
         mlabel[(lo, hi)] = names[kappa[j]]
     return CoverLabeling(jlabel=jlabel, mlabel=mlabel)
@@ -147,23 +183,40 @@ def _inherited_label_leq(lattice: Lattice) -> frozenset[tuple[str, str]]:
     """The strict pairs (a, b) of cji names with a < b in the lattice.
 
     This is the order cji labels inherit as lattice elements, read off the
-    down-set masks; it raises NotSemidistributive as irreducible_table does.
+    jdown masks; it raises NotSemidistributive as irreducible_table does.
     """
-    cji = _kappa(lattice)
-    mask = sum(1 << j for j in cji)
-    names, down = lattice.names, lattice.down
-    return frozenset((names[a], names[b]) for b in cji for a in _bits(down[b] & mask & ~(1 << b)))
+    context = _label_context(lattice)
+    names, cji, jdown = lattice.names, context.cji, context.jdown
+    return frozenset((names[cji[a]], names[j]) for b, j in enumerate(cji) for a in _bits(jdown[j] & ~(1 << b)))
+
+
+@memoized
+def _cover_label_masks(lattice: Lattice) -> tuple[list[int], list[int]]:
+    """Position masks of the labels of the covers below and above each element, memoized.
+
+    The labels below x are its canonical joinands; kappa of the labels
+    above x are its canonical meetands.
+    """
+    below, above = [0] * lattice.n, [0] * lattice.n
+    for x, lows in enumerate(lattice._dcov):
+        for u in lows:
+            bit = 1 << _j_label_idx(lattice, u, x)
+            below[x] |= bit
+            above[u] |= bit
+    return below, above
 
 
 @memoized
 def _kappa_bar_idx(lattice: Lattice) -> list[int]:
     """kappa_bar on indices: the meet of kappa(j) over the labels j of the covers below x."""
-    kappa, down, dcov = _kappa(lattice), lattice.down, lattice._dcov
+    kappa, down = _kappa(lattice), lattice.down
+    # meets[p]: the down-set of kappa of the cji at position p
+    meets = [down[kappa[j]] for j in _label_context(lattice).cji]
     out = []
-    for x in range(lattice.n):
+    for mask in _cover_label_masks(lattice)[0]:
         acc = down[lattice._top]
-        for u in dcov[x]:
-            acc &= down[kappa[_j_label_idx(lattice, u, x)]]
+        for p in _bits(mask):
+            acc &= meets[p]
         out.append(acc.bit_length() - 1)
     return out
 
@@ -187,11 +240,11 @@ def _kappa_bar_d_within(lattice: Lattice, a: int, b: int, k: int) -> int:
     On a finite SD lattice and its intervals kappa_bar is a bijection with
     inverse kappa_bar_d (Barnard, "The canonical join complex", EJC 2019).
     """
-    up, down_b = lattice.up, lattice.down[b]
+    up, down_b, cji = lattice.up, lattice.down[b], _label_context(lattice).cji
     acc = up[a]
     for v in lattice._ucov[k]:
         if down_b >> v & 1:
-            acc &= up[_j_label_idx(lattice, k, v)]
+            acc &= up[cji[_j_label_idx(lattice, k, v)]]
     return _lsb(acc)
 
 

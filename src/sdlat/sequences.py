@@ -10,8 +10,12 @@ The recursion never rebuilds an interval as a lattice.  An interval of an
 interval of L is an interval of L, so every step is a node (a, b), a pair
 of element indices of L, and everything is kept in L's label coordinates:
 
-* The labels of (a, b) are the mask ``down[b] & above[a]``: the cji j of
-  L with j <= b and kappa(j) >= a, each labelling a cover inside [a, b].
+* The labels of (a, b) are the mask ``jdown[b] & jabove[a]``: the cji j
+  of L with j <= b and kappa(j) >= a, each labelling a cover inside
+  [a, b].  A mask holds label positions, the cji of L numbered
+  0..|J|-1 in name order (``irreducibles._label_context``), so it is
+  |J| bits wide.  A position is mapped to its element only where
+  ``_child`` steps, and to its name where a label is shown.
 * Labels transfer by j -> a v j, a bijection onto the cji of [a, b]
   (a test oracle checks it on rebuilt intervals): if u < v
   inside [a, b] has L-label j, then a v j lies in [a, b], joins u to v,
@@ -27,8 +31,8 @@ of element indices of L, and everything is kept in L's label coordinates:
   largest of them below b is b ^ kappa(j).
 * [a, b] is SD, so kappa_bar is a bijection of it, and the upper-core
   masks of its members separate them (the lab_up argument of ``cores``).
-* Labels only shrink along a path: a grows and b falls, so above[a] and
-  down[b] both shrink.
+* Labels only shrink along a path: a grows and b falls, so jabove[a] and
+  jdown[b] both shrink.
 
 A node is fixed, up to an isomorphism that keeps the L-labels, by its
 label mask S.  The cji of [a, b] are a v j and its cmi are b ^ kappa(j),
@@ -73,7 +77,7 @@ from typing import Optional, Sequence
 from .core import Lattice, _bits, _lsb, _name_tuple
 from .cores import DerivedPoset, _lab_up_masks, _pop_up_idx, clo_up
 from .errors import NoBoundsError, NotJoinIrreducible, RecursionMismatch
-from .irreducibles import _inherited_label_leq, _labels_between, irreducible_table, kappa_bar
+from .irreducibles import _inherited_label_leq, _label_context, _labels_between, irreducible_table, kappa_bar
 from .shelling import LabeledPoset
 
 Node = tuple[int, int]
@@ -114,27 +118,26 @@ def _child(lattice: Lattice, a: int, b: int, j: int) -> Node:
 def _dag(lattice: Lattice) -> tuple[int, dict[int, dict[int, int]]]:
     """The root's label mask, and for each mask met, label -> child mask.
 
-    Labels come in index order.  Each mask is expanded at the first node
-    met with it; nodes with one mask are isomorphic and keep L-labels, so
-    the walk order does not matter.  A mask is as wide as L, so every edge
-    to it shares the int object of its first meeting (``first``).
+    Masks and labels are label positions, and labels come in position
+    order.  Each mask is expanded at the first node met with it; nodes
+    with one mask are isomorphic and keep L-labels, so the walk order does
+    not matter.  A row is made empty when its mask is first met and filled
+    when the mask is expanded.
     """
     a, b = _root(lattice)
+    cji = _label_context(lattice).cji
     root = _labels_between(lattice, a, b)
-    kids: dict[int, dict[int, int]] = {}
-    first = {root: root}
+    kids: dict[int, dict[int, int]] = {root: {}}
     stack = [(root, a, b)]
     while stack:
         mask, a, b = stack.pop()
-        step = kids[mask] = {}
-        for j in _bits(mask):
-            x, y = _child(lattice, a, b, j)
-            child = _labels_between(lattice, x, y)
-            held = first.get(child)
-            if held is None:
-                first[child] = held = child
+        step = kids[mask]
+        for p in _bits(mask):
+            x, y = _child(lattice, a, b, cji[p])
+            child = step[p] = _labels_between(lattice, x, y)
+            if child not in kids:
+                kids[child] = {}
                 stack.append((child, x, y))
-            step[j] = held
     return root, kids
 
 
@@ -155,11 +158,13 @@ def is_kd_exceptional(lattice: Lattice, entries: Sequence[str]) -> KdCheck:
     for e in entries:
         if e not in table.jstar:
             raise NotJoinIrreducible(f"{e!r} is not completely join-irreducible")
-    seq = [lattice.index[e] for e in reversed(entries)]
+    cji = _label_context(lattice).cji
+    position = {j: p for p, j in enumerate(cji)}
+    seq = [position[lattice.index[e]] for e in reversed(entries)]
     node = _root(lattice)
     masks = []
     for d in range(len(seq) - 1):
-        node = _child(lattice, *node, seq[d])
+        node = _child(lattice, *node, cji[seq[d]])
         masks.append(_labels_between(lattice, *node))
         if masks[-1] >> seq[d + 1] & 1:
             continue
@@ -195,23 +200,23 @@ def enumerate_kd_exceptional(
     leads to it).  Sequences act from the right, so a suffix is displayed
     on the left of the entries walked before it.
 
-    The listing sorts integers.  Label j gets the digit d(j), its rank in
-    name order plus 1, and a display tuple (e_1, ..., e_m) the key
-    sum d(e_i) * B**(W - i), with W the number of labels and B = W + 1; no
-    sequence is longer than W, as each step drops a label.  Read in base B
-    the key is the tuple's digits, padded on the right with zeros, which
-    sort below every digit; so a prefix sorts before its extensions, and
-    names are distinct, so keys sort exactly as the tuples do.  A suffix
-    of length n extended by the label j that leads to it gets
-    d(j) * B**(W - 1 - n) added.  Keys are kept doubled, with the
-    right-extendable flag in the low bit, which does not change their order.
+    The listing sorts integers.  Positions are in name order, and the root
+    holds every position, as each cji j labels [j_*, j]; so the label at
+    position p gets the digit d(p) = p + 1, its rank in name order plus 1,
+    and a display tuple (e_1, ..., e_m) the key sum d(e_i) * B**(W - i),
+    with W the number of labels and B = W + 1; no sequence is longer than
+    W, as each step drops a label.  Read in base B the key is the tuple's
+    digits, padded on the right with zeros, which sort below every digit;
+    so a prefix sorts before its extensions, and names are distinct, so
+    keys sort exactly as the tuples do.  A suffix of length n extended by
+    the label p that leads to it gets d(p) * B**(W - 1 - n) added.  Keys
+    are kept doubled, with the right-extendable flag in the low bit, which
+    does not change their order.
     """
-    names = lattice.names
     root, kids = _dag(lattice)
-    labels = sorted(_bits(root), key=names.__getitem__)
-    digit = {j: d for d, j in enumerate(labels, 1)}
-    base = len(labels) + 1
-    weights = [2 * base**power for power in reversed(range(len(labels)))]
+    names, cji = lattice.names, _label_context(lattice).cji
+    base = len(cji) + 1
+    weights = [2 * base**power for power in reversed(range(len(cji)))]
     start = (root, frozenset(kids[root].values()) if mark_right_extendable else frozenset())
     moves: dict[tuple[int, frozenset[int]], list] = {}
     stack = [start]
@@ -234,10 +239,10 @@ def enumerate_kd_exceptional(
         step = moves[state]
         own = not step or not maximal_only
         listed = suffixes[state] = {0: ([1 if state[1] else 0], [()])} if own else {}
-        for j, child in step:
-            entry = (names[j],)
+        for p, child in step:
+            entry = (names[cji[p]],)
             for length, (keys, tuples) in suffixes[child].items():
-                add = digit[j] * weights[length]
+                add = (p + 1) * weights[length]
                 to_keys, to_tuples = listed.setdefault(length + 1, ([], []))
                 to_keys += [key + add for key in keys]
                 to_tuples += [left + entry for left in tuples]
@@ -328,8 +333,9 @@ def label_clo_up(lattice: Lattice) -> CloLabeling:
             f"derived order has no unique top element ({exc}); the lattice is not a nuclear interval"
         ) from None
     root, kids = _dag(lattice)
-    steps = {mask: {child: j for j, child in row.items()} for mask, row in kids.items()}
+    steps = {mask: {child: p for p, child in row.items()} for mask, row in kids.items()}
     names, index, lab_up = lattice.names, lattice.index, _lab_up_masks(lattice)
+    cji = _label_context(lattice).cji
     for u in sorted(derived.lower_covers(top)):
         if lab_up[index[u]] not in steps[root]:
             raise RecursionMismatch(
@@ -337,8 +343,8 @@ def label_clo_up(lattice: Lattice) -> CloLabeling:
             )
     labels: dict[tuple[str, str], str] = {}
     for lo, hi in derived.covers_named():
-        j = steps.get(lab_up[index[hi]], {}).get(lab_up[index[lo]])
-        if j is None:
+        p = steps.get(lab_up[index[hi]], {}).get(lab_up[index[lo]])
+        if p is None:
             raise RecursionMismatch(f"cover ({lo!r}, {hi!r}) of the derived order is not a kappa_d step")
-        labels[(lo, hi)] = names[j]
+        labels[(lo, hi)] = names[cji[p]]
     return CloLabeling(poset=derived, labels=labels, label_leq=_inherited_label_leq(lattice))

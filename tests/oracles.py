@@ -17,6 +17,8 @@ reads off masks or off intervals of the parent lattice:
   of the j-labels of the covers above each element;
 * ``atom_labels`` and ``coatom_labels``: the labels of the covers at the two
   ends of an interval;
+* ``element_labels_between``: the label masks in element coordinates, each
+  cji j at bit j, where the library keeps labels at their positions;
 * ``posets_isomorphic``: an order isomorphism of two small posets, by
   backtracking;
 * ``catalan``: the Catalan numbers by their recursion, for the tamari sizes;
@@ -32,10 +34,11 @@ reads off masks or off intervals of the parent lattice:
 from sdlat import InconsistentLabels, LabeledPoset, Lattice, Poset, cjr, cmr, irreducible_table
 from sdlat import CanonicalRep, NoUniqueMax, RecursionMismatch, SizeLimitExceeded, j_label_interval
 from sdlat import CloLabeling
-from sdlat.core import _bits, _lsb, _name_list
+from sdlat.core import _bits, _lsb, _name_list, _union_above
 from sdlat.cores import OrdersReport, clo_down, clo_up, kappa_order, lab_down_map, lab_up_map, w_map
 from sdlat.cores import _lab_up_masks, _pop_up_idx
-from sdlat.irreducibles import _inherited_label_leq, _j_label_idx, _kappa, _labels_between, _sorted_names
+from sdlat.irreducibles import _inherited_label_leq, _j_label_idx, _kappa, _label_context, _labels_between
+from sdlat.irreducibles import _sorted_names
 from sdlat.irreducibles import kappa_bar_map
 
 
@@ -242,8 +245,9 @@ def is_extremal_oracle(lattice):
     if length != len(table.cji) or length != len(table.cmi):
         return False
     target = {lattice.index[j] for j in table.cji}
+    cji = _label_context(lattice).cji
     for chain in _chains_of_full_length(lattice):
-        if {_j_label_idx(lattice, u, v) for u, v in zip(chain, chain[1:])} == target:
+        if {cji[_j_label_idx(lattice, u, v)] for u, v in zip(chain, chain[1:])} == target:
             return True
     return False
 
@@ -284,11 +288,12 @@ def kappa_bar_d_oracle(lattice):
     join of the j-labels of the covers above x.
     """
     names, up, ucov = lattice.names, lattice.up, lattice._ucov
+    cji = _label_context(lattice).cji
     out = {}
     for x in range(lattice.n):
         acc = up[lattice._bot]
         for v in ucov[x]:
-            acc &= up[_j_label_idx(lattice, x, v)]
+            acc &= up[cji[_j_label_idx(lattice, x, v)]]
         out[names[x]] = names[_lsb(acc)]
     return out
 
@@ -304,9 +309,22 @@ def atom_labels(lattice, lo, hi):
 def coatom_labels(lattice, lo, hi):
     """Labels kappa(j) of the covers z < hi inside [lo, hi] (the coatoms)."""
     a, b = lattice._ends(lo, hi)
-    kappa = _kappa(lattice)
+    kappa, cji, names = _kappa(lattice), _label_context(lattice).cji, lattice.names
     coatoms = [z for z in lattice._dcov[b] if lattice.up[a] >> z & 1]
-    return _sorted_names(lattice, sum(1 << kappa[_j_label_idx(lattice, z, b)] for z in coatoms))
+    return tuple(sorted(names[kappa[cji[_j_label_idx(lattice, z, b)]]] for z in coatoms))
+
+
+def element_labels_between(lattice):
+    """The label masks in element coordinates: (lo, hi) -> down[hi] & above[lo].
+
+    above[u] holds bit j for each cji j with kappa(j) >= u, so the mask
+    keeps each label of [lo, hi] at its element index j.
+    """
+    seeds = [0] * lattice.n
+    for j, k in _kappa(lattice).items():
+        seeds[k] |= 1 << j
+    above, down = _union_above(lattice._ucov, seeds), lattice.down
+    return lambda lo, hi: down[hi] & above[lo]
 
 
 def catalan(n):
@@ -381,18 +399,18 @@ def posets_isomorphic(p, q, size_cap=14):
 # -- the kappa_d-exceptional walks, one node per interval ------------------------
 
 
-def _node_child(lattice, a, b, j):
-    """The node (a v j, pop_up_[a,b](a v j)) reached from (a, b) by label j."""
-    x = _lsb(lattice.up[a] & lattice.up[j])
+def _node_child(lattice, a, b, p):
+    """The node (a v j, pop_up_[a,b](a v j)) reached from (a, b) by the label j at position p."""
+    x = _lsb(lattice.up[a] & lattice.up[_label_context(lattice).cji[p]])
     return (x, _pop_up_idx(lattice, x, b))
 
 
 def _node_children(lattice, memo, node):
-    """Label index -> child node of ``node``, in label index order, memoized."""
+    """Label position -> child node of ``node``, in position order, memoized."""
     kids = memo.get(node)
     if kids is None:
         a, b = node
-        kids = memo[node] = {j: _node_child(lattice, a, b, j) for j in _bits(_labels_between(lattice, a, b))}
+        kids = memo[node] = {p: _node_child(lattice, a, b, p) for p in _bits(_labels_between(lattice, a, b))}
     return kids
 
 
@@ -416,9 +434,9 @@ def kd_nodes(lattice):
 
 def enumerate_kd_nodes(lattice, maximal_only=False, mark_right_extendable=False):
     """Sorted (display entries, right-extendable flag) pairs, one node per interval."""
-    names = lattice.names
     memo = {}
     root = _node_root(lattice)
+    names, cji = lattice.names, _label_context(lattice).cji
     alive = tuple(_node_children(lattice, memo, root).values()) if mark_right_extendable else ()
     found = []
     stack = [(root, (), alive)]
@@ -430,7 +448,7 @@ def enumerate_kd_nodes(lattice, maximal_only=False, mark_right_extendable=False)
         walks = [_node_children(lattice, memo, c) for c in alive] if kids else ()
         for j, child in kids.items():
             moved = tuple(walk[j] for walk in walks if j in walk)
-            stack.append((child, (names[j],) + shown, moved))
+            stack.append((child, (names[cji[j]],) + shown, moved))
     found.sort()
     return found
 
@@ -458,8 +476,8 @@ def count_kd_nodes(lattice, maximal_only=False):
 
 
 def recursive_labels_nodes(lattice):
-    """The clo-up recursion, one node per interval (a, b): cover labels
-    keyed by (lab_up(lower), lab_up(upper)) masks, errors included.
+    """The clo-up recursion, one node per interval (a, b): cover label
+    positions keyed by (lab_up(lower), lab_up(upper)) masks, errors included.
 
     Depth first from the root, children in the name order of the coatoms
     that lead to them; each finished node's labels are merged into its
@@ -494,7 +512,7 @@ def clo_labeling_from_keys(lattice, keyed):
     of the keys.
     """
     derived = clo_up(lattice)
-    names = lattice.names
+    names, cji = lattice.names, _label_context(lattice).cji
     by_mask = {mask: names[x] for x, mask in enumerate(_lab_up_masks(lattice))}
     covers = set(derived.covers_named())
     labels = {}
@@ -505,7 +523,7 @@ def clo_labeling_from_keys(lattice, keyed):
             raise RecursionMismatch("recursive label set does not match any element of the derived order")
         if (lo, hi) not in covers:
             raise RecursionMismatch(f"recursion labeled ({lo!r}, {hi!r}), which is not a cover of the derived order")
-        labels[(lo, hi)] = names[lbl]
+        labels[(lo, hi)] = names[cji[lbl]]
     if len(labels) != len(covers):
         missing = sorted(covers - set(labels))
         raise RecursionMismatch(f"covers left unlabeled: {missing[:4]}")
@@ -514,9 +532,10 @@ def clo_labeling_from_keys(lattice, keyed):
 
 def _merge_labels(lattice, frame, labels):
     (a, _), out, _ = frame
+    cji = _label_context(lattice).cji
     for key, lbl in labels.items():
         if out.get(key, lbl) != lbl:
-            name = [lattice.names[lattice._join_idx(a, j)] for j in (out[key], lbl)]
+            name = [lattice.names[lattice._join_idx(a, cji[p])] for p in (out[key], lbl)]
             raise RecursionMismatch(f"conflicting labels {name[0]!r} and {name[1]!r} for one cover")
         out[key] = lbl
 
@@ -528,20 +547,20 @@ def kappa_bar_within(lattice, a, b):
     x inside [a, b]: the interval's kappa of its cji a v j is b ^ kappa(j)
     (see ``sdlat.sequences``), and the empty meet is b.
     """
-    kappa = _kappa(lattice)
+    kappa, cji = _kappa(lattice), _label_context(lattice).cji
     up_a, down = lattice.up[a], lattice.down
     out = {}
     for x in _bits(up_a & down[b]):
         acc = down[b]
         for u in lattice._dcov[x]:
             if up_a >> u & 1:
-                acc &= down[kappa[_j_label_idx(lattice, u, x)]]
+                acc &= down[kappa[cji[_j_label_idx(lattice, u, x)]]]
         out[x] = acc.bit_length() - 1
     return out
 
 
 def node_label_steps(lattice, node):
-    """Yield (key, label, child) for each coatom of the top of cloUp([a, b]).
+    """Yield (key, label position, child) for each coatom of the top of cloUp([a, b]).
 
     kappa_bar is taken for every member x of [a, b]: lab_up(x) labels
     [k, pop_up(k)] for k = kappa_bar(x), and a coatom u is labeled by the
@@ -574,8 +593,8 @@ def node_label_steps(lattice, node):
             raise RecursionMismatch(
                 f"kappa_bar({names[u]!r}) = {names[k]!r} is not completely join-irreducible"
             )
-        j = _j_label_idx(lattice, lower[0], k)
-        yield (lab_up[u], full), j, _node_child(lattice, a, b, j)
+        p = _j_label_idx(lattice, lower[0], k)
+        yield (lab_up[u], full), p, _node_child(lattice, a, b, p)
 
 
 def _maximal_masks(members, masks):

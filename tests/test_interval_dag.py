@@ -24,11 +24,12 @@ import pytest
 import sdlat as S
 from sdlat import NoBoundsError, RecursionMismatch
 from sdlat.core import _bits
-from sdlat.cores import clo_up, lab_up_map, pop_up
-from sdlat.irreducibles import _kappa_bar_d_within, _labels_between
+from sdlat.cores import _lab_down_masks, _lab_up_masks, _w_masks, clo_up, lab_up_map, pop_up
+from sdlat.irreducibles import _cover_label_masks, _kappa_bar_d_within, _label_context, _labels_between
+from sdlat.irreducibles import _sorted_names
 
 from conftest import random_pool, sd_family_lattices
-from oracles import as_lattice, count_kd_nodes, enumerate_kd_nodes, kappa_bar_within, kd_nodes
+from oracles import as_lattice, count_kd_nodes, element_labels_between, enumerate_kd_nodes, kappa_bar_within, kd_nodes
 from oracles import clo_labeling_from_keys, node_label_steps, recursive_labels_nodes
 
 FAMILIES = [("tamari", n) for n in range(3, 7)] + [("boolean", n) for n in range(2, 6)]
@@ -125,13 +126,13 @@ class RebuildOracle:
 
 
 def mask_keyed_labels(oracle, lat):
-    """The oracle's labels in the library's form: lab_up masks to a label index."""
-    index = lat.index
+    """The oracle's labels in the library's form: lab_up masks to a label position."""
+    position = {lat.names[j]: p for p, j in enumerate(_label_context(lat).cji)}
 
     def mask(names):
-        return sum(1 << index[a] for a in names)
+        return sum(1 << position[a] for a in names)
 
-    return {(mask(lo), mask(hi)): index[lbl] for (lo, hi), lbl in oracle.recursive_labels(lat).items()}
+    return {(mask(lo), mask(hi)): position[lbl] for (lo, hi), lbl in oracle.recursive_labels(lat).items()}
 
 
 def _outcome(fn, *args):
@@ -222,6 +223,27 @@ def check_node_walk(lat):
     check_same_labeling(lat, _outcome(lambda: clo_labeling_from_keys(lat, recursive_labels_nodes(lat))))
 
 
+def check_label_positions(lat):
+    """Position masks against the element-coordinate oracle on every interval [lo, hi].
+
+    Each position mask maps back through the position tuple to the
+    oracle's mask, names rise with position, no mask is wider than |J|
+    bits, and a mask's names come out as the sorted names of the oracle's.
+    """
+    context = _label_context(lat)
+    cji, names = context.cji, lat.names
+    assert all(names[i] < names[j] for i, j in zip(cji, cji[1:]))
+    masks = context.jdown + context.jabove + _lab_down_masks(lat) + _lab_up_masks(lat) + _w_masks(lat)
+    masks += [mask for side in _cover_label_masks(lat) for mask in side]
+    assert max(masks).bit_length() <= len(cji)
+    oracle = element_labels_between(lat)
+    for lo in range(lat.n):
+        for hi in _bits(lat.up[lo]):
+            mask, expected = _labels_between(lat, lo, hi), oracle(lo, hi)
+            assert sum(1 << cji[p] for p in _bits(mask)) == expected
+            assert _sorted_names(lat, mask) == tuple(sorted(names[j] for j in _bits(expected)))
+
+
 def steps_taken(monkeypatch, call):
     """The nodes that ``_child`` steps from while ``call()`` runs."""
     stepped = []
@@ -267,6 +289,22 @@ def test_random_pools_match_node_walk(seed, max_mid):
     for lat in random_pool(seed, max_mid, 300):
         for each in (lat, lat.dual()):
             check_node_walk(each)
+
+
+@pytest.mark.parametrize("family,n", FAMILIES)
+def test_label_positions_match_element_masks_on_families(family, n):
+    lat = S.generate(family, n)
+    for each in (lat, lat.dual()):
+        check_label_positions(each)
+
+
+def test_label_positions_match_element_masks_on_pools(small_sd_lattices):
+    lattices = list(small_sd_lattices) + sd_family_lattices()
+    for seed, max_mid in [(1, 8), (2, 9), (3, 7)]:
+        lattices += random_pool(seed, max_mid, 300)
+    for lat in lattices:
+        for each in (lat, lat.dual()):
+            check_label_positions(each)
 
 
 MASK_FAMILIES = [("tamari", n) for n in range(3, 9)] + [("boolean", n) for n in range(2, 6)]
@@ -329,10 +367,11 @@ def test_child_masks_lose_their_label(small_sd_lattices):
     lattices = [S.generate(family, n) for family, n in FAMILIES] + small_sd_lattices
     for lat in lattices + [lat.dual() for lat in lattices]:
         root, kids = S.sequences._dag(lat)
-        index = lat.index
-        assert root == sum(1 << index[j] for j in S.irreducible_table(lat).cji)
+        index, cji = lat.index, _label_context(lat).cji
+        # the root holds every cji, each at its position
+        assert [cji[p] for p in _bits(root)] == [index[j] for j in S.irreducible_table(lat).cji]
         for mask, step in kids.items():
-            # every label of the mask, in index order, leads to a smaller mask without it
+            # every label of the mask, in position order, leads to a smaller mask without it
             assert list(step) == list(_bits(mask))
             for j, child in step.items():
                 assert not child >> j & 1

@@ -128,3 +128,17 @@ def test_interval_labels_contain_cjr(fig1, small_sd_lattices):
         for x in lat.names:
             labels = set(S.j_label_interval(lat, lat.bottom, x))
             assert set(S.cjr(lat, x).joinands) <= labels
+
+
+def test_label_context_waits_for_its_first_reader():
+    # parsing and the irreducible table do not build the label context; the
+    # first label reader, kappa_bar_cycles here, does
+    lattice = S.jsonio.parse_json(S.jsonio.emit_json(S.jsonio.to_document(S.generate("tamari", 4))))
+    S.irreducible_table(lattice)
+
+    def built():
+        return any(getattr(key, "__name__", None) == "_label_context" for key in lattice.memo)
+
+    assert not built()
+    S.irreducibles.kappa_bar_cycles(lattice)
+    assert built()

@@ -193,7 +193,8 @@ def test_label_clo_up_reports_covers_that_are_no_kappa_d_step(fig1, monkeypatch)
 
     def dropped(lattice):
         root, kids = dag(lattice)
-        del kids[S.cores._lab_up_masks(lattice)[m1]][j3]
+        # rows are keyed by label position
+        del kids[S.cores._lab_up_masks(lattice)[m1]][S.irreducibles._label_context(lattice).cji.index(j3)]
         return root, kids
 
     monkeypatch.setattr(S.sequences, "_dag", dropped)
