@@ -15,9 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Lattice, _bits, _name_tuple
+from .core import Lattice, _name_tuple, memoized
 from .errors import BadParameter, NotJoinIrreducible, SizeLimitExceeded
-from .irreducibles import _cover_label_masks, _kappa, _label_context, _sorted_names, irreducible_table
+from .irreducibles import _cover_label_masks, _decode, _kappa, _label_context, irreducible_table
 
 
 @dataclass(frozen=True)
@@ -34,17 +34,38 @@ class CanonicalRep:
 
 
 def cjr(lattice: Lattice, x: str) -> CanonicalRep:
-    """Canonical join representation from the labels of the covers below x."""
+    """Canonical join representation: the labels of the covers below x, from ``_joinands``."""
     i = lattice.index[x]
-    return CanonicalRep(element=x, joinands=_sorted_names(lattice, _cover_label_masks(lattice)[0][i]))
+    return CanonicalRep(element=x, joinands=_joinands(lattice)[i])
 
 
 def cmr(lattice: Lattice, x: str) -> CanonicalRep:
-    """Canonical meet representation from the labels of the covers above x."""
+    """Canonical meet representation: kappa of the labels of the covers above x, from ``_meetands``."""
     i = lattice.index[x]
-    kappa, cji, names = _kappa(lattice), _label_context(lattice).cji, lattice.names
-    meetands = sorted(names[kappa[cji[p]]] for p in _bits(_cover_label_masks(lattice)[1][i]))
-    return CanonicalRep(element=x, joinands=tuple(meetands), kind="meet")
+    return CanonicalRep(element=x, joinands=_meetands(lattice)[i], kind="meet")
+
+
+@memoized
+def _joinands(lattice: Lattice) -> list[tuple[str, ...]]:
+    """The canonical joinands of every element by index, in name order; memoized.
+
+    They are the names of the positions in the mask of the labels below
+    each element (``_cover_label_masks``), each mask walked once.
+    """
+    return _decode(_label_context(lattice).labels, _cover_label_masks(lattice)[0])[0]
+
+
+@memoized
+def _meetands(lattice: Lattice) -> list[tuple[str, ...]]:
+    """The canonical meetands of every element by index, in name order; memoized.
+
+    Position p of the mask of the labels above x stands for the meetand
+    kappa(j) of the label j at p, so each mask is walked once over the
+    kappa names and the walk sorted.
+    """
+    kappa, names = _kappa(lattice), lattice.names
+    meetand = [names[kappa[j]] for j in _label_context(lattice).cji]
+    return [tuple(sorted(walk)) for walk in _decode(meetand, _cover_label_masks(lattice)[1])[0]]
 
 
 def joins_canonically(lattice: Lattice, elems) -> bool:

@@ -241,11 +241,12 @@ class Poset:
             lo, hi = cover if isinstance(cover, (tuple, list)) and len(cover) == 2 else (None, None)
             if not isinstance(lo, str) or not isinstance(hi, str):
                 raise SchemaError(f"cover {cover!r} is not a pair of strings")
-            if lo not in raw_index or hi not in raw_index:
+            a, b = raw_index.get(lo), raw_index.get(hi)
+            if a is None or b is None:
                 raise SchemaError(f"cover ({lo!r}, {hi!r}) mentions an unknown element")
-            if lo == hi:
+            if a == b:
                 raise CycleError(f"cover ({lo!r}, {hi!r}) is a self-loop")
-            raw_covers.append((raw_index[lo], raw_index[hi]))
+            raw_covers.append((a, b))
         if len(set(raw_covers)) != len(raw_covers):
             raise NotTransitiveReduction("duplicate cover listed")
         return cls._from_cover_pairs(names, raw_covers)
@@ -298,12 +299,18 @@ class Poset:
         if len(sweep) != n:
             stuck = [names[i] for i in range(n) if remaining[i]]
             raise CycleError(f"cover digraph has a cycle through {stuck[:6]}")
-        order = sorted(range(n), key=lambda i: (heights[i], names[i]))
+        # names are unique, so the index never decides the order
+        ranked = sorted(zip(heights, names, range(n)))
         rank = [0] * n
-        for new, old in enumerate(order):
+        for new, (_, _, old) in enumerate(ranked):
             rank[old] = new
-        cover_idx = tuple(sorted((rank[lo], rank[hi]) for lo, hi in covers))
-        return cls(tuple(names[i] for i in order), [heights[i] for i in order], cover_idx)
+        # each element's upper covers, sorted on their own: no sort of all the pairs
+        cover_idx = tuple(
+            [(lo, hi) for lo, (_, _, old) in enumerate(ranked) for hi in sorted([rank[v] for v in upper[old]])]
+        )
+        names, heights = tuple(name for _, name, _ in ranked), [h for h, _, _ in ranked]
+        del ranked, rank, upper  # freed before the constructor closes the down-sets
+        return cls(names, heights, cover_idx)
 
     # -- queries -----------------------------------------------------------
 
@@ -499,8 +506,7 @@ class Lattice(Poset):
         return a, b
 
     def interval(self, lo: str, hi: str) -> "IntervalView":
-        self._ends(lo, hi)
-        return IntervalView(self, lo, hi)
+        return IntervalView(self, *self._ends(lo, hi))
 
     def dual(self) -> "Lattice":
         """The lattice with the order reversed (joins and meets swap)."""
@@ -556,18 +562,31 @@ class Lattice(Poset):
 
 
 class IntervalView:
-    """The interval [lo, hi] of a lattice, held as its two ends.
+    """The interval [lo, hi] of a lattice, held as the indices of its two ends.
 
     An interval is closed under join and meet and its covers are the
     parent's covers between its members, so every query on it is a query
-    on the parent; the view only names the ends and the member mask.
+    on the parent; the view only names the ends, and its member mask is
+    worked out when asked for, so a view holds no n-bit mask.  The ends
+    must satisfy lo <= hi, as ``Lattice.interval`` checks.
     """
 
-    def __init__(self, parent: Lattice, lo: str, hi: str):
+    def __init__(self, parent: Lattice, a: int, b: int):
         self.parent = parent
-        self.lo = lo
-        self.hi = hi
-        self.mask = parent.up[parent.index[lo]] & parent.down[parent.index[hi]]
+        self.a = a
+        self.b = b
+
+    @property
+    def lo(self) -> str:
+        return self.parent.names[self.a]
+
+    @property
+    def hi(self) -> str:
+        return self.parent.names[self.b]
+
+    @property
+    def mask(self) -> int:
+        return self.parent.up[self.a] & self.parent.down[self.b]
 
     @property
     def members(self) -> tuple[str, ...]:
@@ -579,4 +598,3 @@ class IntervalView:
 
     def __len__(self) -> int:
         return self.mask.bit_count()
-

@@ -56,16 +56,35 @@ join-irreducible j the mask {j}, the one bit of j's position:
 So in a derived order F, j <= x exactly when F(j) = {j} is contained in
 F(x), that is, F(x) = {j in J : j <= x in F}: the order determines its
 masks.
+
+That also decides whether F is a lattice on its masks alone
+(``DerivedPoset.is_lattice``).  Lemma: F is a lattice exactly when it
+has one minimal and one maximal element and, for every two lower covers
+a, b of a common element, F(a) & F(b) is again one of its masks.
+
+- (<=) Say F(a) & F(b) = F(c).  F is inclusion, so c lies below a and
+  b, and every common lower bound d has F(d) contained in
+  F(a) & F(b) = F(c), so d <= c: c is the meet of a and b.  The one
+  maximal element of the finite order F is its greatest, so the
+  cover-pair lemma of ``core._cover_pairs_have_meets`` makes F a
+  lattice.
+- (=>) In a lattice F, F(a ^ b) = F(a) & F(b): by F(x) = {j in J :
+  j <= x in F}, a j lies in both masks exactly when it lies below a and
+  b, that is, below a ^ b.  So F(a) & F(b) is the mask of a ^ b.
+
+The test makes one |J|-bit AND and one set lookup per pair of lower
+covers, where ``Poset.lattice_failure`` works on n-bit down-sets.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import IntervalView, Lattice, Poset, _bits, _lower_covers, _lsb, _msb, memoized
 from .errors import InconsistentLabels
-from .irreducibles import _kappa_bar_idx, _labels_between, _sorted_names
+from .irreducibles import _decode, _kappa_bar_idx, _label_context, _labels_between, _sorted_names
 
 
 def pop_down(lattice: Lattice, x: str) -> str:
@@ -130,26 +149,46 @@ class CoreData:
 
 
 def core_data(lattice: Lattice, x: str) -> CoreData:
-    """All core data for x, from the memoized label masks.
+    """All core data for x: its row of ``_core_table``, with names and the two core views.
 
     lab_down(x) labels [pop_down(x), x], lab_up(x) labels the upper core
     [kappa_bar(x), pop_up(kappa_bar(x))], and W(x) is {j in cji : j <= x and
-    kappa(j) >= kappa_bar(x)}, which equals lab_down(x) & lab_up(x).
+    kappa(j) >= kappa_bar(x)}, which equals lab_down(x) & lab_up(x).  The
+    name x is looked up before any table is built, so an unknown name
+    raises SchemaError even on a lattice that is not semidistributive.
     """
-    names = lattice.names
     i = lattice.index[x]
-    k = _kappa_bar_idx(lattice)[i]
-    pd, pops_up = _pop_downs(lattice)[i], _pop_ups(lattice)
+    pd, pu, k, pu_k, lab_down, lab_up, w_set = _core_table(lattice)[i]
+    names = lattice.names
     return CoreData(
         element=x,
         pop_down=names[pd],
-        pop_up=names[pops_up[i]],
-        core_down=lattice.interval(names[pd], x),
-        core_up=lattice.interval(names[k], names[pops_up[k]]),
-        lab_down=_sorted_names(lattice, _lab_down_masks(lattice)[i]),
-        lab_up=_sorted_names(lattice, _lab_up_masks(lattice)[i]),
-        w_set=_sorted_names(lattice, _w_masks(lattice)[i]),
+        pop_up=names[pu],
+        core_down=IntervalView(lattice, pd, i),
+        core_up=IntervalView(lattice, k, pu_k),
+        lab_down=lab_down,
+        lab_up=lab_up,
+        w_set=w_set,
     )
+
+
+@memoized
+def _core_table(lattice: Lattice) -> list[tuple]:
+    """One row per element index x, memoized: the indices and label names of its core data.
+
+    A row is (pop_down(x), pop_up(x), k, pop_up(k), lab_down, lab_up, W)
+    with k = kappa_bar(x), the first four as indices and the three label
+    sets as name tuples.  The three mask lists are decoded together, so a
+    mask that recurs is walked once: on the tamari and boolean lattices,
+    where the lists coincide, each element's masks are walked once, not
+    three times.  A row holds no n-bit mask; ``core_data`` builds the two
+    interval views from its indices.
+    """
+    pops_up, kbar = _pop_ups(lattice), _kappa_bar_idx(lattice)
+    labels = _decode(
+        _label_context(lattice).labels, _lab_down_masks(lattice), _lab_up_masks(lattice), _w_masks(lattice)
+    )
+    return list(zip(_pop_downs(lattice), pops_up, kbar, [pops_up[k] for k in kbar], *labels))
 
 
 @memoized
@@ -183,7 +222,8 @@ def _lab_up_masks(lattice: Lattice) -> list[int]:
 
 
 def _label_sets(lattice: Lattice, masks: list[int]) -> dict[str, frozenset[str]]:
-    return {name: frozenset(_sorted_names(lattice, m)) for name, m in zip(lattice.names, masks)}
+    (labels,) = _decode(_label_context(lattice).labels, masks)
+    return {name: frozenset(names) for name, names in zip(lattice.names, labels)}
 
 
 @memoized
@@ -215,12 +255,36 @@ class DerivedPoset(Poset):
     It is a plain Poset on the lattice's names, so it compares ``==`` by
     relation with any Poset.  Derived orders built from one mask list are
     one object, so they share their memo and their lattice verdict.
+    ``masks[i]`` is the label mask of its element i, set by
+    ``_label_order``, which builds every derived order.
     """
+
+    masks: list[int]
 
     @memoized
     def is_lattice(self) -> bool:
-        """Whether this order is a lattice, memoized."""
-        return self.is_lattice_poset()
+        """Whether this order is a lattice, memoized: ``_lattice_on_masks``."""
+        return self._lattice_on_masks()
+
+    def _lattice_on_masks(self) -> bool:
+        """The lattice test of the module docstring, on |J|-bit label masks.
+
+        One least and one greatest element, and for every two lower covers
+        a, b of a common element, masks[a] & masks[b] is again a mask of
+        the order.  ``Poset.lattice_failure`` decides the same on n-bit
+        down-sets and stays as the test oracle.
+        """
+        dcov = self._dcov
+        if sum(not lows for lows in dcov) != 1 or sum(not highs for highs in self._ucov) != 1:
+            return False
+        masks = self.masks
+        present = set(masks)
+        for lows in dcov:
+            if len(lows) > 1:
+                for a, b in itertools.combinations([masks[u] for u in lows], 2):
+                    if a & b not in present:
+                        return False
+        return True
 
 
 @memoized
@@ -287,8 +351,10 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
         up.append(acc)
     covers = [(lo, hi) for lo, highs in enumerate(_lower_covers(up)) for hi in highs]
     del up  # n masks of n bits, freed before the build allocates its own
-    built[key] = DerivedPoset._from_cover_pairs([lattice.names[x] for x in ranked], covers)
-    return built[key]
+    order = built[key] = DerivedPoset._from_cover_pairs([lattice.names[x] for x in ranked], covers)
+    index = lattice.index
+    order.masks = [masks[index[name]] for name in order.names]
+    return order
 
 
 def clo_down(lattice: Lattice) -> DerivedPoset:

@@ -75,12 +75,13 @@ def _kappa(lattice: Lattice) -> dict[int, int]:
 class _LabelContext:
     """The cji numbered 0..|J|-1 in name order, and the label masks on those positions.
 
-    ``cji[p]`` is the element index of position p, ``jdown[x]`` the mask of
-    the positions of the cji <= x and ``jabove[u]`` that of the j with
-    kappa(j) >= u.
+    ``cji[p]`` is the element index of position p and ``labels[p]`` its
+    name, ``jdown[x]`` the mask of the positions of the cji <= x and
+    ``jabove[u]`` that of the j with kappa(j) >= u.
     """
 
     cji: tuple[int, ...]
+    labels: tuple[str, ...]
     jdown: list[int]
     jabove: list[int]
 
@@ -92,7 +93,8 @@ def _label_context(lattice: Lattice) -> _LabelContext:
     Positions follow the table's cji, which are sorted by name.
     """
     kappa, n = _kappa(lattice), lattice.n
-    cji = tuple(lattice.index[j] for j in irreducible_table(lattice).cji)
+    labels = irreducible_table(lattice).cji
+    cji = tuple(lattice.index[j] for j in labels)
     jdown, above = [0] * n, [0] * n
     for p, j in enumerate(cji):
         jdown[j] = 1 << p
@@ -102,7 +104,7 @@ def _label_context(lattice: Lattice) -> _LabelContext:
         for u in lows:
             acc |= jdown[u]
         jdown[x] = acc
-    return _LabelContext(cji, jdown, lattice._union_above(above))
+    return _LabelContext(cji, labels, jdown, lattice._union_above(above))
 
 
 def _labels_between(lattice: Lattice, lo: int, hi: int) -> int:
@@ -113,21 +115,45 @@ def _labels_between(lattice: Lattice, lo: int, hi: int) -> int:
 
 def _sorted_names(lattice: Lattice, mask: int) -> tuple[str, ...]:
     """The names of the cji at the positions of ``mask``, in name order: a walk up its bits."""
-    names, cji = lattice.names, _label_context(lattice).cji
+    return _decode(_label_context(lattice).labels, [mask])[0][0]
+
+
+def _decode(at: tuple[str, ...] | list[str], *mask_lists: list[int]) -> list[list[tuple[str, ...]]]:
+    """Each list of masks as a list of tuples: ``at[p]`` for the bits p of a mask, in rising p.
+
+    With ``at`` the context's ``labels``, these are the ``_sorted_names``
+    of the masks.  A mask that recurs, in one list or across them, is
+    walked once and its tuple shared.
+    """
+    decoded: dict[int, tuple[str, ...]] = {}
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(names[cji[low.bit_length() - 1]])
-        mask ^= low
-    return tuple(out)
+    for masks in mask_lists:
+        row = []
+        for mask in masks:
+            found = decoded.get(mask)
+            if found is None:
+                walk, rest = [], mask
+                while rest:
+                    low = rest & -rest
+                    walk.append(at[low.bit_length() - 1])
+                    rest ^= low
+                found = decoded[mask] = tuple(walk)
+            row.append(found)
+        out.append(row)
+    return out
+
+
+def _no_unique_label(lattice: Lattice, u: int, v: int) -> NoUniqueMax:
+    """The error for a cover u < v whose label mask is not a single bit."""
+    names = lattice.names
+    return NoUniqueMax(f"cover ({names[u]!r}, {names[v]!r}) has no unique minimal join label")
 
 
 def _j_label_idx(lattice: Lattice, u: int, v: int) -> int:
     """The position of the j-label of the cover u < v: the one label inside [u, v]."""
     mask = _labels_between(lattice, u, v)
     if mask.bit_count() != 1:
-        names = lattice.names
-        raise NoUniqueMax(f"cover ({names[u]!r}, {names[v]!r}) has no unique minimal join label")
+        raise _no_unique_label(lattice, u, v)
     return mask.bit_length() - 1
 
 
@@ -195,14 +221,21 @@ def _cover_label_masks(lattice: Lattice) -> tuple[list[int], list[int]]:
     """Position masks of the labels of the covers below and above each element, memoized.
 
     The labels below x are its canonical joinands; kappa of the labels
-    above x are its canonical meetands.
+    above x are its canonical meetands.  The label of a cover u < x is
+    ``jdown[x] & jabove[u]``, read off one fetched context.
     """
+    context = _label_context(lattice)
+    jdown, jabove = context.jdown, context.jabove
     below, above = [0] * lattice.n, [0] * lattice.n
     for x, lows in enumerate(lattice._dcov):
+        mine, acc = jdown[x], 0
         for u in lows:
-            bit = 1 << _j_label_idx(lattice, u, x)
-            below[x] |= bit
+            bit = mine & jabove[u]
+            if not bit or bit & (bit - 1):  # not a single label
+                raise _no_unique_label(lattice, u, x)
+            acc |= bit
             above[u] |= bit
+        below[x] = acc
     return below, above
 
 

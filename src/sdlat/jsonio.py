@@ -66,10 +66,9 @@ def parse_document(text: str) -> LatticeDocument:
         raise SchemaError("'covers' must be a list of [lower, upper] pairs")
     covers = []
     for k, pair in enumerate(covers_raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(p, str) for p in pair)
+        # plain isinstance tests, not all() over a generator, which is slower per cover
+        if not (
+            isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str) and isinstance(pair[1], str)
         ):
             raise SchemaError(f"covers[{k}] must be a pair of strings")
         covers.append((pair[0], pair[1]))

@@ -10,6 +10,9 @@ reads off masks or off intervals of the parent lattice:
 * ``cjr_oracle`` and ``irredundant_representations``: canonical and
   irredundant join representations by enumerating element subsets, and
   ``cmr_matches_kappa_bar``: the kappa_bar identity on CJR/CMR;
+* ``cjr_per_call``, ``cmr_per_call`` and ``core_data_per_call``: the
+  records worked out for one element, one label per cover and one name
+  walk per set, where the library reads per-lattice tables;
 * ``orders_coincide_report_oracle``: the derived orders compared by their
   sorted name covers, and the label sets as maps of name frozensets;
 * ``is_extremal_oracle``: extremality by a search for a longest chain whose
@@ -36,8 +39,9 @@ from sdlat import CanonicalRep, NoUniqueMax, RecursionMismatch, SizeLimitExceede
 from sdlat import CloLabeling
 from sdlat.core import _bits, _lsb, _name_list, _union_above
 from sdlat.cores import OrdersReport, clo_down, clo_up, kappa_order, lab_down_map, lab_up_map, w_map
-from sdlat.cores import _lab_up_masks, _pop_up_idx
-from sdlat.irreducibles import _inherited_label_leq, _j_label_idx, _kappa, _label_context, _labels_between
+from sdlat.cores import CoreData, _lab_up_masks, _pop_down_idx, _pop_up_idx
+from sdlat.irreducibles import _inherited_label_leq, _j_label_idx, _kappa, _kappa_bar_idx, _label_context
+from sdlat.irreducibles import _labels_between
 from sdlat.irreducibles import _sorted_names
 from sdlat.irreducibles import kappa_bar_map
 
@@ -210,6 +214,40 @@ def cmr_matches_kappa_bar(lattice, x):
     image = kappa_bar_map(lattice)[x]
     expected = sorted(table.kappa[j] for j in cjr(lattice, x).joinands)
     return list(cmr(lattice, image).joinands) == expected
+
+
+def cjr_per_call(lattice, x):
+    """CJR(x) from the labels of the covers below x, each label found on its own."""
+    i = lattice.index[x]
+    mask = sum(1 << _j_label_idx(lattice, u, i) for u in lattice._dcov[i])
+    return CanonicalRep(element=x, joinands=_sorted_names(lattice, mask))
+
+
+def cmr_per_call(lattice, x):
+    """CMR(x): kappa of the labels of the covers above x, each label found on its own."""
+    i = lattice.index[x]
+    kappa, cji, names = _kappa(lattice), _label_context(lattice).cji, lattice.names
+    meetands = sorted(names[kappa[cji[_j_label_idx(lattice, i, v)]]] for v in lattice._ucov[i])
+    return CanonicalRep(element=x, joinands=tuple(meetands), kind="meet")
+
+
+def core_data_per_call(lattice, x):
+    """core_data of x from its pops, kappa_bar and three label walks, its views built through names."""
+    names = lattice.names
+    i = lattice.index[x]
+    k = _kappa_bar_idx(lattice)[i]
+    bot, top = lattice._bot, lattice._top
+    pd, pu, pu_k = _pop_down_idx(lattice, i, bot), _pop_up_idx(lattice, i, top), _pop_up_idx(lattice, k, top)
+    return CoreData(
+        element=x,
+        pop_down=names[pd],
+        pop_up=names[pu],
+        core_down=lattice.interval(names[pd], x),
+        core_up=lattice.interval(names[k], names[pu_k]),
+        lab_down=_sorted_names(lattice, _labels_between(lattice, pd, i)),
+        lab_up=_sorted_names(lattice, _labels_between(lattice, k, pu_k)),
+        w_set=_sorted_names(lattice, _labels_between(lattice, k, i)),
+    )
 
 
 def orders_coincide_report_oracle(lattice):

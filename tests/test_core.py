@@ -10,10 +10,12 @@ import sdlat as S
 import sdlat.cli
 from sdlat import (
     CycleError,
+    DerivedPoset,
     Lattice,
     NoBoundsError,
     NotALattice,
     NotComparable,
+    NotSemidistributive,
     NotTransitiveReduction,
     Poset,
     SchemaError,
@@ -139,14 +141,18 @@ def test_each_distinct_mask_list_is_built_and_checked_once(monkeypatch, family, 
     # fig1 the kappa order is cloUp, and on fig4 all three differ.  With the
     # W masks computed first, every _union_above call left is a build's own
     # up-sets: the kappa order has no construction of its own.
+    # is_lattice decides on the label masks, and never calls the n-bit
+    # lattice_failure, which stays the oracle of its verdict.
     lat = S.generate(*family)
     S.cores.w_map(lat)
     calls = record_calls(monkeypatch, Poset, ["_from_cover_pairs", "lattice_failure", "_union_above"])
+    checks = record_calls(monkeypatch, DerivedPoset, ["_lattice_on_masks"])
     for _ in range(2):
         orders = [S.kappa_order(lat), S.clo_up(lat), S.clo_down(lat)]
         verdicts = [order.is_lattice() for order in orders]
         assert len({id(order) for order in orders}) == builds
-    assert calls.count("_from_cover_pairs") == calls.count("lattice_failure") == builds
+    assert calls.count("_from_cover_pairs") == len(checks) == builds
+    assert calls.count("lattice_failure") == 0
     assert calls.count("_union_above") == builds
     assert verdicts == [order.lattice_failure() is None for order in orders]
 
@@ -264,6 +270,17 @@ def test_unknown_name_raises_schema_error(fig1, call):
     with pytest.raises(SchemaError) as info:
         call(fig1, "x")
     assert str(info.value) == "unknown element 'x'"
+
+
+@pytest.mark.parametrize("call", ["cjr", "cmr", "core_data"])
+def test_unknown_name_raises_before_any_table(call):
+    # m3 is not semidistributive, so each per-lattice table raises
+    # NotSemidistributive; the name is looked up before the table is read
+    m3, fn = S.generate("m3"), UNKNOWN_NAME_CALLS[call]
+    with pytest.raises(SchemaError, match="^unknown element 'zz'$"):
+        fn(m3, "zz")
+    with pytest.raises(NotSemidistributive):
+        fn(m3, m3.top)
 
 
 def test_unknown_interval_ends_name_lo_first(fig1):

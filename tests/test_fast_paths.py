@@ -4,9 +4,11 @@ Each oracle here is the direct definition (or the old quadratic scan):
 lattice checks against the ordered two-sided scan, the kappa test of
 semidistributivity against the fiber fold, cover labels and kappa against
 scans over every element, the derived orders against ``from_leq`` (in
-``tests/oracles.py``) on the defining relation, and extremality and
-kappa_bar_d against a chain search and an up-mask scan.  Inputs: fixed families,
-the random SD pool, non-semidistributive lattices, and Hypothesis-drawn
+``tests/oracles.py``) on the defining relation, extremality and
+kappa_bar_d against a chain search and an up-mask scan, the lattice test of
+the derived orders on label masks against ``lattice_failure``, and the
+per-lattice tables of ``core_data``, ``cjr`` and ``cmr`` against per-call
+formulas.  Inputs: fixed families, the random SD pool, non-semidistributive lattices, and Hypothesis-drawn
 posets, most of which are not lattices.
 """
 
@@ -28,12 +30,16 @@ from conftest import (
     CLO_UP_OUTSIDE,
     lattice_from_cover_text,
     posets,
+    random_pool,
     ranked_poset,
     sd_exponential_oracle,
     sd_family_lattices,
 )
 from oracles import (
     atom_labels,
+    cjr_per_call,
+    cmr_per_call,
+    core_data_per_call,
     from_leq,
     is_extremal_oracle,
     kappa_bar_d_oracle,
@@ -329,6 +335,53 @@ def test_derived_orders_that_are_not_lattices():
             check_poset(order)
             seen += not order.is_lattice()
     assert seen >= 2
+
+
+def _derived_order_lattices():
+    lattices = [S.generate(family, n) for family, n in FAMILIES] + sd_family_lattices()
+    for seed, max_mid in ((1, 8), (2, 9), (3, 7)):
+        lattices += random_pool(seed, max_mid, 300)
+    return lattices + [lat.dual() for lat in lattices]
+
+
+def test_lattice_test_on_masks_matches_lattice_failure():
+    # the lemma in the cores docstring: a derived order is a lattice exactly
+    # when it is bounded and the masks of two lower covers of a common
+    # element meet in a mask of the order; lattice_failure is the oracle
+    seen = set()
+    for lat in _derived_order_lattices():
+        orders = {"kappaOrder": S.kappa_order(lat), "cloDown": S.clo_down(lat), "cloUp": S.clo_up(lat)}
+        for kind, order in orders.items():
+            verdict = order._lattice_on_masks()
+            assert verdict == order.is_lattice() == (order.lattice_failure() is None), (kind, lat.names)
+            seen.add((kind, verdict))
+    # each order is a lattice on some of these and not on others
+    assert len(seen) == 6
+    fig4 = S.generate("fig4")
+    verdicts = [order.is_lattice() for order in (S.kappa_order(fig4), S.clo_down(fig4), S.clo_up(fig4))]
+    assert verdicts == [True, False, False]
+
+
+def test_tables_match_per_call_formulas():
+    # core_data, cjr and cmr read per-lattice tables; the oracles work one
+    # element out on its own, with a label per cover and views built
+    # through names
+    lattices = [S.generate(family, n) for family, n in FAMILIES] + sd_family_lattices()
+    lattices += random_pool(1, 8, 300)[:100]
+    lattices += [lat.dual() for lat in lattices]
+
+    def plain(data, lat):
+        fields = dict(vars(data))
+        for key in ("core_down", "core_up"):
+            view = fields[key]
+            fields[key] = (view.lo, view.hi, view.mask, view.members, view.parent is lat)
+        return fields
+
+    for lat in lattices:
+        for x in lat.names:
+            assert S.cjr(lat, x) == cjr_per_call(lat, x)
+            assert S.cmr(lat, x) == cmr_per_call(lat, x)
+            assert plain(S.core_data(lat, x), lat) == plain(core_data_per_call(lat, x), lat)
 
 
 def test_m3_and_n5():
