@@ -36,13 +36,13 @@ class CanonicalRep:
 def cjr(lattice: Lattice, x: str) -> CanonicalRep:
     """Canonical join representation: the labels of the covers below x, from ``_joinands``."""
     i = lattice.index[x]
-    return CanonicalRep(element=x, joinands=_joinands(lattice)[i])
+    return CanonicalRep(x, _joinands(lattice)[i])
 
 
 def cmr(lattice: Lattice, x: str) -> CanonicalRep:
     """Canonical meet representation: kappa of the labels of the covers above x, from ``_meetands``."""
     i = lattice.index[x]
-    return CanonicalRep(element=x, joinands=_meetands(lattice)[i], kind="meet")
+    return CanonicalRep(x, _meetands(lattice)[i], "meet")
 
 
 @memoized

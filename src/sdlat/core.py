@@ -571,6 +571,8 @@ class IntervalView:
     must satisfy lo <= hi, as ``Lattice.interval`` checks.
     """
 
+    __slots__ = ("parent", "a", "b")
+
     def __init__(self, parent: Lattice, a: int, b: int):
         self.parent = parent
         self.a = a

@@ -2,11 +2,32 @@
 
 pop_down(x) is the meet of x with all elements it covers; pop_up is dual.
 The lower core of x is [pop_down(x), x]; the upper core is the interval
-[kappa_bar(x), pop_up(kappa_bar(x))].  Their join-irreducible label sets
-(lab_down, lab_up) intersect in W(x), and comparison of these sets induces
-three partial orders on the lattice: the two core label orders and the
-kappa order x <= y iff x <= y and kappa_bar(y) <= kappa_bar(x), which is
-inclusion of the W sets (proof in ``kappa_order``).
+[kappa_bar(x), pop_up(kappa_bar(x))].  In a finite SD lattice both are
+read off kappa_bar in closed form:
+
+- pop_down(x) = x ^ kappa_bar(x).  Let u be the lower cover of x with
+  label j, so j <= x, j is not <= u, and j is least with u v j = x.  Then
+  u v j_* < x, so j_* <= u as u is covered by x, and u ^ j < j gives
+  u ^ j = j_*.  kappa(j) is the largest y with j ^ y = j_*, so
+  u <= x ^ kappa(j), which is below x as j is not <= kappa(j); hence
+  u = x ^ kappa(j).  The labels of the lower covers are the canonical
+  joinands of x, and kappa_bar(x) is the meet of their kappa, so the meet
+  of the lower covers is x ^ kappa_bar(x) (at the bottom, an empty meet
+  with the top).
+- pop_up(y) = y v kappa_bar_d(y), the dual case: the upper cover of y
+  with m-label m is y v kappa_d(m), and kappa_bar_d(y) joins kappa_d over
+  those m-labels, the canonical meetands of y.  kappa_bar_d is the
+  inverse of kappa_bar (Barnard, "The canonical join complex", EJC 2019),
+  so with y = kappa_bar(x) the upper core is [kappa_bar(x), x v kappa_bar(x)].
+
+So the pop images of the whole lattice cost one n-bit AND per element
+(``_pop_downs``, ``_pop_ups``), not one per cover.
+
+The join-irreducible label sets of the two cores (lab_down, lab_up)
+intersect in W(x), and comparison of these sets induces three partial
+orders on the lattice: the two core label orders and the kappa order
+x <= y iff x <= y and kappa_bar(y) <= kappa_bar(x), which is inclusion of
+the W sets (proof in ``kappa_order``).
 
 So all three derived orders are inclusion orders of a list of label masks,
 one mask per element.  A mask holds the positions of its labels, the cji
@@ -82,9 +103,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import IntervalView, Lattice, Poset, _bits, _lower_covers, _lsb, _msb, memoized
+from .core import IntervalView, Lattice, Poset, _lower_covers, _lsb, _msb, memoized
 from .errors import InconsistentLabels
-from .irreducibles import _decode, _kappa_bar_idx, _label_context, _labels_between, _sorted_names
+from .irreducibles import _decode, _kappa_bar_idx, _label_context, _sorted_names
 
 
 def pop_down(lattice: Lattice, x: str) -> str:
@@ -98,7 +119,12 @@ def pop_up(lattice: Lattice, x: str) -> str:
 
 
 def _pop_down_idx(lattice: Lattice, x: int, a: int) -> int:
-    """pop_down of x inside an interval [a, .]: x met with its lower covers >= a."""
+    """pop_down of x inside an interval [a, .]: x met with its lower covers >= a.
+
+    A scan over the covers of x, for proper intervals (``is_nuclear``) and
+    the public ``pop_down``; on the whole lattice ``_pop_downs`` reads the
+    same from kappa_bar in closed form.
+    """
     down, up_a = lattice.down, lattice.up[a]
     acc = down[x]
     for u in lattice._dcov[x]:
@@ -108,7 +134,12 @@ def _pop_down_idx(lattice: Lattice, x: int, a: int) -> int:
 
 
 def _pop_up_idx(lattice: Lattice, x: int, b: int) -> int:
-    """pop_up of x inside an interval [., b]: x joined with its upper covers <= b."""
+    """pop_up of x inside an interval [., b]: x joined with its upper covers <= b.
+
+    A scan over the covers of x, for proper intervals (``is_conuclear``,
+    ``sequences._child``) and the public ``pop_up``; on the whole lattice
+    ``_pop_ups`` reads the same from kappa_bar in closed form.
+    """
     up, down_b = lattice.up, lattice.down[b]
     acc = up[x]
     for v in lattice._ucov[x]:
@@ -151,24 +182,19 @@ class CoreData:
 def core_data(lattice: Lattice, x: str) -> CoreData:
     """All core data for x: its row of ``_core_table``, with names and the two core views.
 
-    lab_down(x) labels [pop_down(x), x], lab_up(x) labels the upper core
-    [kappa_bar(x), pop_up(kappa_bar(x))], and W(x) is {j in cji : j <= x and
-    kappa(j) >= kappa_bar(x)}, which equals lab_down(x) & lab_up(x).  The
-    name x is looked up before any table is built, so an unknown name
-    raises SchemaError even on a lattice that is not semidistributive.
+    lab_down(x) labels the lower core [x ^ kappa_bar(x), x], lab_up(x) the
+    upper core [kappa_bar(x), x v kappa_bar(x)], and W(x) is
+    {j in cji : j <= x and kappa(j) >= kappa_bar(x)}, which equals
+    lab_down(x) & lab_up(x).  The name x is looked up before any table is
+    built, so an unknown name raises SchemaError even on a lattice that is
+    not semidistributive.
     """
     i = lattice.index[x]
     pd, pu, k, pu_k, lab_down, lab_up, w_set = _core_table(lattice)[i]
     names = lattice.names
+    # positional, in field order: keyword matching costs more in this per-element call
     return CoreData(
-        element=x,
-        pop_down=names[pd],
-        pop_up=names[pu],
-        core_down=IntervalView(lattice, pd, i),
-        core_up=IntervalView(lattice, k, pu_k),
-        lab_down=lab_down,
-        lab_up=lab_up,
-        w_set=w_set,
+        x, names[pd], names[pu], IntervalView(lattice, pd, i), IntervalView(lattice, k, pu_k), lab_down, lab_up, w_set
     )
 
 
@@ -178,7 +204,8 @@ def _core_table(lattice: Lattice) -> list[tuple]:
 
     A row is (pop_down(x), pop_up(x), k, pop_up(k), lab_down, lab_up, W)
     with k = kappa_bar(x), the first four as indices and the three label
-    sets as name tuples.  The three mask lists are decoded together, so a
+    sets as name tuples; pop_up(k) is x v k, the top of the upper core
+    (module docstring).  The three mask lists are decoded together, so a
     mask that recurs is walked once: on the tamari and boolean lattices,
     where the lists coincide, each element's masks are walked once, not
     three times.  A row holds no n-bit mask; ``core_data`` builds the two
@@ -193,22 +220,37 @@ def _core_table(lattice: Lattice) -> list[tuple]:
 
 @memoized
 def _pop_downs(lattice: Lattice) -> list[int]:
-    """pop_down of every element, memoized."""
-    bot = lattice._bot
-    return [_pop_down_idx(lattice, x, bot) for x in range(lattice.n)]
+    """pop_down of every element, memoized: x ^ kappa_bar(x), one n-bit AND each.
+
+    The closed form of the module docstring; the per-cover scan
+    ``_pop_down_idx`` stays for proper intervals and the public ``pop_down``.
+    """
+    down = lattice.down
+    return [(down[x] & down[k]).bit_length() - 1 for x, k in enumerate(_kappa_bar_idx(lattice))]
 
 
 @memoized
 def _pop_ups(lattice: Lattice) -> list[int]:
-    """pop_up of every element, memoized."""
-    top = lattice._top
-    return [_pop_up_idx(lattice, x, top) for x in range(lattice.n)]
+    """pop_up of every element, memoized: y v kappa_bar_d(y), one n-bit AND each.
+
+    kappa_bar_d is the inverse of kappa_bar, so with y = kappa_bar(x) this
+    is x v kappa_bar(x), written to position y: the inverse permutation is
+    never built.  The per-cover scan ``_pop_up_idx`` stays for proper
+    intervals and the public ``pop_up``.
+    """
+    up, out = lattice.up, [0] * lattice.n
+    for x, k in enumerate(_kappa_bar_idx(lattice)):
+        joins = up[x] & up[k]
+        out[k] = (joins & -joins).bit_length() - 1
+    return out
 
 
 @memoized
 def _lab_down_masks(lattice: Lattice) -> list[int]:
     """lab_down of every element x, as position masks: the labels of [pop_down(x), x]."""
-    return [_labels_between(lattice, pd, x) for x, pd in enumerate(_pop_downs(lattice))]
+    context = _label_context(lattice)
+    jdown, jabove = context.jdown, context.jabove
+    return [jdown[x] & jabove[pd] for x, pd in enumerate(_pop_downs(lattice))]
 
 
 @memoized
@@ -217,8 +259,9 @@ def _lab_up_masks(lattice: Lattice) -> list[int]:
 
     The upper core of x is [k, pop_up(k)] with k = kappa_bar(x).
     """
-    pops_up = _pop_ups(lattice)
-    return [_labels_between(lattice, k, pops_up[k]) for k in _kappa_bar_idx(lattice)]
+    context, pops_up = _label_context(lattice), _pop_ups(lattice)
+    jdown, jabove = context.jdown, context.jabove
+    return [jdown[pops_up[k]] & jabove[k] for k in _kappa_bar_idx(lattice)]
 
 
 def _label_sets(lattice: Lattice, masks: list[int]) -> dict[str, frozenset[str]]:
@@ -241,7 +284,9 @@ def lab_up_map(lattice: Lattice) -> dict[str, frozenset[str]]:
 @memoized
 def _w_masks(lattice: Lattice) -> list[int]:
     """W(x) = {j in cji : j <= x and kappa(j) >= kappa_bar(x)} of every element, as position masks."""
-    return [_labels_between(lattice, k, x) for x, k in enumerate(_kappa_bar_idx(lattice))]
+    context = _label_context(lattice)
+    jdown, jabove = context.jdown, context.jabove
+    return [jdown[x] & jabove[k] for x, k in enumerate(_kappa_bar_idx(lattice))]
 
 
 def w_map(lattice: Lattice) -> dict[str, frozenset[str]]:
@@ -337,17 +382,24 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
     n = lattice.n
     ranked = sorted(range(n), key=lambda x: -masks[x].bit_count())
     # having[p] written as binary digits: bit r is set when ranked[r] has p
+    # the two bit walks are inline: they run once per label of every element
     rows = [bytearray(b"0" * n) for _ in range(max(masks).bit_length())]
+    one = ord("1")
     for r, x in enumerate(ranked):
-        for p in _bits(masks[x]):
-            rows[p][n - 1 - r] = ord("1")
+        rest, col = masks[x], n - 1 - r
+        while rest:
+            low = rest & -rest
+            rows[low.bit_length() - 1][col] = one
+            rest ^= low
     having = [int(row, 2) for row in rows]
     full = (1 << n) - 1
     up = []
     for x in ranked:
-        acc = full
-        for p in _bits(masks[x]):
-            acc &= having[p]
+        acc, rest = full, masks[x]
+        while rest:
+            low = rest & -rest
+            acc &= having[low.bit_length() - 1]
+            rest ^= low
         up.append(acc)
     covers = [(lo, hi) for lo, highs in enumerate(_lower_covers(up)) for hi in highs]
     del up  # n masks of n bits, freed before the build allocates its own

@@ -185,14 +185,20 @@ def m_label_cover(lattice: Lattice, lower: str, upper: str) -> str:
 @memoized
 def cover_labeling(lattice: Lattice) -> CoverLabeling:
     """Labels for all covers at once, memoized on the lattice."""
-    names, index = lattice.names, lattice.index
-    kappa, cji = _kappa(lattice), _label_context(lattice).cji
+    names, index, kappa, context = lattice.names, lattice.index, _kappa(lattice), _label_context(lattice)
+    jdown, jabove, jnames = context.jdown, context.jabove, context.labels
+    mnames = [names[kappa[j]] for j in context.cji]
     jlabel = {}
     mlabel = {}
-    for lo, hi in lattice.covers_named():
-        j = cji[_j_label_idx(lattice, index[lo], index[hi])]
-        jlabel[(lo, hi)] = names[j]
-        mlabel[(lo, hi)] = names[kappa[j]]
+    # each label bit read inline off the one fetched context, as in _cover_label_masks
+    for cover in lattice.covers_named():
+        u, v = index[cover[0]], index[cover[1]]
+        bit = jdown[v] & jabove[u]
+        if not bit or bit & (bit - 1):  # not a single label
+            raise _no_unique_label(lattice, u, v)
+        p = bit.bit_length() - 1
+        jlabel[cover] = jnames[p]
+        mlabel[cover] = mnames[p]
     return CoverLabeling(jlabel=jlabel, mlabel=mlabel)
 
 
@@ -245,11 +251,13 @@ def _kappa_bar_idx(lattice: Lattice) -> list[int]:
     kappa, down = _kappa(lattice), lattice.down
     # meets[p]: the down-set of kappa of the cji at position p
     meets = [down[kappa[j]] for j in _label_context(lattice).cji]
-    out = []
-    for mask in _cover_label_masks(lattice)[0]:
-        acc = down[lattice._top]
-        for p in _bits(mask):
-            acc &= meets[p]
+    top, out = down[lattice._top], []
+    for rest in _cover_label_masks(lattice)[0]:
+        acc = top
+        while rest:  # the bit walk inline: it runs once per cover of the lattice
+            low = rest & -rest
+            acc &= meets[low.bit_length() - 1]
+            rest ^= low
         out.append(acc.bit_length() - 1)
     return out
 
@@ -273,11 +281,15 @@ def _kappa_bar_d_within(lattice: Lattice, a: int, b: int, k: int) -> int:
     On a finite SD lattice and its intervals kappa_bar is a bijection with
     inverse kappa_bar_d (Barnard, "The canonical join complex", EJC 2019).
     """
-    up, down_b, cji = lattice.up, lattice.down[b], _label_context(lattice).cji
+    up, down_b, context = lattice.up, lattice.down[b], _label_context(lattice)
+    jdown, above_k = context.jdown, context.jabove[k]
     acc = up[a]
     for v in lattice._ucov[k]:
         if down_b >> v & 1:
-            acc &= up[cji[_j_label_idx(lattice, k, v)]]
+            bit = jdown[v] & above_k
+            if not bit or bit & (bit - 1):  # not a single label
+                raise _no_unique_label(lattice, k, v)
+            acc &= up[context.cji[bit.bit_length() - 1]]
     return _lsb(acc)
 
 

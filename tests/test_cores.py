@@ -61,9 +61,16 @@ def test_nuclear_iff_conuclear(small_sd_lattices):
 
 
 def test_pop_down_formula(small_sd_lattices):
-    for lat in sd_family_lattices() + small_sd_lattices:
+    # pop_down and pop_up scan the covers, while core_data reads both cores
+    # off kappa_bar in closed form, so this pins the tables to the scans
+    lattices = sd_family_lattices() + small_sd_lattices
+    for lat in lattices + [lat.dual() for lat in lattices]:
         for x in lat.names:
-            assert S.pop_down(lat, x) == lat.meet(x, S.kappa_bar(lat, x))
+            k = S.kappa_bar(lat, x)
+            assert S.pop_down(lat, x) == lat.meet(x, k)
+            assert S.pop_up(lat, x) == lat.join(x, S.kappa_bar_d(lat, x))
+            core_up = S.core_data(lat, x).core_up
+            assert (core_up.lo, core_up.hi) == (k, lat.join(x, k))
 
 
 def test_cores_are_nuclear(small_sd_lattices):
