@@ -17,7 +17,7 @@ from typing import Optional
 
 from .core import Lattice, _name_tuple, memoized
 from .errors import BadParameter, NotJoinIrreducible, SizeLimitExceeded
-from .irreducibles import _cover_label_masks, _decode, _kappa, _label_context, irreducible_table
+from .irreducibles import _cover_label_masks, _decode, _label_context
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ def _meetands(lattice: Lattice) -> list[tuple[str, ...]]:
     kappa(j) of the label j at p, so each mask is walked once over the
     kappa names and the walk sorted.
     """
-    kappa, names = _kappa(lattice), lattice.names
-    meetand = [names[kappa[j]] for j in _label_context(lattice).cji]
+    names = lattice.names
+    meetand = [names[k] for k in _label_context(lattice).kappa]
     return [tuple(sorted(walk)) for walk in _decode(meetand, _cover_label_masks(lattice)[1])[0]]
 
 
@@ -73,14 +73,14 @@ def joins_canonically(lattice: Lattice, elems) -> bool:
 
     Equivalent to the set being a face of the canonical join complex.
     """
-    table = irreducible_table(lattice)
+    context = _label_context(lattice)
     elems = sorted(set(_name_tuple(elems)))
     for a in elems:
-        if a not in table.jstar:
+        if a not in context.position:
             raise NotJoinIrreducible(f"{a!r} is not completely join-irreducible")
-    kappa, down = _kappa(lattice), lattice.down
-    ids = [lattice.index[a] for a in elems]
-    return all(down[kappa[b]] >> a & 1 for a, b in itertools.permutations(ids, 2))
+    jdown, kappa = context.jdown, context.kappa
+    positions = [context.position[a] for a in elems]
+    return all(jdown[kappa[q]] >> p & 1 for p, q in itertools.permutations(positions, 2))
 
 
 @dataclass(frozen=True)
@@ -133,11 +133,11 @@ class FlagComplex:
 
 def canonical_join_complex(lattice: Lattice) -> FlagComplex:
     """Vertices are cji(L); edges are the pairs joining canonically."""
-    table = irreducible_table(lattice)
-    names, index, down, kappa = lattice.names, lattice.index, lattice.down, _kappa(lattice)
+    context = _label_context(lattice)
+    labels, jdown, kappa = context.labels, context.jdown, context.kappa
     edges = frozenset(
-        frozenset((names[a], names[b]))
-        for a, b in itertools.combinations([index[j] for j in table.cji], 2)
-        if down[kappa[b]] >> a & 1 and down[kappa[a]] >> b & 1
+        frozenset((labels[p], labels[q]))
+        for p, q in itertools.combinations(range(len(labels)), 2)
+        if jdown[kappa[q]] >> p & 1 and jdown[kappa[p]] >> q & 1
     )
-    return FlagComplex(vertices=table.cji, edges=edges)
+    return FlagComplex(vertices=labels, edges=edges)

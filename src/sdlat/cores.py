@@ -18,7 +18,8 @@ read off kappa_bar in closed form:
   with m-label m is y v kappa_d(m), and kappa_bar_d(y) joins kappa_d over
   those m-labels, the canonical meetands of y.  kappa_bar_d is the
   inverse of kappa_bar (Barnard, "The canonical join complex", EJC 2019),
-  so with y = kappa_bar(x) the upper core is [kappa_bar(x), x v kappa_bar(x)].
+  and ``irreducibles`` computes it as the inverse permutation; so with
+  y = kappa_bar(x) the upper core is [kappa_bar(x), x v kappa_bar(x)].
 
 So the pop images of the whole lattice cost one n-bit AND per element
 (``_pop_downs``, ``_pop_ups``), not one per cover.
@@ -105,7 +106,7 @@ from typing import Optional
 
 from .core import IntervalView, Lattice, Poset, _lower_covers, _lsb, _msb, memoized
 from .errors import InconsistentLabels
-from .irreducibles import _decode, _kappa_bar_idx, _label_context, _sorted_names
+from .irreducibles import _decode, _kappa_bar_d_idx, _kappa_bar_idx, _label_context, _sorted_names
 
 
 def pop_down(lattice: Lattice, x: str) -> str:
@@ -233,15 +234,14 @@ def _pop_downs(lattice: Lattice) -> list[int]:
 def _pop_ups(lattice: Lattice) -> list[int]:
     """pop_up of every element, memoized: y v kappa_bar_d(y), one n-bit AND each.
 
-    kappa_bar_d is the inverse of kappa_bar, so with y = kappa_bar(x) this
-    is x v kappa_bar(x), written to position y: the inverse permutation is
-    never built.  The per-cover scan ``_pop_up_idx`` stays for proper
-    intervals and the public ``pop_up``.
+    The closed form of the module docstring, with kappa_bar_d the inverse
+    permutation of kappa_bar; the per-cover scan ``_pop_up_idx`` stays for
+    proper intervals and the public ``pop_up``.
     """
-    up, out = lattice.up, [0] * lattice.n
-    for x, k in enumerate(_kappa_bar_idx(lattice)):
-        joins = up[x] & up[k]
-        out[k] = (joins & -joins).bit_length() - 1
+    up, out = lattice.up, []
+    for y, x in enumerate(_kappa_bar_d_idx(lattice)):
+        joins = up[y] & up[x]
+        out.append((joins & -joins).bit_length() - 1)
     return out
 
 

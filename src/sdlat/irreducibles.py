@@ -11,19 +11,24 @@ checks semidistributivity and yields the kappa table; see
 
 Cover labels come from masks too, on cji positions.  The label context
 (``_label_context``) numbers the cji 0..|J|-1 in name order, and a label
-set is a |J|-bit mask of positions.  With jdown[x] = {j : j <= x} and
+set is a |J|-bit mask of positions.  It is the one kappa table the
+library reads: ``kappa[p]`` is the element kappa(J[p]); the name maps of
+``irreducible_table`` serve the public API.  With jdown[x] = {j : j <= x} and
 jabove[u] = {j : kappa(j) >= u}, the j-label of a cover u < v is the
 single bit of ``jdown[v] & jabove[u]`` and its m-label is kappa of that
-j-label; kappa_bar, kappa_bar_d and the label sets of intervals are read
-off the same masks, and a label set comes out in name order by a walk
-over its bits.  A mask that is not a single bit raises NoUniqueMax.
+j-label; j_p <= kappa(j_q) is bit p of ``jdown[kappa[q]]``.  kappa_bar
+and the label sets of intervals are read off the same masks, and a label
+set comes out in name order by a walk over its bits.  A mask that is not
+a single bit raises NoUniqueMax.  On a finite SD lattice kappa_bar is a
+bijection with inverse kappa_bar_d (Barnard, "The canonical join
+complex", EJC 2019), so kappa_bar_d is kappa_bar's inverse permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Lattice, _bits, _lsb, memoized
+from .core import Lattice, _bits, memoized
 from .errors import (
     NoUniqueMax,
     NotACover,
@@ -64,47 +69,42 @@ def irreducible_table(lattice: Lattice) -> IrreducibleTable:
     )
 
 
-@memoized
-def _kappa(lattice: Lattice) -> dict[int, int]:
-    """kappa on indices; raises NotSemidistributive as irreducible_table does."""
-    irreducible_table(lattice)
-    return lattice._kappa_maps()[0]
-
-
 @dataclass(frozen=True)
 class _LabelContext:
-    """The cji numbered 0..|J|-1 in name order, and the label masks on those positions.
+    """The cji numbered 0..|J|-1 in name order, their kappa and the label masks on those positions.
 
-    ``cji[p]`` is the element index of position p and ``labels[p]`` its
-    name, ``jdown[x]`` the mask of the positions of the cji <= x and
-    ``jabove[u]`` that of the j with kappa(j) >= u.
+    ``cji[p]`` is the element index of position p, ``labels[p]`` its name
+    and ``kappa[p]`` the element index of its kappa; ``position`` maps a
+    cji name to its p.  ``jdown[x]`` is the mask of the positions of the
+    cji <= x and ``jabove[u]`` that of the j with kappa(j) >= u.
     """
 
     cji: tuple[int, ...]
     labels: tuple[str, ...]
+    kappa: tuple[int, ...]
+    position: dict[str, int]
     jdown: list[int]
     jabove: list[int]
 
 
 @memoized
 def _label_context(lattice: Lattice) -> _LabelContext:
-    """The label context of the lattice, memoized; raises NotSemidistributive as irreducible_table does.
-
-    Positions follow the table's cji, which are sorted by name.
-    """
-    kappa, n = _kappa(lattice), lattice.n
-    labels = irreducible_table(lattice).cji
-    cji = tuple(lattice.index[j] for j in labels)
+    """The label context of the lattice, memoized."""
+    irreducible_table(lattice)  # raises NotSemidistributive
+    kappa_of, names, n = lattice._kappa_maps()[0], lattice.names, lattice.n
+    cji = tuple(sorted(kappa_of, key=names.__getitem__))
+    labels, kappa = tuple(names[j] for j in cji), tuple(kappa_of[j] for j in cji)
     jdown, above = [0] * n, [0] * n
     for p, j in enumerate(cji):
         jdown[j] = 1 << p
-        above[kappa[j]] |= 1 << p
+        above[kappa[p]] |= 1 << p
     for x, lows in enumerate(lattice._dcov):
         acc = jdown[x]
         for u in lows:
             acc |= jdown[u]
         jdown[x] = acc
-    return _LabelContext(cji, labels, jdown, lattice._union_above(above))
+    position = {name: p for p, name in enumerate(labels)}
+    return _LabelContext(cji, labels, kappa, position, jdown, lattice._union_above(above))
 
 
 def _labels_between(lattice: Lattice, lo: int, hi: int) -> int:
@@ -185,9 +185,9 @@ def m_label_cover(lattice: Lattice, lower: str, upper: str) -> str:
 @memoized
 def cover_labeling(lattice: Lattice) -> CoverLabeling:
     """Labels for all covers at once, memoized on the lattice."""
-    names, index, kappa, context = lattice.names, lattice.index, _kappa(lattice), _label_context(lattice)
+    names, index, context = lattice.names, lattice.index, _label_context(lattice)
     jdown, jabove, jnames = context.jdown, context.jabove, context.labels
-    mnames = [names[kappa[j]] for j in context.cji]
+    mnames = [names[k] for k in context.kappa]
     jlabel = {}
     mlabel = {}
     # each label bit read inline off the one fetched context, as in _cover_label_masks
@@ -248,9 +248,9 @@ def _cover_label_masks(lattice: Lattice) -> tuple[list[int], list[int]]:
 @memoized
 def _kappa_bar_idx(lattice: Lattice) -> list[int]:
     """kappa_bar on indices: the meet of kappa(j) over the labels j of the covers below x."""
-    kappa, down = _kappa(lattice), lattice.down
+    down = lattice.down
     # meets[p]: the down-set of kappa of the cji at position p
-    meets = [down[kappa[j]] for j in _label_context(lattice).cji]
+    meets = [down[k] for k in _label_context(lattice).kappa]
     top, out = down[lattice._top], []
     for rest in _cover_label_masks(lattice)[0]:
         acc = top
@@ -273,31 +273,13 @@ def kappa_bar_map(lattice: Lattice) -> dict[str, str]:
     return {names[x]: names[k] for x, k in enumerate(_kappa_bar_idx(lattice))}
 
 
-def _kappa_bar_d_within(lattice: Lattice, a: int, b: int, k: int) -> int:
-    """kappa_bar_d of k inside [a, b]: a v the j-labels of the covers k < v <= b.
-
-    kappa_bar_d(k) joins kappa_d of the m-labels kappa(j) of the covers
-    above k, and the interval relabels j as a v j (see ``sequences``).
-    On a finite SD lattice and its intervals kappa_bar is a bijection with
-    inverse kappa_bar_d (Barnard, "The canonical join complex", EJC 2019).
-    """
-    up, down_b, context = lattice.up, lattice.down[b], _label_context(lattice)
-    jdown, above_k = context.jdown, context.jabove[k]
-    acc = up[a]
-    for v in lattice._ucov[k]:
-        if down_b >> v & 1:
-            bit = jdown[v] & above_k
-            if not bit or bit & (bit - 1):  # not a single label
-                raise _no_unique_label(lattice, k, v)
-            acc &= up[context.cji[bit.bit_length() - 1]]
-    return _lsb(acc)
-
-
 @memoized
 def _kappa_bar_d_idx(lattice: Lattice) -> list[int]:
-    """kappa_bar_d on indices: ``_kappa_bar_d_within`` on the whole lattice."""
-    bot, top = lattice._bot, lattice._top
-    return [_kappa_bar_d_within(lattice, bot, top, y) for y in range(lattice.n)]
+    """kappa_bar_d on indices: the inverse permutation of kappa_bar (module docstring)."""
+    out = [0] * lattice.n
+    for x, k in enumerate(_kappa_bar_idx(lattice)):
+        out[k] = x
+    return out
 
 
 @memoized

@@ -153,14 +153,13 @@ def is_kd_exceptional(lattice: Lattice, entries: Sequence[str]) -> KdCheck:
     failure the reported depth is the shallowest one at which some later
     entry is not a label of the interval, as in the definition.
     """
-    table = irreducible_table(lattice)
+    context = _label_context(lattice)
     entries = _name_tuple(entries)
     for e in entries:
-        if e not in table.jstar:
+        if e not in context.position:
             raise NotJoinIrreducible(f"{e!r} is not completely join-irreducible")
-    cji = _label_context(lattice).cji
-    position = {j: p for p, j in enumerate(cji)}
-    seq = [position[lattice.index[e]] for e in reversed(entries)]
+    cji = context.cji
+    seq = [context.position[e] for e in reversed(entries)]
     node = _root(lattice)
     masks = []
     for d in range(len(seq) - 1):

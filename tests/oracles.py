@@ -17,7 +17,8 @@ reads off masks or off intervals of the parent lattice:
   sorted name covers, and the label sets as maps of name frozensets;
 * ``is_extremal_oracle``: extremality by a search for a longest chain whose
   j-labels exhaust cji, and ``kappa_bar_d_oracle``: kappa_bar_d as the join
-  of the j-labels of the covers above each element;
+  of the j-labels of the covers above each element, from
+  ``kappa_bar_d_within``, the same scan inside an interval [a, b];
 * ``atom_labels`` and ``coatom_labels``: the labels of the covers at the two
   ends of an interval;
 * ``element_labels_between``: the label masks in element coordinates, each
@@ -40,10 +41,16 @@ from sdlat import CloLabeling
 from sdlat.core import _bits, _lsb, _name_list, _union_above
 from sdlat.cores import OrdersReport, clo_down, clo_up, kappa_order, lab_down_map, lab_up_map, w_map
 from sdlat.cores import CoreData, _lab_up_masks, _pop_down_idx, _pop_up_idx
-from sdlat.irreducibles import _inherited_label_leq, _j_label_idx, _kappa, _kappa_bar_idx, _label_context
+from sdlat.irreducibles import _inherited_label_leq, _j_label_idx, _kappa_bar_idx, _label_context
 from sdlat.irreducibles import _labels_between
 from sdlat.irreducibles import _sorted_names
 from sdlat.irreducibles import kappa_bar_map
+
+
+def _kappa(lattice):
+    """kappa on indices, off the lattice's index maps; raises NotSemidistributive as irreducible_table does."""
+    irreducible_table(lattice)
+    return lattice._kappa_maps()[0]
 
 
 def _transpose(down, n):
@@ -323,17 +330,27 @@ def kappa_bar_d_oracle(lattice):
 
     kappa_bar_d(x) is the join of kappa_d over the canonical meetands of x;
     the meetand of a cover x < v is kappa(j) for its j-label, so this is the
-    join of the j-labels of the covers above x.
+    join of the j-labels of the covers above x: ``kappa_bar_d_within`` on
+    the whole lattice.
     """
-    names, up, ucov = lattice.names, lattice.up, lattice._ucov
-    cji = _label_context(lattice).cji
-    out = {}
-    for x in range(lattice.n):
-        acc = up[lattice._bot]
-        for v in ucov[x]:
-            acc &= up[cji[_j_label_idx(lattice, x, v)]]
-        out[names[x]] = names[_lsb(acc)]
-    return out
+    names, bot, top = lattice.names, lattice._bot, lattice._top
+    return {names[x]: names[kappa_bar_d_within(lattice, bot, top, x)] for x in range(lattice.n)}
+
+
+def kappa_bar_d_within(lattice, a, b, k):
+    """kappa_bar_d of k inside [a, b]: a v the j-labels of the covers k < v <= b, by index.
+
+    kappa_bar_d(k) joins kappa_d of the m-labels kappa(j) of the covers
+    above k, and the interval relabels j as a v j (see ``sdlat.sequences``).
+    On a finite SD lattice and its intervals kappa_bar is a bijection with
+    inverse kappa_bar_d (Barnard, "The canonical join complex", EJC 2019).
+    """
+    up, down_b, cji = lattice.up, lattice.down[b], _label_context(lattice).cji
+    acc = up[a]
+    for v in lattice._ucov[k]:
+        if down_b >> v & 1:
+            acc &= up[cji[_j_label_idx(lattice, k, v)]]
+    return _lsb(acc)
 
 
 def atom_labels(lattice, lo, hi):

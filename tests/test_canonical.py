@@ -6,7 +6,7 @@ import pytest
 import sdlat as S
 from sdlat import BadParameter, NotJoinIrreducible, SizeLimitExceeded
 
-from conftest import four_condition_flags, sd_family_lattices
+from conftest import four_condition_flags, random_pool, sd_family_lattices
 from oracles import cjr_oracle
 
 
@@ -107,6 +107,16 @@ def test_complex_golden(fig1):
     faces = complex_.faces()
     assert ("j1", "j2", "j3") in faces
     assert ("j4",) in faces
+
+
+def test_complex_faces_are_the_canonical_join_representations():
+    # the flag-complex theorem: the faces of the canonical join complex are
+    # exactly the canonical joinand sets of the elements, one face each
+    lattices = [S.generate("tamari", n) for n in range(1, 7)] + [S.generate("boolean", n) for n in range(6)]
+    lattices += [S.generate(name) for name in ("fig1", "fig4", "diamond")] + list(random_pool(1, 8, 300)[:150])
+    for lat in lattices + [lat.dual() for lat in lattices]:
+        faces = S.canonical_join_complex(lat).faces()
+        assert sorted(faces) == sorted(S.cjr(lat, x).joinands for x in lat.names), lat.covers_named()
 
 
 def test_faces_max_size(fig1):

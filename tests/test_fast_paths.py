@@ -456,6 +456,34 @@ def test_sequences_names_no_kappa_bar_helper():
     assert lines == [], f"sequences.py names a kappa_bar helper on lines {lines}"
 
 
+def test_kappa_read_off_one_table():
+    # kappa on indices lives in Poset._kappa_maps (core.py), which
+    # random_sd_lattice also runs on bare masks (generators.py); the library
+    # reads it through the label context, so in irreducibles.py only
+    # irreducible_table and _label_context name it, and no _kappa memo or
+    # second kappa_bar_d is left anywhere
+    owners = {"irreducibles.py": {"irreducible_table", "_label_context"}}
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in {"core.py", "generators.py"}:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {
+            id(sub)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in owners.get(path.name, ())
+            for sub in ast.walk(node)
+        }
+        lines = []
+        for node in ast.walk(tree):
+            named = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+            if ("_kappa_maps" in named and id(node) not in inside) or named & {"_kappa", "_kappa_bar_d_within"}:
+                lines.append(node.lineno)
+        if lines:
+            found[path.name] = lines
+    assert found == {}, f"kappa read outside the label context: {found}"
+
+
 def test_sequences_steps_to_a_child_in_one_place():
     # the n-bit child step (a v j, then pop_up inside the node) lives in
     # _child alone, and cover labels come off the mask table, not off

@@ -25,12 +25,12 @@ import sdlat as S
 from sdlat import NoBoundsError, RecursionMismatch
 from sdlat.core import _bits
 from sdlat.cores import _lab_down_masks, _lab_up_masks, _w_masks, clo_up, lab_up_map, pop_up
-from sdlat.irreducibles import _cover_label_masks, _kappa_bar_d_within, _label_context, _labels_between
+from sdlat.irreducibles import _cover_label_masks, _label_context, _labels_between
 from sdlat.irreducibles import _sorted_names
 
 from conftest import random_pool, sd_family_lattices
 from oracles import as_lattice, count_kd_nodes, element_labels_between, enumerate_kd_nodes, kappa_bar_within, kd_nodes
-from oracles import clo_labeling_from_keys, node_label_steps, recursive_labels_nodes
+from oracles import clo_labeling_from_keys, kappa_bar_d_within, node_label_steps, recursive_labels_nodes
 
 FAMILIES = [("tamari", n) for n in range(3, 7)] + [("boolean", n) for n in range(2, 6)]
 FAMILIES += [("fig1", None), ("fig4", None)] + [("chain", n) for n in range(2, 7)]
@@ -379,14 +379,15 @@ def test_child_masks_lose_their_label(small_sd_lattices):
 
 
 def test_kappa_bar_d_within_inverts_interval_kappa_bar(small_sd_lattices):
-    # kappa_bar_d inside a node is the closed form, kappa_bar inside it the
-    # oracle's meet over the lower covers; one undoes the other on [a, b]
+    # Barnard's inverse, on every node [a, b]: kappa_bar_d as a scan over the
+    # upper covers undoes kappa_bar as a meet over the lower covers; the
+    # library takes kappa_bar_d as kappa_bar's inverse on the whole lattice
     lattices = [S.generate(family, n) for family, n in FAMILIES] + small_sd_lattices
     nodes = 0
     for lat in lattices + [lat.dual() for lat in lattices]:
         for a, b in kd_nodes(lat):
             kbar = kappa_bar_within(lat, a, b)
-            assert {x: _kappa_bar_d_within(lat, a, b, k) for x, k in kbar.items()} == {x: x for x in kbar}
+            assert {x: kappa_bar_d_within(lat, a, b, k) for x, k in kbar.items()} == {x: x for x in kbar}
             nodes += 1
     assert nodes > 1000
 
