@@ -346,9 +346,7 @@ class Poset:
     def lower_covers(self, a: str) -> tuple[str, ...]:
         return tuple(sorted(self.names[j] for j in self._dcov[self.index[a]]))
 
-    @memoized
     def covers_named(self) -> tuple[tuple[str, str], ...]:
-        """The covers as sorted (lower, upper) name pairs, memoized."""
         return tuple(sorted((self.names[a], self.names[b]) for a, b in self.covers))
 
     def height(self) -> int:
