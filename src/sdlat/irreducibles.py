@@ -184,21 +184,28 @@ def m_label_cover(lattice: Lattice, lower: str, upper: str) -> str:
 
 @memoized
 def cover_labeling(lattice: Lattice) -> CoverLabeling:
-    """Labels for all covers at once, memoized on the lattice."""
-    names, index, context = lattice.names, lattice.index, _label_context(lattice)
+    """Labels for all covers at once, memoized on the lattice.
+
+    The covers are walked on indices, upper element by upper element, so
+    the dicts iterate in index order, not name order; no output reads that
+    order (``jsonio.emit_json`` sorts label keys, ``jsonio.emit_dot``
+    sorts covers).
+    """
+    names, context = lattice.names, _label_context(lattice)
     jdown, jabove, jnames = context.jdown, context.jabove, context.labels
     mnames = [names[k] for k in context.kappa]
     jlabel = {}
     mlabel = {}
     # each label bit read inline off the one fetched context, as in _cover_label_masks
-    for cover in lattice.covers_named():
-        u, v = index[cover[0]], index[cover[1]]
-        bit = jdown[v] & jabove[u]
-        if not bit or bit & (bit - 1):  # not a single label
-            raise _no_unique_label(lattice, u, v)
-        p = bit.bit_length() - 1
-        jlabel[cover] = jnames[p]
-        mlabel[cover] = mnames[p]
+    for v, lows in enumerate(lattice._dcov):
+        for u in lows:
+            bit = jdown[v] & jabove[u]
+            if not bit or bit & (bit - 1):  # not a single label
+                raise _no_unique_label(lattice, u, v)
+            p = bit.bit_length() - 1
+            cover = (names[u], names[v])
+            jlabel[cover] = jnames[p]
+            mlabel[cover] = mnames[p]
     return CoverLabeling(jlabel=jlabel, mlabel=mlabel)
 
 

@@ -216,10 +216,11 @@ def emit_dot(
         poset = obj.poset
     else:
         poset = obj
+    names = poset.names
     lines = [f"digraph {graph_name} {{"]
-    for name in sorted(poset.names):
+    for name in sorted(names):
         lines.append(f"  {_dot_quote(name)};")
-    for lo, hi in sorted(poset.covers_named(), key=lambda c: (c[1], c[0])):
+    for hi, lo in sorted((names[hi], names[lo]) for lo, hi in poset.covers):
         edge = f"  {_dot_quote(hi)} -> {_dot_quote(lo)}"
         if labels and (lo, hi) in labels:
             lines.append(f"{edge} [label={_dot_quote(labels[(lo, hi)])}];")

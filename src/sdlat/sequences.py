@@ -52,11 +52,11 @@ So the walks carry masks, not nodes.  ``_dag`` expands each mask once,
 at the first node met with it, into its child masks (|L| masks on tamari
 and boolean, where a node per interval gave 394 / 1806 on tamari 6 / 7);
 the count, the listing and right-extendability read that table, and the
-verifier steps along its one path with ``_child``.  The listing goes one
-step further: what a walk lists below a point depends only on its mask
-and its alive right-extension walks, so each such state builds its list
-of suffixes once, from its children's, and the results are sorted as
-integer keys, not as tuples of names (``enumerate_kd_exceptional``).
+verifier steps along its one path with ``_child``.  The listing is one
+depth-first walk over the paths of that table.  What a step does depends
+only on its mask and its alive right-extension walks, so each such state
+works out its steps once, and the results are sorted as integer keys,
+not as tuples of names (``enumerate_kd_exceptional``).
 
 The clo-up labeling reads the same table.  The recursion that defines
 it labels each coatom u of cloUp([a, b]) by kappa_bar(u) = a v j and
@@ -70,14 +70,14 @@ them, live with the tests, not in the library.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .core import Lattice, _bits, _lsb, _name_tuple
 from .cores import DerivedPoset, _lab_up_masks, _pop_up_idx, clo_up
 from .errors import NoBoundsError, NotJoinIrreducible, RecursionMismatch
-from .irreducibles import _inherited_label_leq, _label_context, _labels_between, irreducible_table, kappa_bar
+from .irreducibles import _inherited_label_leq, _label_context, _labels_between, kappa_bar
 from .shelling import LabeledPoset
 
 Node = tuple[int, int]
@@ -124,8 +124,8 @@ def _dag(lattice: Lattice) -> tuple[int, dict[int, dict[int, int]]]:
     not matter.  A row is made empty when its mask is first met and filled
     when the mask is expanded.
     """
-    a, b = _root(lattice)
-    cji = _label_context(lattice).cji
+    cji = _label_context(lattice).cji  # raises NotSemidistributive
+    a, b = lattice._bot, lattice._top
     root = _labels_between(lattice, a, b)
     kids: dict[int, dict[int, int]] = {root: {}}
     stack = [(root, a, b)]
@@ -139,11 +139,6 @@ def _dag(lattice: Lattice) -> tuple[int, dict[int, dict[int, int]]]:
                 kids[child] = {}
                 stack.append((child, x, y))
     return root, kids
-
-
-def _root(lattice: Lattice) -> Node:
-    irreducible_table(lattice)  # raises NotSemidistributive
-    return (lattice._bot, lattice._top)
 
 
 def is_kd_exceptional(lattice: Lattice, entries: Sequence[str]) -> KdCheck:
@@ -160,7 +155,7 @@ def is_kd_exceptional(lattice: Lattice, entries: Sequence[str]) -> KdCheck:
             raise NotJoinIrreducible(f"{e!r} is not completely join-irreducible")
     cji = context.cji
     seq = [context.position[e] for e in reversed(entries)]
-    node = _root(lattice)
+    node = (lattice._bot, lattice._top)
     masks = []
     for d in range(len(seq) - 1):
         node = _child(lattice, *node, cji[seq[d]])
@@ -191,70 +186,60 @@ def enumerate_kd_exceptional(
     right instead, that is, whether the sequence is a path from some child
     (j0, pop_up(j0)) of the root; those walks run alongside the listing.
 
-    A walk's state is its mask and its alive right-extension walks, a set
-    of masks (walks that reach one mask go on as one).  What a walk lists
-    from a state on, the suffixes of its paths, depends on the state
-    alone, so each state's suffix list is built once, from its children's,
-    in popcount order of the masks (a child's mask lacks the label that
-    leads to it).  Sequences act from the right, so a suffix is displayed
-    on the left of the entries walked before it.
+    The listing is one depth-first walk over the paths of ``_dag``'s
+    table.  A walk's state is its mask and its alive right-extension
+    walks, a set of masks (walks that reach one mask go on as one), and
+    each state's steps are worked out once.  A step lists the sequence it
+    ends (under ``maximal_only`` only a step into an empty row), marked
+    right-extendable when a walk is alive at its end, and the walk goes
+    on unless the row is empty.  Sequences act from the right, so each
+    step's label is displayed on the left of the entries walked before it.
 
-    The listing sorts integers.  Positions are in name order, and the root
-    holds every position, as each cji j labels [j_*, j]; so the label at
-    position p gets the digit d(p) = p + 1, its rank in name order plus 1,
-    and a display tuple (e_1, ..., e_m) the key sum d(e_i) * B**(W - i),
-    with W the number of labels and B = W + 1; no sequence is longer than
-    W, as each step drops a label.  Read in base B the key is the tuple's
-    digits, padded on the right with zeros, which sort below every digit;
-    so a prefix sorts before its extensions, and names are distinct, so
-    keys sort exactly as the tuples do.  A suffix of length n extended by
-    the label p that leads to it gets d(p) * B**(W - 1 - n) added.  Keys
-    are kept doubled, with the right-extendable flag in the low bit, which
-    does not change their order.
+    One sort on integer keys orders the results.  Positions are in name
+    order, and the root holds every position, as each cji j labels
+    [j_*, j]; so the label at position p gets the digit d(p) = p + 1, its
+    rank in name order plus 1, and a display tuple (e_1, ..., e_m) the key
+    sum d(e_i) * B**(W - i), with W the number of labels and B = W + 1; no
+    sequence is longer than W, as each step drops a label.  Read in base B
+    the key is the tuple's digits, padded on the right with zeros, which
+    sort below every digit; so a prefix sorts before its extensions, and
+    names are distinct, so keys sort exactly as the tuples do.  A step by
+    label p turns the key k into d(p) * B**(W - 1) + k // B, the new label
+    in the top digit; the division is exact, as a sequence that is
+    extended has fewer than W labels.
     """
     root, kids = _dag(lattice)
     names, cji = lattice.names, _label_context(lattice).cji
     base = len(cji) + 1
-    weights = [2 * base**power for power in reversed(range(len(cji)))]
-    start = (root, frozenset(kids[root].values()) if mark_right_extendable else frozenset())
+    top = base ** len(cji) // base  # B**(W - 1), an int also when W = 0
+    # state -> its steps: (label digit * B**(W - 1), (label name,), child
+    # state, listed, walked on), worked out once
     moves: dict[tuple[int, frozenset[int]], list] = {}
-    stack = [start]
+    found = []
+    start = (root, frozenset(kids[root].values()) if mark_right_extendable else frozenset())
+    stack = [(start, 0, ())]
     while stack:
-        state = stack.pop()
-        if state in moves:
-            continue
-        mask, alive = state
-        walks = [kids[w] for w in alive]
-        moves[state] = [
-            (j, (child, frozenset([walk[j] for walk in walks if j in walk]) if walks else alive))
-            for j, child in kids[mask].items()
-        ]
-        stack.extend(child for _, child in moves[state])
-    parents = Counter(child for step in moves.values() for _, child in step)
-    # state -> suffix length -> (doubled keys, display tuples); a state's
-    # lists go once its last parent has read them
-    suffixes: dict[tuple[int, frozenset[int]], dict[int, tuple[list[int], list[tuple]]]] = {}
-    for state in sorted(moves, key=lambda state: state[0].bit_count()):
-        step = moves[state]
-        own = not step or not maximal_only
-        listed = suffixes[state] = {0: ([1 if state[1] else 0], [()])} if own else {}
-        for p, child in step:
-            entry = (names[cji[p]],)
-            for length, (keys, tuples) in suffixes[child].items():
-                add = (p + 1) * weights[length]
-                to_keys, to_tuples = listed.setdefault(length + 1, ([], []))
-                to_keys += [key + add for key in keys]
-                to_tuples += [left + entry for left in tuples]
-            parents[child] -= 1
-            if not parents[child]:
-                del suffixes[child]
-    found: dict[int, tuple] = {}
-    for length, (keys, tuples) in suffixes[start].items():
-        if length:
-            found.update(zip(keys, tuples))
+        state, key, entries = stack.pop()
+        steps = moves.get(state)
+        if steps is None:
+            mask, alive = state
+            walks = [kids[w] for w in alive]
+            steps = moves[state] = []
+            for p, child in kids[mask].items():
+                after = frozenset([walk[p] for walk in walks if p in walk]) if walks else alive
+                last = not kids[child]
+                steps.append(((p + 1) * top, (names[cji[p]],), (child, after), last or not maximal_only, not last))
+        key //= base
+        for digit, name, child, listed, walked in steps:
+            left = name + entries
+            if listed:
+                found.append((digit + key, left, bool(child[1])))
+            if walked:
+                stack.append((child, digit + key, left))
+    found.sort(key=itemgetter(0))  # the keys are unique: compare them, not the tuples
     if mark_right_extendable:
-        return [KdSequence(found[key], key & 1 == 1) for key in sorted(found)]
-    return [KdSequence(found[key]) for key in sorted(found)]
+        return [KdSequence(entries, flag) for _, entries, flag in found]
+    return [KdSequence(entries) for _, entries, _ in found]
 
 
 def count_kd_exceptional(lattice: Lattice, maximal_only: bool = False) -> int:

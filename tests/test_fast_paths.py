@@ -484,6 +484,35 @@ def test_kappa_read_off_one_table():
     assert found == {}, f"kappa read outside the label context: {found}"
 
 
+def test_covers_named_only_where_name_order_comes_out():
+    # covers_named sorts every cover by name on each call; src calls it only
+    # where that order is the output (document and orders listings, label
+    # checks and the clo-up labels), and walks index covers elsewhere
+    owners = {
+        "shelling.py": {"__post_init__"},
+        "sequences.py": {"label_clo_up"},
+        "jsonio.py": {"to_document"},
+        "cli.py": {"_cmd_orders"},
+    }
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {
+            id(sub)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in owners.get(path.name, ())
+            for sub in ast.walk(node)
+        }
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "covers_named" and id(node) not in inside
+        ]
+        if lines:
+            found[path.name] = lines
+    assert found == {}, f"covers_named called outside its owners: {found}"
+
+
 def test_sequences_steps_to_a_child_in_one_place():
     # the n-bit child step (a v j, then pop_up inside the node) lives in
     # _child alone, and cover labels come off the mask table, not off

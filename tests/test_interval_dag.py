@@ -444,3 +444,22 @@ def test_tamari_maximal_count(n):
 @pytest.mark.parametrize("n", range(3, 7))
 def test_boolean_maximal_count(n):
     assert S.count_kd_exceptional(S.generate("boolean", n), maximal_only=True) == math.factorial(n)
+
+
+def test_listing_past_the_oracle_sizes():
+    # check_sequences stops at 132 elements; on tamari(7) and boolean(6) the
+    # listing must still rise strictly in display order and agree with the
+    # count, and no sequence is longer than the six of a maximal one, so
+    # none of those extends on the right
+    tamari7 = S.generate("tamari", 7)
+    for lat, maximal in ((tamari7, 7**5), (S.generate("boolean", 6), math.factorial(6))):
+        listed = S.enumerate_kd_exceptional(lat, maximal_only=True, mark_right_extendable=True)
+        entries = [s.entries for s in listed]
+        assert len(entries) == maximal == S.count_kd_exceptional(lat, maximal_only=True)
+        assert all(a < b for a, b in zip(entries, entries[1:]))
+        assert {len(e) for e in entries} == {6}
+        assert not any(s.right_extendable for s in listed)
+    full = [s.entries for s in S.enumerate_kd_exceptional(tamari7)]
+    assert len(full) == S.count_kd_exceptional(tamari7) == 42798
+    assert all(a < b for a, b in zip(full, full[1:]))
+    assert max(map(len, full)) == 6
