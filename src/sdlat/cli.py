@@ -266,7 +266,8 @@ def _cmd_el(args) -> int:
         payload = {"order": list(order) if found else None}
         _emit(args, lines, payload)
         return 0 if found else 1
-    order = tuple(args.order.split(","))
+    # an empty --order is the empty order, not the one label ""
+    order = tuple(args.order.split(",")) if args.order else ()
     report = is_el_labeling(obj, order)
     lines = ["EL-labeling: " + ("yes" if report.ok else "no")]
     payload = {"order": list(order), "el": report.ok, "witness": None}

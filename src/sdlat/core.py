@@ -128,8 +128,8 @@ def _cover_pairs_have_meets(down: list[int], dcov: list[list[int]]) -> bool:
     return True
 
 
-def _kappa_maps(down: list[int], up: list[int], dcov: list, ucov: list) -> Optional[tuple[dict, dict]]:
-    """kappa and kappa_d on element indices of a lattice, or None if it is not SD.
+def _kappa_maps(down: list[int], up: list[int], dcov: list, ucov: list) -> Optional[dict[int, int]]:
+    """kappa on element indices of a lattice, or None if it is not SD.
 
     Freese-Jezek-Nation, *Free Lattices* (1995), Thm 2.56: a finite
     lattice is meet-semidistributive iff kappa(j) exists for every
@@ -138,7 +138,8 @@ def _kappa_maps(down: list[int], up: list[int], dcov: list, ucov: list) -> Optio
     candidates for kappa(j) = max{y : j ^ y = j_*} are exactly
     ``up[j_*] & ~up[j]``, and those for kappa_d(m) are
     ``down[m^*] & ~down[m]``, so the whole check is one mask test per
-    irreducible.
+    irreducible.  On an SD lattice kappa is a bijection from the cji onto
+    the cmi with inverse kappa_d, so only kappa is kept.
     """
     kappa: dict[int, int] = {}
     for j, lows in enumerate(dcov):
@@ -147,14 +148,12 @@ def _kappa_maps(down: list[int], up: list[int], dcov: list, ucov: list) -> Optio
             kappa[j] = top = _msb(cand)
             if cand & ~down[top]:
                 return None
-    kappa_d: dict[int, int] = {}
     for m, highs in enumerate(ucov):
         if len(highs) == 1:
             cand = down[highs[0]] & ~down[m]
-            kappa_d[m] = bot = _lsb(cand)
-            if cand & ~up[bot]:
+            if cand & ~up[_lsb(cand)]:
                 return None
-    return kappa, kappa_d
+    return kappa
 
 
 class _Index(dict):
@@ -390,11 +389,6 @@ class Poset:
             return None
         return self._two_sided_scan()
 
-    @memoized
-    def _kappa_maps(self) -> Optional[tuple[dict[int, int], dict[int, int]]]:
-        """The module's ``_kappa_maps`` on this lattice, or None if it is not SD; memoized."""
-        return _kappa_maps(self.down, self.up, self._dcov, self._ucov)
-
     def _two_sided_scan(self) -> Optional[tuple[str, str, str]]:
         """The first pair, in index order, with no unique join or meet."""
         up, down = self.up, self.down
@@ -518,9 +512,14 @@ class Lattice(Poset):
         """Check both halves of semidistributivity through the kappa maps.
 
         Join half: whenever x v y = x v z, also x v (y ^ z) = x v y, and the
-        dual statement for meets; see ``Poset._kappa_maps`` for the test.
+        dual statement for meets; see ``_kappa_maps`` for the test.
         """
         return self._kappa_maps() is not None
+
+    @memoized
+    def _kappa_maps(self) -> Optional[dict[int, int]]:
+        """kappa on indices (the module's ``_kappa_maps``), or None if the lattice is not SD; memoized."""
+        return _kappa_maps(self.down, self.up, self._dcov, self._ucov)
 
     def semidistributivity_witness(self) -> Optional[tuple[str, str, str, str]]:
         """None if semidistributive, else a witness ('join'|'meet', x, y, z).

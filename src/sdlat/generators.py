@@ -219,8 +219,9 @@ def random_sd_lattice(
     lower covers come from the msb walk of ``core._lower_covers``.  bot and
     top bound every candidate, so it is a lattice exactly when it passes
     ``core._cover_pairs_have_meets``, and then SD exactly when
-    ``core._kappa_maps`` finds the kappa maps, as for a ``Lattice``.  A
-    rejected candidate gets no names, no ``Poset`` and no error message.
+    ``core._kappa_maps`` finds kappa and every kappa_d, as for a
+    ``Lattice``.  A rejected candidate gets no names, no ``Poset`` and no
+    error message.
     Only an accepted one is named and built through
     ``Lattice.build_from_covers``, which validates the Hasse diagram and
     indexes it canonically.

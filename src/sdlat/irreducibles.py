@@ -7,7 +7,8 @@ and its inverse kappa_d sends m to the unique smallest y with m v y = m^*.
 Both extrema exist precisely when the lattice is semidistributive
 (Freese-Jezek-Nation, Thm 2.56), so one mask test per irreducible both
 checks semidistributivity and yields the kappa table; see
-``Poset._kappa_maps``.
+``Lattice._kappa_maps``.  kappa is then a bijection from the cji onto the
+cmi, so the cmi, their m^* and kappa_d are all read off kappa.
 
 Cover labels come from masks too, on cji positions.  The label context
 (``_label_context``) numbers the cji 0..|J|-1 in name order, and a label
@@ -51,21 +52,20 @@ class IrreducibleTable:
 @memoized
 def irreducible_table(lattice: Lattice) -> IrreducibleTable:
     """Compute (and memoize on the lattice) the irreducible/kappa table."""
-    maps = lattice._kappa_maps()
-    if maps is None:
+    kappa = lattice._kappa_maps()
+    if kappa is None:
         witness = lattice.semidistributivity_witness()
         raise NotSemidistributive(f"lattice is not semidistributive, witness {witness}")
-    kappa, kappa_d = maps
     names = lattice.names
     jstar = {names[j]: names[lattice._dcov[j][0]] for j in kappa}
-    mstar = {names[m]: names[lattice._ucov[m][0]] for m in kappa_d}
+    mstar = {names[m]: names[lattice._ucov[m][0]] for m in kappa.values()}
     return IrreducibleTable(
         cji=tuple(sorted(jstar)),
         cmi=tuple(sorted(mstar)),
         jstar=jstar,
         mstar=mstar,
-        kappa={names[j]: names[k] for j, k in kappa.items()},
-        kappa_d={names[m]: names[k] for m, k in kappa_d.items()},
+        kappa={names[j]: names[m] for j, m in kappa.items()},
+        kappa_d={names[m]: names[j] for j, m in kappa.items()},
     )
 
 
@@ -89,9 +89,10 @@ class _LabelContext:
 
 @memoized
 def _label_context(lattice: Lattice) -> _LabelContext:
-    """The label context of the lattice, memoized."""
-    irreducible_table(lattice)  # raises NotSemidistributive
-    kappa_of, names, n = lattice._kappa_maps()[0], lattice.names, lattice.n
+    """The label context of the lattice, memoized; on an SD lattice it builds no ``irreducible_table``."""
+    kappa_of, names, n = lattice._kappa_maps(), lattice.names, lattice.n
+    if kappa_of is None:
+        irreducible_table(lattice)  # raises NotSemidistributive with its witness
     cji = tuple(sorted(kappa_of, key=names.__getitem__))
     labels, kappa = tuple(names[j] for j in cji), tuple(kappa_of[j] for j in cji)
     jdown, above = [0] * n, [0] * n
@@ -165,21 +166,25 @@ class CoverLabeling:
     mlabel: dict[tuple[str, str], str]
 
 
+def _cover_label_idx(lattice: Lattice, lower: str, upper: str) -> int:
+    """The position of the j-label of the cover lower < upper, given by name; raises NotACover."""
+    if not lattice.is_cover(lower, upper):
+        raise NotACover(f"({lower!r}, {upper!r}) is not a cover relation")
+    return _j_label_idx(lattice, lattice.index[lower], lattice.index[upper])
+
+
 def j_label_cover(lattice: Lattice, lower: str, upper: str) -> str:
     """The unique minimum of {y : y v lower = upper}; always lands in cji.
 
     It is the only cji j with j <= upper and kappa(j) >= lower.
     """
-    if not lattice.is_cover(lower, upper):
-        raise NotACover(f"({lower!r}, {upper!r}) is not a cover relation")
-    p = _j_label_idx(lattice, lattice.index[lower], lattice.index[upper])
-    return lattice.names[_label_context(lattice).cji[p]]
+    return _label_context(lattice).labels[_cover_label_idx(lattice, lower, upper)]
 
 
 def m_label_cover(lattice: Lattice, lower: str, upper: str) -> str:
     """The unique maximum of {y : y ^ upper = lower}: kappa of the j-label."""
-    j = j_label_cover(lattice, lower, upper)
-    return irreducible_table(lattice).kappa[j]
+    p = _cover_label_idx(lattice, lower, upper)
+    return lattice.names[_label_context(lattice).kappa[p]]
 
 
 @memoized
@@ -191,18 +196,16 @@ def cover_labeling(lattice: Lattice) -> CoverLabeling:
     order (``jsonio.emit_json`` sorts label keys, ``jsonio.emit_dot``
     sorts covers).
     """
+    _cover_label_masks(lattice)  # raises NoUniqueMax for the first cover without a single label
     names, context = lattice.names, _label_context(lattice)
     jdown, jabove, jnames = context.jdown, context.jabove, context.labels
     mnames = [names[k] for k in context.kappa]
     jlabel = {}
     mlabel = {}
-    # each label bit read inline off the one fetched context, as in _cover_label_masks
+    # each label bit read inline off the one fetched context, already checked to be single
     for v, lows in enumerate(lattice._dcov):
         for u in lows:
-            bit = jdown[v] & jabove[u]
-            if not bit or bit & (bit - 1):  # not a single label
-                raise _no_unique_label(lattice, u, v)
-            p = bit.bit_length() - 1
+            p = (jdown[v] & jabove[u]).bit_length() - 1
             cover = (names[u], names[v])
             jlabel[cover] = jnames[p]
             mlabel[cover] = mnames[p]

@@ -91,11 +91,12 @@ class LabeledPoset:
     def __post_init__(self):
         self.poset.bottom_name()
         self.poset.top_name()
-        covers = self.poset.covers_named()
-        missing = [c for c in covers if c not in self.labels]
+        names = self.poset.names
+        cover_set = {(names[a], names[b]) for a, b in self.poset.covers}
+        missing = cover_set.difference(self.labels)
         if missing:
-            raise MissingLabel(f"covers without labels: {missing[:4]}")
-        cover_set = set(covers)
+            # only the missing covers are sorted, for the message
+            raise MissingLabel(f"covers without labels: {sorted(missing)[:4]}")
         extra = [c for c in self.labels if c not in cover_set]
         if extra:
             raise MissingLabel(f"labels on non-covers: {extra[:4]}")
@@ -273,7 +274,7 @@ def lattice_j_labeling(lattice: Lattice) -> LabeledPoset:
 
 
 def is_extremal(lattice: Lattice) -> bool:
-    """Whether the length of the lattice equals |cji| = |cmi|.
+    """Whether the length of the lattice equals |cji|, which is |cmi| as kappa is a bijection.
 
     That is Markowsky's definition of an extremal lattice ("Primes,
     irreducibles and extremal lattices", Order 1992); the length is the
@@ -284,8 +285,7 @@ def is_extremal(lattice: Lattice) -> bool:
     u' v j = u' and not v'.  So a chain of length |cji| uses every label.
     Raises NotSemidistributive, as irreducible_table does.
     """
-    table = irreducible_table(lattice)
-    return lattice.heights[lattice._top] == len(table.cji) == len(table.cmi)
+    return lattice.heights[lattice._top] == len(irreducible_table(lattice).cji)
 
 
 def _length_two_keys(

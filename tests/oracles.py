@@ -50,7 +50,7 @@ from sdlat.irreducibles import kappa_bar_map
 def _kappa(lattice):
     """kappa on indices, off the lattice's index maps; raises NotSemidistributive as irreducible_table does."""
     irreducible_table(lattice)
-    return lattice._kappa_maps()[0]
+    return lattice._kappa_maps()
 
 
 def _transpose(down, n):

@@ -457,7 +457,7 @@ def test_sequences_names_no_kappa_bar_helper():
 
 
 def test_kappa_read_off_one_table():
-    # kappa on indices lives in Poset._kappa_maps (core.py), which
+    # kappa on indices lives in Lattice._kappa_maps (core.py), which
     # random_sd_lattice also runs on bare masks (generators.py); the library
     # reads it through the label context, so in irreducibles.py only
     # irreducible_table and _label_context name it, and no _kappa memo or
@@ -486,10 +486,9 @@ def test_kappa_read_off_one_table():
 
 def test_covers_named_only_where_name_order_comes_out():
     # covers_named sorts every cover by name on each call; src calls it only
-    # where that order is the output (document and orders listings, label
-    # checks and the clo-up labels), and walks index covers elsewhere
+    # where that order is the output (document and orders listings and the
+    # clo-up labels), and walks index covers elsewhere
     owners = {
-        "shelling.py": {"__post_init__"},
         "sequences.py": {"label_clo_up"},
         "jsonio.py": {"to_document"},
         "cli.py": {"_cmd_orders"},

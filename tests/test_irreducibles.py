@@ -142,3 +142,15 @@ def test_label_context_waits_for_its_first_reader():
     assert not built()
     S.irreducibles.kappa_bar_cycles(lattice)
     assert built()
+
+
+def test_cover_labels_read_one_table():
+    # a one-cover query reads the label context alone, not the name table;
+    # kappa lives on lattices, so a derived order carries no kappa memo
+    fig1_text = S.jsonio.emit_json(S.jsonio.to_document(S.generate("fig1")))
+    for query, expected in ((S.j_label_cover, "j2"), (S.m_label_cover, "m2")):
+        lattice = S.jsonio.parse_json(fig1_text)
+        assert query(lattice, "j4", "m1") == expected
+        assert "irreducible_table" not in [getattr(key, "__name__", None) for key in lattice.memo]
+    derived = S.clo_up(S.generate("fig1"))
+    assert not hasattr(derived, "_kappa_maps")

@@ -238,6 +238,23 @@ def test_cli_el(tmp_path, capsys):
     assert cli_main(["el", plain, "--search"]) == 2
 
 
+def test_cli_el_states_the_empty_order(tmp_path, capsys):
+    # a one-element document has no covers, so its certifying order is
+    # empty, and an empty --order states it back
+    path = tmp_path / "point.json"
+    point = {"schemaVersion": "1", "elements": ["a"], "covers": [], "labels": {}}
+    path.write_text(json.dumps(point), encoding="utf-8")
+    assert cli_main(["el", str(path), "--search"]) == 0
+    assert capsys.readouterr().out == "certifying order: \n"
+    assert cli_main(["el", str(path), "--order", ""]) == 0
+    assert capsys.readouterr().out == "EL-labeling: yes\n"
+    assert cli_main(["el", str(path), "--order", "", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"order": [], "el": True, "witness": None}
+    labeled = _write(tmp_path, "fig1-labeled.json", S.generate("fig1-labeled"))
+    assert cli_main(["el", labeled, "--order", ""]) == 2
+    assert capsys.readouterr() == ("", "error: order must be a permutation of the label alphabet\n")
+
+
 def test_cli_calls_share_one_parser(tmp_path, capsys):
     # The parser is built once per process; no argument may carry over
     # from one call to the next.
