@@ -11,7 +11,7 @@ import random
 from functools import lru_cache
 from typing import Optional, Union
 
-from .core import Lattice, _cover_pairs_have_meets, _kappa_maps, _lower_covers, _union_above
+from .core import Lattice, _bits
 from .errors import BadParameter, InconsistentLabels
 from .irreducibles import j_label_cover
 from .shelling import LabeledPoset, lattice_j_labeling
@@ -202,6 +202,104 @@ def tamari(n: int, max_n: int = 9) -> Lattice:
     return Lattice.build_from_covers(names, covers)
 
 
+_DENSITIES = (0.3, 0.5, 0.7)
+
+
+def _draw_candidate(getrandbits, draw, k: int) -> tuple[list[int], list[int]]:
+    """Draw one candidate with k middle elements: its down-set and lower-cover masks.
+
+    ``getrandbits`` and ``draw`` are a ``Random``'s bound ``getrandbits``
+    and ``random``.  Elements are indexed bot, e0..e(k-1), top.  The k
+    ranks and the density index are each ``getrandbits(2)``, drawn again
+    on 3; then middle i picks each lower-ranked middle j, in j order, when
+    ``draw()`` falls below the density.  Its down-set is the union of the
+    picked down-sets with itself and bot, and its lower covers are the
+    picked elements that lie strictly below no other picked one, or bot
+    when it picked none.  The lower covers of top are the middles below no
+    other middle, or bot when k is 0.
+    """
+    counts = [0, 0, 0]
+    for _ in range(k):
+        r = getrandbits(2)
+        while r == 3:
+            r = getrandbits(2)
+        counts[r] += 1
+    d = getrandbits(2)
+    while d == 3:
+        d = getrandbits(2)
+    density = _DENSITIES[d]
+    # the ranks come sorted: the middles of rank 0, then of rank 1, then of rank 2
+    c0, c01 = counts[0], counts[0] + counts[1]
+    down, cov, under = [1], [0], 0
+    for i in range(1, k + 1):
+        # picked elements with their strict down-sets, and those strict down-sets alone
+        mask, strict = 1, 0
+        for j in range(1, 1 + (0 if i <= c0 else c0 if i <= c01 else c01)):
+            if draw() < density:
+                below = down[j]
+                mask |= below
+                strict |= below ^ (1 << j)
+        cov.append(mask & ~strict)
+        under |= mask
+        down.append(mask | 1 << i)
+    cov.append(((1 << (k + 1)) - 1) & ~under)
+    down.append((1 << (k + 2)) - 1)
+    return down, cov
+
+
+def _is_sd_candidate(down: list[int], cov: list[int]) -> bool:
+    """Whether a drawn candidate is an SD lattice, from its down-set and lower-cover masks.
+
+    The candidate has a bottom (index 0) and a top, so it is a lattice
+    exactly when every two lower covers of an element have a meet (the
+    lemma of ``core._cover_pairs_have_meets``), and then SD exactly when
+    kappa_d and kappa exist (``core._kappa_maps``, Freese-Jezek-Nation
+    Thm 2.56).  The kappa_d half needs down-sets only: for m with one upper
+    cover h, every element of down[h] & ~down[m] must lie above the lowest
+    one.  It rejects most lattice candidates, so only the rest pay for the
+    up-sets, the transpose of ``down``, that the kappa half reads.
+    """
+    for c in cov:
+        while c & (c - 1):
+            a = c.bit_length() - 1
+            c ^= 1 << a
+            da, rest = down[a], c
+            while rest:
+                b = rest.bit_length() - 1
+                rest ^= 1 << b
+                # never empty: bot lies below everything
+                common = da & down[b]
+                if down[common.bit_length() - 1] != common:
+                    return False
+    # the m in exactly one cover mask are those with one upper cover
+    once = twice = 0
+    for c in cov:
+        twice |= once & c
+        once |= c
+    single = once & ~twice
+    for h, c in enumerate(cov):
+        c &= single
+        while c:
+            m = c.bit_length() - 1
+            c ^= 1 << m
+            cand = down[h] & ~down[m]
+            low = cand & -cand
+            for x in _bits(cand ^ low):
+                if not down[x] & low:
+                    return False
+    n = len(down)
+    up = [0] * n
+    for i, d in enumerate(down):
+        for j in _bits(d):
+            up[j] |= 1 << i
+    for j, c in enumerate(cov):
+        if c and not c & (c - 1):  # j has one lower cover: kappa(j) is the top of cand
+            cand = up[c.bit_length() - 1] & ~up[j]
+            if cand & ~down[cand.bit_length() - 1]:
+                return False
+    return True
+
+
 def random_sd_lattice(
     seed: Optional[int] = None,
     max_mid: int = 6,
@@ -213,56 +311,40 @@ def random_sd_lattice(
     Each attempt draws k middle elements e0..e(k-1) with sorted ranks in
     1..3 and an edge density, and proposes each edge ej -> ei from a lower
     to a higher rank with that probability, between a forced bottom and
-    top.  The candidate is tested on bare bitmasks: indexed bot, e0..e(k-1),
-    top (a linear extension, since edges rise in rank), ``down[i]`` is closed
-    by OR-ing in ``down[j]`` for each picked edge in draw order, and the
-    lower covers come from the msb walk of ``core._lower_covers``.  bot and
-    top bound every candidate, so it is a lattice exactly when it passes
-    ``core._cover_pairs_have_meets``, and then SD exactly when
-    ``core._kappa_maps`` finds kappa and every kappa_d, as for a
-    ``Lattice``.  A rejected candidate gets no names, no ``Poset`` and no
-    error message.
-    Only an accepted one is named and built through
+    top (``_draw_candidate``).  The draw yields each element's down-set
+    and lower-cover masks, indexed bot, e0..e(k-1), top, a linear
+    extension since edges rise in rank, and ``_is_sd_candidate`` tests
+    them.  A rejected candidate gets no names, no ``Poset`` and no error
+    message.  Only an accepted one is named and built through
     ``Lattice.build_from_covers``, which validates the Hasse diagram and
     indexes it canonically.
 
-    The random calls are fixed: ``randint`` for the wanted size, then per
-    attempt ``randint`` for k (only in the second half of ``max_tries``),
-    k ``randint`` ranks, ``choice`` of the density and one ``random()`` per
-    lower-rank pair in j order.  So a seed gives the same lattices, and
-    leaves ``rng`` in the same state, as the predicate-built loop kept in
-    the tests.  Raises BadParameter for ``max_mid < 0`` or
-    ``max_tries < 1`` before any draw, and when the tries run out.
+    The random calls are fixed: ``randint(0, max_mid)`` for the wanted
+    size, then per attempt ``randint(0, max_mid)`` for k (only in the
+    second half of ``max_tries``), k ranks and a density index, each
+    ``getrandbits(2)`` drawn again on 3, and one ``random()`` per
+    lower-rank pair in j order.  The ``getrandbits(2)`` draws are what
+    ``randint(1, 3)`` and ``choice`` of three values consume in CPython's
+    ``Random``, so a seed gives the same lattices, and leaves ``rng`` in the
+    same state, as the predicate-built loop kept in the tests, which draws
+    with ``randint`` and ``choice``; the tests pin this on CPython 3.10 to
+    3.13.  Raises BadParameter for ``max_mid < 0`` or ``max_tries < 1``
+    before any draw, and when the tries run out.
     """
     if max_mid < 0:
         raise BadParameter(f"max_mid must be >= 0, got {max_mid}")
     if max_tries < 1:
         raise BadParameter(f"max_tries must be >= 1, got {max_tries}")
     rng = rng if rng is not None else random.Random(seed)
+    getrandbits, draw = rng.getrandbits, rng.random
     want = rng.randint(0, max_mid)
     for attempt in range(max_tries):
         # keep the drawn size for a while so large lattices are not starved
         k = want if attempt < max_tries // 2 else rng.randint(0, max_mid)
-        ranks = sorted(rng.randint(1, 3) for _ in range(k))
-        density = rng.choice((0.3, 0.5, 0.7))
-        down = [1]
-        for i in range(k):
-            mask = 1 | 1 << (i + 1)
-            for j in range(ranks.index(ranks[i])):  # the j with ranks[j] < ranks[i]: ranks are sorted
-                if rng.random() < density:
-                    mask |= down[j + 1]
-            down.append(mask)
-        down.append((1 << (k + 2)) - 1)
-        dcov = _lower_covers(down)
-        if not _cover_pairs_have_meets(down, dcov):
-            continue
-        ucov: list[list[int]] = [[] for _ in down]
-        for i, lows in enumerate(dcov):
-            for j in lows:
-                ucov[j].append(i)
-        if _kappa_maps(down, _union_above(ucov, [1 << i for i in range(k + 2)]), dcov, ucov) is not None:
+        down, cov = _draw_candidate(getrandbits, draw, k)
+        if _is_sd_candidate(down, cov):
             names = ("bot", *(f"e{i}" for i in range(k)), "top")
-            covers = [(names[j], names[i]) for i, lows in enumerate(dcov) for j in lows]
+            covers = [(names[j], names[i]) for i, c in enumerate(cov) for j in _bits(c)]
             return Lattice.build_from_covers(names, covers)
     raise BadParameter("random_sd_lattice failed to find a lattice; widen max_tries")
 

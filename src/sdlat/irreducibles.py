@@ -196,16 +196,20 @@ def cover_labeling(lattice: Lattice) -> CoverLabeling:
     order (``jsonio.emit_json`` sorts label keys, ``jsonio.emit_dot``
     sorts covers).
     """
-    _cover_label_masks(lattice)  # raises NoUniqueMax for the first cover without a single label
     names, context = lattice.names, _label_context(lattice)
     jdown, jabove, jnames = context.jdown, context.jabove, context.labels
     mnames = [names[k] for k in context.kappa]
     jlabel = {}
     mlabel = {}
-    # each label bit read inline off the one fetched context, already checked to be single
+    # each label bit read and checked inline off the one fetched context, in
+    # the cover order of _cover_label_masks, so the first bad cover is the same
     for v, lows in enumerate(lattice._dcov):
+        mine = jdown[v]
         for u in lows:
-            p = (jdown[v] & jabove[u]).bit_length() - 1
+            bit = mine & jabove[u]
+            if not bit or bit & (bit - 1):  # not a single label
+                raise _no_unique_label(lattice, u, v)
+            p = bit.bit_length() - 1
             cover = (names[u], names[v])
             jlabel[cover] = jnames[p]
             mlabel[cover] = mnames[p]

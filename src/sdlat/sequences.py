@@ -74,9 +74,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .core import Lattice, _bits, _lsb, _name_tuple
+from .core import Lattice, _bits, _lsb, _name_list, _name_tuple
 from .cores import DerivedPoset, _lab_up_masks, _pop_up_idx, clo_up
-from .errors import NoBoundsError, NotJoinIrreducible, RecursionMismatch
+from .errors import NotJoinIrreducible, RecursionMismatch
 from .irreducibles import _inherited_label_leq, _label_context, _labels_between, kappa_bar
 from .shelling import LabeledPoset
 
@@ -299,6 +299,12 @@ def label_clo_up(lattice: Lattice) -> CloLabeling:
       does, and for a coatom u, kappa_bar(u) is a cji j exactly when
       lab_up(u) is the mask of j's upper core, kids[root][j], as upper
       cores separate the elements.
+    * The top test: cloUp is the inclusion order of the lab_up masks, and
+      lab_up(j) = {j} for each cji j (its upper core is the cover
+      kappa(j) < kappa(j)^*, labeled j), so the masks cover every label
+      and cloUp has a top exactly when the full mask is one of them.
+      Without a top, its maximal elements are named off the maximal
+      masks, and cloUp is not built.
 
     Only checked: that where the recursion fails, this reading fails with
     the same error.  Both gave the same outcome, labels and messages
@@ -309,17 +315,23 @@ def label_clo_up(lattice: Lattice) -> CloLabeling:
     kappa_bar is not a cji; the last guard, a cover that is no kappa_d
     step, fired on none.  They also agree on tamari 8 and 9 and duals.
     """
-    derived = clo_up(lattice)
-    try:
-        top = derived.top_name()
-    except NoBoundsError as exc:
-        raise RecursionMismatch(
-            f"derived order has no unique top element ({exc}); the lattice is not a nuclear interval"
-        ) from None
-    root, kids = _dag(lattice)
-    steps = {mask: {child: p for p, child in row.items()} for mask, row in kids.items()}
     names, index, lab_up = lattice.names, lattice.index, _lab_up_masks(lattice)
     cji = _label_context(lattice).cji
+    if (1 << len(cji)) - 1 not in lab_up:
+        # no top: the maximal masks, largest first, each in no mask kept before it
+        kept: list[int] = []
+        for mask in sorted(lab_up, key=int.bit_count, reverse=True):
+            if all(mask & ~other for other in kept):
+                kept.append(mask)
+        maxs = sorted(names[x] for x, mask in enumerate(lab_up) if mask in kept)
+        raise RecursionMismatch(
+            f"derived order has no unique top element (no unique maximum: {_name_list(maxs)}); "
+            "the lattice is not a nuclear interval"
+        )
+    derived = clo_up(lattice)
+    top = derived.top_name()
+    root, kids = _dag(lattice)
+    steps = {mask: {child: p for p, child in row.items()} for mask, row in kids.items()}
     for u in sorted(derived.lower_covers(top)):
         if lab_up[index[u]] not in steps[root]:
             raise RecursionMismatch(

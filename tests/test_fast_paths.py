@@ -24,6 +24,7 @@ import sdlat as S
 from sdlat import Lattice, NotALattice, NotSemidistributive
 from sdlat.core import _cover_pairs_have_meets, _kappa_maps, _lower_covers, _union_above
 from sdlat.cores import lab_down_map, lab_up_map, w_map
+from sdlat.generators import _draw_candidate, _is_sd_candidate
 from sdlat.irreducibles import irreducible_table, kappa_bar_d_map
 
 from conftest import (
@@ -189,25 +190,58 @@ def check_sd_lattice(lat):
     assert all(lat.join_set(w[x]) == x for x in lat.names)
 
 
-def check_mask_kernels(poset):
-    """The tests random_sd_lattice runs on bare masks: lower covers, meets and up-sets.
+def mask_kernels(down):
+    """The core kernels on bare down-set masks: the meet test's verdict and the kappa test's input.
 
-    Returns the meet test's verdict and the kappa test's input, as the
-    generator builds them from the down-set masks alone.
+    They are the ``Lattice`` path and the oracle of the candidate test of
+    random_sd_lattice.
     """
-    down = poset.down
     dcov = _lower_covers(down)
-    assert [sorted(lows) for lows in dcov] == [sorted(lows) for lows in poset._dcov]
     ucov = [[] for _ in down]
     for i, lows in enumerate(dcov):
         for j in lows:
             ucov[j].append(i)
     up = _union_above(ucov, [1 << i for i in range(len(down))])
+    return _cover_pairs_have_meets(down, dcov), (down, up, dcov, ucov)
+
+
+def cover_masks(dcov):
+    return [sum(1 << j for j in lows) for lows in dcov]
+
+
+def check_mask_kernels(poset):
+    """The kernels find the poset's lower covers and up-sets; returns their verdict and kappa input."""
+    meets, kappa_args = mask_kernels(poset.down)
+    _, up, dcov, _ = kappa_args
+    assert [sorted(lows) for lows in dcov] == [sorted(lows) for lows in poset._dcov]
     assert up == poset.up
-    meets = _cover_pairs_have_meets(down, dcov)
     if poset.lattice_failure() is None:
         assert meets
-    return meets, (down, up, dcov, ucov)
+    return meets, kappa_args
+
+
+def replayed_draw(poset):
+    """A bounded poset drawn again by ``generators._draw_candidate``: its down-set and cover masks.
+
+    Its middle elements take their heights less one as ranks, which are 0..2
+    on the ranked posets drawn here.  Each picks its lower covers and the
+    elements below it at an odd index distance, so that both the closure
+    of the draw and its cover rule have work to do.
+    """
+    n, heights, down = poset.n, poset.heights, poset.down
+    ranks = [heights[i] - 1 for i in range(1, n - 1)]
+    assert all(0 <= r <= 2 for r in ranks), heights
+    bits = iter(ranks + [0])  # then density index 0
+    coins = [
+        0.0 if down[i] >> j & 1 and (j in poset._dcov[i] or (i - j) % 2) else 0.99
+        for i in range(1, n - 1)
+        for j in range(1, i)
+        if heights[j] < heights[i]
+    ]
+    draws = iter(coins)
+    drawn = _draw_candidate(lambda k: next(bits), draws.__next__, n - 2)
+    assert next(bits, None) is None and next(draws, None) is None
+    return drawn
 
 
 def check_drawn_poset(poset):
@@ -219,6 +253,12 @@ def check_drawn_poset(poset):
         return
     # bounded: the cover-pair lemma makes the meet test the lattice test
     assert meets == (failure is None) == (poset.lattice_failure() is None)
+    if poset.n > 1:
+        # the masks random_sd_lattice draws, and its one test on them
+        down, cov = replayed_draw(poset)
+        assert down == poset.down
+        assert cov == cover_masks(kappa_args[2])
+        assert _is_sd_candidate(down, cov) == (meets and _kappa_maps(*kappa_args) is not None)
     if failure is not None:
         kind, a, b = failure
         with pytest.raises(NotALattice) as info:
@@ -419,6 +459,27 @@ def test_rejected_candidates_match_oracles():
     assert rejected >= 100
 
 
+def test_generator_candidates_match_mask_kernels(monkeypatch):
+    # every candidate random_sd_lattice draws on the el-search stream, 4531
+    # in the first 16 draws: its cover masks are the msb walk's lower
+    # covers, and its one test agrees with the core kernels
+    tested = []
+
+    def checked(down, cov):
+        meets, kappa_args = mask_kernels(down)
+        assert cov == cover_masks(kappa_args[2])
+        verdict = _is_sd_candidate(down, cov)
+        assert verdict == (meets and _kappa_maps(*kappa_args) is not None)
+        tested.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(S.generators, "_is_sd_candidate", checked)
+    rng = random.Random(1)
+    for _ in range(16):
+        S.random_sd_lattice(rng=rng, max_mid=8)
+    assert tested.count(True) == 16 and len(tested) == 4531
+
+
 @pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
 def test_no_assert_statements(module):
     # python -O strips asserts, so validation in sdlat must raise
@@ -457,15 +518,15 @@ def test_sequences_names_no_kappa_bar_helper():
 
 
 def test_kappa_read_off_one_table():
-    # kappa on indices lives in Lattice._kappa_maps (core.py), which
-    # random_sd_lattice also runs on bare masks (generators.py); the library
+    # kappa on indices lives in Lattice._kappa_maps (core.py); the library
     # reads it through the label context, so in irreducibles.py only
     # irreducible_table and _label_context name it, and no _kappa memo or
-    # second kappa_bar_d is left anywhere
+    # second kappa_bar_d is left anywhere (random_sd_lattice tests its
+    # candidates with its own mask test, which the tests hold to the kernels)
     owners = {"irreducibles.py": {"irreducible_table", "_label_context"}}
     found = {}
     for path in sorted(SRC.glob("*.py")):
-        if path.name in {"core.py", "generators.py"}:
+        if path.name == "core.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         inside = {
@@ -590,7 +651,8 @@ def _calls_outside(tree, callees, owner):
 def test_orders_built_only_through_the_indexer(module):
     # one indexer for every order: only Poset._from_cover_pairs calls
     # cls(...), and nothing calls Poset, Lattice or DerivedPoset directly,
-    # random_sd_lattice included, which tests its candidates on bare masks
+    # random_sd_lattice included, which tests its drawn candidates on the
+    # masks of the draw and builds only the one it accepts
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     lines = _calls_outside(tree, {"cls", "Poset", "Lattice", "DerivedPoset"}, "_from_cover_pairs")
     assert lines == [], f"{module} builds an order outside the indexer on lines {lines}"

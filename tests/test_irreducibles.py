@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import pytest
 
 import sdlat as S
-from sdlat import Lattice, NotACover, NotComparable, NotSemidistributive
+from sdlat import Lattice, NoUniqueMax, NotACover, NotComparable, NotSemidistributive
+from sdlat.irreducibles import _cover_label_masks, _label_context
 
 from conftest import sd_family_lattices
 from oracles import as_lattice, interval_cji_transfer
@@ -142,6 +144,37 @@ def test_label_context_waits_for_its_first_reader():
     assert not built()
     S.irreducibles.kappa_bar_cycles(lattice)
     assert built()
+
+
+def test_cover_labeling_checks_each_label_in_its_own_walk():
+    # a fresh cover_labeling builds no _cover_label_masks; a label context
+    # that leaves some cover with no single label makes it raise that
+    # list's NoUniqueMax, for the same first cover
+    def memo_names(lattice):
+        return [getattr(key, "__name__", None) for key in lattice.memo]
+
+    def outcome(reader, u, spoiled):
+        lattice = S.generate("fig4")
+        context = _label_context(lattice)
+        jabove = list(context.jabove)
+        jabove[u] = spoiled
+        (key,) = [key for key in lattice.memo if key.__name__ == "_label_context"]
+        lattice.memo[key] = dataclasses.replace(context, jabove=jabove)
+        try:
+            reader(lattice)
+        except NoUniqueMax as exc:
+            return str(exc)
+
+    fresh = S.generate("fig4")
+    S.cover_labeling(fresh)
+    assert "_cover_label_masks" not in memo_names(fresh)
+    messages = set()
+    for u in range(len(fresh)):
+        for spoiled in (0, -1):  # no label, or every label below the upper cover, above u
+            message = outcome(S.cover_labeling, u, spoiled)
+            assert message == outcome(_cover_label_masks, u, spoiled)
+            messages.add(message)
+    assert len(messages - {None}) >= 8
 
 
 def test_cover_labels_read_one_table():

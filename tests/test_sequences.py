@@ -1,10 +1,11 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
 import sdlat as S
-from sdlat import BadParameter, NotJoinIrreducible, RecursionMismatch
+from sdlat import BadParameter, NoBoundsError, NotJoinIrreducible, RecursionMismatch
 
 from conftest import random_pool, sd_family_lattices
 
@@ -183,6 +184,29 @@ def test_label_clo_up_needs_nuclear_top():
     # are not, and the failure is reported rather than papered over.
     with pytest.raises(RecursionMismatch):
         S.label_clo_up(S.generate("chain", 2))
+
+
+def test_label_clo_up_without_a_top_builds_no_order():
+    # cloUp has a top exactly when the full label mask is an upper-core
+    # mask; without one, the maximal masks name the maximal elements and
+    # cloUp is not built.  The message is the one cloUp's own top_name gives
+    rng = random.Random(1)
+    no_top = 0
+    for _ in range(12):
+        lattice = S.random_sd_lattice(rng=rng, max_mid=8)
+        try:
+            S.label_clo_up(lattice)
+        except RecursionMismatch as exc:
+            if "no unique top element" not in str(exc):
+                continue
+            no_top += 1
+            assert S.cores._orders_built(lattice) == {}
+            with pytest.raises(NoBoundsError) as info:
+                S.clo_up(lattice).top_name()
+            assert str(exc) == (
+                f"derived order has no unique top element ({info.value}); the lattice is not a nuclear interval"
+            )
+    assert no_top >= 3
 
 
 def test_label_clo_up_reports_covers_that_are_no_kappa_d_step(fig1, monkeypatch):
