@@ -74,7 +74,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .core import Lattice, _bits, _lsb, _name_list, _name_tuple
+from .core import Lattice, _bits, _lsb, _name_list, _name_tuple, memoized
 from .cores import DerivedPoset, _lab_up_masks, _pop_up_idx, clo_up
 from .errors import NotJoinIrreducible, RecursionMismatch
 from .irreducibles import _inherited_label_leq, _label_context, _labels_between, kappa_bar
@@ -115,8 +115,12 @@ def _child(lattice: Lattice, a: int, b: int, j: int) -> Node:
     return x, _pop_up_idx(lattice, x, b)
 
 
+@memoized
 def _dag(lattice: Lattice) -> tuple[int, dict[int, dict[int, int]]]:
     """The root's label mask, and for each mask met, label -> child mask.
+
+    Memoized: the count, the listing and ``label_clo_up`` read one table,
+    and none of them writes to it.
 
     Masks and labels are label positions, and labels come in position
     order.  Each mask is expanded at the first node met with it; nodes

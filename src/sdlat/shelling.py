@@ -23,7 +23,6 @@ Each node carries, over the chains from the fixed end to it:
 * the number of increasing chains, keyed by their first key entry: such a
   chain extended by a cover of rank r stays increasing when r is below
   that entry;
-* the number of maximal chains;
 * the least key, the least of (r,) + (least key at u) over the covers
   entering v.  Prepending is right because keys that start with the same r
   compare as their tails do.  Appending r to the least key at u would be
@@ -35,9 +34,7 @@ Each node carries, over the chains from the fixed end to it:
 is strictly increasing, for then the least chain is the increasing one.
 The work is a sum over the fixed ends of the covers each walk meets, each
 times the height.  Only the name-least failing interval is handed to the
-chain enumerator, which builds the witness; ``ChainCapExceeded`` is raised
-when that interval has more than ``chain_cap`` chains, which is where
-enumerating every interval in name order would have raised.
+chain enumerator, which builds the witness.
 
 Internally a label is its position in the sorted alphabet, numbered once
 per public call, and an order is the list ``rank`` of each position's
@@ -127,9 +124,19 @@ class ELReport:
         return self.ok
 
 
-def _maximal_chains(poset: Poset, lo: int, hi: int) -> list[tuple[int, ...]]:
-    """All maximal chains from lo to hi inside the interval, as index tuples."""
-    within = poset.down[hi]
+def _maximal_chains(poset: Poset, lo: int, hi: int, chain_cap: int) -> list[tuple[int, ...]]:
+    """All maximal chains from lo to hi inside the interval, as index tuples.
+
+    Raises ChainCapExceeded, before any chain is built, when there are more
+    than ``chain_cap``: the members are counted in index order, a linear
+    extension, each by the counts of its lower covers inside the interval.
+    """
+    within = poset.up[lo] & poset.down[hi]
+    count = {lo: 1}
+    for v in _bits(within & ~(1 << lo)):
+        count[v] = sum(count[u] for u in poset._dcov[v] if u in count)
+    if count[hi] > chain_cap:
+        raise ChainCapExceeded(f"interval has more than {chain_cap} maximal chains")
     chains: list[tuple[int, ...]] = []
     stack = [(lo, (lo,))]
     while stack:
@@ -137,7 +144,7 @@ def _maximal_chains(poset: Poset, lo: int, hi: int) -> list[tuple[int, ...]]:
         if node == hi:
             chains.append(path)
             continue
-        for nxt in sorted(poset._ucov[node], reverse=True):
+        for nxt in reversed(poset._ucov[node]):
             if within >> nxt & 1:
                 stack.append((nxt, path + (nxt,)))
     return chains
@@ -158,61 +165,47 @@ def _walk(lp: LabeledPoset, position: dict[str, int], flip: bool) -> _Walk:
     return p.up, [[(u, position[labels[(names[u], names[v])]]) for u in p._dcov[v]] for v in range(p.n)]
 
 
-def _first_failing(
-    lp: LabeledPoset, walk: _Walk, rank: list[int], flip: bool, chain_cap: int
-) -> Optional[tuple[int, int]]:
-    """The name-least interval that is not EL under ``rank``, or None.
-
-    Raises ChainCapExceeded instead when that interval has more than
-    ``chain_cap`` maximal chains, as enumerating its chains would.
-    """
+def _first_failing(lp: LabeledPoset, walk: _Walk, rank: list[int], flip: bool) -> Optional[tuple[int, int]]:
+    """The name-least interval that is not EL under ``rank``, or None."""
     reach, steps = walk
     names = lp.poset.names
     ranked = [[(u, rank[label]) for u, label in s] for s in steps]
-    worst = None  # (name pair, index pair, maximal chains)
+    worst = None  # (name pair, index pair)
     for root in range(len(names)):
         nodes = list(_bits(reach[root]))
         if flip:
             nodes.reverse()
-        chains = {root: 1}
         rising = {root: {math.inf: 1}}  # increasing chains by the first key entry
         least = {root: ()}
         for v in nodes[1:]:
-            total, counts, key = 0, {}, None
+            counts, key = {}, None
             for u, r in ranked[v]:
-                if u not in chains:
+                if u not in least:
                     continue
-                total += chains[u]
                 for first, c in rising[u].items():
                     if r < first:
                         counts[r] = counts.get(r, 0) + c
                 word = (r, *least[u])
                 if key is None or word < key:
                     key = word
-            chains[v], rising[v], least[v] = total, counts, key
-            if total <= chain_cap and sum(counts.values()) == 1 and all(
-                a < b for a, b in zip(key, key[1:])
-            ):
+            rising[v], least[v] = counts, key
+            if sum(counts.values()) == 1 and all(a < b for a, b in zip(key, key[1:])):
                 continue
             pair = (v, root) if flip else (root, v)
             named = (names[pair[0]], names[pair[1]])
             if worst is None or named < worst[0]:
-                worst = (named, pair, total)
-    if worst is None:
-        return None
-    if worst[2] > chain_cap:
-        raise ChainCapExceeded(f"interval has more than {chain_cap} maximal chains")
-    return worst[1]
+                worst = (named, pair)
+    return None if worst is None else worst[1]
 
 
 def _witness(
-    lp: LabeledPoset, position: dict[str, int], rank: list[int], flip: bool, lo: int, hi: int
+    lp: LabeledPoset, position: dict[str, int], rank: list[int], flip: bool, chain_cap: int, lo: int, hi: int
 ) -> ELWitness:
     """Enumerate the maximal chains of the failing interval [lo, hi] to show why."""
     p = lp.poset
     names = p.names
     scored = []
-    for chain in _maximal_chains(p, lo, hi):
+    for chain in _maximal_chains(p, lo, hi, chain_cap):
         word = tuple(lp.labels[(names[a], names[b])] for a, b in zip(chain, chain[1:]))
         ranks = tuple(rank[position[w]] for w in word)
         key = ranks if flip else ranks[::-1]
@@ -247,8 +240,9 @@ def is_el_labeling(
     The witness, if any, belongs to the lexicographically least failing
     interval (by name pair).  ``flip`` selects the classical convention.
     Raises BadParameter when ``order`` is not a permutation of the alphabet,
-    and ChainCapExceeded when an interval with more than ``chain_cap``
-    maximal chains comes before every failing one.
+    and ChainCapExceeded when the witness interval has more than
+    ``chain_cap`` maximal chains; the cap bounds only the chains the
+    witness lists, so a labeling is never failed for its chain count.
     """
     order = tuple(order)
     alphabet = sorted(lp.alphabet)
@@ -257,10 +251,10 @@ def is_el_labeling(
     position = {label: i for i, label in enumerate(alphabet)}
     # the inverse permutation: rank[i] is where alphabet[i] stands in order
     rank = sorted(range(len(order)), key=order.__getitem__)
-    failing = _first_failing(lp, _walk(lp, position, flip), rank, flip, chain_cap)
+    failing = _first_failing(lp, _walk(lp, position, flip), rank, flip)
     if failing is None:
         return ELReport(ok=True)
-    return ELReport(ok=False, witness=_witness(lp, position, rank, flip, *failing))
+    return ELReport(ok=False, witness=_witness(lp, position, rank, flip, chain_cap, *failing))
 
 
 def lattice_j_labeling(lattice: Lattice) -> LabeledPoset:
@@ -376,7 +370,7 @@ def find_el_order(
     walk = _walk(lp, position, flip)
     pending = [iter(range(m))]
     while pending:
-        if len(prefix) == m and _first_failing(lp, walk, rank, flip, 10**6) is None:
+        if len(prefix) == m and _first_failing(lp, walk, rank, flip) is None:
             return tuple(alphabet[i] for i in prefix)
         for i in pending[-1]:
             if rank[i] < m:

@@ -63,6 +63,22 @@ CLO_UP_OUTSIDE = [
 ]
 
 
+# Two lattices made by Day's interval doubling (duals of the draws from
+# seeds 120 and 131 of the doubling recipe), each a list of covers: SD of
+# 19 and 12 elements, where the clo-up labeling exists and cloUp is a
+# lattice, yet the chain words miss a maximal kappa_d sequence and the
+# restricted order search finds no EL order.
+DOUBLED_19 = (
+    "e1<e0 e10<e3 e10<e8 e11<e1 e11<e8 e12<e4 e13<e10 e13<e11 e13<e5 e14<e10 e14<e6 e14<e9 e15<e7 "
+    "e16<e11 e16<e12 e16<e9 e17<e12 e17<e15 e18<e13 e18<e14 e18<e16 e18<e17 e2<e0 e3<e0 e4<e1 e4<e2 "
+    "e5<e1 e5<e3 e6<e2 e6<e3 e7<e4 e7<e5 e7<e6 e8<e0 e9<e2 e9<e8"
+)
+DOUBLED_12 = (
+    "e1<e0 e10<e6 e10<e8 e11<e10 e11<e7 e11<e9 e2<e0 e3<e1 e3<e2 e4<e0 e5<e1 e5<e4 e6<e4 e7<e3 e8<e5 "
+    "e9<e2 e9<e6"
+)
+
+
 def lattice_from_cover_text(text):
     """The lattice on the names of ``lo<hi`` pairs separated by spaces."""
     covers = [tuple(pair.split("<")) for pair in text.split()]

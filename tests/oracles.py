@@ -26,6 +26,8 @@ reads off masks or off intervals of the parent lattice:
 * ``posets_isomorphic``: an order isomorphism of two small posets, by
   backtracking;
 * ``catalan``: the Catalan numbers by their recursion, for the tamari sizes;
+* ``hom_order``: the cji in one linear extension of j -> j' when
+  j is not <= kappa(j'), the Hom relation of the bricks, for EL orders;
 * ``kd_nodes``, ``count_kd_nodes`` and ``enumerate_kd_nodes``: the
   kappa_d-exceptional walks of ``sequences`` on a DAG with one node per
   interval (a, b), where the library keeps one node per label mask;
@@ -34,6 +36,8 @@ reads off masks or off intervals of the parent lattice:
   ``clo_labeling_from_keys``: its mask-keyed labels mapped onto cloUp,
   where the library reads the labels off the mask table.
 """
+
+import graphlib
 
 from sdlat import InconsistentLabels, LabeledPoset, Lattice, Poset, cjr, cmr, irreducible_table
 from sdlat import CanonicalRep, NoUniqueMax, RecursionMismatch, SizeLimitExceeded, j_label_interval
@@ -388,6 +392,18 @@ def catalan(n):
     for m in range(1, n + 1):
         counts.append(sum(counts[k] * counts[m - 1 - k] for k in range(m)))
     return counts[n]
+
+
+def hom_order(lattice):
+    """The cji names in one linear extension of j -> j' for j not <= kappa(j'), by graphlib.
+
+    Each j' comes after every j with j -> j'; raises graphlib.CycleError
+    when the relation has a cycle.
+    """
+    context = _label_context(lattice)
+    jdown, kappa, m = context.jdown, context.kappa, len(context.cji)
+    earlier = {q: [p for p in range(m) if p != q and not jdown[kappa[q]] >> p & 1] for q in range(m)}
+    return tuple(context.labels[p] for p in graphlib.TopologicalSorter(earlier).static_order())
 
 
 def posets_isomorphic(p, q, size_cap=14):

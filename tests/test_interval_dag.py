@@ -317,19 +317,23 @@ def test_one_node_per_label_mask(family, n, monkeypatch):
     masks = {_labels_between(lat, *node) for node in kd_nodes(lat)}
     assert len(masks) == len(lat)
     walks = [
-        lambda: S.count_kd_exceptional(lat, maximal_only=True),
-        lambda: S.count_kd_exceptional(lat),
+        lambda lat: S.count_kd_exceptional(lat, maximal_only=True),
+        lambda lat: S.count_kd_exceptional(lat),
     ]
     if len(lat) <= 132:
-        walks.append(lambda: S.enumerate_kd_exceptional(lat, mark_right_extendable=True))
+        walks.append(lambda lat: S.enumerate_kd_exceptional(lat, mark_right_extendable=True))
     # the clo-up labeling reads the table and steps nowhere else
-    walks.append(lambda: S.label_clo_up(lat))
+    walks.append(lambda lat: S.label_clo_up(lat))
     for walk in walks:
-        stepped = steps_taken(monkeypatch, walk)
+        # a fresh lattice per walk, as the table is memoized on it
+        fresh = S.generate(family, n)
+        stepped = steps_taken(monkeypatch, lambda: walk(fresh))
         assert len(stepped) == sum(mask.bit_count() for mask in masks)
         from_nodes = set(stepped)
         assert len(from_nodes) == len(masks) - 1
-        assert {_labels_between(lat, *node) for node in from_nodes} == masks - {0}
+        assert {_labels_between(fresh, *node) for node in from_nodes} == masks - {0}
+        # a second reader on the same lattice takes no step
+        assert steps_taken(monkeypatch, lambda: S.count_kd_exceptional(fresh)) == []
 
 
 def names_reversed(lat):

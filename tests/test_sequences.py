@@ -7,7 +7,7 @@ import pytest
 import sdlat as S
 from sdlat import BadParameter, NoBoundsError, NotJoinIrreducible, RecursionMismatch
 
-from conftest import random_pool, sd_family_lattices
+from conftest import DOUBLED_12, DOUBLED_19, lattice_from_cover_text, random_pool, sd_family_lattices
 
 FIG1_MAXIMAL = {
     ("j1", "j2", "j4"),
@@ -217,7 +217,8 @@ def test_label_clo_up_reports_covers_that_are_no_kappa_d_step(fig1, monkeypatch)
 
     def dropped(lattice):
         root, kids = dag(lattice)
-        # rows are keyed by label position
+        # a copy, as the table is memoized on the lattice; rows are keyed by label position
+        kids = {mask: dict(row) for mask, row in kids.items()}
         del kids[S.cores._lab_up_masks(lattice)[m1]][S.irreducibles._label_context(lattice).cji.index(j3)]
         return root, kids
 
@@ -239,6 +240,19 @@ def chain_words(labeling):
         return words[x]
 
     return upward(poset.bottom_name())
+
+
+@pytest.mark.parametrize(
+    "text, sequences, chains", [(DOUBLED_19, 29, 28), (DOUBLED_12, 12, 11)], ids=["doubled19", "doubled12"]
+)
+def test_doubled_lattices_have_more_maximal_sequences_than_chain_words(text, sequences, chains):
+    # where cloUp is a lattice and the labeling exists, the chain words can
+    # still miss a maximal kappa_d sequence on a lattice made by doubling
+    lattice = lattice_from_cover_text(text)
+    assert S.clo_up(lattice).is_lattice()
+    words = chain_words(S.label_clo_up(lattice))
+    assert S.count_kd_exceptional(lattice, maximal_only=True) == sequences
+    assert len(words) == len(set(words)) == chains
 
 
 def test_clo_up_chain_words_are_the_maximal_sequences():

@@ -16,15 +16,16 @@ from sdlat import (
     SizeLimitExceeded,
 )
 
-from conftest import sd_family_lattices
-from oracles import interval_restriction
+from conftest import DOUBLED_12, DOUBLED_19, lattice_from_cover_text, sd_family_lattices
+from oracles import hom_order, interval_restriction
 
 
 def el_by_chains(lp, order, flip=False, chain_cap=10**6):
     """Reference EL check that enumerates every maximal chain of every interval.
 
-    Intervals are taken in name order; the first one with more than
-    ``chain_cap`` chains raises, the first failing one gives the witness.
+    Intervals are taken in name order and each is decided on all its
+    chains.  The first failing one gives the witness, or raises when it has
+    more than ``chain_cap`` chains, too many to list.
     """
     rank = {label: k for k, label in enumerate(order)}
     p = lp.poset
@@ -43,8 +44,6 @@ def el_by_chains(lp, order, flip=False, chain_cap=10**6):
 
     for lo, hi in sorted((a, b) for a in p.names for b in p.names if a != b and p.leq(a, b)):
         found = chains(lo, hi)
-        if len(found) > chain_cap:
-            raise ChainCapExceeded(f"interval has more than {chain_cap} maximal chains")
         scored = []
         for chain in found:
             word = tuple(lp.labels[step] for step in zip(chain, chain[1:]))
@@ -60,6 +59,8 @@ def el_by_chains(lp, order, flip=False, chain_cap=10**6):
             shown, kind = [rising[0], min(scored)], "not-lex-least"
         else:
             continue
+        if len(found) > chain_cap:
+            raise ChainCapExceeded(f"interval has more than {chain_cap} maximal chains")
         witness = ELWitness(
             interval=(lo, hi),
             kind=kind,
@@ -225,9 +226,21 @@ def test_label_validation_reads_the_covers_once(monkeypatch):
 
 
 def test_chain_cap():
+    # the cap guards only the witness: the top interval of the cube has 6
+    # maximal chains, more than the cap, yet every order certifies
     lp = S.lattice_j_labeling(S.generate("boolean", 3))
-    with pytest.raises(ChainCapExceeded):
-        S.is_el_labeling(lp, lp.alphabet, chain_cap=5)
+    for order in itertools.permutations(lp.alphabet):
+        assert S.is_el_labeling(lp, order, chain_cap=5)
+
+
+@pytest.mark.parametrize("n, cap", [(6, 1000), (9, 10**6)])
+def test_hom_order_certifies_clo_up_over_the_chain_cap(n, cap):
+    # the top interval of cloUp(tamari(n)) has n**(n-2) maximal chains,
+    # more than the cap, which no interval that passes is held to; 10**6
+    # is the default
+    lattice = S.generate("tamari", n)
+    lp = S.label_clo_up(lattice).to_labeled_poset()
+    assert S.is_el_labeling(lp, hom_order(lattice), chain_cap=cap).ok
 
 
 def test_el_is_interval_local(fig1, preproj):
@@ -462,3 +475,28 @@ def test_tamari_clo_up_el_order(n, labels):
     order = S.find_el_order(lp, size_cap=len(lp.alphabet))
     assert order is not None
     assert el_by_chains(lp, order).ok
+
+
+@pytest.mark.parametrize(
+    "text, size, height, unrestricted",
+    [
+        (DOUBLED_19, 19, 6, (None, None)),
+        (DOUBLED_12, 12, 5, (("e10", "e3", "e7", "e5", "e8", "e9"), ("e8", "e5", "e7", "e3", "e10", "e9"))),
+    ],
+    ids=["doubled19", "doubled12"],
+)
+def test_doubled_lattice_el_orders(text, size, height, unrestricted):
+    # Interval doubling gives SD lattices whose cloUp is a lattice with a
+    # clo-up labeling, yet the search restricted by the inherited label
+    # order finds no EL order.  On the 19-element lattice no order of the
+    # 6 labels certifies; on the 12-element one an order outside the
+    # restriction does, so a "none" answer depends on the restriction.
+    lattice = lattice_from_cover_text(text)
+    assert (len(lattice), lattice.height(), lattice.is_semidistributive()) == (size, height, True)
+    assert S.clo_up(lattice).is_lattice()
+    lp = S.label_clo_up(lattice).to_labeled_poset()
+    assert len(lp.alphabet) == 6
+    free = LabeledPoset(poset=lp.poset, labels=lp.labels, alphabet=lp.alphabet, label_leq=frozenset())
+    for flip, order in zip((False, True), unrestricted):
+        assert S.find_el_order(lp, flip=flip) is None
+        assert S.find_el_order(free, flip=flip) == order
