@@ -65,7 +65,9 @@ def memoized(fn):
     Every ``Poset`` has a memo, so this caches on lattices and derived
     orders alike.  The name, qualified name and docstring are copied by
     hand and no ``__wrapped__`` is set, so the result stands in for ``fn``
-    everywhere.
+    everywhere.  A memoized value never reaches a caller as a mutable
+    container, where an edit would change later results: the memo holds
+    index tables, and whole-lattice name maps are built from them per call.
     """
 
     def cached(poset):

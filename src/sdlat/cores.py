@@ -269,15 +269,13 @@ def _label_sets(lattice: Lattice, masks: list[int]) -> dict[str, frozenset[str]]
     return {name: frozenset(names) for name, names in zip(lattice.names, labels)}
 
 
-@memoized
 def lab_down_map(lattice: Lattice) -> dict[str, frozenset[str]]:
-    """Lower core label set of every element, memoized."""
+    """Lower core label set of every element, built afresh from the memoized masks on each call."""
     return _label_sets(lattice, _lab_down_masks(lattice))
 
 
-@memoized
 def lab_up_map(lattice: Lattice) -> dict[str, frozenset[str]]:
-    """Upper core label set of every element, memoized."""
+    """Upper core label set of every element, built afresh from the memoized masks on each call."""
     return _label_sets(lattice, _lab_up_masks(lattice))
 
 

@@ -13,14 +13,15 @@ cmi, so the cmi, their m^* and kappa_d are all read off kappa.
 Cover labels come from masks too, on cji positions.  The label context
 (``_label_context``) numbers the cji 0..|J|-1 in name order, and a label
 set is a |J|-bit mask of positions.  It is the one kappa table the
-library reads: ``kappa[p]`` is the element kappa(J[p]); the name maps of
-``irreducible_table`` serve the public API.  With jdown[x] = {j : j <= x} and
-jabove[u] = {j : kappa(j) >= u}, the j-label of a cover u < v is the
-single bit of ``jdown[v] & jabove[u]`` and its m-label is kappa of that
-j-label; j_p <= kappa(j_q) is bit p of ``jdown[kappa[q]]``.  kappa_bar
-and the label sets of intervals are read off the same masks, and a label
-set comes out in name order by a walk over its bits.  A mask that is not
-a single bit raises NoUniqueMax.  On a finite SD lattice kappa_bar is a
+library reads: ``kappa[p]`` is the element kappa(J[p]).  The name maps of
+``irreducible_table``, ``cover_labeling`` and the kappa_bar maps serve the
+public API, and each call builds them afresh from the memoized index
+tables.  With jdown[x] = {j : j <= x} and jabove[u] = {j : kappa(j) >= u},
+the j-label of a cover u < v is the single bit of ``jdown[v] & jabove[u]``
+and its m-label is kappa of that j-label; j_p <= kappa(j_q) is bit p of
+``jdown[kappa[q]]``.  kappa_bar and the label sets of intervals are read
+off the same masks, and a label set comes out in name order by a walk
+over its bits.  A mask that is not a single bit raises NoUniqueMax.  On a finite SD lattice kappa_bar is a
 bijection with inverse kappa_bar_d (Barnard, "The canonical join
 complex", EJC 2019), so kappa_bar_d is kappa_bar's inverse permutation.
 """
@@ -49,9 +50,8 @@ class IrreducibleTable:
     kappa_d: dict[str, str]
 
 
-@memoized
 def irreducible_table(lattice: Lattice) -> IrreducibleTable:
-    """Compute (and memoize on the lattice) the irreducible/kappa table."""
+    """The irreducible/kappa table by name, built afresh from the memoized kappa on each call."""
     kappa = lattice._kappa_maps()
     if kappa is None:
         witness = lattice.semidistributivity_witness()
@@ -187,9 +187,8 @@ def m_label_cover(lattice: Lattice, lower: str, upper: str) -> str:
     return lattice.names[_label_context(lattice).kappa[p]]
 
 
-@memoized
 def cover_labeling(lattice: Lattice) -> CoverLabeling:
-    """Labels for all covers at once, memoized on the lattice.
+    """Labels for all covers at once, built afresh from the memoized label context on each call.
 
     The covers are walked on indices, upper element by upper element, so
     the dicts iterate in index order, not name order; no output reads that
@@ -276,9 +275,8 @@ def _kappa_bar_idx(lattice: Lattice) -> list[int]:
     return out
 
 
-@memoized
 def kappa_bar_map(lattice: Lattice) -> dict[str, str]:
-    """The extended kappa map on every element, memoized.
+    """The extended kappa map on every element, built afresh from ``_kappa_bar_idx`` on each call.
 
     kappa_bar(x) is the meet of kappa over the canonical joinands of x, the
     joinands being the labels of the covers below x.
@@ -296,9 +294,8 @@ def _kappa_bar_d_idx(lattice: Lattice) -> list[int]:
     return out
 
 
-@memoized
 def kappa_bar_d_map(lattice: Lattice) -> dict[str, str]:
-    """The extended kappa_d map on every element (inverse of kappa_bar), memoized."""
+    """The extended kappa_d map on every element (inverse of kappa_bar), built afresh on each call."""
     names = lattice.names
     return {names[y]: names[x] for y, x in enumerate(_kappa_bar_d_idx(lattice))}
 
@@ -317,21 +314,17 @@ def kappa_bar_cycles(lattice: Lattice) -> str:
     Each cycle starts at its lexicographically smallest member; cycles are
     sorted by first member; fixed points are omitted.
     """
-    mapping = kappa_bar_map(lattice)
-    seen: set[str] = set()
-    cycles = []
-    for start in sorted(mapping):
-        if start in seen:
+    names, kbar = lattice.names, _kappa_bar_idx(lattice)
+    seen, cycles = bytearray(lattice.n), []
+    # starts go in name order, so a cycle is entered at its least member
+    # and the cycles come out sorted by it
+    for start in sorted(range(lattice.n), key=names.__getitem__):
+        if seen[start] or kbar[start] == start:
             continue
-        cycle = [start]
-        seen.add(start)
-        cur = mapping[start]
-        while cur != start:
-            cycle.append(cur)
-            seen.add(cur)
-            cur = mapping[cur]
-        # starts go in name order, so a cycle is entered at its least member
-        # and the cycles come out sorted by it
-        if len(cycle) > 1:
-            cycles.append(cycle)
+        cycle, cur = [], start
+        while not seen[cur]:
+            seen[cur] = 1
+            cycle.append(names[cur])
+            cur = kbar[cur]
+        cycles.append(cycle)
     return "".join("(" + ",".join(c) + ")" for c in cycles)

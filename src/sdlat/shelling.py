@@ -33,8 +33,10 @@ Each node carries, over the chains from the fixed end to it:
 [lo, hi] is EL when it has exactly one increasing chain and its least key
 is strictly increasing, for then the least chain is the increasing one.
 The work is a sum over the fixed ends of the covers each walk meets, each
-times the height.  Only the name-least failing interval is handed to the
-chain enumerator, which builds the witness.
+times the height.  The walk yields each failing interval as it meets it:
+``is_el_labeling`` takes the name-least of them, which alone is handed to
+the chain enumerator to build the witness, and ``find_el_order`` stops at
+the first.
 
 Internally a label is its position in the sorted alphabet, numbered once
 per public call, and an order is the list ``rank`` of each position's
@@ -61,11 +63,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import Lattice, Poset, _bits
 from .errors import BadParameter, ChainCapExceeded, MissingLabel, SizeLimitExceeded
-from .irreducibles import _inherited_label_leq, cover_labeling, irreducible_table
+from .irreducibles import _inherited_label_leq, _label_context, cover_labeling, irreducible_table
 
 
 @dataclass(frozen=True)
@@ -165,13 +167,11 @@ def _walk(lp: LabeledPoset, position: dict[str, int], flip: bool) -> _Walk:
     return p.up, [[(u, position[labels[(names[u], names[v])]]) for u in p._dcov[v]] for v in range(p.n)]
 
 
-def _first_failing(lp: LabeledPoset, walk: _Walk, rank: list[int], flip: bool) -> Optional[tuple[int, int]]:
-    """The name-least interval that is not EL under ``rank``, or None."""
+def _failures(lp: LabeledPoset, walk: _Walk, rank: list[int], flip: bool) -> Iterator[tuple[int, int]]:
+    """Each interval that is not EL under ``rank``, as an index pair (lo, hi), in walk order."""
     reach, steps = walk
-    names = lp.poset.names
     ranked = [[(u, rank[label]) for u, label in s] for s in steps]
-    worst = None  # (name pair, index pair)
-    for root in range(len(names)):
+    for root in range(lp.poset.n):
         nodes = list(_bits(reach[root]))
         if flip:
             nodes.reverse()
@@ -189,13 +189,8 @@ def _first_failing(lp: LabeledPoset, walk: _Walk, rank: list[int], flip: bool) -
                 if key is None or word < key:
                     key = word
             rising[v], least[v] = counts, key
-            if sum(counts.values()) == 1 and all(a < b for a, b in zip(key, key[1:])):
-                continue
-            pair = (v, root) if flip else (root, v)
-            named = (names[pair[0]], names[pair[1]])
-            if worst is None or named < worst[0]:
-                worst = (named, pair)
-    return None if worst is None else worst[1]
+            if sum(counts.values()) != 1 or any(a >= b for a, b in zip(key, key[1:])):
+                yield (v, root) if flip else (root, v)
 
 
 def _witness(
@@ -251,7 +246,9 @@ def is_el_labeling(
     position = {label: i for i, label in enumerate(alphabet)}
     # the inverse permutation: rank[i] is where alphabet[i] stands in order
     rank = sorted(range(len(order)), key=order.__getitem__)
-    failing = _first_failing(lp, _walk(lp, position, flip), rank, flip)
+    names = lp.poset.names
+    failures = _failures(lp, _walk(lp, position, flip), rank, flip)
+    failing = min(failures, key=lambda pair: (names[pair[0]], names[pair[1]]), default=None)
     if failing is None:
         return ELReport(ok=True)
     return ELReport(ok=False, witness=_witness(lp, position, rank, flip, chain_cap, *failing))
@@ -261,8 +258,8 @@ def lattice_j_labeling(lattice: Lattice) -> LabeledPoset:
     """The lattice labeled by its own cover j-labels, with the inherited order."""
     return LabeledPoset(
         poset=lattice,
-        labels=dict(cover_labeling(lattice).jlabel),
-        alphabet=irreducible_table(lattice).cji,
+        labels=cover_labeling(lattice).jlabel,
+        alphabet=_label_context(lattice).labels,
         label_leq=_inherited_label_leq(lattice),
     )
 
@@ -370,7 +367,7 @@ def find_el_order(
     walk = _walk(lp, position, flip)
     pending = [iter(range(m))]
     while pending:
-        if len(prefix) == m and _first_failing(lp, walk, rank, flip) is None:
+        if len(prefix) == m and next(_failures(lp, walk, rank, flip), None) is None:
             return tuple(alphabet[i] for i in prefix)
         for i in pending[-1]:
             if rank[i] < m:

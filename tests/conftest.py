@@ -93,7 +93,7 @@ def odd_names(lattice):
 
 
 def record_calls(monkeypatch, cls, names):
-    """Record each call of the named methods of ``cls``, in order, and let it through."""
+    """Record each call of the named methods of ``cls``, or functions of a module, in order, and let it through."""
     calls = []
     for name in names:
         raw = cls.__dict__[name]

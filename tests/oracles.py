@@ -25,7 +25,10 @@ reads off masks or off intervals of the parent lattice:
   cji j at bit j, where the library keeps labels at their positions;
 * ``posets_isomorphic``: an order isomorphism of two small posets, by
   backtracking;
-* ``catalan``: the Catalan numbers by their recursion, for the tamari sizes;
+* ``catalan``: the Catalan numbers by their recursion, for the tamari sizes,
+  and ``q_catalan_at``: the q-Catalan number Cat(A_(n-1); q) at a complex q;
+* ``kappa_bar_cycles_oracle``: kappa_bar's cycles walked on its name map,
+  and ``kappa_bar_orbit_sizes``: its orbit sizes, fixed points included;
 * ``hom_order``: the cji in one linear extension of j -> j' when
   j is not <= kappa(j'), the Hom relation of the bricks, for EL orders;
 * ``kd_nodes``, ``count_kd_nodes`` and ``enumerate_kd_nodes``: the
@@ -48,12 +51,12 @@ from sdlat.cores import CoreData, _lab_up_masks, _pop_down_idx, _pop_up_idx
 from sdlat.irreducibles import _inherited_label_leq, _j_label_idx, _kappa_bar_idx, _label_context
 from sdlat.irreducibles import _labels_between
 from sdlat.irreducibles import _sorted_names
-from sdlat.irreducibles import kappa_bar_map
+from sdlat.irreducibles import kappa_bar, kappa_bar_map
 
 
 def _kappa(lattice):
     """kappa on indices, off the lattice's index maps; raises NotSemidistributive as irreducible_table does."""
-    irreducible_table(lattice)
+    _label_context(lattice)
     return lattice._kappa_maps()
 
 
@@ -222,7 +225,7 @@ def irredundant_representations(lattice, x, size_cap=12):
 def cmr_matches_kappa_bar(lattice, x):
     """Check CMR(kappa_bar(x)) = kappa(CJR(x)), the inverse-bijection identity."""
     table = irreducible_table(lattice)
-    image = kappa_bar_map(lattice)[x]
+    image = kappa_bar(lattice, x)
     expected = sorted(table.kappa[j] for j in cjr(lattice, x).joinands)
     return list(cmr(lattice, image).joinands) == expected
 
@@ -384,6 +387,65 @@ def element_labels_between(lattice):
         seeds[k] |= 1 << j
     above, down = _union_above(lattice._ucov, seeds), lattice.down
     return lambda lo, hi: down[hi] & above[lo]
+
+
+def kappa_bar_cycles_oracle(lattice):
+    """Cycle notation for kappa_bar, walked on the name map from each name in sorted order."""
+    mapping = kappa_bar_map(lattice)
+    seen = set()
+    cycles = []
+    for start in sorted(mapping):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        cur = mapping[start]
+        while cur != start:
+            cycle.append(cur)
+            seen.add(cur)
+            cur = mapping[cur]
+        if len(cycle) > 1:
+            cycles.append(cycle)
+    return "".join("(" + ",".join(c) + ")" for c in cycles)
+
+
+def kappa_bar_orbit_sizes(lattice):
+    """The sizes of kappa_bar's orbits, fixed points included, walked on ``_kappa_bar_idx``."""
+    kbar, seen, sizes = _kappa_bar_idx(lattice), [False] * lattice.n, []
+    for start in range(lattice.n):
+        size, cur = 0, start
+        while not seen[cur]:
+            seen[cur], size, cur = True, size + 1, kbar[cur]
+        if size:
+            sizes.append(size)
+    return sorted(sizes)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def q_catalan_at(n, q):
+    """Cat(A_(n-1); q), the product of [n + i]_q / [i]_q over i = 2..n, at the complex number q.
+
+    [k]_q = 1 + q + ... + q^(k-1).  The quotient is divided out exactly on
+    integer coefficients, so its value at a root of unity is a polynomial
+    evaluation, not a 0/0.
+    """
+    num, den = [1], [1]
+    for i in range(2, n + 1):
+        num, den = _poly_mul(num, [1] * (n + i)), _poly_mul(den, [1] * i)
+    quotient = [0] * (len(num) - len(den) + 1)
+    for k in range(len(quotient) - 1, -1, -1):  # den is monic: its top coefficient is 1
+        quotient[k] = c = num[k + len(den) - 1]
+        for j, d in enumerate(den):
+            num[k + j] -= c * d
+    assert not any(num), "the division leaves a remainder"
+    return sum(c * q**k for k, c in enumerate(quotient))
 
 
 def catalan(n):

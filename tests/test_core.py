@@ -346,17 +346,51 @@ def test_interval_is_sublattice(fig1):
         assert sub.meet(a, b) == fig1.meet(a, b)
 
 
-@pytest.mark.parametrize(
-    "module, name",
-    [("irreducibles", n) for n in ("irreducible_table", "cover_labeling", "kappa_bar_map", "kappa_bar_d_map")]
-    + [("cores", n) for n in ("lab_down_map", "lab_up_map", "kappa_order", "clo_up", "clo_down")],
-)
+@pytest.mark.parametrize("module, name", [("cores", n) for n in ("kappa_order", "clo_up", "clo_down")])
 def test_memoized_functions(fig1, module, name):
     fn = getattr(getattr(S, module), name)
     # a wrapper's __wrapped__ would mark it as left installed by perfbench's tracer
     assert fn.__name__ == name and fn.__doc__ and not hasattr(fn, "__wrapped__")
     assert fn(fig1) is fn(fig1)
     assert fn(fig1) is not fn(S.generate("fig1"))
+
+
+NAME_MAPS = [("irreducibles", n) for n in ("irreducible_table", "cover_labeling", "kappa_bar_map", "kappa_bar_d_map")]
+NAME_MAPS += [("cores", n) for n in ("lab_down_map", "lab_up_map")]
+
+
+@pytest.mark.parametrize("module, name", NAME_MAPS)
+def test_name_maps_are_built_per_call(fig1, module, name):
+    # the memo holds index tables only, so a name map is a fresh, equal object on every call
+    fn = getattr(getattr(S, module), name)
+    assert fn.__name__ == name and fn.__doc__ and not hasattr(fn, "__wrapped__")
+    first, second = fn(fig1), fn(fig1)
+    assert first == second and first is not second
+    assert first == fn(S.generate("fig1"))
+
+
+def _name_map_dicts(result):
+    """The dicts a name map hands out: the map itself or the dict fields of its record."""
+    if isinstance(result, dict):
+        return [result]
+    return [value for value in vars(result).values() if isinstance(value, dict)]
+
+
+@pytest.mark.parametrize("family", [("fig1",), ("tamari", 3), ("boolean", 3)])
+def test_editing_a_name_map_leaves_the_lattice_intact(family):
+    # every dict a name map returns is the caller's own: clearing them all
+    # changes neither the next call nor the results read off the memo
+    lattice, fresh = S.generate(*family), S.generate(*family)
+    for module, name in NAME_MAPS:
+        fn = getattr(getattr(S, module), name)
+        for mapping in _name_map_dicts(fn(lattice)):
+            assert mapping
+            mapping.clear()
+    for module, name in NAME_MAPS:
+        fn = getattr(getattr(S, module), name)
+        assert fn(lattice) == fn(fresh), name
+    assert S.kappa_bar_cycles(lattice) == S.kappa_bar_cycles(fresh)
+    assert S.lattice_j_labeling(lattice) == S.lattice_j_labeling(fresh)
 
 
 def _perfbench_tracing():
@@ -405,6 +439,7 @@ def test_traced_run_reaches_every_entry_point(tmp_path, capsys):
         for argv in calls:
             assert sdlat.cli.cli_main(argv) == 0, argv
         lattice = S.generate("fig1")
+        S.irreducibles.kappa_bar_map(lattice)
         S.cores.lab_down_map(lattice)
         S.cores.lab_up_map(lattice)
         assert S.sequences.is_kd_exceptional(lattice, ["j1"])

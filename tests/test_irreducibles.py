@@ -1,5 +1,8 @@
+import cmath
+import collections
 import dataclasses
 import itertools
+import math
 
 import pytest
 
@@ -7,8 +10,8 @@ import sdlat as S
 from sdlat import Lattice, NoUniqueMax, NotACover, NotComparable, NotSemidistributive
 from sdlat.irreducibles import _cover_label_masks, _label_context
 
-from conftest import sd_family_lattices
-from oracles import as_lattice, interval_cji_transfer
+from conftest import odd_names, random_pool, record_calls, sd_family_lattices
+from oracles import as_lattice, interval_cji_transfer, kappa_bar_cycles_oracle, kappa_bar_orbit_sizes, q_catalan_at
 
 
 def test_fig1_table(fig1):
@@ -125,6 +128,54 @@ def test_kappa_bar_d_inverts(small_sd_lattices):
             assert S.kappa_bar_d(lat, S.kappa_bar(lat, x)) == x
 
 
+def test_kappa_bar_cycles_match_the_name_map_walk(small_sd_lattices):
+    # the cycles are walked on _kappa_bar_idx; the oracle walks the name map
+    lattices = sd_family_lattices() + [S.generate("tamari", n) for n in (4, 5, 6)] + [S.generate("boolean", 4)]
+    lattices += [odd_names(S.generate(*family)) for family in (("fig1",), ("fig4",), ("tamari", 4))]
+    pool = small_sd_lattices + list(random_pool(1, 8, 300)[:100])
+    lattices += pool + [lat.dual() for lat in pool]
+    for lat in lattices:
+        assert S.kappa_bar_cycles(lat) == kappa_bar_cycles_oracle(lat)
+
+
+def _rowmotion_fixed_points(lattice, d):
+    """The fixed points of kappa_bar^d: the total size of the orbits whose size divides d."""
+    return sum(size for size in kappa_bar_orbit_sizes(lattice) if d % size == 0)
+
+
+def _order(lattice):
+    return math.lcm(*kappa_bar_orbit_sizes(lattice))
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_rowmotion_on_tamari_has_order_2n_and_sieves_q_catalan(n):
+    # tamari(n) is the Cambrian lattice of type A_(n-1), Coxeter number n:
+    # kappa_bar^(2n) = id, of exact order 2n for n >= 3, and kappa_bar^d fixes
+    # Cat(A_(n-1); q) elements at q = exp(2 pi i d / 2n), for every d < 2n
+    # (cyclic sieving: Armstrong-Stump-Thomas, Trans. AMS 2013, via
+    # Thomas-Williams, "Rowmotion in slow motion", Proc. LMS 2019; references
+    # not checked, and the numbers hold whatever the citation)
+    lattice = S.generate("tamari", n)
+    assert _order(lattice) == (2 if n == 2 else 2 * n)
+    for d in range(2 * n):
+        q = cmath.exp(2j * cmath.pi * d / (2 * n))
+        assert abs(q_catalan_at(n, q) - _rowmotion_fixed_points(lattice, d)) < 1e-6, d
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_rowmotion_on_boolean_is_an_involution_that_sieves(n):
+    # boolean(n) is of type A_1^n with Coxeter number 2: order 2 (1 on one
+    # element), and (1 + q^2)^n fixed points at q = i^d
+    lattice = S.generate("boolean", n)
+    assert _order(lattice) == (1 if n == 0 else 2)
+    for d in range(4):
+        assert abs((1 + 1j ** (2 * d)) ** n - _rowmotion_fixed_points(lattice, d)) < 1e-6, d
+
+
+def test_rowmotion_orbits_of_tamari_9():
+    assert collections.Counter(kappa_bar_orbit_sizes(S.generate("tamari", 9))) == {2: 1, 6: 3, 9: 14, 18: 262}
+
+
 def test_interval_labels_contain_cjr(fig1, small_sd_lattices):
     for lat in [fig1] + small_sd_lattices[:20]:
         for x in lat.names:
@@ -177,13 +228,16 @@ def test_cover_labeling_checks_each_label_in_its_own_walk():
     assert len(messages - {None}) >= 8
 
 
-def test_cover_labels_read_one_table():
-    # a one-cover query reads the label context alone, not the name table;
+def test_cover_labels_read_one_table(monkeypatch):
+    # a one-cover query reads the label context alone and builds no name map;
     # kappa lives on lattices, so a derived order carries no kappa memo
     fig1_text = S.jsonio.emit_json(S.jsonio.to_document(S.generate("fig1")))
+    calls = record_calls(monkeypatch, S.irreducibles, ["irreducible_table", "cover_labeling"])
     for query, expected in ((S.j_label_cover, "j2"), (S.m_label_cover, "m2")):
         lattice = S.jsonio.parse_json(fig1_text)
         assert query(lattice, "j4", "m1") == expected
-        assert "irreducible_table" not in [getattr(key, "__name__", None) for key in lattice.memo]
+    assert calls == []
+    S.irreducibles.irreducible_table(lattice)
+    assert calls == ["irreducible_table"]
     derived = S.clo_up(S.generate("fig1"))
     assert not hasattr(derived, "_kappa_maps")
