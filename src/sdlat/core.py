@@ -67,7 +67,10 @@ def memoized(fn):
     hand and no ``__wrapped__`` is set, so the result stands in for ``fn``
     everywhere.  A memoized value never reaches a caller as a mutable
     container, where an edit would change later results: the memo holds
-    index tables, and whole-lattice name maps are built from them per call.
+    index tables, whole-lattice name maps are built from them per call,
+    and the order tables of every ``Poset`` (``down``, ``up``, ``heights``,
+    and a derived order's ``masks``) are tuples, so a memoized derived
+    order cannot be edited either.
     """
 
     def cached(poset):
@@ -168,7 +171,7 @@ class _Index(dict):
 class Poset:
     """A finite partially ordered set on distinct, non-empty names."""
 
-    def __init__(self, names: tuple[str, ...], heights: list[int], covers: tuple[tuple[int, int], ...]):
+    def __init__(self, names: tuple[str, ...], heights: tuple[int, ...], covers: tuple[tuple[int, int], ...]):
         """Wrap an order indexed along a linear extension and close its down-sets.
 
         ``names`` lists the elements by index, ``heights[i]`` is the length
@@ -194,7 +197,7 @@ class Poset:
             ucov[lo].append(hi)
             dcov[hi].append(lo)
         self._ucov, self._dcov = ucov, dcov
-        self.down = down = [1 << i for i in range(n)]
+        down = [1 << i for i in range(n)]
         implied = False
         for i, lows in enumerate(dcov):
             # lower covers from the highest index down: one is implied by
@@ -208,12 +211,9 @@ class Poset:
             down[i] = acc
         if implied:
             self._check_reduction(names, down, covers)
-        self.up = self._union_above([1 << i for i in range(n)])
+        self.down = tuple(down)
+        self.up = tuple(_union_above(ucov, [1 << i for i in range(n)]))
         self.memo: dict = {}
-
-    def _union_above(self, seeds: list[int]) -> list[int]:
-        """out[u] is the union of seeds[v] over all v >= u (the module's ``_union_above``)."""
-        return _union_above(self._ucov, seeds)
 
     # -- construction ------------------------------------------------------
 
@@ -309,7 +309,7 @@ class Poset:
         cover_idx = tuple(
             [(lo, hi) for lo, (_, _, old) in enumerate(ranked) for hi in sorted([rank[v] for v in upper[old]])]
         )
-        names, heights = tuple(name for _, name, _ in ranked), [h for h, _, _ in ranked]
+        names, heights = tuple(name for _, name, _ in ranked), tuple(h for h, _, _ in ranked)
         del ranked, rank, upper  # freed before the constructor closes the down-sets
         return cls(names, heights, cover_idx)
 
@@ -453,20 +453,6 @@ class Lattice(Poset):
     def _meet_idx(self, x: int, y: int) -> int:
         return _msb(self.down[x] & self.down[y])
 
-    def _join_set_idx(self, ids: Iterable[int]) -> int:
-        up = self.up
-        acc = up[self._bot]
-        for i in ids:
-            acc &= up[i]
-        return _lsb(acc)
-
-    def _meet_set_idx(self, ids: Iterable[int]) -> int:
-        down = self.down
-        acc = down[self._top]
-        for i in ids:
-            acc &= down[i]
-        return _msb(acc)
-
     # -- name-level operations ----------------------------------------------
 
     @property
@@ -485,11 +471,17 @@ class Lattice(Poset):
 
     def join_set(self, elems: Iterable[str]) -> str:
         """Join of a possibly empty set; the empty join is the bottom."""
-        return self.names[self._join_set_idx(self.index[a] for a in elems)]
+        acc = self.up[self._bot]
+        for a in elems:
+            acc &= self.up[self.index[a]]
+        return self.names[_lsb(acc)]
 
     def meet_set(self, elems: Iterable[str]) -> str:
         """Meet of a possibly empty set; the empty meet is the top."""
-        return self.names[self._meet_set_idx(self.index[a] for a in elems)]
+        acc = self.down[self._top]
+        for a in elems:
+            acc &= self.down[self.index[a]]
+        return self.names[_msb(acc)]
 
     def is_cover(self, a: str, b: str) -> bool:
         return self.index[b] in self._ucov[self.index[a]]

@@ -302,7 +302,7 @@ class DerivedPoset(Poset):
     ``_label_order``, which builds every derived order.
     """
 
-    masks: list[int]
+    masks: tuple[int, ...]
 
     @memoized
     def is_lattice(self) -> bool:
@@ -403,7 +403,7 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
     del up  # n masks of n bits, freed before the build allocates its own
     order = built[key] = DerivedPoset._from_cover_pairs([lattice.names[x] for x in ranked], covers)
     index = lattice.index
-    order.masks = [masks[index[name]] for name in order.names]
+    order.masks = tuple(masks[index[name]] for name in order.names)
     return order
 
 

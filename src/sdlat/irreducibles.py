@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Lattice, _bits, memoized
+from .core import Lattice, _bits, _union_above, memoized
 from .errors import (
     NoUniqueMax,
     NotACover,
@@ -105,7 +105,7 @@ def _label_context(lattice: Lattice) -> _LabelContext:
             acc |= jdown[u]
         jdown[x] = acc
     position = {name: p for p, name in enumerate(labels)}
-    return _LabelContext(cji, labels, kappa, position, jdown, lattice._union_above(above))
+    return _LabelContext(cji, labels, kappa, position, jdown, _union_above(lattice._ucov, above))
 
 
 def _labels_between(lattice: Lattice, lo: int, hi: int) -> int:

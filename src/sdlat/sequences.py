@@ -80,9 +80,6 @@ from .errors import NotJoinIrreducible, RecursionMismatch
 from .irreducibles import _inherited_label_leq, _label_context, _labels_between, kappa_bar
 from .shelling import LabeledPoset
 
-Node = tuple[int, int]
-
-
 @dataclass(frozen=True)
 class KdSequence:
     """One verified sequence, displayed in (j_k, ..., j_1) order."""
@@ -109,7 +106,7 @@ class KdCheck:
         return self.ok
 
 
-def _child(lattice: Lattice, a: int, b: int, j: int) -> Node:
+def _child(lattice: Lattice, a: int, b: int, j: int) -> tuple[int, int]:
     """The node (a v j, pop_up_[a,b](a v j)) reached from (a, b) by label j."""
     x = _lsb(lattice.up[a] & lattice.up[j])
     return x, _pop_up_idx(lattice, x, b)
@@ -148,9 +145,10 @@ def _dag(lattice: Lattice) -> tuple[int, dict[int, dict[int, int]]]:
 def is_kd_exceptional(lattice: Lattice, entries: Sequence[str]) -> KdCheck:
     """Verify the recursive conditions; empty and singleton sequences pass.
 
-    Walks one path of the interval DAG with one mask test per entry.  On a
-    failure the reported depth is the shallowest one at which some later
-    entry is not a label of the interval, as in the definition.
+    Walks one path of the interval DAG.  At each depth every later entry
+    is tested against the interval's label mask, so the first failure met
+    is at the shallowest depth at which some later entry is not a label of
+    the interval, as in the definition.
     """
     context = _label_context(lattice)
     entries = _name_tuple(entries)
@@ -160,20 +158,13 @@ def is_kd_exceptional(lattice: Lattice, entries: Sequence[str]) -> KdCheck:
     cji = context.cji
     seq = [context.position[e] for e in reversed(entries)]
     node = (lattice._bot, lattice._top)
-    masks = []
     for d in range(len(seq) - 1):
         node = _child(lattice, *node, cji[seq[d]])
-        masks.append(_labels_between(lattice, *node))
-        if masks[-1] >> seq[d + 1] & 1:
-            continue
-        # entries up to d passed at their own depth, so at every earlier one
-        for depth, mask in enumerate(masks):
-            for k in range(d + 1, len(seq)):
-                if not mask >> seq[k] & 1:
-                    position = len(seq) - 1 - k
-                    return KdCheck(
-                        ok=False, condition=1, position=position, entry=entries[position], depth=depth
-                    )
+        mask = _labels_between(lattice, *node)
+        for k in range(d + 1, len(seq)):
+            if not mask >> seq[k] & 1:
+                position = len(seq) - 1 - k
+                return KdCheck(ok=False, condition=1, position=position, entry=entries[position], depth=d)
     return KdCheck(ok=True)
 
 

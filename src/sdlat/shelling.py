@@ -90,15 +90,16 @@ class LabeledPoset:
     def __post_init__(self):
         self.poset.bottom_name()
         self.poset.top_name()
-        names = self.poset.names
-        cover_set = {(names[a], names[b]) for a, b in self.poset.covers}
-        missing = cover_set.difference(self.labels)
-        if missing:
-            # only the missing covers are sorted, for the message
-            raise MissingLabel(f"covers without labels: {sorted(missing)[:4]}")
-        extra = [c for c in self.labels if c not in cover_set]
-        if extra:
-            raise MissingLabel(f"labels on non-covers: {extra[:4]}")
+        names, covers, labels = self.poset.names, self.poset.covers, self.labels
+        for a, b in covers:
+            if (names[a], names[b]) not in labels:
+                # only at the first unlabeled cover are the missing ones collected and sorted
+                missing = [(names[a], names[b]) for a, b in covers if (names[a], names[b]) not in labels]
+                raise MissingLabel(f"covers without labels: {sorted(missing)[:4]}")
+        if len(labels) != len(covers):
+            # every cover has a label, so some key is not a cover
+            cover_set = {(names[a], names[b]) for a, b in covers}
+            raise MissingLabel(f"labels on non-covers: {[c for c in labels if c not in cover_set][:4]}")
         if not self.alphabet:
             object.__setattr__(self, "alphabet", tuple(sorted(set(self.labels.values()))))
         if len(set(self.alphabet)) != len(self.alphabet):

@@ -3,7 +3,9 @@
 Each builds from a definition, or rebuilds from scratch, what the library
 reads off masks or off intervals of the parent lattice:
 
-* ``from_leq``: a poset from an order predicate, by a scan over all pairs;
+* ``from_leq``: a poset from an order predicate, by a scan over all pairs,
+  and ``mask_kernels``: the lattice and kappa tests of ``Lattice`` run on
+  bare down-set masks, with no poset built;
 * ``restrict`` and ``as_lattice``: a sublattice or interval rebuilt as a
   standalone lattice, and ``interval_cji_transfer`` checked against it;
 * ``interval_restriction``: a labeled poset cut down to an interval;
@@ -45,7 +47,7 @@ import graphlib
 from sdlat import InconsistentLabels, LabeledPoset, Lattice, Poset, cjr, cmr, irreducible_table
 from sdlat import CanonicalRep, NoUniqueMax, RecursionMismatch, SizeLimitExceeded, j_label_interval
 from sdlat import CloLabeling
-from sdlat.core import _bits, _lsb, _name_list, _union_above
+from sdlat.core import _bits, _cover_pairs_have_meets, _lower_covers, _lsb, _name_list, _union_above
 from sdlat.cores import OrdersReport, clo_down, clo_up, kappa_order, lab_down_map, lab_up_map, w_map
 from sdlat.cores import CoreData, _lab_up_masks, _pop_down_idx, _pop_up_idx
 from sdlat.irreducibles import _inherited_label_leq, _j_label_idx, _kappa_bar_idx, _label_context
@@ -94,6 +96,22 @@ def from_leq(names, leq):
         if poset.down[poset.index[a]] != sum(1 << poset.index[names[j]] for j in _bits(down[i])):
             raise ValueError("relation is not transitive")
     return poset
+
+
+def mask_kernels(down):
+    """The core kernels on bare down-set masks: the meet test's verdict and the kappa test's input.
+
+    ``down`` is indexed along a linear extension.  The kernels are the
+    ``Lattice`` path, and the oracle of the candidate test of
+    random_sd_lattice and of the predicate-built loop it replaced.
+    """
+    dcov = _lower_covers(down)
+    ucov = [[] for _ in down]
+    for i, lows in enumerate(dcov):
+        for j in lows:
+            ucov[j].append(i)
+    up = _union_above(ucov, [1 << i for i in range(len(down))])
+    return _cover_pairs_have_meets(down, dcov), (down, up, dcov, ucov)
 
 
 def restrict(lattice, members):

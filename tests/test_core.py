@@ -145,7 +145,8 @@ def test_each_distinct_mask_list_is_built_and_checked_once(monkeypatch, family, 
     # lattice_failure, which stays the oracle of its verdict.
     lat = S.generate(*family)
     S.cores.w_map(lat)
-    calls = record_calls(monkeypatch, Poset, ["_from_cover_pairs", "lattice_failure", "_union_above"])
+    calls = record_calls(monkeypatch, Poset, ["_from_cover_pairs", "lattice_failure"])
+    unions = record_calls(monkeypatch, S.core, ["_union_above"])
     checks = record_calls(monkeypatch, DerivedPoset, ["_lattice_on_masks"])
     for _ in range(2):
         orders = [S.kappa_order(lat), S.clo_up(lat), S.clo_down(lat)]
@@ -153,7 +154,7 @@ def test_each_distinct_mask_list_is_built_and_checked_once(monkeypatch, family, 
         assert len({id(order) for order in orders}) == builds
     assert calls.count("_from_cover_pairs") == len(checks) == builds
     assert calls.count("lattice_failure") == 0
-    assert calls.count("_union_above") == builds
+    assert len(unions) == builds
     assert verdicts == [order.lattice_failure() is None for order in orders]
 
 

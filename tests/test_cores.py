@@ -227,3 +227,21 @@ def test_derived_orders_do_not_depend_on_call_order(small_sd_lattices):
                 )
             )
         assert len(seen) == 1
+
+
+@pytest.mark.parametrize("family, builds", [(("tamari", 3), 1), (("fig4",), 3)])
+def test_derived_order_tables_cannot_be_edited(family, builds):
+    # the memo hands out the derived orders, one object for all three on
+    # tamari(3) and three on fig4: their tables are tuples, so an edit
+    # raises and leaves every order as a fresh lattice builds it
+    lattice, fresh = S.generate(*family), S.generate(*family)
+    orders, tables = [S.kappa_order, S.clo_up, S.clo_down], ["down", "up", "heights", "masks"]
+    assert len({id(order(lattice)) for order in orders}) == builds
+    for order in orders:
+        for table in tables:
+            with pytest.raises(TypeError):
+                getattr(order(lattice), table)[-1] = 1
+    for order in orders:
+        mine, theirs = order(lattice), order(fresh)
+        assert mine == theirs
+        assert [getattr(mine, table) for table in tables] == [getattr(theirs, table) for table in tables]

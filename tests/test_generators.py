@@ -5,9 +5,10 @@ import pytest
 import sdlat as S
 from sdlat import BadParameter, Lattice, Poset
 from sdlat.cli import cli_main
+from sdlat.core import _kappa_maps
 
 from conftest import record_calls
-from oracles import catalan, from_leq
+from oracles import catalan, from_leq, mask_kernels
 
 
 def test_fig1_cji_names(fig1):
@@ -117,9 +118,12 @@ def test_random_sd_lattice_stream():
 def random_sd_lattice_oracle(seed=None, max_mid=6, rng=None, max_tries=20000):
     """The predicate-built rejection loop that ``random_sd_lattice`` replaced.
 
-    Each candidate's up-sets are closed by a fixpoint loop and built through
-    ``oracles.from_leq`` and ``Lattice.build_from_covers`` before the SD
-    test.  It makes the same random calls in the same order.
+    Each candidate's up-sets are closed by a fixpoint loop.  Its names
+    bot, e0.., top are a linear extension, as edges rise in rank, so its
+    down-set masks go to ``oracles.mask_kernels``, the lattice and kappa
+    tests that ``Lattice`` runs.  Only the accepted candidate is built,
+    through ``oracles.from_leq`` and ``Lattice.build_from_covers``.  It
+    makes the same random calls in the same order.
     """
     rng = rng if rng is not None else random.Random(seed)
     want = rng.randint(0, max_mid)
@@ -147,13 +151,11 @@ def random_sd_lattice_oracle(seed=None, max_mid=6, rng=None, max_tries=20000):
                     upsets[a] = grown
                     changed = True
         names = ["bot"] + mids + ["top"]
-        try:
+        down = [sum(1 << j for j, b in enumerate(names) if a in upsets[b]) for a in names]
+        meets, kappa_args = mask_kernels(down)
+        if meets and _kappa_maps(*kappa_args) is not None:
             poset = from_leq(names, lambda a, b: b in upsets[a])
-            lattice = Lattice.build_from_covers(poset.names, poset.covers_named())
-        except S.LatticeError:
-            continue
-        if lattice.is_semidistributive():
-            return lattice
+            return Lattice.build_from_covers(poset.names, poset.covers_named())
     raise RuntimeError("random_sd_lattice failed to find a lattice; widen max_tries")
 
 

@@ -222,6 +222,20 @@ def test_label_validation_reads_the_covers_once(monkeypatch):
         MissingLabel, match=r"labels on non-covers: \[\('a', 'abc'\), \('0', 'ab'\)\]"
     ):
         LabeledPoset(poset=lp.poset, labels=extra)
+    # the right number of labels, one of them on a non-cover: a size test alone would pass it
+    swapped = {**missing, ("a", "abc"): "b"}
+    assert len(swapped) == len(lp.labels)
+    with pytest.raises(MissingLabel, match=r"^covers without labels: \[\('a', 'ab'\)\]$"):
+        LabeledPoset(poset=lp.poset, labels=swapped)
+    # five missing covers: the message lists the first four in name order
+    five = dict(lp.labels)
+    for cover in [("c", "cd"), ("0", "a"), ("b", "bd"), ("a", "ab"), ("ab", "abc")]:
+        del five[cover]
+    with pytest.raises(
+        MissingLabel,
+        match=r"^covers without labels: \[\('0', 'a'\), \('a', 'ab'\), \('ab', 'abc'\), \('b', 'bd'\)\]$",
+    ):
+        LabeledPoset(poset=lp.poset, labels=five)
     assert len(calls) == 0
 
 
