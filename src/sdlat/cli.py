@@ -122,7 +122,7 @@ def _cmd_kappa(args) -> int:
 
 def _cmd_cjr(args) -> int:
     lattice = _load_lattice(args.file)
-    elements = [args.element] if args.element else list(sorted(lattice.names))
+    elements = [args.element] if args.element is not None else list(sorted(lattice.names))
     lines = []
     payload = {}
     for x in elements:
@@ -148,7 +148,7 @@ def _cmd_complex(args) -> int:
 
 def _cmd_cores(args) -> int:
     lattice = _load_lattice(args.file)
-    elements = [args.element] if args.element else list(sorted(lattice.names))
+    elements = [args.element] if args.element is not None else list(sorted(lattice.names))
     lines = []
     payload = {}
     for x in elements:

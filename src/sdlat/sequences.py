@@ -327,7 +327,7 @@ def label_clo_up(lattice: Lattice) -> CloLabeling:
     top = derived.top_name()
     root, kids = _dag(lattice)
     steps = {mask: {child: p for p, child in row.items()} for mask, row in kids.items()}
-    for u in sorted(derived.lower_covers(top)):
+    for u in derived.lower_covers(top):
         if lab_up[index[u]] not in steps[root]:
             raise RecursionMismatch(
                 f"kappa_bar({u!r}) = {kappa_bar(lattice, u)!r} is not completely join-irreducible"

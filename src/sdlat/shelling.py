@@ -56,7 +56,9 @@ dropped as soon as
 
 Both fail every order that extends the prefix, so the search meets the
 same orders that pass, in the same sequence, as a loop over all
-permutations.  A complete candidate is verified by the dynamic program.
+permutations.  The length-2 intervals and their keys are read off the
+entering covers of the verifier's walk, which the search builds once, and
+a complete candidate is verified by the dynamic program on that walk.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from typing import Iterable, Iterator, Optional
 
 from .core import Lattice, Poset, _bits
 from .errors import BadParameter, ChainCapExceeded, MissingLabel, SizeLimitExceeded
-from .irreducibles import _inherited_label_leq, _label_context, cover_labeling, irreducible_table
+from .irreducibles import _inherited_label_leq, _label_context, cover_labeling
 
 
 @dataclass(frozen=True)
@@ -153,9 +155,11 @@ def _maximal_chains(poset: Poset, lo: int, hi: int, chain_cap: int) -> list[tupl
     return chains
 
 
-# (reach, steps): reach[e] is the set the walk from the fixed end e spans,
-# steps[v] the covers the walk enters v by, as (neighbour, label position).
-_Walk = tuple[list[int], list[list[tuple[int, int]]]]
+# (reach, other, steps): reach[e] is the set the walk from the fixed end e
+# spans, other the opposite table (down when reach is up, up when it is
+# down), and steps[v] the covers the walk enters v by, as (neighbour, label
+# position).
+_Walk = tuple[tuple[int, ...], tuple[int, ...], list[list[tuple[int, int]]]]
 
 
 def _walk(lp: LabeledPoset, position: dict[str, int], flip: bool) -> _Walk:
@@ -164,13 +168,13 @@ def _walk(lp: LabeledPoset, position: dict[str, int], flip: bool) -> _Walk:
     names = p.names
     if flip:
         steps = [[(u, position[labels[(names[v], names[u])]]) for u in p._ucov[v]] for v in range(p.n)]
-        return p.down, steps
-    return p.up, [[(u, position[labels[(names[u], names[v])]]) for u in p._dcov[v]] for v in range(p.n)]
+        return p.down, p.up, steps
+    return p.up, p.down, [[(u, position[labels[(names[u], names[v])]]) for u in p._dcov[v]] for v in range(p.n)]
 
 
 def _failures(lp: LabeledPoset, walk: _Walk, rank: list[int], flip: bool) -> Iterator[tuple[int, int]]:
     """Each interval that is not EL under ``rank``, as an index pair (lo, hi), in walk order."""
-    reach, steps = walk
+    reach, _, steps = walk
     ranked = [[(u, rank[label]) for u, label in s] for s in steps]
     for root in range(lp.poset.n):
         nodes = list(_bits(reach[root]))
@@ -257,12 +261,7 @@ def is_el_labeling(
 
 def lattice_j_labeling(lattice: Lattice) -> LabeledPoset:
     """The lattice labeled by its own cover j-labels, with the inherited order."""
-    return LabeledPoset(
-        poset=lattice,
-        labels=cover_labeling(lattice).jlabel,
-        alphabet=_label_context(lattice).labels,
-        label_leq=_inherited_label_leq(lattice),
-    )
+    return LabeledPoset(poset=lattice, labels=cover_labeling(lattice).jlabel, label_leq=_inherited_label_leq(lattice))
 
 
 def is_extremal(lattice: Lattice) -> bool:
@@ -277,39 +276,28 @@ def is_extremal(lattice: Lattice) -> bool:
     u' v j = u' and not v'.  So a chain of length |cji| uses every label.
     Raises NotSemidistributive, as irreducible_table does.
     """
-    return lattice.heights[lattice._top] == len(irreducible_table(lattice).cji)
+    return lattice.heights[lattice._top] == len(_label_context(lattice).cji)
 
 
-def _length_two_keys(
-    lp: LabeledPoset, position: dict[str, int], flip: bool
-) -> list[list[tuple[int, int]]]:
+def _length_two_keys(poset: Poset, walk: _Walk) -> list[list[tuple[int, int]]]:
     """For each interval whose maximal chains all have length 2, their keys as label positions.
 
-    [lo, hi] is such an interval when every element strictly inside it
-    covers lo: those elements form an antichain, so hi covers each of them.
-    The chain lo < m < hi with labels (x, y) has the key (y, x), or (x, y)
-    under ``flip``; either way it is increasing when the key's first label
-    ranks below its second.
+    Each node e, each cover (m, r) entering it and each cover (s, q)
+    entering m give the chain s, m, e of the walk from the fixed end s,
+    whose key is (r, q) as the module docstring says: (y, x) for
+    lo < m < hi labeled (x, y), or (x, y) under ``flip``.  Either way the
+    chain is increasing when the key's first label ranks below its second.
+    All maximal chains of [s, e] have length 2 exactly when s, e and the
+    middles found make up the whole interval.
     """
-    p, labels = lp.poset, lp.labels
-    names, ucov = p.names, p._ucov
+    reach, other, steps = walk
     out = []
-    for lo in range(p.n):
-        covers = tops = 0
-        for m in ucov[lo]:
-            covers |= 1 << m
-            for hi in ucov[m]:
-                tops |= 1 << hi
-        for hi in _bits(tops):
-            inside = p.up[lo] & p.down[hi] & ~(1 << lo | 1 << hi)
-            if inside & ~covers:
-                continue
-            keys = []
-            for m in _bits(inside):
-                x = position[labels[(names[lo], names[m])]]
-                y = position[labels[(names[m], names[hi])]]
-                keys.append((x, y) if flip else (y, x))
-            out.append(keys)
+    for e in range(poset.n):
+        found: dict[int, list[tuple[int, int]]] = {}
+        for m, r in steps[e]:
+            for s, q in steps[m]:
+                found.setdefault(s, []).append((r, q))
+        out += [keys for s, keys in found.items() if (reach[s] & other[e]).bit_count() == len(keys) + 2]
     return out
 
 
@@ -341,13 +329,14 @@ def find_el_order(
     if m > size_cap:
         raise SizeLimitExceeded(f"alphabet of size {m} exceeds the search cap {size_cap}")
     position = {label: i for i, label in enumerate(alphabet)}
+    walk = _walk(lp, position, flip)
     # a < b inherited forces b to come earlier than a in the total order
     earlier: list[list[int]] = [[] for _ in range(m)]
     for a, b in lp.label_leq or ():
         if a != b and a in position and b in position:
             earlier[position[a]].append(position[b])
     watched: list[list[tuple[set[int], list[tuple[int, int]]]]] = [[] for _ in range(m)]
-    for keys in _length_two_keys(lp, position, flip):
+    for keys in _length_two_keys(lp.poset, walk):
         used = {label for key in keys for label in key}
         if len(used) == 1:
             return None  # every key is (x, x), which no order makes increasing
@@ -365,7 +354,6 @@ def find_el_order(
             for used, keys in watched[i]
         )
 
-    walk = _walk(lp, position, flip)
     pending = [iter(range(m))]
     while pending:
         if len(prefix) == m and next(_failures(lp, walk, rank, flip), None) is None:

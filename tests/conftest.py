@@ -79,6 +79,22 @@ DOUBLED_12 = (
 )
 
 
+# Two SD lattices made by Day's interval doubling, each a list of covers, on
+# which label_clo_up and the clo-up recursion of the oracles disagree: on 12
+# elements both fail with different messages, and on 22 elements only the
+# recursion fails (ROADMAP.md, item 24).
+CLO_UP_SPLIT_12 = (
+    "e0<e1 e0<e2 e0<e5 e1<e3 e1<e6 e10<e11 e2<e3 e2<e8 e3<e4 e3<e7 e4<e10 e5<e6 e5<e8 e6<e9 e7<e10 "
+    "e8<e11 e9<e11"
+)
+CLO_UP_SPLIT_22 = (
+    "e0<e1 e0<e12 e0<e2 e0<e3 e1<e14 e1<e4 e1<e6 e10<e11 e10<e19 e11<e17 e12<e13 e12<e14 e12<e16 "
+    "e13<e15 e13<e18 e14<e15 e14<e19 e15<e21 e16<e18 e16<e19 e17<e21 e18<e21 e19<e20 e2<e13 e2<e4 "
+    "e2<e5 e20<e21 e3<e5 e3<e6 e3<e7 e4<e15 e4<e9 e5<e8 e5<e9 e6<e10 e6<e9 e7<e10 e7<e16 e7<e8 e8<e11 "
+    "e8<e18 e9<e11"
+)
+
+
 def lattice_from_cover_text(text):
     """The lattice on the names of ``lo<hi`` pairs separated by spaces."""
     covers = [tuple(pair.split("<")) for pair in text.split()]

@@ -8,7 +8,9 @@ reads off masks or off intervals of the parent lattice:
   bare down-set masks, with no poset built;
 * ``restrict`` and ``as_lattice``: a sublattice or interval rebuilt as a
   standalone lattice, and ``interval_cji_transfer`` checked against it;
-* ``interval_restriction``: a labeled poset cut down to an interval;
+* ``interval_restriction``: a labeled poset cut down to an interval, and
+  ``length_two_keys_by_names``: the keys of its length-2 intervals read
+  from the cover labels by name, where the search reads the verifier's walk;
 * ``cjr_oracle`` and ``irredundant_representations``: canonical and
   irredundant join representations by enumerating element subsets, and
   ``cmr_matches_kappa_bar``: the kappa_bar identity on CJR/CMR;
@@ -163,6 +165,37 @@ def interval_restriction(lp, lo, hi):
         alphabet=lp.alphabet,
         label_leq=lp.label_leq,
     )
+
+
+def length_two_keys_by_names(lp, flip):
+    """For each interval whose maximal chains all have length 2, their keys as label positions.
+
+    [lo, hi] is such an interval when every element strictly inside it
+    covers lo: those elements form an antichain, so hi covers each of them.
+    The chain lo < m < hi with labels (x, y) has the key (y, x), or (x, y)
+    under ``flip``, each label its position in the sorted alphabet.
+    """
+    position = {label: i for i, label in enumerate(sorted(lp.alphabet))}
+    p, labels = lp.poset, lp.labels
+    names, ucov = p.names, p._ucov
+    out = []
+    for lo in range(p.n):
+        covers = tops = 0
+        for m in ucov[lo]:
+            covers |= 1 << m
+            for hi in ucov[m]:
+                tops |= 1 << hi
+        for hi in _bits(tops):
+            inside = p.up[lo] & p.down[hi] & ~(1 << lo | 1 << hi)
+            if inside & ~covers:
+                continue
+            keys = []
+            for m in _bits(inside):
+                x = position[labels[(names[lo], names[m])]]
+                y = position[labels[(names[m], names[hi])]]
+                keys.append((x, y) if flip else (y, x))
+            out.append(keys)
+    return out
 
 
 class _OracleContext:

@@ -28,7 +28,8 @@ from sdlat.cores import _lab_down_masks, _lab_up_masks, _w_masks, clo_up, lab_up
 from sdlat.irreducibles import _cover_label_masks, _label_context, _labels_between
 from sdlat.irreducibles import _sorted_names
 
-from conftest import random_pool, sd_family_lattices
+from conftest import CLO_UP_SPLIT_12, CLO_UP_SPLIT_22, lattice_from_cover_text, random_pool, sd_exponential_oracle
+from conftest import sd_family_lattices
 from oracles import as_lattice, count_kd_nodes, element_labels_between, enumerate_kd_nodes, kappa_bar_within, kd_nodes
 from oracles import clo_labeling_from_keys, kappa_bar_d_within, node_label_steps, recursive_labels_nodes
 
@@ -289,6 +290,26 @@ def test_random_pools_match_node_walk(seed, max_mid):
     for lat in random_pool(seed, max_mid, 300):
         for each in (lat, lat.dual()):
             check_node_walk(each)
+
+
+def test_label_clo_up_and_the_recursion_disagree_on_two_doubled_lattices():
+    """The disagreement of ROADMAP.md item 24, recorded as it stands.
+
+    ``check_node_walk`` fails on both lattices.  Settling item 24 changes
+    this record on purpose, one side or the other.
+    """
+    small = lattice_from_cover_text(CLO_UP_SPLIT_12)
+    assert sd_exponential_oracle(small)
+    with pytest.raises(RecursionMismatch, match=r"^cover \('e0', 'e5'\) of the derived order is not a kappa_d step$"):
+        S.label_clo_up(small)
+    with pytest.raises(RecursionMismatch, match=r"^kappa_bar\('e8'\) = 'e10' is not completely join-irreducible$"):
+        clo_labeling_from_keys(small, recursive_labels_nodes(small))
+    large = lattice_from_cover_text(CLO_UP_SPLIT_22)
+    assert large.is_semidistributive()
+    assert len(S.label_clo_up(large).labels) == 51
+    message = "^recursive label set does not match any element of the derived order$"
+    with pytest.raises(RecursionMismatch, match=message):
+        clo_labeling_from_keys(large, recursive_labels_nodes(large))
 
 
 @pytest.mark.parametrize("family,n", FAMILIES)

@@ -173,6 +173,14 @@ def test_cli_cjr_cores_nuclear(tmp_path, capsys):
     assert cli_main(["nuclear", fig1, "--lo", "nosuch", "--hi", "top"]) == 2
 
 
+@pytest.mark.parametrize("command", ["cjr", "cores"])
+def test_cli_empty_element_is_unknown(tmp_path, capsys, command):
+    # an empty --element names no element, rather than asking for every one
+    doc = _write(tmp_path, "chain.json", S.generate("chain", 1))
+    assert cli_main([command, doc, "--element", ""]) == 2
+    assert capsys.readouterr() == ("", "error: unknown element ''\n")
+
+
 def test_cli_seq(tmp_path, capsys):
     fig1 = _write(tmp_path, "fig1.json", S.generate("fig1"))
     assert cli_main(["seq", fig1, "--maximal", "--json"]) == 0

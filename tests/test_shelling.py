@@ -16,8 +16,8 @@ from sdlat import (
     SizeLimitExceeded,
 )
 
-from conftest import DOUBLED_12, DOUBLED_19, lattice_from_cover_text, sd_family_lattices
-from oracles import hom_order, interval_restriction
+from conftest import DOUBLED_12, DOUBLED_19, lattice_from_cover_text, random_pool, sd_family_lattices
+from oracles import hom_order, interval_restriction, length_two_keys_by_names
 
 
 def el_by_chains(lp, order, flip=False, chain_cap=10**6):
@@ -88,6 +88,16 @@ def _unconstrained(lp):
     return LabeledPoset(poset=lp.poset, labels=lp.labels, alphabet=lp.alphabet)
 
 
+def _labeled_both_ways(lattice):
+    """The j-labeling and, where it exists, the clo-up labeling of ``lattice``."""
+    out = [S.lattice_j_labeling(lattice)]
+    try:
+        out.append(S.label_clo_up(lattice).to_labeled_poset())
+    except S.LatticeError:
+        pass  # the recursive labeling does not apply to this lattice
+    return out
+
+
 @pytest.fixture(scope="module")
 def labelings(small_sd_lattices):
     """j-labelings and clo-up labelings of the families and the random pool with duals."""
@@ -98,11 +108,7 @@ def labelings(small_sd_lattices):
     lattices += [lat for pool in small_sd_lattices for lat in (pool, pool.dual())]
     out = [S.generate("preprojA2"), S.generate("fig1-labeled"), S.generate("fig4-labeled")]
     for lat in lattices:
-        out.append(S.lattice_j_labeling(lat))
-        try:
-            out.append(S.label_clo_up(lat).to_labeled_poset())
-        except S.LatticeError:
-            pass  # the recursive labeling does not apply to this lattice
+        out += _labeled_both_ways(lat)
     return out
 
 
@@ -435,6 +441,33 @@ def test_pruned_search_matches_permutation_loop(labelings):
                 assert order == search_by_permutations(candidate, flip=flip)
                 answers.add((candidate.label_leq is not None, order is not None))
     assert answers == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_length_two_keys_match_the_name_reading():
+    # The pruning reads each length-2 interval's keys off the verifier's
+    # walk; the oracle reads them from the cover labels by name.  Key lists
+    # are compared as multisets of sorted lists, in both conventions.
+    cases = [S.generate(name) for name in ("fig1-labeled", "fig4-labeled", "preprojA2")]
+    cases += [S.lattice_j_labeling(S.generate("boolean", n)) for n in range(1, 6)]
+    cases += [S.lattice_j_labeling(S.generate("tamari", n)) for n in range(2, 7)]
+    cases += [S.label_clo_up(S.generate("tamari", n)).to_labeled_poset() for n in range(2, 7)]
+    lattices = [lat for lat in random_pool(1, 8, 300)[:100] for lat in (lat, lat.dual())]
+    lattices += [lattice_from_cover_text(text) for text in (DOUBLED_12, DOUBLED_19)]
+    for lattice in lattices:
+        cases += _labeled_both_ways(lattice)
+    poset = _pentagon_under_chain()
+    for letters in itertools.product("wxyz", repeat=len(poset.covers)):
+        labels = dict(zip(poset.covers_named(), letters))
+        cases.append(LabeledPoset(poset=poset, labels=labels, alphabet=tuple("wxyz")))
+    intervals = 0
+    for lp in cases:
+        position = {label: i for i, label in enumerate(sorted(lp.alphabet))}
+        for flip in (False, True):
+            got = S.shelling._length_two_keys(lp.poset, S.shelling._walk(lp, position, flip))
+            expected = length_two_keys_by_names(lp, flip)
+            assert sorted(map(sorted, got)) == sorted(map(sorted, expected))
+            intervals += len(got)
+    assert intervals
 
 
 def test_pruned_search_matches_on_arbitrary_labels():
