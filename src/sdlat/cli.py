@@ -293,7 +293,7 @@ def _cmd_gen(args) -> int:
     if args.n is not None:
         meta["n"] = str(args.n)
     text = emit_json(to_document(obj, meta=meta))
-    if args.output:
+    if args.output is not None:
         Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {args.output}")
     else:

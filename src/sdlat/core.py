@@ -426,8 +426,8 @@ class Lattice(Poset):
     the function that computed it.
     """
 
-    def __init__(self, names, down, covers):
-        super().__init__(names, down, covers)
+    def __init__(self, names, heights, covers):
+        super().__init__(names, heights, covers)
         if self.n == 0:
             raise NoBoundsError("empty lattice")
         self._bot = self.index[self.bottom_name()]

@@ -379,17 +379,15 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
         raise InconsistentLabels(f"{kind}: label sets do not separate elements")
     n = lattice.n
     ranked = sorted(range(n), key=lambda x: -masks[x].bit_count())
-    # having[p] written as binary digits: bit r is set when ranked[r] has p
-    # the two bit walks are inline: they run once per label of every element
-    rows = [bytearray(b"0" * n) for _ in range(max(masks).bit_length())]
-    one = ord("1")
+    # bit r of having[p] is set when ranked[r] has p; the two bit walks are
+    # inline: they run once per label of every element
+    having = [0] * max(masks).bit_length()
     for r, x in enumerate(ranked):
-        rest, col = masks[x], n - 1 - r
+        rest, bit = masks[x], 1 << r
         while rest:
             low = rest & -rest
-            rows[low.bit_length() - 1][col] = one
+            having[low.bit_length() - 1] |= bit
             rest ^= low
-    having = [int(row, 2) for row in rows]
     full = (1 << n) - 1
     up = []
     for x in ranked:

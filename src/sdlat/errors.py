@@ -30,12 +30,15 @@ class NotSemidistributive(LatticeError):
 
 
 class NoUniqueMax(LatticeError):
-    """A candidate set expected to have a unique extremum does not."""
+    """The cover-label guard: a cover's j-label mask is not a single bit, so
+    the cover has no unique minimal join label."""
 
 
 class InconsistentLabels(LatticeError):
-    """Label data that theory makes consistent is not: label sets fail to
-    separate elements, or a label transfer misses the interval's cji."""
+    """Label data that theory makes consistent is not: the label sets of a
+    core label order fail to separate elements (the separation guard of
+    ``cores._label_order``), or a stored fig1/fig4 label disagrees with the
+    computed j-label."""
 
 
 class NotACover(LatticeError):

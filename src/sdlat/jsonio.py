@@ -36,7 +36,6 @@ class LatticeDocument:
     covers: list[tuple[str, str]]
     labels: Optional[dict[str, str]] = None
     meta: Optional[dict[str, str]] = None
-    schema_version: str = SCHEMA_VERSION
 
 
 def parse_document(text: str) -> LatticeDocument:
@@ -101,7 +100,7 @@ def emit_json(doc: LatticeDocument) -> str:
                 f"element name {name!r} contains '->' and cannot be used with labels"
             )
     payload: dict = {
-        "schemaVersion": doc.schema_version,
+        "schemaVersion": SCHEMA_VERSION,
         "elements": list(doc.elements),
         "covers": [list(c) for c in doc.covers],
     }

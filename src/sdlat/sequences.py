@@ -266,7 +266,7 @@ class CloLabeling:
     label_leq: frozenset[tuple[str, str]]
 
     def to_labeled_poset(self) -> LabeledPoset:
-        return LabeledPoset(poset=self.poset, labels=dict(self.labels), label_leq=self.label_leq)
+        return LabeledPoset(poset=self.poset, labels=self.labels, label_leq=self.label_leq)
 
 
 def label_clo_up(lattice: Lattice) -> CloLabeling:
@@ -308,7 +308,13 @@ def label_clo_up(lattice: Lattice) -> CloLabeling:
     (seed, max_mid) pairs, each with its dual.  There were 1076
     labelings, 1420 lattices without a top and 50 with a coatom whose
     kappa_bar is not a cji; the last guard, a cover that is no kappa_d
-    step, fired on none.  They also agree on tamari 8 and 9 and duals.
+    step, fired on none of them.  They also agree on tamari 8 and 9 and
+    duals.  They do not agree everywhere: on ``CLO_UP_SPLIT_12`` of
+    ``tests/conftest.py``, a 12-element doubled lattice, that last guard
+    fires while the recursion fails at a coatom whose kappa_bar is no cji,
+    and on ``CLO_UP_SPLIT_22`` this reading labels every cover while the
+    recursion fails (ROADMAP.md, item 24; pinned by
+    ``test_label_clo_up_and_the_recursion_disagree_on_two_doubled_lattices``).
     """
     names, index, lab_up = lattice.names, lattice.index, _lab_up_masks(lattice)
     cji = _label_context(lattice).cji

@@ -39,7 +39,7 @@ the chain enumerator to build the witness, and ``find_el_order`` stops at
 the first.
 
 Internally a label is its position in the sorted alphabet, numbered once
-per public call, and an order is the list ``rank`` of each position's
+per labeled poset, and an order is the list ``rank`` of each position's
 place in it; names come back only in a returned order and in a witness.
 
 Search.  ``find_el_order`` places labels depth-first in the order of
@@ -64,8 +64,9 @@ a complete candidate is verified by the dynamic program on that walk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .core import Lattice, Poset, _bits
 from .errors import BadParameter, ChainCapExceeded, MissingLabel, SizeLimitExceeded
@@ -74,10 +75,12 @@ from .irreducibles import _inherited_label_leq, _label_context, cover_labeling
 
 @dataclass(frozen=True)
 class LabeledPoset:
-    """A finite bounded poset whose covers carry labels from a finite alphabet.
+    """A finite bounded poset whose covers carry labels.
 
-    The alphabet is a set of labels, given as a tuple of distinct ones; a
-    repeated label raises BadParameter.
+    ``labels`` maps each cover, as a name pair, to its label, and is kept
+    as a read-only copy.  ``alphabet`` is the sorted set of labels, and
+    ``_positions[k]`` is the position in it of the label of the cover
+    ``poset.covers[k]``: this is the one place names become positions.
 
     ``label_leq`` optionally records the strict partial order the labels
     inherit when they are themselves lattice elements; the order search uses
@@ -85,29 +88,30 @@ class LabeledPoset:
     """
 
     poset: Poset
-    labels: dict[tuple[str, str], str]
-    alphabet: tuple[str, ...] = ()
+    labels: Mapping[tuple[str, str], str]
     label_leq: Optional[frozenset[tuple[str, str]]] = None
+    alphabet: tuple[str, ...] = field(init=False)
+    _positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.poset.bottom_name()
         self.poset.top_name()
-        names, covers, labels = self.poset.names, self.poset.covers, self.labels
-        for a, b in covers:
-            if (names[a], names[b]) not in labels:
-                # only at the first unlabeled cover are the missing ones collected and sorted
-                missing = [(names[a], names[b]) for a, b in covers if (names[a], names[b]) not in labels]
-                raise MissingLabel(f"covers without labels: {sorted(missing)[:4]}")
+        names, covers, labels = self.poset.names, self.poset.covers, dict(self.labels)
+        try:
+            words = [labels[names[a], names[b]] for a, b in covers]
+        except KeyError:
+            # only when a cover is unlabeled are the missing ones collected and sorted
+            missing = [(names[a], names[b]) for a, b in covers if (names[a], names[b]) not in labels]
+            raise MissingLabel(f"covers without labels: {sorted(missing)[:4]}") from None
         if len(labels) != len(covers):
             # every cover has a label, so some key is not a cover
             cover_set = {(names[a], names[b]) for a, b in covers}
             raise MissingLabel(f"labels on non-covers: {[c for c in labels if c not in cover_set][:4]}")
-        if not self.alphabet:
-            object.__setattr__(self, "alphabet", tuple(sorted(set(self.labels.values()))))
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise BadParameter("the label alphabet repeats a label")
-        if set(self.labels.values()) - set(self.alphabet):
-            raise MissingLabel("some cover label is outside the alphabet")
+        alphabet = tuple(sorted(set(words)))
+        position = {label: i for i, label in enumerate(alphabet)}
+        object.__setattr__(self, "labels", MappingProxyType(labels))
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "_positions", tuple(map(position.__getitem__, words)))
 
 
 @dataclass(frozen=True)
@@ -162,21 +166,22 @@ def _maximal_chains(poset: Poset, lo: int, hi: int, chain_cap: int) -> list[tupl
 _Walk = tuple[tuple[int, ...], tuple[int, ...], list[list[tuple[int, int]]]]
 
 
-def _walk(lp: LabeledPoset, position: dict[str, int], flip: bool) -> _Walk:
+def _walk(lp: LabeledPoset, flip: bool) -> _Walk:
     """Upwards from each lower end, or with ``flip`` downwards from each upper end."""
-    p, labels = lp.poset, lp.labels
-    names = p.names
-    if flip:
-        steps = [[(u, position[labels[(names[v], names[u])]]) for u in p._ucov[v]] for v in range(p.n)]
-        return p.down, p.up, steps
-    return p.up, p.down, [[(u, position[labels[(names[u], names[v])]]) for u in p._dcov[v]] for v in range(p.n)]
+    p = lp.poset
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(p.n)]
+    for (lo, hi), q in zip(p.covers, lp._positions):
+        if flip:
+            lo, hi = hi, lo
+        steps[hi].append((lo, q))
+    return (p.down, p.up, steps) if flip else (p.up, p.down, steps)
 
 
-def _failures(lp: LabeledPoset, walk: _Walk, rank: list[int], flip: bool) -> Iterator[tuple[int, int]]:
+def _failures(walk: _Walk, rank: list[int], flip: bool) -> Iterator[tuple[int, int]]:
     """Each interval that is not EL under ``rank``, as an index pair (lo, hi), in walk order."""
     reach, _, steps = walk
     ranked = [[(u, rank[label]) for u, label in s] for s in steps]
-    for root in range(lp.poset.n):
+    for root in range(len(reach)):
         nodes = list(_bits(reach[root]))
         if flip:
             nodes.reverse()
@@ -198,16 +203,15 @@ def _failures(lp: LabeledPoset, walk: _Walk, rank: list[int], flip: bool) -> Ite
                 yield (v, root) if flip else (root, v)
 
 
-def _witness(
-    lp: LabeledPoset, position: dict[str, int], rank: list[int], flip: bool, chain_cap: int, lo: int, hi: int
-) -> ELWitness:
+def _witness(lp: LabeledPoset, rank: list[int], flip: bool, chain_cap: int, lo: int, hi: int) -> ELWitness:
     """Enumerate the maximal chains of the failing interval [lo, hi] to show why."""
-    p = lp.poset
-    names = p.names
+    p, alphabet = lp.poset, lp.alphabet
+    names, position = p.names, dict(zip(p.covers, lp._positions))
     scored = []
     for chain in _maximal_chains(p, lo, hi, chain_cap):
-        word = tuple(lp.labels[(names[a], names[b])] for a, b in zip(chain, chain[1:]))
-        ranks = tuple(rank[position[w]] for w in word)
+        steps = [position[cover] for cover in zip(chain, chain[1:])]
+        word = tuple(alphabet[q] for q in steps)
+        ranks = tuple(rank[q] for q in steps)
         key = ranks if flip else ranks[::-1]
         scored.append((key, all(a < b for a, b in zip(key, key[1:])), chain, word))
     interval = (names[lo], names[hi])
@@ -245,18 +249,16 @@ def is_el_labeling(
     witness lists, so a labeling is never failed for its chain count.
     """
     order = tuple(order)
-    alphabet = sorted(lp.alphabet)
-    if sorted(order) != alphabet:
+    if tuple(sorted(order)) != lp.alphabet:
         raise BadParameter("order must be a permutation of the label alphabet")
-    position = {label: i for i, label in enumerate(alphabet)}
     # the inverse permutation: rank[i] is where alphabet[i] stands in order
     rank = sorted(range(len(order)), key=order.__getitem__)
     names = lp.poset.names
-    failures = _failures(lp, _walk(lp, position, flip), rank, flip)
+    failures = _failures(_walk(lp, flip), rank, flip)
     failing = min(failures, key=lambda pair: (names[pair[0]], names[pair[1]]), default=None)
     if failing is None:
         return ELReport(ok=True)
-    return ELReport(ok=False, witness=_witness(lp, position, rank, flip, chain_cap, *failing))
+    return ELReport(ok=False, witness=_witness(lp, rank, flip, chain_cap, *failing))
 
 
 def lattice_j_labeling(lattice: Lattice) -> LabeledPoset:
@@ -279,7 +281,7 @@ def is_extremal(lattice: Lattice) -> bool:
     return lattice.heights[lattice._top] == len(_label_context(lattice).cji)
 
 
-def _length_two_keys(poset: Poset, walk: _Walk) -> list[list[tuple[int, int]]]:
+def _length_two_keys(walk: _Walk) -> list[list[tuple[int, int]]]:
     """For each interval whose maximal chains all have length 2, their keys as label positions.
 
     Each node e, each cover (m, r) entering it and each cover (s, q)
@@ -292,7 +294,7 @@ def _length_two_keys(poset: Poset, walk: _Walk) -> list[list[tuple[int, int]]]:
     """
     reach, other, steps = walk
     out = []
-    for e in range(poset.n):
+    for e in range(len(reach)):
         found: dict[int, list[tuple[int, int]]] = {}
         for m, r in steps[e]:
             for s, q in steps[m]:
@@ -324,19 +326,19 @@ def find_el_order(
     None means the space searched, restricted or not, holds no certifying
     order.
     """
-    alphabet = sorted(lp.alphabet)
+    alphabet = lp.alphabet
     m = len(alphabet)
     if m > size_cap:
         raise SizeLimitExceeded(f"alphabet of size {m} exceeds the search cap {size_cap}")
+    walk = _walk(lp, flip)
     position = {label: i for i, label in enumerate(alphabet)}
-    walk = _walk(lp, position, flip)
     # a < b inherited forces b to come earlier than a in the total order
     earlier: list[list[int]] = [[] for _ in range(m)]
     for a, b in lp.label_leq or ():
         if a != b and a in position and b in position:
             earlier[position[a]].append(position[b])
     watched: list[list[tuple[set[int], list[tuple[int, int]]]]] = [[] for _ in range(m)]
-    for keys in _length_two_keys(lp.poset, walk):
+    for keys in _length_two_keys(walk):
         used = {label for key in keys for label in key}
         if len(used) == 1:
             return None  # every key is (x, x), which no order makes increasing
@@ -356,7 +358,7 @@ def find_el_order(
 
     pending = [iter(range(m))]
     while pending:
-        if len(prefix) == m and next(_failures(lp, walk, rank, flip), None) is None:
+        if len(prefix) == m and next(_failures(walk, rank, flip), None) is None:
             return tuple(alphabet[i] for i in prefix)
         for i in pending[-1]:
             if rank[i] < m:

@@ -162,7 +162,6 @@ def interval_restriction(lp, lo, hi):
     return LabeledPoset(
         poset=Poset.from_covers(members, covers),
         labels={c: lp.labels[c] for c in covers},
-        alphabet=lp.alphabet,
         label_leq=lp.label_leq,
     )
 

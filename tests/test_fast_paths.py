@@ -642,3 +642,18 @@ def test_orders_built_only_through_the_indexer(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     lines = _calls_outside(tree, {"cls", "Poset", "Lattice", "DerivedPoset"}, "_from_cover_pairs")
     assert lines == [], f"{module} builds an order outside the indexer on lines {lines}"
+
+
+def test_shelling_reads_labels_only_at_the_boundary():
+    # LabeledPoset.__post_init__ turns each cover's label name into its
+    # position in the alphabet; the verifier and the search read positions
+    tree = ast.parse((SRC / "shelling.py").read_text(encoding="utf-8"))
+    (owner,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "LabeledPoset"]
+    inside = {
+        id(sub)
+        for node in owner.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+        for sub in ast.walk(node)
+    }
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "labels"]
+    assert reads and all(id(node) in inside for node in reads), [node.lineno for node in reads]

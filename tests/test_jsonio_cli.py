@@ -13,6 +13,7 @@ import sdlat as S
 from sdlat import CycleError, NotTransitiveReduction, SchemaError
 from sdlat.cli import build_parser, cli_main
 from sdlat.jsonio import (
+    LatticeDocument,
     document_to_labeled_poset,
     dumps_indented,
     emit_dot,
@@ -43,6 +44,15 @@ def test_round_trip_all_generators():
         poset = getattr(rebuilt, "poset", rebuilt)
         original = getattr(obj, "poset", obj)
         assert poset == original
+
+
+def test_emitted_documents_read_back():
+    # a document carries no schema version of its own: emit_json writes the
+    # one the parser reads, so no document it emits fails to parse
+    doc = LatticeDocument(["a"], [])
+    assert parse_document(emit_json(doc)) == doc
+    with pytest.raises(TypeError):
+        LatticeDocument(["a"], [], schema_version="2")
 
 
 def test_parse_propagates_build_errors():
@@ -345,17 +355,18 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, doc, args, messag
     [
         (None, ["check", "DIR"], None),
         (None, ["gen", "tamari", "3", "-o", "DIR"], None),
+        (None, ["gen", "diamond", "-o", ""], None),
         (b'{"elements": ["\xff"]}', ["check", "FILE"],
          "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
         (b"[" * 200000, ["check", "FILE"], "not valid JSON: arrays or objects nest too deeply"),
         (b"[1, 2]", ["check", "FILE"], "top level must be an object"),
     ],
-    ids=["read-dir", "write-dir", "not-utf8", "deep", "not-object"],
+    ids=["read-dir", "write-dir", "write-empty-path", "not-utf8", "deep", "not-object"],
 )
 def test_cli_file_errors_exit_2_with_one_line(tmp_path, capsys, content, argv, message):
-    # a directory to read or write (the OS words the message), bytes that are
-    # not UTF-8, nesting deeper than the parser's recursion limit, and a top
-    # level that is not an object
+    # a directory to read or write, an empty output path (the OS words the
+    # message for these three), bytes that are not UTF-8, nesting deeper
+    # than the parser's recursion limit, and a top level that is not an object
     path = tmp_path / "doc.json"
     if content is not None:
         path.write_bytes(content)

@@ -85,7 +85,7 @@ def search_by_permutations(lp, flip=False):
 
 
 def _unconstrained(lp):
-    return LabeledPoset(poset=lp.poset, labels=lp.labels, alphabet=lp.alphabet)
+    return LabeledPoset(poset=lp.poset, labels=lp.labels)
 
 
 def _labeled_both_ways(lattice):
@@ -146,7 +146,7 @@ def test_fig4_clo_up_el(fig4):
     assert report.witness.interval == ("bot", "m2")
     assert report.witness.kind == "two-increasing"
 
-    free = LabeledPoset(poset=lp.poset, labels=lp.labels, alphabet=lp.alphabet)
+    free = LabeledPoset(poset=lp.poset, labels=lp.labels)
     order = S.find_el_order(free)
     assert order is not None
     assert S.is_el_labeling(free, order)
@@ -193,18 +193,30 @@ def test_missing_label_rejected():
         LabeledPoset(poset=_diamond_poset(), labels={("bot", "a"): "x"})
 
 
-def test_repeated_alphabet_label_rejected():
-    # an alphabet is a set of labels, so an order ranks each label once
-    labels = dict.fromkeys(_diamond_poset().covers_named(), "x")
-    with pytest.raises(BadParameter, match="repeats a label"):
-        LabeledPoset(poset=_diamond_poset(), labels=labels, alphabet=("x", "y", "x"))
-
-
-def test_label_outside_the_alphabet_rejected():
+def test_alphabet_is_derived_from_the_labels():
     labels = dict.fromkeys(_diamond_poset().covers_named(), "x")
     labels[("a", "top")] = "z"
-    with pytest.raises(MissingLabel, match="^some cover label is outside the alphabet$"):
-        LabeledPoset(poset=_diamond_poset(), labels=labels, alphabet=("x", "y"))
+    with pytest.raises(TypeError):
+        LabeledPoset(poset=_diamond_poset(), labels=labels, alphabet=("x", "y", "z"))
+    lp = LabeledPoset(poset=_diamond_poset(), labels=labels)
+    assert lp.alphabet == tuple(sorted(set(lp.labels.values()))) == ("x", "z")
+    for lp in (S.lattice_j_labeling(S.generate("tamari", 4)), S.generate("preprojA2")):
+        assert lp.alphabet == tuple(sorted(set(lp.labels.values())))
+
+
+def test_labels_are_a_read_only_copy():
+    # the label positions are recorded at construction, so an edit to the
+    # labels afterwards must fail rather than leave them stale
+    lp = S.lattice_j_labeling(S.generate("boolean", 2))
+    cover = next(iter(lp.labels))
+    with pytest.raises(TypeError):
+        lp.labels[cover] = "zzz"
+    assert S.is_el_labeling(lp, lp.alphabet) == el_by_chains(lp, lp.alphabet)
+    # and the labeling keeps its own copy of the caller's dict
+    labels = dict(lp.labels)
+    copy = LabeledPoset(poset=lp.poset, labels=labels)
+    labels[cover] = "zzz"
+    assert copy.labels == lp.labels and copy.alphabet == lp.alphabet
 
 
 def test_label_validation_reads_the_covers_once(monkeypatch):
@@ -217,7 +229,7 @@ def test_label_validation_reads_the_covers_once(monkeypatch):
         return covers_named(poset)
 
     monkeypatch.setattr(Poset, "covers_named", counting)
-    LabeledPoset(poset=lp.poset, labels=lp.labels, alphabet=lp.alphabet)
+    LabeledPoset(poset=lp.poset, labels=lp.labels)
     assert len(calls) == 0
     missing = dict(lp.labels)
     del missing[("a", "ab")]
@@ -274,7 +286,7 @@ def test_el_is_interval_local(fig1, preproj):
         for lo, hi in itertools.product(names, repeat=2):
             if lp.poset.leq(lo, hi):
                 sub = interval_restriction(lp, lo, hi)
-                assert S.is_el_labeling(sub, order)
+                assert S.is_el_labeling(sub, [c for c in order if c in sub.alphabet])
 
 
 def test_find_el_order_single_chain():
@@ -410,10 +422,11 @@ def test_dp_verifier_matches_on_ungraded_poset():
     covers = poset.covers_named()
     kinds = set()
     for letters in itertools.product("wxyz", repeat=len(covers)):
-        lp = LabeledPoset(poset=poset, labels=dict(zip(covers, letters)), alphabet=tuple("wxyz"))
+        lp = LabeledPoset(poset=poset, labels=dict(zip(covers, letters)))
+        order = [c for c in "wxyz" if c in lp.alphabet]
         for flip in (False, True):
-            report = S.is_el_labeling(lp, "wxyz", flip=flip)
-            assert report == el_by_chains(lp, "wxyz", flip=flip)
+            report = S.is_el_labeling(lp, order, flip=flip)
+            assert report == el_by_chains(lp, order, flip=flip)
             kinds.add(report.witness.kind if report.witness else "ok")
     assert kinds == {"ok", "zero-increasing", "two-increasing", "not-lex-least"}
 
@@ -458,12 +471,11 @@ def test_length_two_keys_match_the_name_reading():
     poset = _pentagon_under_chain()
     for letters in itertools.product("wxyz", repeat=len(poset.covers)):
         labels = dict(zip(poset.covers_named(), letters))
-        cases.append(LabeledPoset(poset=poset, labels=labels, alphabet=tuple("wxyz")))
+        cases.append(LabeledPoset(poset=poset, labels=labels))
     intervals = 0
     for lp in cases:
-        position = {label: i for i, label in enumerate(sorted(lp.alphabet))}
         for flip in (False, True):
-            got = S.shelling._length_two_keys(lp.poset, S.shelling._walk(lp, position, flip))
+            got = S.shelling._length_two_keys(S.shelling._walk(lp, flip))
             expected = length_two_keys_by_names(lp, flip)
             assert sorted(map(sorted, got)) == sorted(map(sorted, expected))
             intervals += len(got)
@@ -482,7 +494,7 @@ def test_pruned_search_matches_on_arbitrary_labels():
     for poset, letters in cases:
         labels = dict(zip(poset.covers_named(), letters))
         for label_leq in (None, frozenset({("x", "y")}), frozenset({("y", "x"), ("z", "w")})):
-            lp = LabeledPoset(poset=poset, labels=labels, alphabet=tuple("wxyz"), label_leq=label_leq)
+            lp = LabeledPoset(poset=poset, labels=labels, label_leq=label_leq)
             for flip in (False, True):
                 order = S.find_el_order(lp, flip=flip)
                 assert order == search_by_permutations(lp, flip=flip)
@@ -543,7 +555,7 @@ def test_doubled_lattice_el_orders(text, size, height, unrestricted):
     assert S.clo_up(lattice).is_lattice()
     lp = S.label_clo_up(lattice).to_labeled_poset()
     assert len(lp.alphabet) == 6
-    free = LabeledPoset(poset=lp.poset, labels=lp.labels, alphabet=lp.alphabet, label_leq=frozenset())
+    free = LabeledPoset(poset=lp.poset, labels=lp.labels, label_leq=frozenset())
     for flip, order in zip((False, True), unrestricted):
         assert S.find_el_order(lp, flip=flip) is None
         assert S.find_el_order(free, flip=flip) == order
