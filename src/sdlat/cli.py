@@ -27,12 +27,12 @@ from .cores import (
     is_nuclear,
     kappa_order,
 )
-from .errors import LatticeError, SchemaError
+from .errors import BadParameter, LatticeError, SchemaError
 from .generators import generate
 from .irreducibles import cover_labeling, irreducible_table, kappa_bar_cycles
 from .jsonio import dumps_indented, emit_dot, emit_json, parse_json, to_document
 from .sequences import enumerate_kd_exceptional, label_clo_up
-from .shelling import LabeledPoset, find_el_order, is_el_labeling, lattice_j_labeling
+from .shelling import LabeledPoset, find_el_order, is_el_labeling
 
 _DERIVED = {"kappa": kappa_order, "cloUp": clo_up, "cloDown": clo_down}
 EXIT_BROKEN_PIPE = 141
@@ -40,9 +40,15 @@ _CLO_ONLY = "labeling 'clo' applies only to the cloUp order"
 _CHUNK = 4096  # items per write of a streamed listing
 
 
+def _path(name: str) -> Path:
+    if not name:  # Path("") is the current directory
+        raise BadParameter("empty file name")
+    return Path(name)
+
+
 def _load(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = _path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not valid UTF-8: {exc}") from None
     return parse_json(text)
@@ -294,7 +300,7 @@ def _cmd_gen(args) -> int:
         meta["n"] = str(args.n)
     text = emit_json(to_document(obj, meta=meta))
     if args.output is not None:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {args.output}")
     else:
         print(text, end="")
@@ -308,7 +314,7 @@ def _cmd_dot(args) -> int:
         return _print_derived_dot(lattice, args.derived, args.labeling)
     labels = None
     if args.labeling == "j":
-        labels = lattice_j_labeling(lattice).labels
+        labels = cover_labeling(lattice).jlabel
     elif args.labeling == "m":
         labels = cover_labeling(lattice).mlabel
     elif args.labeling == "custom":

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Lattice, _bits, _union_above, memoized
+from .core import Lattice, _union_above, memoized
 from .errors import (
     NoUniqueMax,
     NotACover,
@@ -222,17 +222,6 @@ def j_label_interval(lattice: Lattice, lo: str, hi: str) -> tuple[str, ...]:
     rather than by enumerating the covers of the interval.
     """
     return _sorted_names(lattice, _labels_between(lattice, *lattice._ends(lo, hi)))
-
-
-def _inherited_label_leq(lattice: Lattice) -> frozenset[tuple[str, str]]:
-    """The strict pairs (a, b) of cji names with a < b in the lattice.
-
-    This is the order cji labels inherit as lattice elements, read off the
-    jdown masks; it raises NotSemidistributive as irreducible_table does.
-    """
-    context = _label_context(lattice)
-    names, cji, jdown = lattice.names, context.cji, context.jdown
-    return frozenset((names[cji[a]], names[j]) for b, j in enumerate(cji) for a in _bits(jdown[j] & ~(1 << b)))
 
 
 @memoized

@@ -77,7 +77,7 @@ from typing import Optional, Sequence
 from .core import Lattice, _bits, _lsb, _name_list, _name_tuple, memoized
 from .cores import DerivedPoset, _lab_up_masks, _pop_up_idx, clo_up
 from .errors import NotJoinIrreducible, RecursionMismatch
-from .irreducibles import _inherited_label_leq, _label_context, _labels_between, kappa_bar
+from .irreducibles import _label_context, _labels_between, kappa_bar
 from .shelling import LabeledPoset
 
 @dataclass(frozen=True)
@@ -255,18 +255,13 @@ def count_kd_exceptional(lattice: Lattice, maximal_only: bool = False) -> int:
 
 @dataclass(frozen=True)
 class CloLabeling:
-    """A labeling of the covers of the upper core label order by cji names.
-
-    ``label_leq`` carries the strict order the labels inherit from the
-    source lattice, for use as a search constraint by the EL machinery.
-    """
+    """A labeling of the covers of the upper core label order by cji names."""
 
     poset: DerivedPoset
     labels: dict[tuple[str, str], str]
-    label_leq: frozenset[tuple[str, str]]
 
     def to_labeled_poset(self) -> LabeledPoset:
-        return LabeledPoset(poset=self.poset, labels=self.labels, label_leq=self.label_leq)
+        return LabeledPoset(poset=self.poset, labels=self.labels)
 
 
 def label_clo_up(lattice: Lattice) -> CloLabeling:
@@ -344,4 +339,4 @@ def label_clo_up(lattice: Lattice) -> CloLabeling:
         if p is None:
             raise RecursionMismatch(f"cover ({lo!r}, {hi!r}) of the derived order is not a kappa_d step")
         labels[(lo, hi)] = names[cji[p]]
-    return CloLabeling(poset=derived, labels=labels, label_leq=_inherited_label_leq(lattice))
+    return CloLabeling(poset=derived, labels=labels)

@@ -46,15 +46,11 @@ Search.  ``find_el_order`` places labels depth-first in the order of
 ``itertools.permutations(sorted(alphabet))``.  A placed prefix fixes every
 comparison but those between two unplaced labels, as an unplaced label
 ranks m, after every placed one, for an alphabet of m labels.  A prefix is
-dropped as soon as
+dropped as soon as an interval whose maximal chains all have length 2 fails
+EL with at most one of its labels unplaced; that label ranks last among them
+in every completion, so the verdict is final.
 
-* it places a label before one that ``label_leq`` requires to come
-  earlier, or
-* an interval whose maximal chains all have length 2 fails EL with at most
-  one of its labels unplaced; that label ranks last among them in every
-  completion, so the verdict is final.
-
-Both fail every order that extends the prefix, so the search meets the
+That fails every order that extends the prefix, so the search meets the
 same orders that pass, in the same sequence, as a loop over all
 permutations.  The length-2 intervals and their keys are read off the
 entering covers of the verifier's walk, which the search builds once, and
@@ -70,7 +66,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from .core import Lattice, Poset, _bits
 from .errors import BadParameter, ChainCapExceeded, MissingLabel, SizeLimitExceeded
-from .irreducibles import _inherited_label_leq, _label_context, cover_labeling
+from .irreducibles import _label_context, cover_labeling
 
 
 @dataclass(frozen=True)
@@ -81,15 +77,10 @@ class LabeledPoset:
     as a read-only copy.  ``alphabet`` is the sorted set of labels, and
     ``_positions[k]`` is the position in it of the label of the cover
     ``poset.covers[k]``: this is the one place names become positions.
-
-    ``label_leq`` optionally records the strict partial order the labels
-    inherit when they are themselves lattice elements; the order search uses
-    it as a pruning constraint.
     """
 
     poset: Poset
     labels: Mapping[tuple[str, str], str]
-    label_leq: Optional[frozenset[tuple[str, str]]] = None
     alphabet: tuple[str, ...] = field(init=False)
     _positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -262,8 +253,8 @@ def is_el_labeling(
 
 
 def lattice_j_labeling(lattice: Lattice) -> LabeledPoset:
-    """The lattice labeled by its own cover j-labels, with the inherited order."""
-    return LabeledPoset(poset=lattice, labels=cover_labeling(lattice).jlabel, label_leq=_inherited_label_leq(lattice))
+    """The lattice labeled by its own cover j-labels."""
+    return LabeledPoset(poset=lattice, labels=cover_labeling(lattice).jlabel)
 
 
 def is_extremal(lattice: Lattice) -> bool:
@@ -319,24 +310,14 @@ def find_el_order(
 
     Orders are tried as ``itertools.permutations(sorted(alphabet))`` lists
     them, pruned as the module docstring says; pruning drops only orders
-    that fail, and every order returned has been verified.  When the labels
-    carry an inherited order ``label_leq``, only orders refining its reverse
-    are searched.  That is a restriction of the search, not a necessary
-    condition for EL: a labeling may have certifying orders outside it.
-    None means the space searched, restricted or not, holds no certifying
-    order.
+    that fail, and every order returned has been verified.  None means
+    that no order of the alphabet certifies the labeling.
     """
     alphabet = lp.alphabet
     m = len(alphabet)
     if m > size_cap:
         raise SizeLimitExceeded(f"alphabet of size {m} exceeds the search cap {size_cap}")
     walk = _walk(lp, flip)
-    position = {label: i for i, label in enumerate(alphabet)}
-    # a < b inherited forces b to come earlier than a in the total order
-    earlier: list[list[int]] = [[] for _ in range(m)]
-    for a, b in lp.label_leq or ():
-        if a != b and a in position and b in position:
-            earlier[position[a]].append(position[b])
     watched: list[list[tuple[set[int], list[tuple[int, int]]]]] = [[] for _ in range(m)]
     for keys in _length_two_keys(walk):
         used = {label for key in keys for label in key}
@@ -351,9 +332,8 @@ def find_el_order(
 
     def fits(i: int) -> bool:
         """Whether label i, just ranked last, keeps every order extending the prefix alive."""
-        return all(rank[b] < m for b in earlier[i]) and all(
-            sum(rank[x] == m for x in used) != 1 or _length_two_passes(keys, rank)
-            for used, keys in watched[i]
+        return all(
+            sum(rank[x] == m for x in used) != 1 or _length_two_passes(keys, rank) for used, keys in watched[i]
         )
 
     pending = [iter(range(m))]

@@ -52,7 +52,7 @@ from sdlat import CloLabeling
 from sdlat.core import _bits, _cover_pairs_have_meets, _lower_covers, _lsb, _name_list, _union_above
 from sdlat.cores import OrdersReport, clo_down, clo_up, kappa_order, lab_down_map, lab_up_map, w_map
 from sdlat.cores import CoreData, _lab_up_masks, _pop_down_idx, _pop_up_idx
-from sdlat.irreducibles import _inherited_label_leq, _j_label_idx, _kappa_bar_idx, _label_context
+from sdlat.irreducibles import _j_label_idx, _kappa_bar_idx, _label_context
 from sdlat.irreducibles import _labels_between
 from sdlat.irreducibles import _sorted_names
 from sdlat.irreducibles import kappa_bar, kappa_bar_map
@@ -162,7 +162,6 @@ def interval_restriction(lp, lo, hi):
     return LabeledPoset(
         poset=Poset.from_covers(members, covers),
         labels={c: lp.labels[c] for c in covers},
-        label_leq=lp.label_leq,
     )
 
 
@@ -710,7 +709,7 @@ def clo_labeling_from_keys(lattice, keyed):
     if len(labels) != len(covers):
         missing = sorted(covers - set(labels))
         raise RecursionMismatch(f"covers left unlabeled: {missing[:4]}")
-    return CloLabeling(poset=derived, labels=labels, label_leq=_inherited_label_leq(lattice))
+    return CloLabeling(poset=derived, labels=labels)
 
 
 def _merge_labels(lattice, frame, labels):

@@ -180,7 +180,7 @@ def test_random_sd_lattice_matches_oracle(max_mid):
 
 def test_random_sd_lattice_matches_oracle_on_pools():
     # the el-search benchmark pool and the draw-50 regression stream of
-    # test_shelling.test_label_leq_restricts_the_search
+    # test_shelling.test_search_finds_the_draw_50_clo_up_order
     _assert_same_draws(lambda: random.Random(1), 64, max_mid=8)
     _assert_same_draws(lambda: random.Random(5), 50, max_mid=8)
 

@@ -355,17 +355,20 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, doc, args, messag
     [
         (None, ["check", "DIR"], None),
         (None, ["gen", "tamari", "3", "-o", "DIR"], None),
-        (None, ["gen", "diamond", "-o", ""], None),
+        (None, ["gen", "diamond", "-o", ""], "empty file name"),
+        (None, ["check", ""], "empty file name"),
+        (None, ["el", "", "--search"], "empty file name"),
         (b'{"elements": ["\xff"]}', ["check", "FILE"],
          "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
         (b"[" * 200000, ["check", "FILE"], "not valid JSON: arrays or objects nest too deeply"),
         (b"[1, 2]", ["check", "FILE"], "top level must be an object"),
     ],
-    ids=["read-dir", "write-dir", "write-empty-path", "not-utf8", "deep", "not-object"],
+    ids=["read-dir", "write-dir", "write-empty-path", "read-empty-path", "el-empty-path", "not-utf8", "deep",
+         "not-object"],
 )
 def test_cli_file_errors_exit_2_with_one_line(tmp_path, capsys, content, argv, message):
-    # a directory to read or write, an empty output path (the OS words the
-    # message for these three), bytes that are not UTF-8, nesting deeper
+    # a directory to read or write (the OS words the message for these two),
+    # an empty file name to read or write, bytes that are not UTF-8, nesting deeper
     # than the parser's recursion limit, and a top level that is not an object
     path = tmp_path / "doc.json"
     if content is not None:
