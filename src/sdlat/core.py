@@ -69,8 +69,8 @@ def memoized(fn):
     container, where an edit would change later results: the memo holds
     index tables, whole-lattice name maps are built from them per call,
     and the order tables of every ``Poset`` (``down``, ``up``, ``heights``,
-    and a derived order's ``masks``) are tuples, so a memoized derived
-    order cannot be edited either.
+    and a derived order's ``masks``) are tuples and its ``index`` is
+    read-only, so a memoized derived order cannot be edited either.
     """
 
     def cached(poset):
@@ -162,10 +162,22 @@ def _kappa_maps(down: list[int], up: list[int], dcov: list, ucov: list) -> Optio
 
 
 class _Index(dict):
-    """Element name -> index; a name that is not an element raises SchemaError."""
+    """Element name -> index, read-only; a name that is not an element raises SchemaError.
+
+    Every edit raises TypeError, as the memo's tables are read through
+    it.  Pickling and copying rebuild it from a plain dict.
+    """
 
     def __missing__(self, name):
         raise SchemaError(f"unknown element {name!r}")
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("an element index is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return _Index, (dict(self),)
 
 
 class Poset:
@@ -392,21 +404,21 @@ class Poset:
         return self._two_sided_scan()
 
     def _two_sided_scan(self) -> Optional[tuple[str, str, str]]:
-        """The first pair, in index order, with no unique join or meet."""
+        """The first pair, in index order, with no unique join or meet.
+
+        A meet fails first only where a pair has no common lower bound.  If
+        i and j had common lower bounds and no greatest one, two maximal
+        ones p != q would lie lower in the index order, with no least upper
+        bound (one would lie in between, and below i and j), so the join
+        test of (p, q) would fail first.
+        """
         up, down = self.up, self.down
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 common = up[i] & up[j]
-                if not common:
+                if not common or common & ~up[_lsb(common)]:
                     return ("join", self.names[i], self.names[j])
-                z = _lsb(common)
-                if common & ~up[z]:
-                    return ("join", self.names[i], self.names[j])
-                common = down[i] & down[j]
-                if not common:
-                    return ("meet", self.names[i], self.names[j])
-                z = _msb(common)
-                if common & ~down[z]:
+                if not down[i] & down[j]:
                     return ("meet", self.names[i], self.names[j])
         return None
 

@@ -194,21 +194,22 @@ def cover_labeling(lattice: Lattice) -> CoverLabeling:
     the dicts iterate in index order, not name order; no output reads that
     order (``jsonio.emit_json`` sorts label keys, ``jsonio.emit_dot``
     sorts covers).
+
+    The label of u < v is the single bit of ``below[v] & above[u]`` of
+    ``_cover_label_masks``, which checks every label once and raises for
+    the first bad cover.  The label j of u < v lies in both masks.  Any
+    other j' in both would label some u' < v and some u < v' with
+    u' != u; then kappa(j') >= u v u' = v >= j', which is impossible.
     """
     names, context = lattice.names, _label_context(lattice)
-    jdown, jabove, jnames = context.jdown, context.jabove, context.labels
-    mnames = [names[k] for k in context.kappa]
+    below, above = _cover_label_masks(lattice)
+    jnames, mnames = context.labels, [names[k] for k in context.kappa]
     jlabel = {}
     mlabel = {}
-    # each label bit read and checked inline off the one fetched context, in
-    # the cover order of _cover_label_masks, so the first bad cover is the same
     for v, lows in enumerate(lattice._dcov):
-        mine = jdown[v]
+        mine = below[v]
         for u in lows:
-            bit = mine & jabove[u]
-            if not bit or bit & (bit - 1):  # not a single label
-                raise _no_unique_label(lattice, u, v)
-            p = bit.bit_length() - 1
+            p = (mine & above[u]).bit_length() - 1
             cover = (names[u], names[v])
             jlabel[cover] = jnames[p]
             mlabel[cover] = mnames[p]

@@ -74,9 +74,9 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .core import Lattice, _bits, _lsb, _name_list, _name_tuple, memoized
+from .core import Lattice, _bits, _lsb, _name_tuple, memoized
 from .cores import DerivedPoset, _lab_up_masks, _pop_up_idx, clo_up
-from .errors import NotJoinIrreducible, RecursionMismatch
+from .errors import NoBoundsError, NotJoinIrreducible, RecursionMismatch
 from .irreducibles import _label_context, _labels_between, kappa_bar
 from .shelling import LabeledPoset
 
@@ -292,9 +292,14 @@ def label_clo_up(lattice: Lattice) -> CloLabeling:
     * The top test: cloUp is the inclusion order of the lab_up masks, and
       lab_up(j) = {j} for each cji j (its upper core is the cover
       kappa(j) < kappa(j)^*, labeled j), so the masks cover every label
-      and cloUp has a top exactly when the full mask is one of them.
-      Without a top, its maximal elements are named off the maximal
-      masks, and cloUp is not built.
+      and cloUp has a top exactly when the full mask is one of them.  The
+      upper core of x is [k, pop_up(k)] with k = kappa_bar(x), and its
+      mask is full only when kappa(j) >= k for every j, so k = bot, the
+      meet of the cmi, and pop_up(bot) = top.  As pop_up(bot) =
+      kappa_bar_d(bot) and kappa_bar_d is the inverse of kappa_bar, that
+      holds exactly when kappa_bar(top) = pop_down(top) = bot: cloUp has
+      a top exactly when [bot, top] is conuclear, and exactly when it is
+      nuclear.  The top, and the error without one, are cloUp's own.
 
     Only checked: that where the recursion fails, this reading fails with
     the same error.  Both gave the same outcome, labels and messages
@@ -311,21 +316,15 @@ def label_clo_up(lattice: Lattice) -> CloLabeling:
     recursion fails (ROADMAP.md, item 24; pinned by
     ``test_label_clo_up_and_the_recursion_disagree_on_two_doubled_lattices``).
     """
+    derived = clo_up(lattice)
+    try:
+        top = derived.top_name()
+    except NoBoundsError as exc:
+        raise RecursionMismatch(
+            f"derived order has no unique top element ({exc}); the lattice is not a nuclear interval"
+        ) from None
     names, index, lab_up = lattice.names, lattice.index, _lab_up_masks(lattice)
     cji = _label_context(lattice).cji
-    if (1 << len(cji)) - 1 not in lab_up:
-        # no top: the maximal masks, largest first, each in no mask kept before it
-        kept: list[int] = []
-        for mask in sorted(lab_up, key=int.bit_count, reverse=True):
-            if all(mask & ~other for other in kept):
-                kept.append(mask)
-        maxs = sorted(names[x] for x, mask in enumerate(lab_up) if mask in kept)
-        raise RecursionMismatch(
-            f"derived order has no unique top element (no unique maximum: {_name_list(maxs)}); "
-            "the lattice is not a nuclear interval"
-        )
-    derived = clo_up(lattice)
-    top = derived.top_name()
     root, kids = _dag(lattice)
     steps = {mask: {child: p for p, child in row.items()} for mask, row in kids.items()}
     for u in derived.lower_covers(top):

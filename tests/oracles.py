@@ -4,8 +4,10 @@ Each builds from a definition, or rebuilds from scratch, what the library
 reads off masks or off intervals of the parent lattice:
 
 * ``from_leq``: a poset from an order predicate, by a scan over all pairs,
-  and ``mask_kernels``: the lattice and kappa tests of ``Lattice`` run on
-  bare down-set masks, with no poset built;
+  ``lattice_failure_oracle``: the first pair with no least upper or no
+  greatest lower bound, by ``leq`` alone, and ``mask_kernels``: the
+  lattice and kappa tests of ``Lattice`` run on bare down-set masks, with
+  no poset built;
 * ``restrict`` and ``as_lattice``: a sublattice or interval rebuilt as a
   standalone lattice, and ``interval_cji_transfer`` checked against it;
 * ``interval_restriction``: a labeled poset cut down to an interval, and
@@ -39,7 +41,8 @@ reads off masks or off intervals of the parent lattice:
   kappa_d-exceptional walks of ``sequences`` on a DAG with one node per
   interval (a, b), where the library keeps one node per label mask;
 * ``recursive_labels_nodes``: the clo-up recursion on that DAG, which
-  takes kappa_bar of every member of a node (``kappa_bar_within``), and
+  takes kappa_bar of every member of a node (``kappa_bar_within``) and
+  its upper-core masks (``node_lab_up``), and
   ``clo_labeling_from_keys``: its mask-keyed labels mapped onto cloUp,
   where the library reads the labels off the mask table.
 """
@@ -98,6 +101,23 @@ def from_leq(names, leq):
         if poset.down[poset.index[a]] != sum(1 << poset.index[names[j]] for j in _bits(down[i])):
             raise ValueError("relation is not transitive")
     return poset
+
+
+def lattice_failure_oracle(poset):
+    """The first pair, in index order, with no least upper or no greatest lower bound, by ``leq`` alone.
+
+    It is ("join" | "meet", a, b), the join tested first at each pair, or
+    None for a lattice.
+    """
+    names = poset.names
+    leq = {(a, b): poset.leq(a, b) for a in names for b in names}
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            for kind, le in (("join", lambda x, y: leq[x, y]), ("meet", lambda x, y: leq[y, x])):
+                bounds = [z for z in names if le(a, z) and le(b, z)]
+                if not any(all(le(z, w) for w in bounds) for z in bounds):
+                    return (kind, a, b)
+    return None
 
 
 def mask_kernels(down):
@@ -741,6 +761,12 @@ def kappa_bar_within(lattice, a, b):
     return out
 
 
+def node_lab_up(lattice, a, b, kbar=None):
+    """lab_up of each x in [a, b], taken in [a, b], by index: the labels of [k, pop_up(k)], k = kappa_bar(x)."""
+    kbar = kappa_bar_within(lattice, a, b) if kbar is None else kbar
+    return {x: _labels_between(lattice, k, _pop_up_idx(lattice, k, b)) for x, k in kbar.items()}
+
+
 def node_label_steps(lattice, node):
     """Yield (key, label position, child) for each coatom of the top of cloUp([a, b]).
 
@@ -754,7 +780,7 @@ def node_label_steps(lattice, node):
     names, up = lattice.names, lattice.up
     kbar = kappa_bar_within(lattice, a, b)
     members = list(kbar)
-    lab_up = {x: _labels_between(lattice, k, _pop_up_idx(lattice, k, b)) for x, k in kbar.items()}
+    lab_up = node_lab_up(lattice, a, b, kbar)
     if len(set(lab_up.values())) != len(members):
         raise InconsistentLabels("cloUp: label sets do not separate elements")
     full = 0

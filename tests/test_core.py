@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import importlib.util
 import itertools
+import pickle
 import random
 from pathlib import Path
 
@@ -282,6 +284,42 @@ def test_unknown_name_raises_before_any_table(call):
         fn(m3, "zz")
     with pytest.raises(NotSemidistributive):
         fn(m3, m3.top)
+
+
+INDEX_EDITS = {
+    "setitem": lambda index: index.__setitem__("bot", index["top"]),
+    "delitem": lambda index: index.__delitem__("bot"),
+    "ior": lambda index: index.__ior__({"zz": 0}),
+    "clear": lambda index: index.clear(),
+    "pop": lambda index: index.pop("bot"),
+    "popitem": lambda index: index.popitem(),
+    "setdefault": lambda index: index.setdefault("zz", 0),
+    "update": lambda index: index.update(zz=0),
+}
+
+
+@pytest.mark.parametrize("edit", INDEX_EDITS.values(), ids=INDEX_EDITS)
+def test_index_is_read_only(edit):
+    # the index of cloUp is the memoized order's own, and a lattice's index
+    # is what every name lookup reads, so an edit would change later answers
+    lattice = S.generate("fig1")
+    for order in (lattice, S.clo_up(lattice)):
+        before = dict(order.index)
+        with pytest.raises(TypeError, match="^an element index is read-only$"):
+            edit(order.index)
+        assert order.index == before
+    assert S.clo_up(lattice).leq("bot", "j1") and S.cjr(lattice, "j1").joinands == ("j1",)
+
+
+def test_index_survives_pickle_and_deepcopy():
+    lattice = S.generate("fig1")
+    for copied in (pickle.loads(pickle.dumps(lattice)), copy.deepcopy(lattice)):
+        assert type(copied.index) is type(lattice.index) and copied.index == lattice.index
+        assert copied.covers_named() == lattice.covers_named()
+        with pytest.raises(TypeError):
+            copied.index["bot"] = 0
+        with pytest.raises(SchemaError, match="^unknown element 'zz'$"):
+            copied.index["zz"]
 
 
 def test_unknown_interval_ends_name_lo_first(fig1):

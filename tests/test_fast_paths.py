@@ -44,6 +44,7 @@ from oracles import (
     from_leq,
     is_extremal_oracle,
     kappa_bar_d_oracle,
+    lattice_failure_oracle,
     mask_kernels,
     orders_coincide_report_oracle,
 )
@@ -132,8 +133,15 @@ def derived_orders_oracle(lat):
 
 
 def check_poset(poset):
-    """lattice_failure must equal the ordered two-sided scan."""
-    assert poset.lattice_failure() == poset._two_sided_scan()
+    """lattice_failure must equal the ordered two-sided scan.
+
+    A meet fails first only at a pair with no common lower bound.
+    """
+    failure = poset.lattice_failure()
+    assert failure == poset._two_sided_scan()
+    if failure is not None and failure[0] == "meet":
+        _, a, b = failure
+        assert not any(poset.leq(z, a) and poset.leq(z, b) for z in poset.names)
 
 
 def check_sd(lat):
@@ -233,6 +241,7 @@ def replayed_draw(poset):
 def check_drawn_poset(poset):
     check_poset(poset)
     failure = poset._two_sided_scan()
+    assert failure == lattice_failure_oracle(poset)
     names, covers = poset.names, poset.covers_named()
     meets, kappa_args = check_mask_kernels(poset)
     if len(poset.minimal_elements()) != 1 or len(poset.maximal_elements()) != 1:

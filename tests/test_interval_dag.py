@@ -24,14 +24,16 @@ import pytest
 import sdlat as S
 from sdlat import NoBoundsError, RecursionMismatch
 from sdlat.core import _bits
-from sdlat.cores import _lab_down_masks, _lab_up_masks, _w_masks, clo_up, lab_up_map, pop_up
-from sdlat.irreducibles import _cover_label_masks, _label_context, _labels_between
+from sdlat.cores import _lab_down_masks, _lab_up_masks, _pop_down_idx, _pop_up_idx, _w_masks, clo_up
+from sdlat.cores import is_conuclear, is_nuclear, lab_up_map, pop_up
+from sdlat.irreducibles import _cover_label_masks, _label_context, _labels_between, kappa_bar
 from sdlat.irreducibles import _sorted_names
 
-from conftest import CLO_UP_SPLIT_12, CLO_UP_SPLIT_22, lattice_from_cover_text, random_pool, sd_exponential_oracle
+from conftest import CLO_UP_SPLIT_12, CLO_UP_SPLIT_22, DOUBLED_12, DOUBLED_19, lattice_from_cover_text, random_pool
+from conftest import sd_exponential_oracle
 from conftest import sd_family_lattices
 from oracles import as_lattice, count_kd_nodes, element_labels_between, enumerate_kd_nodes, kappa_bar_within, kd_nodes
-from oracles import clo_labeling_from_keys, kappa_bar_d_within, node_label_steps, recursive_labels_nodes
+from oracles import clo_labeling_from_keys, kappa_bar_d_within, node_lab_up, node_label_steps, recursive_labels_nodes
 
 FAMILIES = [("tamari", n) for n in range(3, 7)] + [("boolean", n) for n in range(2, 6)]
 FAMILIES += [("fig1", None), ("fig4", None)] + [("chain", n) for n in range(2, 7)]
@@ -309,6 +311,29 @@ def test_label_clo_up_and_the_recursion_disagree_on_two_doubled_lattices():
     message = "^recursive label set does not match any element of the derived order$"
     with pytest.raises(RecursionMismatch, match=message):
         clo_labeling_from_keys(large, recursive_labels_nodes(large))
+
+
+def test_clo_up_has_a_top_exactly_when_the_node_is_nuclear(small_sd_lattices):
+    # at the root: the full mask is an upper-core mask, [bot, top] is
+    # nuclear, it is conuclear, and kappa_bar(top) = bot; at every node of
+    # the walk the oracle's upper-core masks miss the full node mask
+    # exactly when the node is not nuclear, and exactly when not conuclear
+    lattices = [S.generate(family, n) for family, n in FAMILIES] + sd_family_lattices() + small_sd_lattices
+    lattices += [lattice_from_cover_text(text) for text in (CLO_UP_SPLIT_12, CLO_UP_SPLIT_22, DOUBLED_12, DOUBLED_19)]
+    for seed, max_mid in [(1, 8), (2, 9), (3, 7)]:
+        lattices += random_pool(seed, max_mid, 300)
+    tops = 0
+    for lat in lattices:
+        for each in (lat, lat.dual()):
+            bot, top = each.bottom, each.top
+            full = (1 << len(_label_context(each).cji)) - 1 in _lab_up_masks(each)
+            assert full == is_nuclear(each, bot, top) == is_conuclear(each, bot, top)
+            assert full == (kappa_bar(each, top) == bot) == (len(clo_up(each).maximal_elements()) == 1)
+            tops += full
+            for a, b in kd_nodes(each):
+                missing = _labels_between(each, a, b) not in node_lab_up(each, a, b).values()
+                assert missing == (_pop_down_idx(each, b, a) != a) == (_pop_up_idx(each, a, b) != b)
+    assert tops >= 800
 
 
 @pytest.mark.parametrize("family,n", FAMILIES)

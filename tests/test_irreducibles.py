@@ -197,13 +197,10 @@ def test_label_context_waits_for_its_first_reader():
     assert built()
 
 
-def test_cover_labeling_checks_each_label_in_its_own_walk():
-    # a fresh cover_labeling builds no _cover_label_masks; a label context
-    # that leaves some cover with no single label makes it raise that
-    # list's NoUniqueMax, for the same first cover
-    def memo_names(lattice):
-        return [getattr(key, "__name__", None) for key in lattice.memo]
-
+def test_cover_labeling_reads_the_checked_label_masks():
+    # a label context that leaves some cover with no single label makes
+    # cover_labeling raise the NoUniqueMax of _cover_label_masks, for the
+    # same first cover
     def outcome(reader, u, spoiled):
         lattice = S.generate("fig4")
         context = _label_context(lattice)
@@ -217,8 +214,6 @@ def test_cover_labeling_checks_each_label_in_its_own_walk():
             return str(exc)
 
     fresh = S.generate("fig4")
-    S.cover_labeling(fresh)
-    assert "_cover_label_masks" not in memo_names(fresh)
     messages = set()
     for u in range(len(fresh)):
         for spoiled in (0, -1):  # no label, or every label below the upper cover, above u
