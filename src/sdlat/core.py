@@ -1,10 +1,13 @@
 """Finite posets and lattices over named elements.
 
 The order relation is stored as per-element bitmasks: bit ``j`` of
-``down[i]`` means element ``j`` lies weakly below element ``i``.  Elements
-are indexed along a linear extension (sorted by height, then name), so the
-least element of any down-closed candidate set is always its lowest set
-bit and the greatest element of an up-closed set is its highest set bit.
+``down[i]`` means element ``j`` lies weakly below element ``i``, and bit
+``j`` of ``up[i]`` that it lies weakly above.  Elements are indexed along
+a linear extension: a parsed or generated order is sorted by (height,
+name) in ``Poset._from_cover_pairs``, and a derived order of ``cores`` by
+(label count, name) in ``DerivedPoset._from_masks``.  Either way the least
+element of any down-closed candidate set is always its lowest set bit and
+the greatest element of an up-closed set is its highest set bit.
 In a lattice that makes join(x, y) the lowest set bit of ``up[x] & up[y]``
 and meet(x, y) the highest set bit of ``down[x] & down[y]``, so no n^2 join
 or meet table is built; the lattice axioms are checked on pairs of lower
@@ -70,7 +73,9 @@ def memoized(fn):
     index tables, whole-lattice name maps are built from them per call,
     and the order tables of every ``Poset`` (``down``, ``up``, ``heights``,
     and a derived order's ``masks``) are tuples and its ``index`` is
-    read-only, so a memoized derived order cannot be edited either.
+    read-only, so a memoized derived order cannot be edited either.  The
+    memo is not pickled or copied with its poset (``Poset.__getstate__``),
+    as its keys are functions that pickle cannot name.
     """
 
     def cached(poset):
@@ -81,23 +86,6 @@ def memoized(fn):
 
     cached.__name__, cached.__qualname__, cached.__doc__ = fn.__name__, fn.__qualname__, fn.__doc__
     return cached
-
-
-def _lower_covers(down: list[int]) -> list[list[int]]:
-    """The lower covers of each element of transitive down-set masks indexed along a linear extension.
-
-    The msb walk: the highest element left below i is a lower cover, and its
-    down-set is dropped, one mask op per cover, so each list falls in index.
-    """
-    dcov = []
-    for i, mask in enumerate(down):
-        rest, lows = mask & ~(1 << i), []
-        while rest:
-            j = rest.bit_length() - 1
-            lows.append(j)
-            rest &= ~down[j]
-        dcov.append(lows)
-    return dcov
 
 
 def _union_above(ucov: list[list[int]], seeds: list[int]) -> list[int]:
@@ -282,16 +270,17 @@ class Poset:
     def _from_cover_pairs(cls, names: list[str], covers: list[tuple[int, int]]) -> "Poset":
         """Build an instance of ``cls`` from distinct index covers (lo, hi) over ``names``.
 
-        The one place that indexes an order by (height, name).  The names
-        and the covers may come in any order: Kahn's algorithm takes the
-        heights, or raises CycleError naming the elements it cannot reach,
-        in the order of ``names``.  The sorted names, their heights and the
-        sorted index covers go to ``cls``, whose ``Poset.__init__`` closes
-        the down-sets and raises NotTransitiveReduction for a cover implied
-        by others before ``cls`` checks anything of its own; on the derived
-        orders, whose covers the msb walk of ``_lower_covers`` gives, that
-        test never fires.  The sweep keeps its own upper-cover lists, as it
-        runs before the final index exists.
+        The one place that indexes a parsed or generated order by (height,
+        name); the derived orders of ``cores`` are built from their label
+        masks by ``DerivedPoset._from_masks`` and never come here.  The
+        names and the covers may come in any order: Kahn's algorithm takes
+        the heights, or raises CycleError naming the elements it cannot
+        reach, in the order of ``names``.  The sorted names, their heights
+        and the sorted index covers go to ``cls``, whose ``Poset.__init__``
+        closes the down-sets and raises NotTransitiveReduction for a cover
+        implied by others before ``cls`` checks anything of its own.  The
+        sweep keeps its own upper-cover lists, as it runs before the final
+        index exists.
         """
         n = len(names)
         upper: list[list[int]] = [[] for _ in range(n)]
@@ -339,6 +328,10 @@ class Poset:
 
     __hash__ = None  # mutable-free but identity compare is misleading; use ==
 
+    def __getstate__(self) -> dict:
+        """The attributes with an empty memo, for pickle and copy: every memo entry is rebuilt on demand."""
+        return {**self.__dict__, "memo": {}}
+
     def relation_pairs(self) -> frozenset[tuple[str, str]]:
         """All strict pairs (a, b) with a < b, as names."""
         out = []
@@ -348,7 +341,7 @@ class Poset:
         return frozenset(out)
 
     def leq(self, a: str, b: str) -> bool:
-        return bool(self.down[self.index[b]] >> self.index[a] & 1)
+        return bool(self.up[self.index[a]] >> self.index[b] & 1)
 
     def lt(self, a: str, b: str) -> bool:
         return a != b and self.leq(a, b)

@@ -36,14 +36,14 @@ numbered 0..|J|-1 in name order (``irreducibles._label_context``), so it
 is |J| bits wide and its names come out sorted by a walk over its bits.
 ``_label_order`` builds each distinct list once per lattice: orders
 whose lists coincide (all three on the tamari and boolean lattices) are
-one object.  The msb walk (``core._lower_covers``) over the up-sets of
-an inclusion order gives its index covers, an exact reduction by
-construction, so ``Poset._from_cover_pairs`` indexes the order by
-(height, name), as ``to_document`` exposes it, without the name and
-cover checks of ``Poset.from_covers``; the reduction test in
-``Poset.__init__``, which closes the down-sets, runs but never fires.
-Names appear only at the boundary: in ``covers_named``, the label-set
-maps and the witnesses of ``orders_coincide_report``.
+one object.  ``DerivedPoset._from_masks`` builds an order straight from
+its masks: it indexes the elements by (label count, name), a linear
+extension of inclusion, as ``names`` and ``to_document`` expose it, and
+one lsb walk over the up-sets gives the covers, an exact reduction by
+construction, and the heights.  No name, cover or reduction check runs,
+and the n-bit down-sets and the cover tuple are built only when asked
+for.  Names appear only at the boundary: in ``covers_named``, the
+label-set maps and the witnesses of ``orders_coincide_report``.
 
 In a finite SD lattice each of the three mask lists separates the
 elements, so the ``InconsistentLabels`` check of ``_label_order``
@@ -104,7 +104,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import IntervalView, Lattice, Poset, _lower_covers, _lsb, _msb, memoized
+from .core import IntervalView, Lattice, Poset, _Index, _lsb, _msb, memoized
 from .errors import InconsistentLabels
 from .irreducibles import _decode, _kappa_bar_d_idx, _kappa_bar_idx, _label_context, _sorted_names
 
@@ -298,11 +298,88 @@ class DerivedPoset(Poset):
     It is a plain Poset on the lattice's names, so it compares ``==`` by
     relation with any Poset.  Derived orders built from one mask list are
     one object, so they share their memo and their lattice verdict.
-    ``masks[i]`` is the label mask of its element i, set by
-    ``_label_order``, which builds every derived order.
+    ``masks[i]`` is the label mask of its element i.  ``_from_masks``,
+    which ``_label_order`` calls, builds every derived order; ``down`` and
+    ``covers`` are memoized tables, built on first use.
     """
 
     masks: tuple[int, ...]
+
+    @classmethod
+    def _from_masks(cls, names: tuple[str, ...], masks: list[int]) -> "DerivedPoset":
+        """The inclusion order of ``masks``, one per element of ``names``; the masks must be distinct.
+
+        The elements are indexed by (label count, name): a mask is only
+        contained in masks with more labels, so that is a linear extension.
+        With having[p] the set of elements whose mask holds position p, the
+        up-set of x is the intersection of having[p] over the labels p of
+        x: one mask op per label x has, and an element has few labels next
+        to those it misses.  One lsb walk over the up-sets then gives each
+        element's upper covers: the lowest element left above it is an
+        upper cover, and its up-set is dropped.  Each element is walked
+        after all those below it, so it records itself as a lower cover of
+        each of its upper covers, and raises their heights, in index order.
+        """
+        n = len(names)
+        ranked = sorted(range(n), key=lambda x: (masks[x].bit_count(), names[x]))
+        # bit r of having[p] is set when ranked[r] has p; the bit walks are
+        # inline: they run once per label of every element
+        having = [0] * max(masks).bit_length()
+        for r, x in enumerate(ranked):
+            rest, bit = masks[x], 1 << r
+            while rest:
+                low = rest & -rest
+                having[low.bit_length() - 1] |= bit
+                rest ^= low
+        full = (1 << n) - 1
+        up = []
+        for x in ranked:
+            acc, rest = full, masks[x]
+            while rest:
+                low = rest & -rest
+                acc &= having[low.bit_length() - 1]
+                rest ^= low
+            up.append(acc)
+        ucov: list[list[int]] = [[] for _ in range(n)]
+        dcov: list[list[int]] = [[] for _ in range(n)]
+        heights = [0] * n
+        for lo, rest in enumerate(up):
+            rest ^= 1 << lo
+            above, height = ucov[lo], heights[lo] + 1
+            while rest:
+                hi = (rest & -rest).bit_length() - 1
+                above.append(hi)
+                dcov[hi].append(lo)
+                if heights[hi] < height:
+                    heights[hi] = height
+                rest ^= rest & up[hi]
+        order = cls.__new__(cls)
+        order.n = n
+        order.names = tuple([names[x] for x in ranked])
+        order.index = _Index(zip(order.names, range(n)))
+        order.heights, order.up = tuple(heights), tuple(up)
+        order._ucov, order._dcov = ucov, dcov
+        order.masks = tuple([masks[x] for x in ranked])
+        order.memo = {}
+        return order
+
+    @property
+    @memoized
+    def down(self) -> tuple[int, ...]:
+        """The down-set masks, memoized: each element with the down-sets of its lower covers."""
+        down: list[int] = []
+        for i, lows in enumerate(self._dcov):
+            acc = 1 << i
+            for lo in lows:
+                acc |= down[lo]
+            down.append(acc)
+        return tuple(down)
+
+    @property
+    @memoized
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """The sorted index covers (lo, hi), memoized."""
+        return tuple([(lo, hi) for lo, highs in enumerate(self._ucov) for hi in highs])
 
     @memoized
     def is_lattice(self) -> bool:
@@ -361,47 +438,16 @@ def _label_order(lattice: Lattice, kind: str, masks: list[int]) -> DerivedPoset:
 
     A list already built for this lattice is not built again: the result
     is the order built from it first.  ``kind`` names the order in the
-    error raised when the masks do not separate the elements.
-
-    With having[p] the set of elements whose label set holds position p,
-    the up-set of x is the intersection of having[p] over the labels p of x:
-    one mask op per label x has, and an element has few labels next to
-    those it misses.  Listed by decreasing label-set size, the elements are
-    a linear extension of reverse inclusion, so the msb walk of
-    ``_lower_covers`` over those up-sets gives the covers, as upper covers.
+    error raised when the masks do not separate the elements; the build
+    itself is ``DerivedPoset._from_masks``.
     """
     built = _orders_built(lattice)
     key = tuple(masks)
     order = built.get(key)
-    if order is not None:
-        return order
-    if len(set(masks)) != len(masks):
-        raise InconsistentLabels(f"{kind}: label sets do not separate elements")
-    n = lattice.n
-    ranked = sorted(range(n), key=lambda x: -masks[x].bit_count())
-    # bit r of having[p] is set when ranked[r] has p; the two bit walks are
-    # inline: they run once per label of every element
-    having = [0] * max(masks).bit_length()
-    for r, x in enumerate(ranked):
-        rest, bit = masks[x], 1 << r
-        while rest:
-            low = rest & -rest
-            having[low.bit_length() - 1] |= bit
-            rest ^= low
-    full = (1 << n) - 1
-    up = []
-    for x in ranked:
-        acc, rest = full, masks[x]
-        while rest:
-            low = rest & -rest
-            acc &= having[low.bit_length() - 1]
-            rest ^= low
-        up.append(acc)
-    covers = [(lo, hi) for lo, highs in enumerate(_lower_covers(up)) for hi in highs]
-    del up  # n masks of n bits, freed before the build allocates its own
-    order = built[key] = DerivedPoset._from_cover_pairs([lattice.names[x] for x in ranked], covers)
-    index = lattice.index
-    order.masks = tuple(masks[index[name]] for name in order.names)
+    if order is None:
+        if len(set(masks)) != len(masks):
+            raise InconsistentLabels(f"{kind}: label sets do not separate elements")
+        order = built[key] = DerivedPoset._from_masks(lattice.names, masks)
     return order
 
 

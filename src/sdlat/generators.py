@@ -172,13 +172,10 @@ def tamari(n: int, max_n: int = 9) -> Lattice:
     """
     if not 0 <= n <= max_n:
         raise BadParameter(f"tamari size must be between 0 and {max_n}")
-    trees = _binary_trees(n)
-    names = [_tree_name(t) for t in trees]
-    covers = []
-    for tree, name in zip(trees, names):
-        for above in _right_rotations(tree):
-            covers.append((name, _tree_name(above)))
-    return Lattice.build_from_covers(names, covers)
+    # each tree is named once; a rotation looks its name up
+    named = {tree: _tree_name(tree) for tree in _binary_trees(n)}
+    covers = [(name, named[above]) for tree, name in named.items() for above in _right_rotations(tree)]
+    return Lattice.build_from_covers(list(named.values()), covers)
 
 
 _DENSITIES = (0.3, 0.5, 0.7)

@@ -8,6 +8,10 @@ reads off masks or off intervals of the parent lattice:
   greatest lower bound, by ``leq`` alone, and ``mask_kernels``: the
   lattice and kappa tests of ``Lattice`` run on bare down-set masks, with
   no poset built;
+* ``mask_order_by_covers``: a derived order built from covers, by the
+  msb walk of ``_lower_covers`` over up-sets from a pairwise inclusion
+  test, and indexed by ``Poset._from_cover_pairs``, where the library
+  builds it straight from its masks;
 * ``restrict`` and ``as_lattice``: a sublattice or interval rebuilt as a
   standalone lattice, and ``interval_cji_transfer`` checked against it;
 * ``interval_restriction``: a labeled poset cut down to an interval, and
@@ -52,7 +56,7 @@ import graphlib
 from sdlat import InconsistentLabels, LabeledPoset, Lattice, Poset, cjr, cmr, irreducible_table
 from sdlat import CanonicalRep, NoUniqueMax, RecursionMismatch, SizeLimitExceeded, j_label_interval
 from sdlat import CloLabeling
-from sdlat.core import _bits, _cover_pairs_have_meets, _lower_covers, _lsb, _name_list, _union_above
+from sdlat.core import _bits, _cover_pairs_have_meets, _lsb, _name_list, _union_above
 from sdlat.cores import OrdersReport, clo_down, clo_up, kappa_order, lab_down_map, lab_up_map, w_map
 from sdlat.cores import CoreData, _lab_up_masks, _pop_down_idx, _pop_up_idx
 from sdlat.irreducibles import _j_label_idx, _kappa_bar_idx, _label_context
@@ -118,6 +122,36 @@ def lattice_failure_oracle(poset):
                 if not any(all(le(z, w) for w in bounds) for z in bounds):
                     return (kind, a, b)
     return None
+
+
+def _lower_covers(down):
+    """The lower covers of each element of transitive down-set masks indexed along a linear extension.
+
+    The msb walk: the highest element left below i is a lower cover, and its
+    down-set is dropped, one mask op per cover, so each list falls in index.
+    """
+    dcov = []
+    for i, mask in enumerate(down):
+        rest, lows = mask & ~(1 << i), []
+        while rest:
+            j = rest.bit_length() - 1
+            lows.append(j)
+            rest &= ~down[j]
+        dcov.append(lows)
+    return dcov
+
+
+def mask_order_by_covers(names, masks):
+    """The inclusion order of ``masks``, one per name, as a Poset indexed by (height, name).
+
+    Listed by decreasing label count, the elements are a linear extension
+    of reverse inclusion, so the msb walk over their up-sets, each found
+    by a subset test against every mask, gives the upper covers.
+    """
+    ranked = sorted(range(len(names)), key=lambda x: -masks[x].bit_count())
+    up = [sum(1 << r for r, y in enumerate(ranked) if not masks[x] & ~masks[y]) for x in ranked]
+    covers = [(lo, hi) for lo, highs in enumerate(_lower_covers(up)) for hi in highs]
+    return Poset._from_cover_pairs([names[x] for x in ranked], covers)
 
 
 def mask_kernels(down):

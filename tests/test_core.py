@@ -23,7 +23,7 @@ from sdlat import (
     SchemaError,
     SizeLimitExceeded,
 )
-from sdlat.jsonio import emit_json, to_document
+from sdlat.jsonio import emit_dot, emit_json, to_document
 
 from conftest import record_calls, sd_exponential_oracle, sd_family_lattices, transitive_reduction_from_order
 from oracles import as_lattice, posets_isomorphic
@@ -140,23 +140,22 @@ def test_several_maxima_listed_in_name_order():
 )
 def test_each_distinct_mask_list_is_built_and_checked_once(monkeypatch, family, builds):
     # the three derived orders coincide on tamari and boolean lattices; on
-    # fig1 the kappa order is cloUp, and on fig4 all three differ.  With the
-    # W masks computed first, every _union_above call left is a build's own
-    # up-sets: the kappa order has no construction of its own.
-    # is_lattice decides on the label masks, and never calls the n-bit
-    # lattice_failure, which stays the oracle of its verdict.
+    # fig1 the kappa order is cloUp, and on fig4 all three differ.  Each
+    # distinct mask list goes once through the mask builder, and no derived
+    # order goes through the cover indexer: the kappa order has no
+    # construction of its own.  is_lattice decides on the label masks, and
+    # never calls the n-bit lattice_failure, which stays the oracle of its
+    # verdict.
     lat = S.generate(*family)
-    S.cores.w_map(lat)
     calls = record_calls(monkeypatch, Poset, ["_from_cover_pairs", "lattice_failure"])
-    unions = record_calls(monkeypatch, S.core, ["_union_above"])
+    builds_seen = record_calls(monkeypatch, DerivedPoset, ["_from_masks"])
     checks = record_calls(monkeypatch, DerivedPoset, ["_lattice_on_masks"])
     for _ in range(2):
         orders = [S.kappa_order(lat), S.clo_up(lat), S.clo_down(lat)]
         verdicts = [order.is_lattice() for order in orders]
         assert len({id(order) for order in orders}) == builds
-    assert calls.count("_from_cover_pairs") == len(checks) == builds
-    assert calls.count("lattice_failure") == 0
-    assert len(unions) == builds
+    assert len(builds_seen) == len(checks) == builds
+    assert calls == []
     assert verdicts == [order.lattice_failure() is None for order in orders]
 
 
@@ -165,9 +164,10 @@ def test_orders_report_builds_no_order(monkeypatch):
     # the masks and builds none of the three orders
     lattices = [S.generate("fig1"), S.generate("fig4"), S.generate("tamari", 5)]
     calls = record_calls(monkeypatch, Poset, ["_from_cover_pairs"])
+    built = record_calls(monkeypatch, DerivedPoset, ["_from_masks"])
     for lat in lattices:
         S.orders_coincide_report(lat)
-    assert calls == []
+    assert calls == built == []
 
 
 # messages recorded before the reduction check moved from Poset.__init__
@@ -320,6 +320,52 @@ def test_index_survives_pickle_and_deepcopy():
             copied.index["bot"] = 0
         with pytest.raises(SchemaError, match="^unknown element 'zz'$"):
             copied.index["zz"]
+
+
+def _answers(lattice):
+    """What the memo serves on ``lattice``, as plain data."""
+    labeling = S.label_clo_up(lattice)
+    return (
+        S.clo_up(lattice).covers_named(),
+        sorted(labeling.labels.items()),
+        S.enumerate_kd_exceptional(lattice, maximal_only=True),
+        S.irreducible_table(lattice),
+    )
+
+
+@pytest.mark.parametrize("family", [("fig1",), ("fig4",), ("boolean", 3)])
+def test_memoized_lattice_survives_pickle_and_deepcopy(family):
+    # memo keys are functions, which pickle cannot name: a copy leaves the
+    # memo behind and builds every entry again on demand
+    lattice = S.generate(*family)
+    expected = _answers(lattice)
+    assert lattice.memo
+    for copied in (pickle.loads(pickle.dumps(lattice)), copy.deepcopy(lattice)):
+        assert copied.memo == {} and copied == lattice
+        assert _answers(copied) == expected
+    assert lattice.memo and _answers(lattice) == expected
+
+
+def test_derived_order_survives_pickle_and_deepcopy():
+    # a derived order memoizes its down-sets and its cover tuple; a copy
+    # rebuilds both and gives the same answers
+    lattice = S.generate("fig4")
+    for order in (S.kappa_order(lattice), S.clo_up(lattice), S.clo_down(lattice)):
+        relations, covers = order.relation_pairs(), order.covers_named()
+        assert order.memo
+        for copied in (pickle.loads(pickle.dumps(order)), copy.deepcopy(order)):
+            assert copied.memo == {}
+            assert (copied.names, copied.masks, copied.up, copied.heights) == (
+                order.names, order.masks, order.up, order.heights
+            )
+            assert copied.relation_pairs() == relations and copied.covers_named() == covers
+            assert (copied.down, copied.covers) == (order.down, order.covers)
+            assert copied.is_lattice() == order.is_lattice()
+            assert emit_dot(copied) == emit_dot(order)
+    labeling = S.label_clo_up(S.generate("fig1"))
+    copied = pickle.loads(pickle.dumps(labeling))
+    assert copied == labeling
+    assert S.find_el_order(copied.to_labeled_poset()) == S.find_el_order(labeling.to_labeled_poset())
 
 
 def test_unknown_interval_ends_name_lo_first(fig1):

@@ -4,10 +4,19 @@ import pytest
 
 import sdlat as S
 from sdlat import InconsistentLabels, NotComparable
-from sdlat.cores import _label_order
+from sdlat.core import _bits
+from sdlat.cores import _lab_down_masks, _lab_up_masks, _label_order, _pop_downs, _w_masks
 
-from conftest import sd_family_lattices
-from oracles import atom_labels, coatom_labels
+from conftest import (
+    CLO_UP_SPLIT_12,
+    CLO_UP_SPLIT_22,
+    DOUBLED_12,
+    DOUBLED_19,
+    lattice_from_cover_text,
+    random_pool,
+    sd_family_lattices,
+)
+from oracles import atom_labels, coatom_labels, mask_order_by_covers
 
 
 def _all_intervals(lat):
@@ -117,6 +126,67 @@ def test_label_order_refuses_masks_that_do_not_separate(fig1):
     with pytest.raises(InconsistentLabels) as info:
         _label_order(fig1, "cloUp", [0] * fig1.n)
     assert str(info.value) == "cloUp: label sets do not separate elements"
+
+
+def _named_heights(order):
+    return dict(zip(order.names, order.heights))
+
+
+def test_mask_build_matches_the_cover_indexer(small_sd_lattices):
+    # the mask builder against the msb walk of _lower_covers over up-sets
+    # from a pairwise inclusion test, indexed by Poset._from_cover_pairs:
+    # the two index the elements differently, so they are compared by name
+    lattices = [S.generate("tamari", n) for n in range(1, 8)] + [S.generate("boolean", n) for n in range(1, 6)]
+    lattices += [S.generate("fig1"), S.generate("fig4")] + small_sd_lattices
+    for seed, max_mid in ((1, 8), (2, 9), (3, 7)):
+        lattices += random_pool(seed, max_mid, 300)
+    lattices += [lattice_from_cover_text(text) for text in (DOUBLED_12, DOUBLED_19, CLO_UP_SPLIT_12, CLO_UP_SPLIT_22)]
+    verdicts = set()
+    for lat in lattices + [lat.dual() for lat in lattices]:
+        for build, masks in ((S.kappa_order, _w_masks), (S.clo_down, _lab_down_masks), (S.clo_up, _lab_up_masks)):
+            order, masks = build(lat), masks(lat)
+            oracle = mask_order_by_covers(lat.names, masks)
+            names = order.names
+            # the index is (label count, name), and each element keeps its mask
+            assert list(names) == sorted(lat.names, key=lambda x: (masks[lat.index[x]].bit_count(), x))
+            assert order.masks == tuple(masks[lat.index[x]] for x in names)
+            relations = order.relation_pairs()
+            assert relations == oracle.relation_pairs()
+            assert relations == {(names[i], names[j]) for i, mask in enumerate(order.up) for j in _bits(mask) if j != i}
+            covers = order.covers_named()
+            assert covers == oracle.covers_named() and order.covers == tuple(sorted(order.covers))
+            assert covers == tuple(sorted((names[lo], names[hi]) for hi, lows in enumerate(order._dcov) for lo in lows))
+            assert _named_heights(order) == _named_heights(oracle)
+            verdict = order.is_lattice()
+            assert verdict == (oracle.lattice_failure() is None)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n, image", list(enumerate([1, 1, 2, 4, 9, 21, 51, 127, 323], start=1)))
+def test_pop_stack_on_tamari(n, image):
+    # the pop-stack image of tamari(n) has Motzkin(n - 1) elements, and the
+    # longest orbit reaches the bottom in n - 1 steps; tamari is self-dual
+    lattice = S.generate("tamari", n)
+    for each in (lattice, lattice.dual()):
+        pops = _pop_downs(each)
+        assert len(set(pops)) == image
+        assert [x for x, p in enumerate(pops) if p == x] == [each._bot]
+        steps = [0] * each.n
+        for x, p in enumerate(pops):
+            # p lies below x, so it comes first in the index
+            if p != x:
+                steps[x] = steps[p] + 1
+        assert max(steps) == n - 1
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_pop_stack_on_boolean(n):
+    # every element of a boolean lattice is the join of the atoms below it,
+    # which it covers the complements of: one pop reaches the bottom
+    lattice = S.generate("boolean", n)
+    for each in (lattice, lattice.dual()):
+        assert set(_pop_downs(each)) == {each._bot}
 
 
 def test_kappa_bar_order_isomorphism_with_dual(small_sd_lattices):
@@ -235,7 +305,7 @@ def test_derived_order_tables_cannot_be_edited(family, builds):
     # tamari(3) and three on fig4: their tables are tuples, so an edit
     # raises and leaves every order as a fresh lattice builds it
     lattice, fresh = S.generate(*family), S.generate(*family)
-    orders, tables = [S.kappa_order, S.clo_up, S.clo_down], ["down", "up", "heights", "masks"]
+    orders, tables = [S.kappa_order, S.clo_up, S.clo_down], ["down", "up", "heights", "masks", "covers"]
     assert len({id(order(lattice)) for order in orders}) == builds
     for order in orders:
         for table in tables:
