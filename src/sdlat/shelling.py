@@ -13,27 +13,64 @@ both conventions a chain is increasing exactly when its key is strictly
 increasing.
 
 Verifier.  ``is_el_labeling`` enumerates no chains on the way to a yes.
-Without ``flip`` it fixes each lower end lo and walks [lo, top] upwards in
-index order (a linear extension); with ``flip`` it fixes each upper end hi
-and walks [bot, hi] downwards.  Either way the key of a chain from the fixed
-end to a node v starts with the rank of the cover at v, so a chain that
-reaches v by a cover of rank r from u has the key (r,) + (its key at u).
-Each node carries, over the chains from the fixed end to it:
+Without ``flip`` it fixes each lower end lo, the *root*, and walks
+[lo, top] upwards in index order (a linear extension); with ``flip`` it
+fixes each upper end hi and walks [bot, hi] downwards.  Either way the key
+of a chain from the root to a node v starts with the rank of the cover at
+v, so a chain that reaches v by a cover of rank r from u has the key
+(r,) + (its key at u).  [lo, hi] is EL when it has exactly one increasing
+chain and its least key is strictly increasing, for then the least chain
+is the increasing one.
 
-* the number of increasing chains, keyed by their first key entry: such a
-  chain extended by a cover of rank r stays increasing when r is below
-  that entry;
-* the least key, the least of (r,) + (least key at u) over the covers
-  entering v.  Prepending is right because keys that start with the same r
-  compare as their tails do.  Appending r to the least key at u would be
-  wrong on an ungraded poset: a key sorts before its own extensions, so the
-  least key at u, say (1,), may give (1, 5) while another chain's (1, 0)
-  gives the smaller (1, 0, 5).
+The mask pass decides every root at once, in one walk over the nodes that
+holds sets of roots as int masks.  For each rank r of a cover entering a
+node v it finds:
 
-[lo, hi] is EL when it has exactly one increasing chain and its least key
-is strictly increasing, for then the least chain is the increasing one.
-The work is a sum over the fixed ends of the covers each walk meets, each
-times the height.  The walk yields each failing interval as it meets it:
+* the roots with one, and with at least two, increasing chains to v whose
+  key starts with r.  The cover (u, r) extends the increasing chains at u
+  whose key starts above r, and the counts saturate at two
+  (``twos |= t | ones & o; ones |= o``); the root u itself has one chain
+  to u, the empty one, whose key starts above every rank;
+* the roots whose least key at v starts with r, and those of them whose
+  least key is increasing.  Here the covers entering v must carry
+  distinct labels, and so distinct ranks.  Then keys that start with
+  different ranks compare by that rank alone, so a root's least chain
+  to v enters v by the lowest-ranked cover (u, r) with the root below u,
+  and it is increasing exactly when the root's least key at u is
+  increasing and starts above r.  So the covers entering v, taken in
+  ascending rank, each claim the roots below u that no lower-ranked
+  cover claimed.
+
+Each node keeps these sets as unions over the ranks from r upwards, so a
+cover of rank r reads the roots whose key at u starts above r in one
+lookup.  (root, v) fails unless the root is in ``ones & ~twos & inc`` over
+all ranks.  Roots go in chunks of ``_CHUNK``, which bounds the width of the
+masks, and a node's sets are dropped once the last cover that leaves it has
+read them.  The work is the covers times the number of chunks, each step a
+few mask operations.
+
+Tie fallback.  Where one node is entered by two covers with one label
+(``_walk`` decides this once per walk), the least key at v depends on the
+least keys at both lower ends, which masks do not carry, and a dynamic
+program per root runs instead.  Each node holds the number of increasing
+chains by their first key entry, and the least key, the least of
+(r,) + (least key at u) over the covers entering v.  Prepending is right
+because keys that start with the same r compare as their tails do.
+Appending r to the least key at u would be wrong on an ungraded poset: a
+key sorts before its own extensions, so the least key at u, say (1,), may
+give (1, 5) while another chain's (1, 0) gives the smaller (1, 0, 5).  A
+key is one integer, read as in ``enumerate_kd_exceptional``: rank r is the
+digit r + 1 in base B = m + 1, for an alphabet of m labels, and a key of
+k ranks is its digits padded on the right with zeros to the height W of
+the poset; zeros sort below every digit, so a prefix sorts before its
+extensions.  Prepending r to the key x gives (r + 1) * B**(W - 1) + x // B.
+Beside it each node holds the key's first digit if the key is increasing,
+else 0 (the empty key's is B, above every digit), and a chain extended by
+rank r stays increasing when r + 1 is below it.  The work is a sum over
+the roots of the covers each walk meets, each times a W-digit integer
+operation.
+
+Either pass yields each failing interval as it meets it:
 ``is_el_labeling`` takes the name-least of them, which alone is handed to
 the chain enumerator to build the witness, and ``find_el_order`` stops at
 the first.
@@ -54,12 +91,11 @@ That fails every order that extends the prefix, so the search meets the
 same orders that pass, in the same sequence, as a loop over all
 permutations.  The length-2 intervals and their keys are read off the
 entering covers of the verifier's walk, which the search builds once, and
-a complete candidate is verified by the dynamic program on that walk.
+a complete candidate is verified by the verifier's pass on that walk.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
@@ -74,7 +110,8 @@ class LabeledPoset:
     """A finite bounded poset whose covers carry labels.
 
     ``labels`` maps each cover, as a name pair, to its label, and is kept
-    as a read-only copy.  ``alphabet`` is the sorted set of labels, and
+    as a read-only copy, rebuilt when the labeled poset is pickled or
+    copied.  ``alphabet`` is the sorted set of labels, and
     ``_positions[k]`` is the position in it of the label of the cover
     ``poset.covers[k]``: this is the one place names become positions.
     """
@@ -103,6 +140,10 @@ class LabeledPoset:
         object.__setattr__(self, "labels", MappingProxyType(labels))
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "_positions", tuple(map(position.__getitem__, words)))
+
+    def __reduce__(self):
+        """Pickle and copy as a fresh construction, which rebuilds the read-only labels."""
+        return LabeledPoset, (self.poset, dict(self.labels))
 
 
 @dataclass(frozen=True)
@@ -150,11 +191,14 @@ def _maximal_chains(poset: Poset, lo: int, hi: int, chain_cap: int) -> list[tupl
     return chains
 
 
-# (reach, other, steps): reach[e] is the set the walk from the fixed end e
-# spans, other the opposite table (down when reach is up, up when it is
-# down), and steps[v] the covers the walk enters v by, as (neighbour, label
-# position).
-_Walk = tuple[tuple[int, ...], tuple[int, ...], list[list[tuple[int, int]]]]
+# (reach, other, steps, tied): reach[e] is the set the walk from the fixed
+# end e spans, other the opposite table (down when reach is up, up when it
+# is down), steps[v] the covers the walk enters v by, as (neighbour, label
+# position), and tied whether two covers entering one node share a label.
+_Walk = tuple[tuple[int, ...], tuple[int, ...], list[list[tuple[int, int]]], bool]
+
+# roots per mask pass: bounds the width of its masks, and so its memory
+_CHUNK = 1024
 
 
 def _walk(lp: LabeledPoset, flip: bool) -> _Walk:
@@ -165,32 +209,91 @@ def _walk(lp: LabeledPoset, flip: bool) -> _Walk:
         if flip:
             lo, hi = hi, lo
         steps[hi].append((lo, q))
-    return (p.down, p.up, steps) if flip else (p.up, p.down, steps)
+    tied = len({(v, q) for v, s in enumerate(steps) for _, q in s}) < len(p.covers)
+    return (p.down, p.up, steps, tied) if flip else (p.up, p.down, steps, tied)
 
 
 def _failures(walk: _Walk, rank: list[int], flip: bool) -> Iterator[tuple[int, int]]:
-    """Each interval that is not EL under ``rank``, as an index pair (lo, hi), in walk order."""
-    reach, _, steps = walk
-    ranked = [[(u, rank[label]) for u, label in s] for s in steps]
-    for root in range(len(reach)):
+    """Each interval that is not EL under ``rank``, as an index pair (lo, hi)."""
+    return (_tied_failures if walk[3] else _mask_failures)(walk, rank, flip)
+
+
+def _mask_failures(walk: _Walk, rank: list[int], flip: bool) -> Iterator[tuple[int, int]]:
+    """The mask pass of the module docstring, for a walk with no node entered twice by one label."""
+    reach, _, steps, _ = walk
+    n, empty = len(reach), len(rank)  # the empty key starts above every rank
+    last = [0] * n  # the last node in walk order that a cover from u enters
+    for v in range(n - 1, -1, -1) if flip else range(n):
+        for u, _ in steps[v]:
+            last[u] = v
+    for c0 in range(0, n, _CHUNK):
+        c1 = min(c0 + _CHUNK, n)
+        # Root c0 + b is bit b.  sets[v] is one flat list: for each rank f
+        # of a cover entering v, descending after the empty key's, the four
+        # entries f, ones, twos, inc.  ones and twos hold the roots with one
+        # and with at least two increasing chains whose key starts at f or
+        # above, inc those whose least key is increasing and starts there.
+        # Then -1, which ends the scan for a rank, and the roots below v.
+        sets: dict[int, list[int]] = {}
+        for v in range(c1 - 1, -1, -1) if flip else range(c0, n):
+            claimed = 0
+            claims = []
+            for r, u in sorted([(rank[q], u) for u, q in steps[v]]):
+                at = sets.pop(u, None) if last[u] == v else sets.get(u)
+                if at is None:
+                    continue
+                k = 0
+                while at[k + 4] > r:
+                    k += 4
+                roots = at[-1]
+                claims.append((r, at[k + 1], at[k + 2], roots & ~claimed & at[k + 3]))
+                claimed |= roots
+            own = 1 << v - c0 if c0 <= v < c1 else 0
+            if not claimed | own:
+                continue
+            ones, twos, inc = own, 0, own
+            row = [empty, ones, twos, inc]
+            for r, o, t, i in reversed(claims):
+                twos |= t | ones & o
+                ones |= o
+                inc |= i
+                row += (r, ones, twos, ones if inc == ones else inc)  # one mask where the sets agree
+            roots = claimed | own
+            row += (-1, ones if roots == ones else roots)
+            sets[v] = row
+            for b in _bits(claimed & ~(ones & ~twos & inc)):
+                yield (v, c0 + b) if flip else (c0 + b, v)
+
+
+def _tied_failures(walk: _Walk, rank: list[int], flip: bool) -> Iterator[tuple[int, int]]:
+    """The per-root dynamic program, for a walk that enters some node twice by one label."""
+    reach, _, steps, _ = walk
+    n, base = len(reach), len(rank) + 1
+    depth = [0] * n
+    for v in range(n - 1, -1, -1) if flip else range(n):
+        depth[v] = max([depth[u] + 1 for u, _ in steps[v]], default=0)
+    top = base ** max(depth, default=0) // base
+    ranked = [[(u, rank[q] + 1) for u, q in s] for s in steps]
+    for root in range(n):
         nodes = list(_bits(reach[root]))
         if flip:
             nodes.reverse()
-        rising = {root: {math.inf: 1}}  # increasing chains by the first key entry
-        least = {root: ()}
+        rising = {root: {base: 1}}  # increasing chains by the first digit
+        least = {root: (0, base)}  # the least key and its rise
         for v in nodes[1:]:
-            counts, key = {}, None
-            for u, r in ranked[v]:
+            counts, best = {}, None
+            for u, d in ranked[v]:
                 if u not in least:
                     continue
                 for first, c in rising[u].items():
-                    if r < first:
-                        counts[r] = counts.get(r, 0) + c
-                word = (r, *least[u])
-                if key is None or word < key:
-                    key = word
-            rising[v], least[v] = counts, key
-            if sum(counts.values()) != 1 or any(a >= b for a, b in zip(key, key[1:])):
+                    if d < first:
+                        counts[d] = counts.get(d, 0) + c
+                key, rise = least[u]
+                key = d * top + key // base
+                if best is None or key < best[0]:
+                    best = (key, d if d < rise else 0)
+            rising[v], least[v] = counts, best
+            if sum(counts.values()) != 1 or not best[1]:
                 yield (v, root) if flip else (root, v)
 
 
@@ -283,7 +386,7 @@ def _length_two_keys(walk: _Walk) -> list[list[tuple[int, int]]]:
     All maximal chains of [s, e] have length 2 exactly when s, e and the
     middles found make up the whole interval.
     """
-    reach, other, steps = walk
+    reach, other, steps, _ = walk
     out = []
     for e in range(len(reach)):
         found: dict[int, list[tuple[int, int]]] = {}

@@ -660,13 +660,14 @@ def test_orders_built_only_through_the_indexer(module):
 
 def test_shelling_reads_labels_only_at_the_boundary():
     # LabeledPoset.__post_init__ turns each cover's label name into its
-    # position in the alphabet; the verifier and the search read positions
+    # position in the alphabet, and __reduce__ hands the names to pickle and
+    # copy; the verifier and the search read positions
     tree = ast.parse((SRC / "shelling.py").read_text(encoding="utf-8"))
     (owner,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "LabeledPoset"]
     inside = {
         id(sub)
         for node in owner.body
-        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+        if isinstance(node, ast.FunctionDef) and node.name in ("__post_init__", "__reduce__")
         for sub in ast.walk(node)
     }
     reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "labels"]

@@ -1,5 +1,8 @@
+import copy
 import functools
+import graphlib
 import itertools
+import pickle
 import random
 
 import pytest
@@ -16,7 +19,15 @@ from sdlat import (
     SizeLimitExceeded,
 )
 
-from conftest import DOUBLED_12, DOUBLED_19, lattice_from_cover_text, random_pool, sd_family_lattices
+from conftest import (
+    CLO_UP_SPLIT_12,
+    CLO_UP_SPLIT_22,
+    DOUBLED_12,
+    DOUBLED_19,
+    lattice_from_cover_text,
+    random_pool,
+    sd_family_lattices,
+)
 from oracles import hom_order, interval_restriction, length_two_keys_by_names
 
 
@@ -204,6 +215,24 @@ def test_labels_are_a_read_only_copy():
     copy = LabeledPoset(poset=lp.poset, labels=labels)
     labels[cover] = "zzz"
     assert copy.labels == lp.labels and copy.alphabet == lp.alphabet
+
+
+def test_labeled_poset_survives_pickle_and_deepcopy():
+    # the read-only labels are rebuilt, with the alphabet and positions
+    cases = [
+        S.generate("fig1-labeled"),
+        S.lattice_j_labeling(S.generate("tamari", 4)),
+        S.label_clo_up(S.generate("fig1")).to_labeled_poset(),
+    ]
+    for lp in cases:
+        orders = [S.find_el_order(lp), lp.alphabet[::-1]]
+        for copied in (pickle.loads(pickle.dumps(lp)), copy.deepcopy(lp)):
+            assert copied.labels == lp.labels
+            assert (copied.alphabet, copied._positions) == (lp.alphabet, lp._positions)
+            with pytest.raises(TypeError):
+                copied.labels[next(iter(copied.labels))] = "zzz"
+            for order in orders:
+                assert S.is_el_labeling(copied, order) == S.is_el_labeling(lp, order)
 
 
 def test_label_validation_reads_the_covers_once(monkeypatch):
@@ -415,6 +444,9 @@ def test_dp_verifier_matches_on_ungraded_poset():
             report = S.is_el_labeling(lp, order, flip=flip)
             assert report == el_by_chains(lp, order, flip=flip)
             kinds.add(report.witness.kind if report.witness else "ok")
+            # the per-root program agrees on every failing pair, also where the mask pass runs
+            walk, rank = S.shelling._walk(lp, flip), list(range(len(order)))
+            assert set(S.shelling._tied_failures(walk, rank, flip)) == set(S.shelling._failures(walk, rank, flip))
     assert kinds == {"ok", "zero-increasing", "two-increasing", "not-lex-least"}
 
 
@@ -563,3 +595,156 @@ def test_doubled_lattice_el_orders(text, size, height, orders):
     assert len(lp.alphabet) == 6
     for flip, order in zip((False, True), orders):
         assert S.find_el_order(lp, flip=flip) == order == search_by_permutations(lp, flip=flip)
+
+
+def _entered_twice_by_one_label(lp, flip):
+    """Whether two covers entering one node, upwards or under ``flip`` downwards, share a label."""
+    seen = set()
+    for (lo, hi), label in lp.labels.items():
+        entry = (lo if flip else hi, label)
+        if entry in seen:
+            return True
+        seen.add(entry)
+    return False
+
+
+def _verifier_lattices(pool):
+    lattices = [S.generate("tamari", n) for n in range(2, 8)]
+    lattices += [S.generate("boolean", n) for n in range(1, 6)]
+    lattices += [S.generate("chain", 6), S.generate("fig1"), S.generate("fig4")]
+    lattices += list(pool)
+    for seed in (1, 2, 3):
+        lattices += random_pool(seed, 8, 40)
+    texts = (DOUBLED_12, DOUBLED_19, CLO_UP_SPLIT_12, CLO_UP_SPLIT_22)
+    lattices += [lattice_from_cover_text(text) for text in texts]
+    return [each for lattice in lattices for each in (lattice, lattice.dual())]
+
+
+def test_mask_pass_matches_the_dynamic_program(small_sd_lattices):
+    # Where no node is entered twice by one label, the mask pass and the
+    # per-root program fail the same (lo, hi) pairs, not only the first,
+    # under the Hom order where it is acyclic, its reverse and random
+    # orders, on j- and clo-up labelings, in both conventions.
+    rng = random.Random(3)
+    outcomes = set()
+    walks = 0
+    for lattice in _verifier_lattices(small_sd_lattices):
+        try:
+            hom = hom_order(lattice)
+        except graphlib.CycleError:
+            hom = None
+        for lp in _labeled_both_ways(lattice):
+            orders = [tuple(rng.sample(lp.alphabet, len(lp.alphabet))) for _ in range(2)]
+            if hom is not None:
+                kept = tuple(label for label in hom if label in lp.alphabet)
+                assert sorted(kept) == list(lp.alphabet)
+                orders += [kept, kept[::-1]]
+            for flip in (False, True):
+                walk = S.shelling._walk(lp, flip)
+                if walk[3]:
+                    continue
+                walks += 1
+                for order in orders:
+                    rank = sorted(range(len(order)), key=order.__getitem__)
+                    failing = set(S.shelling._mask_failures(walk, rank, flip))
+                    assert failing == set(S.shelling._tied_failures(walk, rank, flip))
+                    outcomes.add(bool(failing))
+    assert walks > 500 and outcomes == {False, True}
+
+
+def test_walk_flags_exactly_the_nodes_entered_twice_by_one_label(small_sd_lattices):
+    cases = [lp for lattice in _verifier_lattices(small_sd_lattices) for lp in _labeled_both_ways(lattice)]
+    cases += [_labeled_diamond(*letters) for letters in itertools.product("xyz", repeat=4)]
+    poset = _pentagon_under_chain()
+    for letters in itertools.product("wxyz", repeat=len(poset.covers)):
+        cases.append(LabeledPoset(poset=poset, labels=dict(zip(poset.covers_named(), letters))))
+    flags = set()
+    for lp in cases:
+        for flip in (False, True):
+            tied = S.shelling._walk(lp, flip)[3]
+            assert tied == _entered_twice_by_one_label(lp, flip)
+            flags.add(tied)
+    assert flags == {False, True}
+
+
+def test_diamond_labelings_match_chain_enumeration():
+    # Every labeling of the diamond by three letters under every order of
+    # its labels: where the two top covers (under flip, the two bottom
+    # covers) share a label the walk is tied and the per-root program
+    # runs, elsewhere the mask pass.
+    tied = set()
+    for letters in itertools.product("xyz", repeat=4):
+        lp = _labeled_diamond(*letters)
+        for flip in (False, True):
+            tied.add(S.shelling._walk(lp, flip)[3])
+            for order in itertools.permutations(lp.alphabet):
+                assert S.is_el_labeling(lp, order, flip=flip) == el_by_chains(lp, order, flip=flip)
+    assert tied == {False, True}
+
+
+def test_tall_chain_is_certified_by_the_mask_pass():
+    # 1201 roots, more than one chunk.  Each cover of the chain is
+    # j-labeled by its upper end, and the one maximal chain of an interval
+    # is increasing when the ranks fall upwards, or under flip rise.
+    lp = S.lattice_j_labeling(S.generate("chain", 1200))
+    upwards = [f"c{k}" for k in range(1, 1201)]
+    assert not any(S.shelling._walk(lp, flip)[3] for flip in (False, True))
+    assert S.is_el_labeling(lp, upwards[::-1])
+    assert S.is_el_labeling(lp, upwards, flip=True)
+    # c600 now ranks before c601, so every interval over c599 < c600 < c601 fails
+    swapped = upwards[::-1]
+    swapped[599], swapped[600] = swapped[600], swapped[599]
+    report = S.is_el_labeling(lp, swapped)
+    assert (report.witness.interval, report.witness.kind) == (("c0", "c1000"), "zero-increasing")
+
+
+def _diamond_stack(k):
+    """k diamonds b_i < a_i, c_i < b_(i+1) stacked, the two top covers of each labeled z_i."""
+    labels = {}
+    for i in range(k):
+        labels[f"b{i}", f"a{i}"], labels[f"b{i}", f"c{i}"] = f"x{i}", f"y{i}"
+        labels[f"a{i}", f"b{i + 1}"] = labels[f"c{i}", f"b{i + 1}"] = f"z{i}"
+    names = sorted({name for cover in labels for name in cover})
+    return LabeledPoset(poset=Poset.from_covers(names, list(labels)), labels=labels)
+
+
+def _stack_order(k):
+    """Higher diamonds rank first; in each, y_i < z_i < x_i."""
+    return [label for i in reversed(range(k)) for label in (f"y{i}", f"z{i}", f"x{i}")]
+
+
+def test_small_diamond_stack_matches_chain_enumeration():
+    rng = random.Random(4)
+    for k in (1, 2, 3):
+        lp = _diamond_stack(k)
+        assert S.shelling._walk(lp, False)[3] and not S.shelling._walk(lp, True)[3]
+        orders = [_stack_order(k)] + [rng.sample(lp.alphabet, len(lp.alphabet)) for _ in range(20)]
+        for order in orders:
+            for flip in (False, True):
+                assert S.is_el_labeling(lp, order, flip=flip) == el_by_chains(lp, order, flip=flip)
+
+
+def test_tall_diamond_stack_runs_the_dynamic_program():
+    # Height 200 with a tie at every second level.  Under the stack order
+    # every chain through a diamond is increasing by a only and least by
+    # c, so exactly the intervals that hold a whole diamond fail: lo is
+    # below some b_i and hi above b_(i+1).
+    k = 100
+    lp = _diamond_stack(k)
+    walk = S.shelling._walk(lp, False)
+    assert walk[3] and lp.poset.height() == 2 * k
+    order = _stack_order(k)
+    rank = sorted(range(len(order)), key=order.__getitem__)
+    names = lp.poset.names
+
+    def level(name, above):
+        # the b index of the lowest b above the element, or the highest below it
+        i = int(name[1:])
+        return i + (above and name[0] != "b")
+
+    expected = {
+        (lo, hi)
+        for lo, hi in itertools.product(range(lp.poset.n), repeat=2)
+        if level(names[lo], True) < level(names[hi], False)
+    }
+    assert set(S.shelling._failures(walk, rank, False)) == expected
