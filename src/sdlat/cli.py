@@ -231,8 +231,14 @@ def _cmd_seq(args) -> int:
 
     The JSON form is byte for byte ``dumps_indented`` of the payload
     {"count", "maximalOnly", "sequences": [{"entries", "rightExtendable"}]}
-    with sorted keys; an entry list is never empty.  Each name is encoded
-    once.
+    with sorted keys; an entry list is never empty.  ``dumps_indented``
+    writes each name as ``encode_basestring_ascii(name)``.  When that is
+    the name in quotes for every element name (checked once per lattice),
+    a sequence's raw names joined by '",' and the indent, inside one pair
+    of quotes, are the bytes of its encoded names joined by ',' and the
+    indent; otherwise each name is encoded once and the encoded names are
+    joined.  Names are arguments of the item template, never part of it,
+    so a '%' in a name is written as it is.
     """
     lattice = _load_lattice(args.file)
     seqs = enumerate_kd_exceptional(
@@ -240,7 +246,7 @@ def _cmd_seq(args) -> int:
     )
     if not args.json:
         extendable = {None: "", False: "", True: "   [extendable to the right]"}
-        lines = ("(" + ",".join(s.entries) + ")" + extendable[s.right_extendable] + "\n" for s in seqs)
+        lines = ("(%s)%s\n" % (",".join(entries), extendable[flag]) for entries, flag in seqs)
         _write_joined("", lines, "", f"count: {len(seqs)}\n")
         return 0
     literal = {None: "null", False: "false", True: "true"}
@@ -248,15 +254,16 @@ def _cmd_seq(args) -> int:
     if not seqs:
         sys.stdout.write(head + "[]\n}\n")
         return 0
-    encoded = {x: encode_basestring_ascii(x) for x in lattice.names}.__getitem__
-    items = (
-        '{\n      "entries": [\n        '
-        + ",\n        ".join(map(encoded, s.entries))
-        + '\n      ],\n      "rightExtendable": '
-        + literal[s.right_extendable]
-        + "\n    }"
-        for s in seqs
-    )
+    item = '{\n      "entries": [\n        %s\n      ],\n      "rightExtendable": %s\n    }'
+    names = lattice.names
+    if all(map(str.__eq__, map(encode_basestring_ascii, names), map('"{}"'.format, names))):
+        join = '",\n        "'.join
+        item = item.replace("%s", '"%s"', 1)
+        items = (item % (join(entries), literal[flag]) for entries, flag in seqs)
+    else:
+        join = ",\n        ".join
+        encoded = {x: encode_basestring_ascii(x) for x in names}.__getitem__
+        items = (item % (join(map(encoded, entries)), literal[flag]) for entries, flag in seqs)
     _write_joined(head + "[\n    ", items, ",\n    ", "\n  ]\n}\n")
     return 0
 
@@ -407,6 +414,9 @@ def cli_main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as exc:  # a name that stdout's encoding cannot write
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -216,13 +216,15 @@ def emit_dot(
     else:
         poset = obj
     names = poset.names
+    texts = set(names).union(labels.values()) if labels else names
+    quoted = {text: _dot_quote(text) for text in texts}  # each name and label quoted once
     lines = [f"digraph {graph_name} {{"]
     for name in sorted(names):
-        lines.append(f"  {_dot_quote(name)};")
+        lines.append(f"  {quoted[name]};")
     for hi, lo in sorted((names[hi], names[lo]) for lo, hi in poset.covers):
-        edge = f"  {_dot_quote(hi)} -> {_dot_quote(lo)}"
+        edge = f"  {quoted[hi]} -> {quoted[lo]}"
         if labels and (lo, hi) in labels:
-            lines.append(f"{edge} [label={_dot_quote(labels[(lo, hi)])}];")
+            lines.append(f"{edge} [label={quoted[labels[(lo, hi)]]}];")
         else:
             lines.append(f"{edge};")
     lines.append("}")

@@ -220,6 +220,17 @@ def test_cli_seq_writes_the_payload_byte_for_byte(tmp_path, small_sd_lattices, m
     monkeypatch.setattr(S.cli, "_CHUNK", chunk)
     lattices = sd_family_lattices() + [S.generate("tamari", n) for n in (4, 5, 6)]
     lattices += [S.generate("boolean", n) for n in (4, 5)] + [odd_names(S.generate("fig1"))]
+    # one cji needs escaping and one holds %s, the rest are plain: the
+    # check that picks the join path must read every name of the lattice
+    tamari4 = S.generate("tamari", 4)
+    first, second = S.irreducible_table(tamari4).cji[:2]
+    rename = {first: "new\nline", second: "%s"}
+    lattices.append(
+        S.Lattice.build_from_covers(
+            [rename.get(x, x) for x in tamari4.names],
+            [(rename.get(lo, lo), rename.get(hi, hi)) for lo, hi in tamari4.covers_named()],
+        )
+    )
     lattices += small_sd_lattices
     for k, lattice in enumerate(lattices):
         path = _write(tmp_path, f"doc{k}.json", lattice)
@@ -420,6 +431,23 @@ def test_cli_input_errors(tmp_path, capsys):
     assert cli_main(["check", str(bad)]) == 2
     fig1 = _write(tmp_path, "fig1.json", S.generate("fig1"))
     assert cli_main(["cjr", fig1, "--element", "zz"]) == 2
+
+
+@pytest.mark.parametrize("argv,code", [(["seq"], 2), (["dot"], 2), (["seq", "--json"], 0)])
+def test_unencodable_output_is_an_error_line(tmp_path, capsys, monkeypatch, argv, code):
+    # stdout cannot encode the name: one error line and exit 2, which is
+    # not the exit 1 of a negative answer; JSON escapes it and succeeds
+    chain = S.Lattice.build_from_covers(["0", "\u00e9", "1"], [("0", "\u00e9"), ("\u00e9", "1")])
+    doc = _write(tmp_path, "e.json", chain)
+    out = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(out, encoding="ascii"))
+    assert cli_main([argv[0], doc, *argv[1:]]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: cannot write the output: ") and err.count("\n") == 1
+    else:
+        sys.stdout.flush()
+        assert err == "" and json.loads(out.getvalue())["count"] == 3
 
 
 def _sdlat_process(args, stdout):

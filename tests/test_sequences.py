@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from collections import Counter
 
@@ -82,6 +83,32 @@ def test_fig4_maximal(fig4):
     by_entries = {s.entries: s for s in seqs}
     assert by_entries[("j3", "j5")].right_extendable is True
     assert sum(bool(s.right_extendable) for s in seqs) == 1
+
+
+def test_kd_sequence_keeps_its_api():
+    seq = S.KdSequence(("j2", "j1"), True)
+    assert seq == S.KdSequence(entries=("j2", "j1"), right_extendable=True)
+    assert (seq.entries, seq.right_extendable) == (("j2", "j1"), True)
+    assert S.KdSequence(("j1",)).right_extendable is None
+    assert repr(seq) == "KdSequence(entries=('j2', 'j1'), right_extendable=True)"
+    for field in ("entries", "right_extendable"):
+        with pytest.raises(AttributeError):
+            setattr(seq, field, None)
+    again = pickle.loads(pickle.dumps(seq))
+    assert again == seq and type(again) is S.KdSequence
+    # the listing's results are the sequences built by hand, not bare tuples
+    chain = S.generate("chain", 2)
+    K = S.KdSequence
+    expected = {
+        (False, False): [K(("c1",)), K(("c2",)), K(("c2", "c1"))],
+        (False, True): [K(("c1",), False), K(("c2",), True), K(("c2", "c1"), False)],
+        (True, False): [K(("c2",)), K(("c2", "c1"))],
+        (True, True): [K(("c2",), True), K(("c2", "c1"), False)],
+    }
+    for (maximal, mark), want in expected.items():
+        got = S.enumerate_kd_exceptional(chain, maximal, mark)
+        assert got == want
+        assert all(type(s) is K for s in got)
 
 
 def test_chain_sequences():
